@@ -9,6 +9,19 @@ predicts, ``q*g / (q*g + 1)``.  Standardized deviations are summed over
 group sizes into a chi-square statistic with one degree of freedom per
 group size.
 
+The correlations are computed without forming any item-mean vector.  With
+``Vc`` the table centered per participant column over items and ``w_A`` the
+0/1 indicator of group A, the centered item means of A are ``Vc w_A / g``,
+so with the participant Gram matrix ``G = Vc' Vc`` (n x n, formed once)
+
+    r = w_A' G w_B / sqrt(w_A' G w_A * w_B' G w_B)
+
+and the ``1/g`` factors cancel.  The draws are processed in chunks whose
+two n x B indicator matrices stay within a fixed byte budget, so a chunk
+costs two small ``G @ W`` products.  Each draw is still one
+:func:`disjoint_groups` call, in the same order as a draw-by-draw loop, so
+a seed yields the same groups and the same report.
+
 The test requires a complete table — resampling cannot form full item-mean
 vectors when cells are missing — so incomplete tables must be imputed
 first (see :mod:`icctab.impute`).
@@ -25,7 +38,11 @@ from .rand import as_generator
 from .special import chi2_upper_tail
 from .table import DataTable
 
-__all__ = ["EcvtReport", "ecvt", "default_group_sizes", "chi2_upper_tail"]
+__all__ = ["EcvtReport", "ecvt", "default_group_sizes"]
+
+# Bytes of one float block of ``rows`` x B that sets the number B of draws per
+# chunk; a chunk's temporaries are a few such blocks.
+_CHUNK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -119,7 +136,9 @@ def ecvt(
     dec = anova(table)
     q = math.inf if dec.vij == 0.0 else dec.vi / dec.vij
     gen = as_generator(rng)
-    values = table.values
+    centered = table.values - table.values.mean(axis=0)
+    gram = centered.T @ centered
+    del centered
 
     observed_mean = np.empty(len(sizes))
     observed_sd = np.empty(len(sizes))
@@ -128,12 +147,10 @@ def ecvt(
     df = 0
     warnings = []
     for k, g in enumerate(sizes):
-        rs = np.empty(resamples)
-        for b in range(resamples):
-            group_a, group_b = disjoint_groups(gen, n, g)
-            means_a = values[:, group_a].mean(axis=1)
-            means_b = values[:, group_b].mean(axis=1)
-            rs[b] = _pearson(means_a, means_b)
+        rs = np.concatenate([
+            _gram_correlations(gram, in_a, in_b)
+            for in_a, in_b in _group_indicator_chunks(gen, n, g, resamples, n)
+        ])
         if fisher_z:
             zs = np.arctanh(np.clip(rs, -1 + 1e-15, 1 - 1e-15))
             center, spread = zs.mean(), zs.std(ddof=1)
@@ -181,10 +198,45 @@ def disjoint_groups(
     return draw[:g], draw[g:]
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
-    if denom == 0.0:
-        return math.nan
-    return float(xc @ yc) / denom
+def _group_indicator_chunks(
+    gen: np.random.Generator, n: int, g: int, resamples: int, rows: int
+):
+    """Yield ``resamples`` :func:`disjoint_groups` draws in chunks.
+
+    Each chunk is a pair of n x B 0/1 matrices whose column ``k`` marks the
+    two groups of one draw.  The draws are made one by one in order, so the
+    random stream is that of a draw-by-draw loop.  B is set so that one
+    ``rows`` x B float block, the caller's per-chunk temporary, fits in
+    ``_CHUNK_BYTES``.
+    """
+    chunk = _chunk_draws(rows)
+    for start in range(0, resamples, chunk):
+        size = min(chunk, resamples - start)
+        in_a = np.zeros((n, size))
+        in_b = np.zeros((n, size))
+        for k in range(size):
+            group_a, group_b = disjoint_groups(gen, n, g)
+            in_a[group_a, k] = 1.0
+            in_b[group_b, k] = 1.0
+        yield in_a, in_b
+
+
+def _chunk_draws(rows: int) -> int:
+    return max(1, _CHUNK_BYTES // (8 * rows))
+
+
+def _gram_correlations(
+    gram: np.ndarray, in_a: np.ndarray, in_b: np.ndarray
+) -> np.ndarray:
+    """Item-mean correlations of the group pairs marked by the columns of
+    ``in_a`` and ``in_b``, from the participant Gram matrix (NaN where a
+    group's item means are constant).
+
+    The sums run down axis 0, which numpy adds in row order whatever the
+    zero pattern, so identical columns give r == 1 exactly.
+    """
+    gram_a = gram @ in_a
+    gram_b = gram @ in_b
+    cross = (in_b * gram_a).sum(axis=0)
+    denom = np.sqrt((in_a * gram_a).sum(axis=0) * (in_b * gram_b).sum(axis=0))
+    return np.divide(cross, denom, out=np.full(denom.shape, math.nan), where=denom != 0.0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anova import IccReport, icc_report
-from .ecvt import disjoint_groups
+from .ecvt import _group_indicator_chunks
 from .errors import NumericError, PreconditionError, StructuralError
 from .rand import as_generator
 from .synth import degrade_random
@@ -105,9 +105,7 @@ def fit_predictors(
         raise NumericError(f"constant predictor column(s): {(constant + 1).tolist()}")
     report = icc_report(table, conf_probs)
     item_means = report.item_means
-    r2 = np.array(
-        [_pearson(item_means, pred[:, j]) ** 2 for j in range(pred.shape[1])]
-    )
+    r2 = _pearson(pred.T, item_means) ** 2
     ratio, r2_cor = corrected_r2(r2, report.icc, report.icc_cor)
     warnings = ()
     if report.column_effect_warning:
@@ -136,6 +134,14 @@ def r2_icc_curve(
     correlation of the first group's item means with the predictor.  Items
     without any valid value inside a drawn group are excluded pairwise from
     that resample; the mean number of exclusions is reported per size.
+
+    The draws come in chunks of n x B group-indicator matrices ``W``, sized
+    by a fixed byte budget (see :mod:`icctab.ecvt`); each draw is one
+    ``disjoint_groups`` call in the same order as a draw-by-draw loop, so a
+    seed yields the same groups.  A chunk's per-item valid counts are
+    ``valid @ W`` and its sums ``filled @ W`` (missing cells filled with 0),
+    two GEMMs whose results are kept one row per draw, and the pairwise
+    exclusion is a masked Pearson correlation per draw.
     """
     pred = np.asarray(predictor, dtype=float).ravel()
     if pred.size != table.rows:
@@ -149,43 +155,34 @@ def r2_icc_curve(
             f"two disjoint groups of size {max(sizes)} do not fit in {n} participants"
         )
     gen = as_generator(rng)
-    filled = np.where(table.valid, table.values, 0.0)
-    valid = table.valid.astype(float)
+    # transposed so that each chunk's results are B x m, one row per draw
+    filled = np.where(table.valid, table.values, 0.0).T
+    valid = table.valid.T.astype(float)
     points = []
     for g in sizes:
-        r_icc = np.empty(resamples)
-        r2_vals = np.empty(resamples)
-        excluded = np.empty(resamples)
-        for b in range(resamples):
-            group_a, group_b = disjoint_groups(gen, n, g)
-            counts_a = valid[:, group_a].sum(axis=1)
-            counts_b = valid[:, group_b].sum(axis=1)
-            means_a = np.divide(
-                filled[:, group_a].sum(axis=1),
-                counts_a,
-                out=np.zeros(table.rows),
-                where=counts_a > 0,
-            )
-            means_b = np.divide(
-                filled[:, group_b].sum(axis=1),
-                counts_b,
-                out=np.zeros(table.rows),
-                where=counts_b > 0,
-            )
-            both = (counts_a > 0) & (counts_b > 0)
-            r_icc[b] = _pearson(means_a[both], means_b[both])
+        r_icc, r2_vals, excluded = [], [], []
+        for in_a, in_b in _group_indicator_chunks(gen, n, g, resamples, table.rows):
+            counts_a = in_a.T @ valid
+            counts_b = in_b.T @ valid
             has_a = counts_a > 0
-            r2_vals[b] = _pearson(means_a[has_a], pred[has_a]) ** 2
-            excluded[b] = table.rows - int(both.sum())
-        icc_g = float(r_icc.mean())
-        r2_g = float(r2_vals.mean())
+            has_b = counts_b > 0
+            both = has_a & has_b
+            means_a = np.divide(in_a.T @ filled, counts_a, out=np.zeros_like(counts_a),
+                                where=has_a)
+            means_b = np.divide(in_b.T @ filled, counts_b, out=np.zeros_like(counts_b),
+                                where=has_b)
+            r_icc.append(_pearson(means_a, means_b, both))
+            r2_vals.append(_pearson(means_a, pred, has_a) ** 2)
+            excluded.append(table.rows - both.sum(axis=1))
+        icc_g = float(np.concatenate(r_icc).mean())
+        r2_g = float(np.concatenate(r2_vals).mean())
         points.append(
             RatioCurvePoint(
                 g=g,
                 icc=icc_g,
                 r2=r2_g,
                 ratio=r2_g / icc_g,
-                excluded=float(excluded.mean()),
+                excluded=float(np.concatenate(excluded).mean()),
             )
         )
     return points
@@ -229,10 +226,19 @@ def r2cor_bias_demo(
     return points
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = np.sqrt(float(xc @ xc) * float(yc @ yc))
-    if denom == 0.0:
-        return float("nan")
-    return float(xc @ yc) / denom
+def _pearson(x: np.ndarray, y: np.ndarray, mask=None) -> np.ndarray:
+    """Pearson correlations along the last axis of ``x`` and ``y``.
+
+    ``x`` and ``y`` broadcast to one k x m shape; only entries where
+    ``mask`` (same shape, default all) is True enter a row's correlation.
+    Rows with a constant side, or no entries, give NaN.
+    """
+    x, y = np.broadcast_arrays(x, y)
+    weight = np.ones(x.shape) if mask is None else mask.astype(float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        count = weight.sum(axis=-1, keepdims=True)
+        xc = (x - (weight * x).sum(axis=-1, keepdims=True) / count) * weight
+        yc = (y - (weight * y).sum(axis=-1, keepdims=True) / count) * weight
+        denom = np.sqrt((xc * xc).sum(axis=-1) * (yc * yc).sum(axis=-1))
+        return np.divide((xc * yc).sum(axis=-1), denom,
+                         out=np.full(denom.shape, np.nan), where=denom != 0.0)

@@ -120,10 +120,11 @@ def crari_impute(
     Notes
     -----
     When no row has more than one missing cell the imputation is
-    deterministic (fills equal the row's valid mean) and ``c`` is reported
-    as 1.  In the random case the search requires the target to lie inside
-    the reachable range ``[ICC at c_max, ICC at 0]`` and raises
-    :class:`UnreachableTargetError` otherwise.
+    deterministic (fills equal the row's valid mean), ``c`` is reported as
+    1, and a warning names the target and the attained ICC, which the
+    target does not influence.  In the random case the search requires the
+    target to lie inside the reachable range ``[ICC at c_max, ICC at 0]``
+    and raises :class:`UnreachableTargetError` otherwise.
 
     Raises
     ------
@@ -171,6 +172,10 @@ def crari_impute(
     if max_missing_per_row <= 1:
         imputed = _fill_with_row_means(table)
         icc_after = _complete_icc(imputed.values)
+        warnings.append(
+            f"target ICC {target_icc:.4f} not reached: no row has more than one "
+            f"missing cell, so the fills are the row means; attained ICC {icc_after:.4f}"
+        )
         return ImputationOutcome(
             imputed=imputed,
             c=1.0,

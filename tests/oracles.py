@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: distribution functions
 are evaluated by adaptive quadrature over the densities (scipy.integrate),
 quantiles by root-finding on those quadrature CDFs, and the balanced ANOVA
-by the textbook cell-mean formulas.
+by the textbook cell-mean formulas.  The split-group resampling oracles are
+the draw-by-draw loops that the batched kernels replaced: they share only
+the draw function (``disjoint_groups``) with the code under test.
 """
 
 import math
@@ -11,6 +13,11 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+
+from icctab.anova import anova, expected_icc
+from icctab.ecvt import default_group_sizes, disjoint_groups
+from icctab.rand import as_generator
+from icctab.special import chi2_upper_tail
 
 
 def beta_cdf(x: float, a: float, b: float) -> float:
@@ -83,3 +90,83 @@ def ks_distance(sample: np.ndarray, cdf) -> float:
     upper = np.abs(np.arange(1, n + 1) / n - cdf_vals).max()
     lower = np.abs(np.arange(0, n) / n - cdf_vals).max()
     return float(max(upper, lower))
+
+
+def pearson(x: np.ndarray, y: np.ndarray) -> float:
+    xc = x - x.mean()
+    yc = y - y.mean()
+    denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
+    if denom == 0.0:
+        return math.nan
+    return float(xc @ yc) / denom
+
+
+def ecvt_loop(table, group_sizes=None, resamples=200, rng=None, fisher_z=False) -> dict:
+    """ECVT statistics with one item-mean pair per draw."""
+    n = table.cols
+    sizes = default_group_sizes(n) if group_sizes is None else tuple(group_sizes)
+    dec = anova(table)
+    q = math.inf if dec.vij == 0.0 else dec.vi / dec.vij
+    gen = as_generator(rng)
+    values = table.values
+    mean_r, sd_r = [], []
+    chi2 = 0.0
+    df = 0
+    for g in sizes:
+        rs = np.empty(resamples)
+        for b in range(resamples):
+            group_a, group_b = disjoint_groups(gen, n, g)
+            rs[b] = pearson(values[:, group_a].mean(axis=1), values[:, group_b].mean(axis=1))
+        if fisher_z:
+            zs = np.arctanh(np.clip(rs, -1 + 1e-15, 1 - 1e-15))
+            center, spread = zs.mean(), zs.std(ddof=1)
+            mean_r.append(math.tanh(center))
+            sd_r.append(rs.std(ddof=1))
+            target = math.atanh(min(expected_icc(q, g), 1 - 1e-15))
+        else:
+            center, spread = rs.mean(), rs.std(ddof=1)
+            mean_r.append(center)
+            sd_r.append(spread)
+            target = expected_icc(q, g)
+        if spread == 0.0:
+            continue
+        chi2 += ((center - target) / (spread / math.sqrt(resamples))) ** 2
+        df += 1
+    return {
+        "observed_mean_r": np.array(mean_r),
+        "observed_sd_r": np.array(sd_r),
+        "chi2": chi2,
+        "df": df,
+        "p_value": 1.0 if df == 0 else chi2_upper_tail(chi2, df),
+    }
+
+
+def r2_icc_curve_loop(table, predictor, group_sizes, resamples=200, rng=None) -> list:
+    """(g, icc, r2, ratio, excluded) per group size, one draw at a time."""
+    pred = np.asarray(predictor, dtype=float).ravel()
+    n = table.cols
+    gen = as_generator(rng)
+    filled = np.where(table.valid, table.values, 0.0)
+    valid = table.valid.astype(float)
+    points = []
+    for g in group_sizes:
+        r_icc = np.empty(resamples)
+        r2_vals = np.empty(resamples)
+        excluded = np.empty(resamples)
+        for b in range(resamples):
+            group_a, group_b = disjoint_groups(gen, n, g)
+            counts_a = valid[:, group_a].sum(axis=1)
+            counts_b = valid[:, group_b].sum(axis=1)
+            means_a = np.divide(filled[:, group_a].sum(axis=1), counts_a,
+                                out=np.zeros(table.rows), where=counts_a > 0)
+            means_b = np.divide(filled[:, group_b].sum(axis=1), counts_b,
+                                out=np.zeros(table.rows), where=counts_b > 0)
+            both = (counts_a > 0) & (counts_b > 0)
+            r_icc[b] = pearson(means_a[both], means_b[both])
+            has_a = counts_a > 0
+            r2_vals[b] = pearson(means_a[has_a], pred[has_a]) ** 2
+            excluded[b] = table.rows - int(both.sum())
+        icc_g = float(r_icc.mean())
+        r2_g = float(r2_vals.mean())
+        points.append((g, icc_g, r2_g, r2_g / icc_g, float(excluded.mean())))
+    return points

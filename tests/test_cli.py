@@ -1,4 +1,6 @@
 import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +100,15 @@ class TestEcvtCommand:
         assert "verdict:" in out and "chi2:" in out
         header = curve.read_text().splitlines()[0]
         assert header == "g,predicted_r,observed_mean_r,observed_sd_r"
+
+    def test_report_matches_golden_bytes(self, capsys, tmp_path, monkeypatch):
+        golden = Path(__file__).parent / "golden"
+        shutil.copy(golden / "ecvt_table.csv", tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "ecvt", "--input", "ecvt_table.csv", "--zscore",
+                           "--resamples", "60", "--seed", "7")
+        assert code == 0
+        assert out.encode() == (golden / "ecvt_report.txt").read_bytes()
 
     def test_missing_cells_precondition_exit(self, capsys, degraded_csv):
         code, _, err = run(capsys, "ecvt", "--input", str(degraded_csv))

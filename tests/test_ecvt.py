@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icctab import (
     DataTable,
@@ -13,8 +15,12 @@ from icctab import (
     generate,
     zscore,
 )
-from icctab.ecvt import default_group_sizes, disjoint_groups
+from icctab.ecvt import _chunk_draws, default_group_sizes, disjoint_groups
 from icctab.rand import as_generator
+from oracles import ecvt_loop
+
+IDENTICAL_COLUMNS = DataTable(np.tile(np.array([1.0, 5.0, 2.0, 8.0, 3.0, 9.0])[:, None], (1, 8)))
+ORACLE_TABLE = zscore(generate(SynthSpec(rows=50, cols=16, severity=1.0, seed=71))[0])
 
 
 class TestDefaultGroupSizes:
@@ -94,9 +100,7 @@ class TestEcvtClassification:
 
 class TestEcvtDegenerate:
     def test_identical_columns_drop_all_terms(self):
-        col = np.array([1.0, 5.0, 2.0, 8.0, 3.0, 9.0])
-        table = DataTable(np.tile(col[:, None], (1, 8)))
-        report = ecvt(table, resamples=20, rng=31)
+        report = ecvt(IDENTICAL_COLUMNS, resamples=20, rng=31)
         assert report.df == 0
         assert report.p_value == 1.0
         assert report.compatible
@@ -120,3 +124,42 @@ class TestEcvtReproducibility:
         z_scale = ecvt(zt, resamples=150, rng=34, fisher_z=True)
         assert raw_scale.compatible and z_scale.compatible
         assert z_scale.observed_mean_r == pytest.approx(raw_scale.observed_mean_r, abs=0.02)
+
+
+class TestBatchedMatchesLoop:
+    """The chunked Gram-matrix kernel against the draw-by-draw loop."""
+
+    @pytest.mark.parametrize("table, sizes, resamples", [
+        (ORACLE_TABLE, None, 2),
+        (ORACLE_TABLE, None, 37),
+        (ORACLE_TABLE, (3,), "chunk + 1"),
+        (IDENTICAL_COLUMNS, None, 37),
+        (IDENTICAL_COLUMNS, (2,), "chunk + 1"),
+    ])
+    @pytest.mark.parametrize("fisher_z", [False, True])
+    def test_same_statistics_for_same_seed(self, table, sizes, resamples, fisher_z):
+        if resamples == "chunk + 1":
+            resamples = _chunk_draws(table.cols) + 1
+        report = ecvt(table, group_sizes=sizes, resamples=resamples, rng=72,
+                      fisher_z=fisher_z)
+        loop = ecvt_loop(table, group_sizes=sizes, resamples=resamples, rng=72,
+                         fisher_z=fisher_z)
+        assert report.df == loop["df"]
+        assert report.observed_mean_r == pytest.approx(loop["observed_mean_r"], abs=1e-12)
+        assert report.observed_sd_r == pytest.approx(loop["observed_sd_r"], abs=1e-12)
+        assert report.chi2 == pytest.approx(loop["chi2"], rel=1e-12, abs=1e-12)
+        assert report.p_value == pytest.approx(loop["p_value"], rel=1e-12, abs=1e-12)
+        if table is IDENTICAL_COLUMNS and not fisher_z:
+            assert report.df == 0
+            assert (report.observed_mean_r == 1.0).all()
+
+
+class TestShiftScaleInvariance:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), shift=st.sampled_from([0.0, 1e3]),
+           scale=st.floats(1e-3, 1e3))
+    def test_observed_mean_r_unchanged(self, seed, shift, scale):
+        raw, _ = generate(SynthSpec(rows=40, cols=12, seed=seed))
+        base = ecvt(raw, resamples=30, rng=seed)
+        moved = ecvt(DataTable(raw.values * scale + shift), resamples=30, rng=seed)
+        assert moved.observed_mean_r == pytest.approx(base.observed_mean_r, abs=1e-9)

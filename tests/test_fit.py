@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icctab import (
     DataTable,
@@ -16,7 +18,9 @@ from icctab import (
     r2_icc_curve,
     zscore,
 )
+from icctab.ecvt import _chunk_draws
 from icctab.rand import as_generator
+from oracles import r2_icc_curve_loop
 
 
 class TestCorrectedR2:
@@ -134,6 +138,43 @@ class TestR2IccCurve:
     def test_oversized_group_rejected(self, complete_table):
         with pytest.raises(PreconditionError):
             r2_icc_curve(complete_table, np.arange(5.0), group_sizes=[3], rng=1)
+
+
+class TestR2IccCurveMatchesLoop:
+    """The chunked GEMM kernel against the draw-by-draw loop."""
+
+    @pytest.mark.parametrize("p_missing", [0.0, 0.5])
+    @pytest.mark.parametrize("resamples", [2, 37, "chunk + 1"])
+    def test_same_points_for_same_seed(self, p_missing, resamples):
+        raw, truth = generate(SynthSpec(rows=120, cols=16, seed=81))
+        table = degrade_random(raw, p_missing, rng=82)
+        if resamples == "chunk + 1":
+            resamples = _chunk_draws(table.rows) + 1
+        sizes = (1, 2, 5, 8)
+        points = r2_icc_curve(table, truth.item_effects, sizes, resamples=resamples, rng=83)
+        loop = r2_icc_curve_loop(table, truth.item_effects, sizes, resamples=resamples, rng=83)
+        for point, (g, icc, r2, ratio, excluded) in zip(points, loop, strict=True):
+            assert point.g == g
+            assert point.icc == pytest.approx(icc, abs=1e-12)
+            assert point.r2 == pytest.approx(r2, abs=1e-12)
+            assert point.ratio == pytest.approx(ratio, abs=1e-12)
+            assert point.excluded == excluded
+        if p_missing:
+            assert points[0].excluded > 0
+
+
+class TestR2IccCurveShiftScale:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), shift=st.sampled_from([0.0, 1e3]),
+           scale=st.floats(1e-3, 1e3))
+    def test_icc_unchanged(self, seed, shift, scale):
+        raw, truth = generate(SynthSpec(rows=60, cols=12, seed=seed))
+        table = degrade_random(raw, 0.3, rng=seed)
+        moved = DataTable(table.values * scale + shift)
+        base = r2_icc_curve(table, truth.item_effects, (1, 3), resamples=20, rng=seed)
+        after = r2_icc_curve(moved, truth.item_effects, (1, 3), resamples=20, rng=seed)
+        for a, b in zip(base, after):
+            assert b.icc == pytest.approx(a.icc, abs=1e-9)
 
 
 class TestR2CorBiasDemo:

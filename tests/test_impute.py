@@ -92,6 +92,17 @@ class TestCrariDeterministicCases:
         assert outcome.imputed.values[0, 2] == pytest.approx(2.0)
         assert outcome.imputed.values[1, 1] == pytest.approx(5.0)
 
+    def test_target_miss_is_reported(self):
+        raw, _ = generate(SynthSpec(rows=200, cols=40, seed=3))
+        values = np.array(raw.values)
+        values[np.arange(200), as_generator(1).integers(0, 40, size=200)] = np.nan
+        outcome = crari_impute(DataTable(values), target=0.8, rng=2)
+        assert outcome.icc_after != pytest.approx(0.8, abs=1e-3)
+        assert outcome.warnings == (
+            f"target ICC 0.8000 not reached: no row has more than one missing cell, "
+            f"so the fills are the row means; attained ICC {outcome.icc_after:.4f}",
+        )
+
     def test_deterministic_case_independent_of_rng(self):
         t = DataTable(np.array([
             [1.0, 2.0, np.nan, 3.0],
