@@ -33,18 +33,12 @@ from .errors import (
     TableFormatError,
     UnreachableTargetError,
 )
-from .experiments import (
-    ari_bias_study,
-    crari_recovery_study,
-    default_table,
-    degradation_study,
-    r2cor_bias_study,
-)
-from .fit import fit_predictors
-from .impute import crari_impute
+from .experiments import crari_recovery_study, default_table
+from .fit import fit_predictors, r2cor_bias_demo
+from .impute import ari_bias_demo, crari_impute
 from .rand import as_generator, split_seed
 from .synth import SynthSpec, degrade_random, generate
-from .table import DataTable, load_csv, mix_rows, save_csv, virtualize, zscore
+from .table import DataTable, _read_cells, load_csv, mix_rows, save_csv, virtualize, zscore
 
 EXIT_CODES = {
     TableFormatError: 2,
@@ -54,7 +48,16 @@ EXIT_CODES = {
     PreconditionError: 6,
 }
 
-EXPERIMENTS = ("ari-bias", "crari-recovery", "degradation-curve", "r2cor-bias")
+# experiment name -> (default missing proportions, CSV columns)
+EXPERIMENTS = {
+    "ari-bias": ((0.0, 0.1, 0.2, 0.3), ("p", "icc_missing", "icc_ari", "icc_cor")),
+    "crari-recovery": ((0.0, 0.1, 0.2, 0.3),
+                       ("p", "icc_missing", "icc_cor", "icc_imputed", "icc_exact")),
+    "degradation-curve": ((0.1, 0.3, 0.5, 0.7, 0.9),
+                          ("p", "icc_missing", "icc_cor", "icc_imputed", "r_item_means",
+                           "icc_exact")),
+    "r2cor-bias": ((0.0, 0.15, 0.3, 0.45, 0.6), ("p", "r2_observed", "r2_cor", "r2_exact")),
+}
 
 
 def main(argv=None) -> int:
@@ -102,8 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="path of the imputed CSV")
     p.add_argument("--target", default="corrected",
                    help="'low', 'corrected' or an explicit ICC value")
-    p.add_argument("--c-max", type=float, default=10.0)
-    p.add_argument("--c-tol", type=float, default=1e-4)
+    p.add_argument("--c-max", type=float, default=10.0,
+                   help="largest fill scale; bounds the reachable ICC range")
     p.set_defaults(handler=_run_impute)
 
     p = sub.add_parser("ecvt", help="additive-model validity test")
@@ -141,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_run_synth)
 
     p = sub.add_parser("experiment", help="run a named canned study")
-    p.add_argument("--name", required=True, choices=EXPERIMENTS)
+    p.add_argument("--name", required=True, choices=tuple(EXPERIMENTS))
     p.add_argument("--rows", type=int, default=1400)
     p.add_argument("--cols", type=int, default=80)
     p.add_argument("--p-grid", default=None,
@@ -242,9 +245,7 @@ def _run_icc(args) -> int:
 def _run_impute(args) -> int:
     table = _load_table(args)
     target = args.target if args.target in ("low", "corrected") else float(args.target)
-    outcome = crari_impute(
-        table, target=target, rng=args.seed, c_max=args.c_max, c_tol=args.c_tol
-    )
+    outcome = crari_impute(table, target=target, rng=args.seed, c_max=args.c_max)
     save_csv(outcome.imputed, args.output)
     drift = float(np.abs(outcome.imputed.row_means() - table.row_means()).max())
     lines = _header(args, {
@@ -254,7 +255,6 @@ def _run_impute(args) -> int:
         "zscore": args.zscore,
         "target": args.target,
         "c-max": args.c_max,
-        "c-tol": args.c_tol,
     })
     lines += [
         f"icc: {_fmt(outcome.icc_before)}",
@@ -340,33 +340,11 @@ def _run_fit(args) -> int:
 
 def _load_matrix(path) -> np.ndarray:
     """Dense numeric CSV (any shape, no missing cells), header optional."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        raw = [row for row in csv.reader(handle) if row]
-    if raw and any(not _is_number(cell) for cell in raw[0]):
-        raw = raw[1:]
-    if not raw:
-        raise StructuralError(f"{path}: file contains no data rows")
-    matrix = np.empty((len(raw), len(raw[0])))
-    for i, row in enumerate(raw):
-        if len(row) != matrix.shape[1]:
-            raise TableFormatError(
-                f"{path}: row {i + 1} has {len(row)} columns, expected {matrix.shape[1]}"
-            )
-        for j, cell in enumerate(row):
-            if not _is_number(cell):
-                raise TableFormatError(
-                    f"{path}: row {i + 1}, column {j + 1}: cannot parse {cell.strip()!r}"
-                )
-            matrix[i, j] = float(cell)
-    return matrix
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
+    values, missing = _read_cells(path)
+    if missing.any():
+        i, j = np.argwhere(missing)[0]
+        raise TableFormatError(f"{path}: row {i + 1}, column {j + 1}: cannot parse ''")
+    return values
 
 
 def _run_synth(args) -> int:
@@ -413,7 +391,8 @@ def _run_synth(args) -> int:
 
 
 def _run_experiment(args) -> int:
-    p_grid = _parse_floats(args.p_grid) if args.p_grid else None
+    default_grid, columns = EXPERIMENTS[args.name]
+    p_grid = _parse_floats(args.p_grid or "") or default_grid
     table_seed, run_seed = split_seed(args.seed, 2)
     lines = _header(args, {
         "name": args.name,
@@ -423,40 +402,20 @@ def _run_experiment(args) -> int:
         "p-grid": args.p_grid or "<default>",
         "replications": args.replications,
     })
-    if args.name == "ari-bias":
-        table = default_table(args.rows, args.cols, seed=table_seed)
-        points = ari_bias_study(table, p_grid or (0.0, 0.1, 0.2, 0.3),
-                                args.replications, run_seed)
-        _write_csv(args.output, ["p", "icc_missing", "icc_ari", "icc_cor"],
-                   ((pt.p, pt.icc_missing, pt.icc_ari, pt.icc_cor) for pt in points))
-    elif args.name == "crari-recovery":
-        table = default_table(args.rows, args.cols, seed=table_seed)
-        points = crari_recovery_study(table, p_grid or (0.0, 0.1, 0.2, 0.3),
-                                      args.replications, run_seed)
-        _write_csv(args.output,
-                   ["p", "icc_missing", "icc_cor", "icc_imputed", "icc_exact"],
-                   ((pt.p, pt.icc_missing, pt.icc_cor, pt.icc_imputed, pt.icc_exact)
-                    for pt in points))
-    elif args.name == "degradation-curve":
-        table = default_table(args.rows, args.cols, seed=table_seed)
-        points = degradation_study(table, p_grid or (0.1, 0.3, 0.5, 0.7, 0.9),
-                                   args.replications, run_seed)
-        _write_csv(args.output,
-                   ["p", "icc_missing", "icc_cor", "icc_imputed", "r_item_means",
-                    "icc_exact"],
-                   ((pt.p, pt.icc_missing, pt.icc_cor, pt.icc_imputed,
-                     pt.r_item_means, pt.icc_exact) for pt in points))
-    else:
+    if args.name == "r2cor-bias":
         raw, truth = generate(SynthSpec(rows=args.rows, cols=args.cols,
                                         item_sd=0.3, seed=table_seed))
-        table = zscore(raw)
         gen = as_generator(run_seed)
         predictor = truth.item_effects + gen.normal(0, 0.25, size=args.rows)
-        points = r2cor_bias_study(table, predictor,
-                                  p_grid or (0.0, 0.15, 0.3, 0.45, 0.6),
-                                  args.replications, gen)
-        _write_csv(args.output, ["p", "r2_observed", "r2_cor", "r2_exact"],
-                   ((pt.p, pt.r2_observed, pt.r2_cor, pt.r2_exact) for pt in points))
+        points = r2cor_bias_demo(zscore(raw), predictor, p_grid, args.replications, gen)
+    elif args.name == "ari-bias":
+        table = default_table(args.rows, args.cols, seed=table_seed)
+        points = ari_bias_demo(table, p_grid, args.replications, run_seed)
+    else:
+        table = default_table(args.rows, args.cols, seed=table_seed)
+        points = crari_recovery_study(table, p_grid, args.replications, run_seed)
+    _write_csv(args.output, columns,
+               ([getattr(pt, name) for name in columns] for pt in points))
     lines.append(f"curve written: {args.output}")
     print("\n".join(lines))
     return 0

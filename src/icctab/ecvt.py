@@ -151,19 +151,20 @@ def ecvt(
             _gram_correlations(gram, in_a, in_b)
             for in_a, in_b in _group_indicator_chunks(gen, n, g, resamples, n)
         ])
+        observed_sd[k] = rs.std(ddof=1)
         if fisher_z:
             zs = np.arctanh(np.clip(rs, -1 + 1e-15, 1 - 1e-15))
             center, spread = zs.mean(), zs.std(ddof=1)
             observed_mean[k] = math.tanh(center)
-            observed_sd[k] = rs.std(ddof=1)
             target = math.atanh(min(expected_icc(q, g), 1 - 1e-15))
         else:
-            center, spread = rs.mean(), rs.std(ddof=1)
+            center, spread = rs.mean(), observed_sd[k]
             observed_mean[k] = center
-            observed_sd[k] = spread
             target = expected_icc(q, g)
         predicted[k] = expected_icc(q, g)
-        if spread == 0.0:
+        # constant correlations on the r scale: the Fisher-z spread of r == 1
+        # is a rounding residue of the clipping, not a spread
+        if observed_sd[k] == 0.0:
             warnings.append(
                 f"group size {g}: constant correlations, dropped from the statistic"
             )

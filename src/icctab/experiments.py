@@ -1,10 +1,11 @@
 """Canned reproducible studies binding the library modules together.
 
-Each study starts from a complete generated table, degrades it over a grid
-of missing proportions and tracks how the statistics of interest respond.
-They back the command-line ``experiment`` subcommand and the demo scripts;
-all of them return plain lists of per-level dataclass rows suitable for
-CSV emission and external plotting.
+A study starts from a complete generated table, degrades it over a grid of
+missing proportions and tracks how the statistics of interest respond.
+The studies back the command-line ``experiment`` subcommand and return
+plain lists of per-level dataclass rows suitable for CSV emission and
+external plotting.  The row-imputation and predictor studies are
+:func:`icctab.impute.ari_bias_demo` and :func:`icctab.fit.r2cor_bias_demo`.
 """
 
 from dataclasses import dataclass
@@ -13,19 +14,14 @@ import numpy as np
 
 from .anova import icc_report
 from .errors import PreconditionError
-from .fit import R2BiasPoint, r2cor_bias_demo
-from .impute import AriBiasPoint, ari_bias_demo, crari_impute
+from .impute import crari_impute
 from .rand import as_generator
 from .synth import SynthSpec, degrade_random, generate
 from .table import DataTable, zscore
 
 __all__ = [
     "RecoveryPoint",
-    "DegradationPoint",
-    "ari_bias_study",
     "crari_recovery_study",
-    "degradation_study",
-    "r2cor_bias_study",
     "default_table",
 ]
 
@@ -35,17 +31,6 @@ DEFAULT_COLS = 80
 
 @dataclass(frozen=True)
 class RecoveryPoint:
-    """Degraded, corrected and imputed ICCs at one degradation level."""
-
-    p: float
-    icc_missing: float
-    icc_cor: float
-    icc_imputed: float
-    icc_exact: float
-
-
-@dataclass(frozen=True)
-class DegradationPoint:
     """ICC statistics plus item-mean fidelity at one degradation level."""
 
     p: float
@@ -62,57 +47,18 @@ def default_table(rows: int = DEFAULT_ROWS, cols: int = DEFAULT_COLS, seed=None)
     return zscore(raw)
 
 
-def ari_bias_study(table: DataTable, p_grid, replications: int, rng=None) -> list[AriBiasPoint]:
-    """Row-imputation bias curve; thin wrapper kept for symmetry."""
-    return ari_bias_demo(table, p_grid, replications, rng)
-
-
 def crari_recovery_study(
     table: DataTable,
     p_grid,
     replications: int,
     rng=None,
-    target: str | float = "corrected",
 ) -> list[RecoveryPoint]:
-    """Check that targeted imputation recovers the complete-table ICC."""
-    if table.missing.any():
-        raise PreconditionError("the reference table must have no missing cells")
-    gen = as_generator(rng)
-    icc_exact = icc_report(table).icc
-    points = []
-    for p in p_grid:
-        missing = np.empty(replications)
-        cor = np.empty(replications)
-        imputed = np.empty(replications)
-        for r in range(replications):
-            degraded = degrade_random(table, p, gen)
-            outcome = crari_impute(degraded, target=target, rng=gen)
-            missing[r] = outcome.icc_before
-            cor[r] = outcome.icc_cor
-            imputed[r] = outcome.icc_after
-        points.append(
-            RecoveryPoint(
-                p=float(p),
-                icc_missing=float(missing.mean()),
-                icc_cor=float(cor.mean()),
-                icc_imputed=float(imputed.mean()),
-                icc_exact=icc_exact,
-            )
-        )
-    return points
-
-
-def degradation_study(
-    table: DataTable,
-    p_grid,
-    replications: int,
-    rng=None,
-) -> list[DegradationPoint]:
-    """Heavy-degradation curve including item-mean correlation decay.
+    """Check that targeted imputation recovers the complete-table ICC.
 
     Tracks, up to large missing proportions, how the observed ICC and the
     correlation between degraded and complete item means fall together
-    while the corrected and imputed ICCs stay near the exact value.
+    while the corrected ICC and the ICC of the table imputed to it stay
+    near the exact value.
     """
     if table.missing.any():
         raise PreconditionError("the reference table must have no missing cells")
@@ -133,7 +79,7 @@ def degradation_study(
             imputed[r] = outcome.icc_after
             r_means[r] = float(np.corrcoef(exact_means, degraded.row_means())[0, 1])
         points.append(
-            DegradationPoint(
+            RecoveryPoint(
                 p=float(p),
                 icc_missing=float(missing.mean()),
                 icc_cor=float(cor.mean()),
@@ -143,14 +89,3 @@ def degradation_study(
             )
         )
     return points
-
-
-def r2cor_bias_study(
-    table: DataTable,
-    predictor,
-    p_grid,
-    replications: int,
-    rng=None,
-) -> list[R2BiasPoint]:
-    """Corrected-r2 recovery curve; thin wrapper kept for symmetry."""
-    return r2cor_bias_demo(table, predictor, p_grid, replications, rng)

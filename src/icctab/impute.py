@@ -13,10 +13,13 @@ Column-and-row adjusted random imputation (:func:`crari_impute`) fixes
 that.  Donors are drawn column-wise (so even one-valid-value rows receive
 fills with nonzero spread), fills are then re-centered per row, and every
 fill is scaled by a coefficient ``c`` before the row's valid mean is added
-back.  Growing ``c`` inflates the interaction variance and lowers the ICC
-monotonically, so a dichotomic search on ``c`` drives the imputed table to
-any reachable target ICC, such as the observed ("low") ICC or the
-missing-data-corrected estimate.
+back.  Growing ``c`` inflates the interaction variance and lowers the ICC,
+so some ``c`` drives the imputed table to any reachable target ICC, such as
+the observed ("low") ICC or the missing-data-corrected estimate.  The fills
+are centered per row, so the row sums do not depend on ``c`` and the
+interaction sum of squares of the completed table is an exact quadratic in
+``c``; the coefficient is its root.  This is the limit of the paper's
+dichotomic search on ``c``, computed exactly, not a different method.
 """
 
 import math
@@ -44,8 +47,10 @@ __all__ = [
 class ImputationOutcome:
     """Result of a CRARI run: the complete table plus diagnostics.
 
-    ``c`` is diagnostic output: it depends on the random donor draws, so
-    only the attained ICC is reproducible across streams.
+    ``c`` is the fill scale that attains ``target`` (1 when there is
+    nothing to fill or the fills are deterministic).  It is diagnostic output: it depends on the random
+    donor draws, so only the attained ICC ``icc_after``, measured on
+    ``imputed``, is reproducible across streams.
     """
 
     imputed: DataTable
@@ -100,7 +105,6 @@ def crari_impute(
     target: str | float = "corrected",
     rng=None,
     c_max: float = 10.0,
-    c_tol: float = 1e-4,
 ) -> ImputationOutcome:
     """Column-and-row adjusted random imputation with ICC targeting.
 
@@ -113,28 +117,42 @@ def crari_impute(
         missing-data-corrected ICC) or an explicit float.
     rng
         Seed or generator for the donor draws.
-    c_max, c_tol
-        Search interval ``[0, c_max]`` for the scaling coefficient and the
-        stopping width of the dichotomic search.
+    c_max
+        Largest admissible scaling coefficient; the reachable ICC range is
+        ``[ICC at c_max, ICC at 0]``.
 
     Notes
     -----
+    With ``B`` the table filled with row means and ``F`` the row-centered
+    donor fills, the completed table is ``B + c*F``.  Its row sums, hence
+    ``msi``, do not depend on ``c``, and the cross term ``sum(B*F)``
+    vanishes, so its interaction sum of squares is
+    ``ssij(c) = a0 + a1*c + a2*c**2`` with ``a0 = ssij(B)``,
+    ``a1 = -2 * sum_j colsum(B)_j * colsum(F)_j / m`` and
+    ``a2 = sum(F**2) - sum_j colsum(F)_j**2 / m >= 0``.  The ICC of a
+    complete table is ``1 - vij/msi``, so the target is attained at the
+    larger root of ``ssij(c) = (1 - target) * msi * dfij``, which lies on
+    the decreasing branch inside ``[0, c_max]``.  This root is what the
+    paper's dichotomic search on ``c`` converges to.  When the target equals
+    the ICC at ``c = 0`` (including the zero-ICC plateau) or ``F`` is zero,
+    ``c = 0``.  The attained ICC is measured on the returned table.
+
     When no row has more than one missing cell the imputation is
     deterministic (fills equal the row's valid mean), ``c`` is reported as
     1, and a warning names the target and the attained ICC, which the
-    target does not influence.  In the random case the search requires the
-    target to lie inside the reachable range ``[ICC at c_max, ICC at 0]``
-    and raises :class:`UnreachableTargetError` otherwise.
+    target does not influence.  In the random case the target must lie
+    inside the reachable range; :class:`UnreachableTargetError` is raised
+    otherwise.
 
     Raises
     ------
     PreconditionError
-        Malformed explicit target or nonpositive search parameters.
+        Malformed explicit target or nonpositive ``c_max``.
     UnreachableTargetError
         Target outside the reachable ICC range.
     """
-    if c_max <= 0 or c_tol <= 0:
-        raise PreconditionError("c_max and c_tol must be positive")
+    if c_max <= 0:
+        raise PreconditionError("c_max must be positive")
     report = icc_report(table)
     icc_before = report.icc
     icc_cor = report.icc_cor
@@ -171,7 +189,7 @@ def crari_impute(
     max_missing_per_row = int(table.missing.sum(axis=1).max())
     if max_missing_per_row <= 1:
         imputed = _fill_with_row_means(table)
-        icc_after = _complete_icc(imputed.values)
+        icc_after = _complete_icc(imputed)
         warnings.append(
             f"target ICC {target_icc:.4f} not reached: no row has more than one "
             f"missing cell, so the fills are the row means; attained ICC {icc_after:.4f}"
@@ -188,13 +206,19 @@ def crari_impute(
 
     gen = as_generator(rng)
     centered = _column_donor_fills(table, gen)
-    row_mean_base = _fill_with_row_means(table).values
+    base = _fill_with_row_means(table)
+    dec = anova(base)
+    rows, cols = table.shape
+    fill_col_sums = centered.sum(axis=0)
+    a0 = dec.ssij
+    a1 = -2.0 * float(dec.col_sums @ fill_col_sums) / rows
+    a2 = float((centered * centered).sum() - fill_col_sums @ fill_col_sums / rows)
 
-    def candidate(c: float) -> np.ndarray:
-        return row_mean_base + c * centered
+    def icc_at(c: float) -> float:
+        return _icc(dec.msi, (a0 + c * (a1 + c * a2)) / dec.dfij, cols)
 
-    icc_high = _complete_icc(candidate(0.0))
-    icc_low = _complete_icc(candidate(c_max))
+    icc_high = icc_at(0.0)
+    icc_low = icc_at(c_max)
     if icc_high < icc_low:
         raise UnreachableTargetError(
             f"ICC is not decreasing in c on [0, {c_max}] "
@@ -208,23 +232,17 @@ def crari_impute(
             reachable=(icc_low, icc_high),
         )
 
-    c_min = 0.0
-    c_hi = c_max
-    c = 0.5 * (c_min + c_hi)
-    values = candidate(c)
-    icc_after = _complete_icc(values)
-    while True:
-        if icc_after > target_icc:
-            c_min = c
-        else:
-            c_hi = c
-        if c_hi - c_min < c_tol:
-            break
-        c = 0.5 * (c_min + c_hi)
-        values = candidate(c)
-        icc_after = _complete_icc(values)
+    if target_icc == icc_high or a2 == 0.0:
+        c = 0.0
+    else:
+        # a2*c**2 + a1*c + k = 0 with k <= 0: the larger root, written
+        # without cancellation for either sign of a1
+        k = a0 - (1.0 - target_icc) * dec.msi * dec.dfij
+        root = math.sqrt(max(a1 * a1 - 4.0 * a2 * k, 0.0))
+        c = -2.0 * k / (a1 + root) if a1 > 0 else (root - a1) / (2.0 * a2)
 
-    imputed = DataTable(values, np.zeros(table.shape, dtype=bool))
+    imputed = DataTable(base.values + c * centered, np.zeros(table.shape, dtype=bool))
+    icc_after = _complete_icc(imputed)
     drift = float(np.abs(imputed.row_means() - table.row_means()).max())
     if drift > 1e-9:
         warnings.append(f"item mean inaccuracy: {drift:.3e}")
@@ -269,11 +287,17 @@ def _column_donor_fills(table: DataTable, gen: np.random.Generator) -> np.ndarra
     return fills
 
 
-def _complete_icc(values: np.ndarray) -> float:
-    dec = anova(DataTable(values))
-    if dec.vij == 0.0:
-        return 1.0 if dec.vi > 0 else math.nan
-    return dec.vi / (dec.vi + dec.vij / values.shape[1])
+def _complete_icc(table: DataTable) -> float:
+    dec = anova(table)
+    return _icc(dec.msi, dec.vij, table.cols)
+
+
+def _icc(msi: float, vij: float, cols: int) -> float:
+    """ICC(C,k) of a complete table from its variance components."""
+    vi = max(0.0, (msi - vij) / cols)
+    if vij == 0.0:
+        return 1.0 if vi > 0 else math.nan
+    return vi / (vi + vij / cols)
 
 
 def ari_bias_demo(

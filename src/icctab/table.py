@@ -148,6 +148,16 @@ def load_csv(path, missing_code: float | None = None) -> DataTable:
         Fewer than 2 rows/columns of data, or a row/column with no valid
         entry after sentinel conversion.
     """
+    return DataTable(*_read_cells(path, missing_code))
+
+
+def _read_cells(path, missing_code: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Values and missing mask of a CSV grid of any shape, header skipped.
+
+    Empty cells, and cells equal to ``missing_code``, are missing and hold
+    0 in the values.  Shared by :func:`load_csv` and the predictor reader
+    of the command line.
+    """
     with open(path, newline="", encoding="utf-8") as handle:
         raw = [row for row in csv.reader(handle) if row]
     if not raw:
@@ -179,7 +189,7 @@ def load_csv(path, missing_code: float | None = None) -> DataTable:
                 mask[i, j] = True
             else:
                 values[i, j] = value
-    return DataTable(values, mask)
+    return values, mask
 
 
 def _looks_like_header(row: list[str]) -> bool:

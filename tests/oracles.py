@@ -5,7 +5,9 @@ are evaluated by adaptive quadrature over the densities (scipy.integrate),
 quantiles by root-finding on those quadrature CDFs, and the balanced ANOVA
 by the textbook cell-mean formulas.  The split-group resampling oracles are
 the draw-by-draw loops that the batched kernels replaced: they share only
-the draw function (``disjoint_groups``) with the code under test.
+the draw function (``disjoint_groups``) with the code under test.  The
+CRARI oracle is the dichotomic search on the fill scale that the closed
+form replaced; it shares only the donor draws with the code under test.
 """
 
 import math
@@ -16,8 +18,11 @@ from scipy.optimize import brentq
 
 from icctab.anova import anova, expected_icc
 from icctab.ecvt import default_group_sizes, disjoint_groups
+from icctab.errors import UnreachableTargetError
+from icctab.impute import _column_donor_fills, _fill_with_row_means
 from icctab.rand import as_generator
 from icctab.special import chi2_upper_tail
+from icctab.table import DataTable
 
 
 def beta_cdf(x: float, a: float, b: float) -> float:
@@ -128,7 +133,7 @@ def ecvt_loop(table, group_sizes=None, resamples=200, rng=None, fisher_z=False) 
             mean_r.append(center)
             sd_r.append(spread)
             target = expected_icc(q, g)
-        if spread == 0.0:
+        if rs.std(ddof=1) == 0.0:
             continue
         chi2 += ((center - target) / (spread / math.sqrt(resamples))) ** 2
         df += 1
@@ -170,3 +175,56 @@ def r2_icc_curve_loop(table, predictor, group_sizes, resamples=200, rng=None) ->
         r2_g = float(r2_vals.mean())
         points.append((g, icc_g, r2_g, r2_g / icc_g, float(excluded.mean())))
     return points
+
+
+def _complete_icc(values: np.ndarray) -> float:
+    dec = anova(DataTable(values))
+    if dec.vij == 0.0:
+        return 1.0 if dec.vi > 0 else math.nan
+    return dec.vi / (dec.vi + dec.vij / values.shape[1])
+
+
+def crari_bisect(table, target_icc, rng=None, c_max=10.0, c_tol=1e-4):
+    """(c, attained ICC, completed values) by dichotomic search on ``c``.
+
+    The random path of CRARI with the paper's search: the same donor draws
+    as ``crari_impute``, halving ``[0, c_max]`` until it is narrower than
+    ``c_tol``.  Raises the same ``UnreachableTargetError`` as the code it
+    replaced.
+    """
+    gen = as_generator(rng)
+    centered = _column_donor_fills(table, gen)
+    base = _fill_with_row_means(table).values
+
+    def candidate(c):
+        return base + c * centered
+
+    icc_high = _complete_icc(candidate(0.0))
+    icc_low = _complete_icc(candidate(c_max))
+    if icc_high < icc_low:
+        raise UnreachableTargetError(
+            f"ICC is not decreasing in c on [0, {c_max}] "
+            f"(ICC {icc_high:.4f} at 0 vs {icc_low:.4f} at {c_max})",
+            reachable=(icc_low, icc_high),
+        )
+    if not icc_low <= target_icc <= icc_high:
+        raise UnreachableTargetError(
+            f"target ICC {target_icc:.4f} outside the reachable range "
+            f"[{icc_low:.4f}, {icc_high:.4f}]",
+            reachable=(icc_low, icc_high),
+        )
+    c_lo, c_hi = 0.0, c_max
+    c = 0.5 * (c_lo + c_hi)
+    values = candidate(c)
+    icc_after = _complete_icc(values)
+    while True:
+        if icc_after > target_icc:
+            c_lo = c
+        else:
+            c_hi = c
+        if c_hi - c_lo < c_tol:
+            break
+        c = 0.5 * (c_lo + c_hi)
+        values = candidate(c)
+        icc_after = _complete_icc(values)
+    return c, icc_after, values

@@ -1,3 +1,4 @@
+import csv
 import re
 import shutil
 from pathlib import Path
@@ -13,6 +14,9 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def report_value(out: str, key: str) -> float:
@@ -166,6 +170,95 @@ class TestExperimentCommand:
         lines = curve.read_text().splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("p,")
+
+
+EXPERIMENT_ARGS = ("--rows", "60", "--cols", "12", "--p-grid", "0.1,0.3",
+                   "--replications", "2", "--seed", "6")
+
+
+class TestGoldenReports:
+    """Reports and files byte for byte against golden copies.
+
+    All but ``impute_report.txt`` were made before the CRARI coefficient
+    became a closed-form root, so they pin every output that change must
+    not move.  Commands run in a temporary directory with relative paths,
+    because reports embed their paths.
+    """
+
+    @pytest.mark.parametrize("name, argv, inputs, outputs", [
+        ("synth", ["synth", "--rows", "40", "--cols", "10", "--seed", "4",
+                   "--degrade", "0.2", "--output", "synth_table.csv"],
+         [], ["synth_table.csv"]),
+        ("icc", ["icc", "--input", "synth_table.csv", "--zscore", "--seed", "3"],
+         ["synth_table.csv"], []),
+        ("fit", ["fit", "--input", "synth_table.csv", "--predictors", "fit_predictors.csv",
+                 "--zscore", "--mix", "--seed", "5"],
+         ["synth_table.csv", "fit_predictors.csv"], []),
+        ("impute", ["impute", "--input", "synth_table.csv", "--zscore", "--seed", "7",
+                    "--output", "imputed.csv"],
+         ["synth_table.csv"], []),
+        ("ari-bias", ["experiment", "--name", "ari-bias", *EXPERIMENT_ARGS,
+                      "--output", "ari-bias.csv"],
+         [], ["ari-bias.csv"]),
+        ("r2cor-bias", ["experiment", "--name", "r2cor-bias", *EXPERIMENT_ARGS,
+                        "--output", "r2cor-bias.csv"],
+         [], ["r2cor-bias.csv"]),
+    ])
+    def test_same_bytes(self, capsys, tmp_path, monkeypatch, name, argv, inputs, outputs):
+        for path in inputs:
+            shutil.copy(GOLDEN / path, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"{name}_report.txt").read_bytes()
+        for path in outputs:
+            assert (tmp_path / path).read_bytes() == (GOLDEN / path).read_bytes()
+
+    @pytest.mark.parametrize("name", ["crari-recovery", "degradation-curve"])
+    def test_recovery_curves_move_only_in_the_imputed_icc(self, capsys, tmp_path,
+                                                          monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "experiment", "--name", name, *EXPERIMENT_ARGS,
+                           "--output", f"{name}.csv")
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"{name}_report.txt").read_bytes()
+        with open(f"{name}.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        with open(GOLDEN / f"{name}.csv", newline="") as handle:
+            golden = list(csv.DictReader(handle))
+        assert [row.keys() for row in rows] == [row.keys() for row in golden]
+        for row, old in zip(rows, golden):
+            imputed, old_imputed = float(row.pop("icc_imputed")), float(old.pop("icc_imputed"))
+            assert row == old
+            # the search stopped within 1e-4 of c; the root attains the target
+            assert imputed == pytest.approx(old_imputed, abs=1e-4)
+            assert imputed == pytest.approx(float(row["icc_cor"]), abs=1e-9)
+
+
+class TestFitPredictorFile:
+    def write(self, tmp_path, text):
+        path = tmp_path / "predictors.csv"
+        path.write_text(text)
+        return str(path)
+
+    @pytest.fixture
+    def table_csv(self, tmp_path):
+        path = tmp_path / "table.csv"
+        shutil.copy(GOLDEN / "synth_table.csv", path)
+        return str(path)
+
+    def test_single_column_with_header(self, capsys, tmp_path, table_csv):
+        rows = "\n".join(str(0.1 * i) for i in range(40))
+        code, out, _ = run(capsys, "fit", "--input", table_csv,
+                           "--predictors", self.write(tmp_path, "freq\n" + rows + "\n"))
+        assert code == 0
+        assert re.search(r"^r2: \S+$", out, re.MULTILINE)
+
+    def test_empty_cell_is_a_format_error(self, capsys, tmp_path, table_csv):
+        path = self.write(tmp_path, "a,b\n1,2\n3,\n")
+        code, _, err = run(capsys, "fit", "--input", table_csv, "--predictors", path)
+        assert code == 2
+        assert f"TableFormatError: {path}: row 2, column 2: cannot parse ''" in err
 
 
 class TestErrorExitCodes:

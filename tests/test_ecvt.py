@@ -108,6 +108,14 @@ class TestEcvtDegenerate:
         assert (report.observed_mean_r == 1.0).all()
         assert (report.predicted_r == 1.0).all()
 
+    def test_identical_columns_drop_all_terms_on_fisher_z_scale(self):
+        report = ecvt(IDENTICAL_COLUMNS, resamples=37, rng=72, fisher_z=True)
+        assert report.df == 0
+        assert report.chi2 == 0.0
+        assert report.p_value == 1.0
+        assert report.compatible
+        assert (report.observed_sd_r == 0.0).all()
+
 
 class TestEcvtReproducibility:
     def test_same_seed_same_report(self, z_table_1400x80):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import crari_bisect
 
 from icctab import (
     DataTable,
@@ -163,7 +166,7 @@ class TestCrariRandomCase:
         gen = as_generator(37)
         centered = _column_donor_fills(degraded, gen)
         base = _fill_with_row_means(degraded).values
-        iccs = [_complete_icc(base + c * centered) for c in range(11)]
+        iccs = [_complete_icc(DataTable(base + c * centered)) for c in range(11)]
         diffs = np.diff(iccs)
         assert (diffs <= 1e-9).all()
 
@@ -183,6 +186,79 @@ class TestCrariRandomCase:
         assert any("column effect" in w for w in outcome.warnings)
         outcome_low = crari_impute(degraded, target="low", rng=74)
         assert not any("column effect" in w for w in outcome_low.warnings)
+
+
+def _degraded_table(rows, cols, seed, p, zscored=True, column_sd=0.0, item_sd=0.4):
+    raw, _ = generate(SynthSpec(rows=rows, cols=cols, item_sd=item_sd, seed=seed))
+    offsets = np.random.default_rng(seed).normal(0, column_sd, size=cols)
+    table = DataTable(raw.values + offsets)
+    return degrade_random(zscore(table) if zscored else table, p, rng=seed + 1)
+
+
+class TestClosedFormMatchesBisection:
+    """The quadratic solve against the dichotomic search it replaced."""
+
+    @pytest.mark.parametrize("rows, cols, seed, p, zscored, column_sd, target, c_max, kind", [
+        (30, 6, 1, 0.3, True, 0.0, "corrected", 10.0, "ok"),
+        (60, 12, 2, 0.1, False, 0.0, "low", 10.0, "ok"),
+        (200, 20, 3, 0.6, True, 0.0, 0.3, 10.0, "ok"),
+        (200, 20, 4, 0.3, False, 0.0, 0.05, 10.0, "ok"),
+        # column offsets: the ICC first rises with c (negative linear term)
+        (30, 6, 5, 0.3, False, 3.0, 0.5, 10.0, "ok"),
+        (60, 12, 6, 0.3, True, 0.0, 0.9999, 10.0, "outside"),
+        (60, 12, 7, 0.3, True, 0.0, 0.01, 0.5, "outside"),
+        (30, 6, 8, 0.3, False, 3.0, "low", 1.0, "not decreasing"),
+    ])
+    def test_same_coefficient_and_errors(self, rows, cols, seed, p, zscored, column_sd,
+                                         target, c_max, kind):
+        table = _degraded_table(rows, cols, seed, p, zscored, column_sd)
+        report = icc_report(table)
+        target_icc = {"low": report.icc, "corrected": report.icc_cor}.get(target, target)
+        try:
+            c_bisect, _, _ = crari_bisect(table, target_icc, rng=seed, c_max=c_max)
+        except UnreachableTargetError as exc:
+            with pytest.raises(UnreachableTargetError) as info:
+                crari_impute(table, target=target, rng=seed, c_max=c_max)
+            assert str(info.value) == str(exc)
+            assert info.value.reachable == pytest.approx(exc.reachable, rel=0, abs=1e-12)
+            assert kind in str(exc)
+            return
+        assert kind == "ok"
+        outcome = crari_impute(table, target=target, rng=seed, c_max=c_max)
+        assert outcome.c > 0.0
+        assert abs(outcome.c - c_bisect) <= 1e-4
+        assert abs(outcome.icc_after - target_icc) <= 1e-12
+
+    def test_zero_icc_plateau_takes_zero_coefficient(self):
+        table = _degraded_table(12, 6, 2, 0.3, item_sd=0.01)
+        with pytest.raises(UnreachableTargetError) as info:
+            crari_bisect(table, 0.5, rng=9)
+        assert info.value.reachable == (0.0, 0.0)
+        outcome = crari_impute(table, target=0.0, rng=9)
+        assert outcome.c == 0.0
+        assert outcome.icc_after == 0.0
+        assert crari_bisect(table, 0.0, rng=9)[1] == 0.0
+
+
+class TestCrariProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), rows=st.integers(8, 40), cols=st.integers(4, 12),
+           p=st.floats(0.1, 0.5), zscored=st.booleans(), share=st.floats(0.01, 0.99))
+    def test_reachable_target_attained_exactly(self, seed, rows, cols, p, zscored, share):
+        table = _degraded_table(rows, cols, seed, p, zscored)
+        assume(table.missing.sum(axis=1).max() > 1)
+        try:
+            crari_bisect(table, 2.0, rng=seed)
+        except UnreachableTargetError as exc:
+            low, high = exc.reachable
+        assume(low < high)
+        target = low + share * (high - low)
+        outcome = crari_impute(table, target=target, rng=seed)
+        assert abs(outcome.icc_after - target) <= 1e-12
+        drift = np.abs(outcome.imputed.row_means() - table.row_means()).max()
+        assert drift <= 1e-9
+        valid = table.valid
+        assert np.array_equal(outcome.imputed.values[valid], table.values[valid])
 
 
 class TestAriBiasDemo:
