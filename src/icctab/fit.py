@@ -205,14 +205,14 @@ def r2cor_bias_demo(
         raise PreconditionError("the reference table must have no missing cells")
     pred = np.asarray(predictor, dtype=float).ravel()
     gen = as_generator(rng)
-    r2_exact = float(fit_predictors(table, pred).r2[0])
+    r2_exact = float(fit_predictors(table, pred, conf_probs=()).r2[0])
     points = []
     for p in p_grid:
         observed = np.empty(replications)
         cor = np.empty(replications)
         for r in range(replications):
             degraded = degrade_random(table, p, gen)
-            fit = fit_predictors(degraded, pred)
+            fit = fit_predictors(degraded, pred, conf_probs=())
             observed[r] = fit.r2[0]
             cor[r] = fit.r2_cor[0]
         points.append(

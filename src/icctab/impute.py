@@ -20,10 +20,15 @@ are centered per row, so the row sums do not depend on ``c`` and the
 interaction sum of squares of the completed table is an exact quadratic in
 ``c``; the coefficient is its root.  This is the limit of the paper's
 dichotomic search on ``c``, computed exactly, not a different method.
+
+Both methods draw their donors with one ``integers`` call in cell order,
+row-major for ARI and column-major for CRARI, which matches a per-row or
+per-column loop of draws draw for draw (see :func:`_donor_fills`).
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -75,8 +80,9 @@ class AriBiasPoint:
 def adjust_fills(draws: np.ndarray, valid_mean: float) -> np.ndarray:
     """Center donor draws by their own mean and shift to the valid mean.
 
-    This is the adjustment step shared by both imputation methods; with a
-    single draw it returns exactly ``valid_mean``.
+    This is the adjustment rule of both imputation methods, stated for one
+    row (the donor kernel applies it to every row at once); with a single
+    draw it returns exactly ``valid_mean``.
     """
     draws = np.asarray(draws, dtype=float)
     return draws - draws.mean() + valid_mean
@@ -88,15 +94,8 @@ def ari_impute(table: DataTable, rng=None) -> DataTable:
     Every missing cell is filled from its own row's valid values; row means
     are preserved exactly.  Rows without missing cells are untouched.
     """
-    gen = as_generator(rng)
     values = np.array(table.values)
-    for i in range(table.rows):
-        missing = np.flatnonzero(table.missing[i])
-        if missing.size == 0:
-            continue
-        valid_values = table.values[i, table.valid[i]]
-        draws = valid_values[gen.integers(0, valid_values.size, size=missing.size)]
-        values[i, missing] = adjust_fills(draws, valid_values.mean())
+    values[table.missing] = _donor_fills(table.values, table.missing, as_generator(rng))
     return DataTable(values, np.zeros(table.shape, dtype=bool))
 
 
@@ -153,7 +152,7 @@ def crari_impute(
     """
     if c_max <= 0:
         raise PreconditionError("c_max must be positive")
-    report = icc_report(table)
+    report = icc_report(table, ())
     icc_before = report.icc
     icc_cor = report.icc_cor
     warnings: list[str] = []
@@ -175,34 +174,19 @@ def crari_impute(
         if not 0.0 <= target_icc <= 1.0:
             raise PreconditionError(f"explicit target must lie in [0, 1], got {target}")
 
+    outcome = partial(ImputationOutcome, icc_before=icc_before, icc_cor=icc_cor,
+                      target=target_icc)
     if table.n_valid == table.rows * table.cols:
-        return ImputationOutcome(
-            imputed=table,
-            c=1.0,
-            icc_before=icc_before,
-            icc_cor=icc_cor,
-            icc_after=icc_before,
-            target=target_icc,
-            warnings=tuple(warnings),
-        )
+        return outcome(imputed=table, c=1.0, icc_after=icc_before, warnings=tuple(warnings))
 
-    max_missing_per_row = int(table.missing.sum(axis=1).max())
-    if max_missing_per_row <= 1:
+    if table.missing.sum(axis=1).max() <= 1:
         imputed = _fill_with_row_means(table)
         icc_after = _complete_icc(imputed)
         warnings.append(
             f"target ICC {target_icc:.4f} not reached: no row has more than one "
             f"missing cell, so the fills are the row means; attained ICC {icc_after:.4f}"
         )
-        return ImputationOutcome(
-            imputed=imputed,
-            c=1.0,
-            icc_before=icc_before,
-            icc_cor=icc_cor,
-            icc_after=icc_after,
-            target=target_icc,
-            warnings=tuple(warnings),
-        )
+        return outcome(imputed=imputed, c=1.0, icc_after=icc_after, warnings=tuple(warnings))
 
     gen = as_generator(rng)
     centered = _column_donor_fills(table, gen)
@@ -246,44 +230,48 @@ def crari_impute(
     drift = float(np.abs(imputed.row_means() - table.row_means()).max())
     if drift > 1e-9:
         warnings.append(f"item mean inaccuracy: {drift:.3e}")
-    return ImputationOutcome(
-        imputed=imputed,
-        c=c,
-        icc_before=icc_before,
-        icc_cor=icc_cor,
-        icc_after=icc_after,
-        target=target_icc,
-        warnings=tuple(warnings),
-    )
+    return outcome(imputed=imputed, c=c, icc_after=icc_after, warnings=tuple(warnings))
 
 
 def _fill_with_row_means(table: DataTable) -> DataTable:
-    values = np.array(table.values)
-    row_means = table.row_means()
-    rows, cols = np.nonzero(table.missing)
-    values[rows, cols] = row_means[rows]
+    values = np.where(table.missing, table.row_means()[:, None], table.values)
     return DataTable(values, np.zeros(table.shape, dtype=bool))
+
+
+def _donor_fills(values: np.ndarray, missing: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """Adjusted donor fills of the missing cells, in row-major order.
+
+    Each missing cell draws one of its row's valid values (in column order)
+    with replacement; each row's draws are then adjusted by the rule of
+    :func:`adjust_fills`.  One ``gen.integers`` call with one bound per
+    cell gives the same indices, and leaves ``gen`` in the same state, as
+    one ``integers(0, k, size=s)`` call per row with missing cells.
+    """
+    valid = ~missing
+    rows = np.nonzero(missing)[0]
+    counts = valid.sum(axis=1)
+    donors = values[valid]
+    starts = np.cumsum(counts) - counts
+    draws = donors[starts[rows] + gen.integers(0, counts[rows])]
+    m = values.shape[0]
+    draw_means = np.bincount(rows, draws, m)[rows] / np.bincount(rows, minlength=m)[rows]
+    valid_means = np.where(valid, values, 0.0).sum(axis=1) / counts
+    return draws - draw_means + valid_means[rows]
 
 
 def _column_donor_fills(table: DataTable, gen: np.random.Generator) -> np.ndarray:
     """Column-wise donor draws, adjusted per column then centered per row.
 
-    Returns a matrix that is zero at valid cells and holds the centered
+    The donor kernel runs on the transpose, so cells draw in column-major
+    order.  Returns a matrix that is zero at valid cells and holds the centered
     fills at missing cells; scaling it by ``c`` and adding the row-mean
     base yields the candidate table for that ``c``.
     """
+    missing = table.missing
     fills = np.zeros(table.shape)
-    for j in range(table.cols):
-        missing = np.flatnonzero(table.missing[:, j])
-        if missing.size == 0:
-            continue
-        valid_values = table.values[table.valid[:, j], j]
-        draws = valid_values[gen.integers(0, valid_values.size, size=missing.size)]
-        fills[missing, j] = adjust_fills(draws, valid_values.mean())
-    for i in range(table.rows):
-        missing = np.flatnonzero(table.missing[i])
-        if missing.size:
-            fills[i, missing] -= fills[i, missing].mean()
+    fills.T[missing.T] = _donor_fills(table.values.T, missing.T, gen)
+    rows = np.nonzero(missing)[0]
+    fills[missing] -= fills.sum(axis=1)[rows] / missing.sum(axis=1)[rows]
     return fills
 
 
@@ -323,10 +311,10 @@ def ari_bias_demo(
         icc_cor_vals = np.empty(replications)
         for r in range(replications):
             degraded = degrade_random(table, p, gen)
-            report = icc_report(degraded)
+            report = icc_report(degraded, ())
             icc_missing[r] = report.icc
             icc_cor_vals[r] = report.icc_cor
-            icc_ari[r] = icc_report(ari_impute(degraded, gen)).icc
+            icc_ari[r] = icc_report(ari_impute(degraded, gen), ()).icc
         points.append(
             AriBiasPoint(
                 p=float(p),

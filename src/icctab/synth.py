@@ -39,6 +39,8 @@ __all__ = [
     "degrade_pattern",
 ]
 
+_MAX_RETRIES = 100  # degrade_random's rejection-sampling attempts
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -122,11 +124,11 @@ def alpha_cdf(alpha: float, severity: float) -> float:
     return 1.0 - math.exp(-(alpha - 1.0) / severity)
 
 
-def degrade_random(table: DataTable, p: float, rng=None, max_retries: int = 100) -> DataTable:
+def degrade_random(table: DataTable, p: float, rng=None) -> DataTable:
     """Mask ``round(p * m * n)`` uniformly random valid cells.
 
     The masked set is rejection-resampled until every row and column keeps
-    at least one valid entry (up to ``max_retries`` attempts).
+    at least one valid entry (up to ``_MAX_RETRIES`` attempts).
     """
     if not 0.0 <= p <= 0.95:
         raise PreconditionError(f"missing proportion must lie in [0, 0.95], got {p}")
@@ -140,7 +142,7 @@ def degrade_random(table: DataTable, p: float, rng=None, max_retries: int = 100)
             f"cannot mask {count} cells: only {candidates.size} valid cells remain"
         )
     gen = as_generator(rng)
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         chosen = gen.choice(candidates, size=count, replace=False)
         mask = np.array(table.missing)
         mask.ravel()[chosen] = True
@@ -149,7 +151,7 @@ def degrade_random(table: DataTable, p: float, rng=None, max_retries: int = 100)
             return DataTable(table.values, mask)
     raise StructuralError(
         f"could not mask {count} cells without emptying a row or column "
-        f"after {max_retries} attempts"
+        f"after {_MAX_RETRIES} attempts"
     )
 
 

@@ -224,11 +224,11 @@ def save_csv(table: DataTable, path, missing_code: float | str = "") -> None:
             )
 
 
-def zscore(table: DataTable, ddof: int = 1) -> DataTable:
+def zscore(table: DataTable) -> DataTable:
     """Standardize each column of valid entries to mean 0 and variance 1.
 
-    ``ddof=1`` (sample standard deviation) is the default; pass ``ddof=0``
-    for the population convention.  The missing mask is untouched.
+    The variance is the sample variance (``ddof=1``).  The missing mask is
+    untouched.
 
     Raises
     ------
@@ -247,7 +247,7 @@ def zscore(table: DataTable, ddof: int = 1) -> DataTable:
     filled = np.where(valid, table.values, 0.0)
     means = filled.sum(axis=0) / counts
     centered = np.where(valid, table.values - means, 0.0)
-    variances = (centered**2).sum(axis=0) / (counts - ddof)
+    variances = (centered**2).sum(axis=0) / (counts - 1)
     degenerate = np.flatnonzero(variances <= 0)
     if degenerate.size:
         raise NumericError(
@@ -265,31 +265,31 @@ def mix_rows(table: DataTable, rng=None) -> DataTable:
     """
     gen = as_generator(rng)
     out = np.array(table.values)
+    valid = table.valid
     for i in range(table.rows):
-        slots = np.flatnonzero(table.valid[i])
+        slots = np.flatnonzero(valid[i])
         if slots.size > 1:
             out[i, slots] = out[i, slots][gen.permutation(slots.size)]
     return DataTable(out, table.missing)
 
 
-def virtualize(table: DataTable, rng=None, rescore: bool = False) -> DataTable:
+def virtualize(table: DataTable, rng=None) -> DataTable:
     """Pack each row's valid values into randomly chosen virtual columns.
 
     The output has ``max(row valid counts)`` columns; each row's valid
     values land on a uniformly random subset of them, one value per column,
     and the remaining cells are masked.  Row value multisets are preserved.
-    Input is expected to be Z-scores (not checked numerically); set
-    ``rescore=True`` to re-standardize the restructured columns.
+    Input is expected to be Z-scores (not checked numerically).
     """
     gen = as_generator(rng)
-    counts = table.valid.sum(axis=1)
+    valid = table.valid
+    counts = valid.sum(axis=1)
     width = int(counts.max())
     values = np.full((table.rows, width), np.nan)
     mask = np.ones((table.rows, width), dtype=bool)
     for i in range(table.rows):
-        row_values = table.values[i, table.valid[i]]
+        row_values = table.values[i, valid[i]]
         targets = gen.permutation(width)[: counts[i]]
         values[i, targets] = row_values
         mask[i, targets] = False
-    out = DataTable(values, mask)
-    return zscore(out) if rescore else out
+    return DataTable(values, mask)

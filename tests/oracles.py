@@ -8,6 +8,8 @@ the draw-by-draw loops that the batched kernels replaced: they share only
 the draw function (``disjoint_groups``) with the code under test.  The
 CRARI oracle is the dichotomic search on the fill scale that the closed
 form replaced; it shares only the donor draws with the code under test.
+The donor oracles are the per-row and per-column loops that the one-call
+donor kernel replaced: one ``integers(0, k, size=s)`` call per line.
 """
 
 import math
@@ -19,7 +21,7 @@ from scipy.optimize import brentq
 from icctab.anova import anova, expected_icc
 from icctab.ecvt import default_group_sizes, disjoint_groups
 from icctab.errors import UnreachableTargetError
-from icctab.impute import _column_donor_fills, _fill_with_row_means
+from icctab.impute import _column_donor_fills, _fill_with_row_means, adjust_fills
 from icctab.rand import as_generator
 from icctab.special import chi2_upper_tail
 from icctab.table import DataTable
@@ -228,3 +230,34 @@ def crari_bisect(table, target_icc, rng=None, c_max=10.0, c_tol=1e-4):
         values = candidate(c)
         icc_after = _complete_icc(values)
     return c, icc_after, values
+
+
+def ari_impute_loop(table, rng=None) -> np.ndarray:
+    """Values of the row-wise adjusted random imputation, one row at a time."""
+    gen = as_generator(rng)
+    values = np.array(table.values)
+    for i in range(table.rows):
+        missing = np.flatnonzero(table.missing[i])
+        if missing.size == 0:
+            continue
+        valid_values = table.values[i, table.valid[i]]
+        draws = valid_values[gen.integers(0, valid_values.size, size=missing.size)]
+        values[i, missing] = adjust_fills(draws, valid_values.mean())
+    return values
+
+
+def column_donor_fills_loop(table, gen) -> np.ndarray:
+    """CRARI's centered fills: donors one column at a time, then per-row centering."""
+    fills = np.zeros(table.shape)
+    for j in range(table.cols):
+        missing = np.flatnonzero(table.missing[:, j])
+        if missing.size == 0:
+            continue
+        valid_values = table.values[table.valid[:, j], j]
+        draws = valid_values[gen.integers(0, valid_values.size, size=missing.size)]
+        fills[missing, j] = adjust_fills(draws, valid_values.mean())
+    for i in range(table.rows):
+        missing = np.flatnonzero(table.missing[i])
+        if missing.size:
+            fills[i, missing] -= fills[i, missing].mean()
+    return fills

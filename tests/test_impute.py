@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import crari_bisect
+from oracles import ari_impute_loop, column_donor_fills_loop, crari_bisect
 
 from icctab import (
     DataTable,
@@ -75,6 +75,54 @@ class TestAriImpute:
         filled = ari_impute(degraded, rng=7)
         drift = np.abs(filled.row_means() - degraded.row_means()).max()
         assert drift <= 1e-9
+
+
+def _one_valid_in_row_and_column():
+    """Row 0 and column 5 keep one valid cell each; row 3 is complete."""
+    values = generate(SynthSpec(rows=8, cols=6, seed=41))[0].values.copy()
+    values[0, 1:] = np.nan
+    values[[1, 2, 4, 5, 6, 7], 5] = np.nan
+    values[2, 2:4] = np.nan
+    values[6, [1, 3]] = np.nan
+    return DataTable(values)
+
+
+class TestDonorKernelMatchesLoops:
+    """The one-call donor kernel against the per-row and per-column loops."""
+
+    @pytest.mark.parametrize("make", [
+        _one_valid_in_row_and_column,
+        lambda: _degraded_table(60, 80, 42, 0.9),
+        lambda: _degraded_table(200, 30, 43, 0.1, zscored=False),
+    ], ids=["one-valid-row-and-column", "p0.9", "raw-p0.1"])
+    def test_same_fills_and_generator_state(self, make):
+        self.check(make())
+
+    def test_paper_shape_table(self, degraded):
+        self.check(degraded)
+
+    @staticmethod
+    def check(table):
+        gen, gen_loop = as_generator(44), as_generator(44)
+        # ARI then CRARI on one generator: the second call starts mid-stream
+        filled = ari_impute(table, gen).values
+        assert np.abs(filled - ari_impute_loop(table, gen_loop)).max() <= 1e-12
+        assert gen.bit_generator.state == gen_loop.bit_generator.state
+        fills = _column_donor_fills(table, gen)
+        assert np.abs(fills - column_donor_fills_loop(table, gen_loop)).max() <= 1e-12
+        assert gen.bit_generator.state == gen_loop.bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), rows=st.integers(4, 30), cols=st.integers(4, 12),
+           p=st.floats(0.05, 0.6), zscored=st.booleans())
+    def test_ari_fills_every_cell_and_keeps_item_means(self, seed, rows, cols, p, zscored):
+        table = _degraded_table(rows, cols, seed, p, zscored)
+        filled = ari_impute(table, rng=seed)
+        assert not filled.missing.any()
+        assert np.isfinite(filled.values).all()
+        valid = table.valid
+        assert np.array_equal(filled.values[valid], table.values[valid])
+        assert np.abs(filled.row_means() - table.row_means()).max() <= 1e-9
 
 
 class TestCrariDeterministicCases:
