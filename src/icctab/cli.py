@@ -376,15 +376,10 @@ def _run_synth(args) -> int:
     lines.append(f"expected icc at n={args.cols}: {_fmt(truth.expected_icc)}")
     lines.append(f"table written: {args.output}")
     if args.ground_truth:
-        rows = max(args.rows, args.cols)
-        with open(args.ground_truth, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["item_effect", "participant_exponent"])
-            for i in range(rows):
-                writer.writerow([
-                    repr(float(truth.item_effects[i])) if i < args.rows else "",
-                    repr(float(truth.participant_exponents[i])) if i < args.cols else "",
-                ])
+        _write_csv(args.ground_truth, ("item_effect", "participant_exponent"), (
+            (repr(float(truth.item_effects[i])) if i < args.rows else "",
+             repr(float(truth.participant_exponents[i])) if i < args.cols else "")
+            for i in range(max(args.rows, args.cols))))
         lines.append(f"ground truth written: {args.ground_truth}")
     print("\n".join(lines))
     return 0

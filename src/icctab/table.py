@@ -7,11 +7,18 @@ Missing data are represented by the mask alone; numeric sentinels such as
 This removes the classic failure mode where a sentinel value collides with
 a legitimate measurement (``0`` is a perfectly good Z-score).
 
+CSV files hold each value as its ``repr`` (round-trip precision), with
+CRLF line ends.  Blank lines are skipped, a first non-blank row with a
+non-numeric cell is a header, and error messages count rows after it.
+Rows stream, so memory stays O(table), not one Python string per cell.
+
 Tables are immutable: every operation returns a new table, so instances can
 be shared freely across threads.
 """
 
 import csv
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,8 +143,8 @@ def load_csv(path, missing_code: float | None = None) -> DataTable:
     """Read a comma-separated table, converting sentinels to the mask.
 
     Empty cells are always treated as missing; additionally, any cell whose
-    numeric value equals ``missing_code`` exactly is masked.  An optional
-    header row is detected by a non-numeric first line and skipped.
+    numeric value equals ``missing_code`` exactly is masked.  The file
+    follows the CSV contract of the module docstring.
 
     Raises
     ------
@@ -158,50 +165,51 @@ def _read_cells(path, missing_code: float | None = None) -> tuple[np.ndarray, np
     0 in the values.  Shared by :func:`load_csv` and the predictor reader
     of the command line.
     """
+    value_rows, mask_rows = [], []
     with open(path, newline="", encoding="utf-8") as handle:
-        raw = [row for row in csv.reader(handle) if row]
-    if not raw:
-        raise StructuralError(f"{path}: file contains no data")
-    if _looks_like_header(raw[0]):
-        raw = raw[1:]
-    if not raw:
-        raise StructuralError(f"{path}: file contains no data rows")
-    width = len(raw[0])
-    values = np.zeros((len(raw), width))
-    mask = np.zeros((len(raw), width), dtype=bool)
-    for i, row in enumerate(raw):
-        if len(row) != width:
-            raise TableFormatError(
-                f"{path}: row {i + 1} has {len(row)} columns, expected {width}"
-            )
-        for j, cell in enumerate(row):
-            text = cell.strip()
-            if text == "":
-                mask[i, j] = True
-                continue
+        rows = filter(None, csv.reader(handle))
+        first = next(rows, None)
+        if first is None:
+            raise StructuralError(f"{path}: file contains no data")
+        if _first_non_number(first) is not None:
+            first = next(rows, None)
+            if first is None:
+                raise StructuralError(f"{path}: file contains no data rows")
+        width = len(first)
+        for i, row in enumerate(itertools.chain([first], rows), 1):
+            if len(row) != width:
+                raise TableFormatError(f"{path}: row {i} has {len(row)} columns, expected {width}")
+            texts = list(map(str.strip, row))
+            empty = np.fromiter(map(operator.not_, texts), bool, width)
             try:
-                value = float(text)
+                parsed = np.fromiter(map(float, filter(None, texts)), float)
             except ValueError:
+                j = _first_non_number(texts)
                 raise TableFormatError(
-                    f"{path}: row {i + 1}, column {j + 1}: cannot parse {text!r}"
+                    f"{path}: row {i}, column {j + 1}: cannot parse {texts[j]!r}"
                 ) from None
-            if missing_code is not None and value == missing_code:
-                mask[i, j] = True
-            else:
-                values[i, j] = value
+            row_values = np.zeros(width)
+            row_values[~empty] = parsed
+            value_rows.append(row_values)
+            mask_rows.append(empty)
+    values, mask = np.array(value_rows), np.array(mask_rows)
+    if missing_code is not None:
+        sentinel = values == missing_code
+        values[sentinel] = 0.0
+        mask |= sentinel
     return values, mask
 
 
-def _looks_like_header(row: list[str]) -> bool:
-    for cell in row:
+def _first_non_number(cells) -> int | None:
+    """Index of the first non-blank cell that ``float`` cannot parse."""
+    for j, cell in enumerate(cells):
         text = cell.strip()
-        if text == "":
-            continue
-        try:
-            float(text)
-        except ValueError:
-            return True
-    return False
+        if text:
+            try:
+                float(text)
+            except ValueError:
+                return j
+    return None
 
 
 def save_csv(table: DataTable, path, missing_code: float | str = "") -> None:
@@ -209,19 +217,21 @@ def save_csv(table: DataTable, path, missing_code: float | str = "") -> None:
 
     Values are written with round-trip precision, so
     ``load_csv(save_csv(t))`` reproduces values exactly and the mask
-    bit-for-bit (given a matching missing token).
+    bit-for-bit (given a matching missing token).  The bytes, token
+    quoting included, are those of ``csv.writer``.
     """
     if isinstance(missing_code, (int, float)) and not isinstance(missing_code, bool):
         token = repr(float(missing_code))
     else:
         token = str(missing_code)
+    if any(char in token for char in ',"\r\n'):
+        token = '"' + token.replace('"', '""') + '"'
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        for i in range(table.rows):
-            writer.writerow(
-                token if table.missing[i, j] else repr(float(table.values[i, j]))
-                for j in range(table.cols)
-            )
+        for row, missing in zip(table.values, table.missing):
+            cells = list(map(repr, row.tolist()))
+            for j in np.flatnonzero(missing).tolist():
+                cells[j] = token
+            handle.write(",".join(cells) + "\r\n")
 
 
 def zscore(table: DataTable) -> DataTable:

@@ -10,8 +10,12 @@ CRARI oracle is the dichotomic search on the fill scale that the closed
 form replaced; it shares only the donor draws with the code under test.
 The donor oracles are the per-row and per-column loops that the one-call
 donor kernel replaced: one ``integers(0, k, size=s)`` call per line.
+The CSV oracles are the per-cell reader and writer that the row-streaming
+kernels replaced: the reader holds every cell string of the file before
+parsing, the writer runs ``csv.writer`` over one ``repr`` per cell.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -20,7 +24,7 @@ from scipy.optimize import brentq
 
 from icctab.anova import anova, expected_icc
 from icctab.ecvt import default_group_sizes, disjoint_groups
-from icctab.errors import UnreachableTargetError
+from icctab.errors import StructuralError, TableFormatError, UnreachableTargetError
 from icctab.impute import _column_donor_fills, _fill_with_row_means, adjust_fills
 from icctab.rand import as_generator
 from icctab.special import chi2_upper_tail
@@ -261,3 +265,64 @@ def column_donor_fills_loop(table, gen) -> np.ndarray:
         if missing.size:
             fills[i, missing] -= fills[i, missing].mean()
     return fills
+
+
+def read_cells_loop(path, missing_code=None) -> tuple[np.ndarray, np.ndarray]:
+    with open(path, newline="", encoding="utf-8") as handle:
+        raw = [row for row in csv.reader(handle) if row]
+    if not raw:
+        raise StructuralError(f"{path}: file contains no data")
+    if _looks_like_header(raw[0]):
+        raw = raw[1:]
+    if not raw:
+        raise StructuralError(f"{path}: file contains no data rows")
+    width = len(raw[0])
+    values = np.zeros((len(raw), width))
+    mask = np.zeros((len(raw), width), dtype=bool)
+    for i, row in enumerate(raw):
+        if len(row) != width:
+            raise TableFormatError(
+                f"{path}: row {i + 1} has {len(row)} columns, expected {width}"
+            )
+        for j, cell in enumerate(row):
+            text = cell.strip()
+            if text == "":
+                mask[i, j] = True
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                raise TableFormatError(
+                    f"{path}: row {i + 1}, column {j + 1}: cannot parse {text!r}"
+                ) from None
+            if missing_code is not None and value == missing_code:
+                mask[i, j] = True
+            else:
+                values[i, j] = value
+    return values, mask
+
+
+def _looks_like_header(row: list[str]) -> bool:
+    for cell in row:
+        text = cell.strip()
+        if text == "":
+            continue
+        try:
+            float(text)
+        except ValueError:
+            return True
+    return False
+
+
+def save_csv_loop(table, path, missing_code="") -> None:
+    if isinstance(missing_code, (int, float)) and not isinstance(missing_code, bool):
+        token = repr(float(missing_code))
+    else:
+        token = str(missing_code)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        for i in range(table.rows):
+            writer.writerow(
+                token if table.missing[i, j] else repr(float(table.values[i, j]))
+                for j in range(table.cols)
+            )

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from icctab import SynthSpec, degrade_random, generate, save_csv, zscore
-from icctab.cli import main
+from icctab.cli import EXIT_CODES, _exit_code, main
+from icctab.errors import (
+    IccTabError,
+    NumericError,
+    PreconditionError,
+    StructuralError,
+    TableFormatError,
+    UnreachableTargetError,
+)
 
 
 def run(capsys, *argv):
@@ -283,3 +291,29 @@ class TestErrorExitCodes:
         bad.write_text("3,1\n3,5\n")
         code, _, err = run(capsys, "icc", "--input", str(bad), "--zscore")
         assert code == 4 and "NumericError" in err
+
+    # the failing input and the command that raises each error class
+    ERROR_CASES = {
+        TableFormatError: ("1,2\nx,4\n", ["icc"]),
+        StructuralError: ("1,\n3,\n", ["icc"]),
+        NumericError: ("3,1\n3,5\n", ["icc", "--zscore"]),
+        UnreachableTargetError: (None, ["impute", "--output", "x.csv", "--target", "0.9999"]),
+        PreconditionError: ("1,\n3,4\n5,6\n", ["ecvt"]),
+    }
+
+    @pytest.mark.parametrize("klass", list(EXIT_CODES), ids=lambda klass: klass.__name__)
+    def test_each_error_class_reaches_its_exit_code(self, capsys, tmp_path, monkeypatch,
+                                                     degraded_csv, klass):
+        text, (command, *flags) = self.ERROR_CASES[klass]
+        path = degraded_csv
+        if text is not None:
+            path = tmp_path / "bad.csv"
+            path.write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, command, "--input", str(path), *flags)
+        assert code == EXIT_CODES[klass]
+        assert err.startswith(f"error[{code}] {klass.__name__}: ")
+
+    def test_every_subclass_has_a_code_and_the_base_class_maps_to_one(self):
+        assert set(IccTabError.__subclasses__()) == set(EXIT_CODES)
+        assert _exit_code(IccTabError("unclassified")) == 1

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from oracles import read_cells_loop, save_csv_loop
 
 from icctab import (
     DataTable,
@@ -15,6 +19,7 @@ from icctab import (
     virtualize,
     zscore,
 )
+from icctab.table import _read_cells
 
 
 def write(tmp_path, text, name="t.csv"):
@@ -117,6 +122,119 @@ class TestSaveCsv:
         path = tmp_path / "out.csv"
         save_csv(small_table, path, missing_code="inf")
         assert "inf" in path.read_text().splitlines()[1]
+
+
+def read_outcome(reader, path, missing_code=None):
+    """Values and mask of a read, or the exception's type and message."""
+    try:
+        values, mask = reader(path, missing_code)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return values.shape, values.tobytes(), mask.tobytes()
+
+
+READ_CASES = {
+    "blank-lines": (b"1,2\n\n3,4\n\n\n5,6\n", None),
+    "header": (b"item,p1,p2\n1,2,3\n4,,6\n", None),
+    "padded-and-quoted": (b' 1 ,"2", 3\n" 4 ", ,"6"\n', None),
+    "padded-quote": (b'1,2\n3, "4"\n', None),
+    "lf": (b"1,2\n3,4\n", None),
+    "crlf": (b"1,2\r\n3,\r\n5,6\r\n", None),
+    "mixed-line-ends": (b"1,2\r\n3,4\n5,6\r", None),
+    "underscore": (b"1_000,2\n3,4\n", None),
+    "nan-and-inf": (b"nan,1\n2,inf\n-inf,3\n", None),
+    "sentinel": (b"1,-99\n-99,4\n5,-99.0\n", -99.0),
+    "zero-sentinel": (b"1,-0.0\n0,4\n,5\n", 0.0),
+    "inf-sentinel": (b"1,inf\n3,4\n", float("inf")),
+    "empty-token": (b'1,""\n3,4\n', None),
+    "na-token": (b"1,2\n3,NA\n", None),
+    "na-header": (b"1,NA\n3,4\n5,6\n", None),
+    "comma-token": (b'1,2\n3,"a,b"\n', None),
+    "unparseable-after-empty": (b"1,2,3\n, x ,4\n", None),
+    "whitespace-line": (b"1,2\n   \n3,4\n", None),
+    "ragged-before-unparseable": (b"1,2\n3,4,5\nx,6\n", None),
+    "ragged-after-unparseable": (b"1,2\nx,6\n3,4,5\n", None),
+    "ragged-and-unparseable-row": (b"1,2\nx,4,5\n", None),
+    "ragged-after-header": (b"a,b\n1,2\n3\n", None),
+    "empty-file": (b"", None),
+    "blank-file": (b"\n\r\n\n", None),
+    "header-only": (b"a,b\n\n", None),
+    "one-column-predictor": (b"freq\n0.1\n0.2\n0.3\n", None),
+}
+
+
+class TestStreamingMatchesLoop:
+    """The row-streaming reader and writer against the per-cell loops."""
+
+    @pytest.mark.parametrize("name", READ_CASES)
+    def test_read_fixture(self, tmp_path, name):
+        text, missing_code = READ_CASES[name]
+        path = tmp_path / "t.csv"
+        path.write_bytes(text)
+        assert read_outcome(_read_cells, path, missing_code) == read_outcome(
+            read_cells_loop, path, missing_code
+        )
+
+    @pytest.mark.parametrize("token", ["", "NA", "a,b", 'say "no"', "a\nb", 0, -99.0,
+                                       float("inf")])
+    def test_write_then_read_fixture_1400x80(self, tmp_path, z_table_1400x80, token):
+        table = degrade_random(z_table_1400x80, 0.2, rng=3)
+        path, loop_path = tmp_path / "t.csv", tmp_path / "loop.csv"
+        save_csv(table, path, token)
+        save_csv_loop(table, loop_path, token)
+        assert path.read_bytes() == loop_path.read_bytes()
+        code = token if isinstance(token, float) else None
+        assert read_outcome(_read_cells, path, code) == read_outcome(
+            read_cells_loop, path, code
+        )
+
+
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 1e-300,
+                     -1e-300, 1e16, 1.5e-7, 1e22]),
+)
+
+
+@st.composite
+def masked_tables(draw):
+    m, n = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    values = draw(arrays(np.float64, (m, n), elements=finite))
+    missing = draw(arrays(np.bool_, (m, n)))
+    for k in range(max(m, n)):
+        missing[k % m, k % n] = False
+    return DataTable(values, missing)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(table=masked_tables(), sentinel=st.sampled_from([-99.0, 1e308, -7.25e-12]))
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, table, sentinel):
+        assume(not (table.values[table.valid] == sentinel).any())
+        path = tmp_path_factory.mktemp("rt") / "t.csv"
+        loop_path = path.with_name("loop.csv")
+        valid = table.valid
+        for token, code in (("", None), (sentinel, sentinel)):
+            save_csv(table, path, token)
+            save_csv_loop(table, loop_path, token)
+            assert path.read_bytes() == loop_path.read_bytes()
+            back = load_csv(path, missing_code=code)
+            assert np.array_equal(back.missing, table.missing)
+            assert back.values[valid].tobytes() == table.values[valid].tobytes()
+        # load_csv takes numeric sentinels only: a string token is checked
+        # cell by cell against the file written with empty cells
+        save_csv(table, path, "")
+        blank = [row.split(b",") for row in path.read_bytes().split(b"\r\n")]
+        save_csv(table, path, "NA")
+        na = [row.split(b",") for row in path.read_bytes().split(b"\r\n")]
+        assert [[cell == b"NA" for cell in row] for row in na[:-1]] == table.missing.tolist()
+        assert [[b"" if cell == b"NA" else cell for cell in row] for row in na] == blank
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_literal_nonfinite_cell_is_structural_error(self, tmp_path, cell):
+        path = write(tmp_path, f"1,{cell}\n3,4\n")
+        with pytest.raises(StructuralError, match="valid entries must be finite"):
+            load_csv(path)
 
 
 class TestZscore:
