@@ -69,7 +69,7 @@ def main(argv=None) -> int:
         code = _exit_code(exc)
         print(f"error[{code}] {type(exc).__name__}: {exc}", file=sys.stderr)
         return code
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error[2] {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

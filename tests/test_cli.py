@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import icctab.table as table_module
 from icctab import SynthSpec, degrade_random, generate, save_csv, zscore
 from icctab.cli import EXIT_CODES, _exit_code, main
 from icctab.errors import (
@@ -279,6 +280,24 @@ class TestErrorExitCodes:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "icc", "--input", str(tmp_path / "nope.csv"))
         assert code == 2
+
+    @pytest.mark.parametrize("half", ["head", "tail"])
+    def test_undecodable_byte_in_a_split_size_file(self, capsys, tmp_path, half):
+        row = b",".join(b"%d" % j for j in range(100, 200))
+        rows = [row] * (table_module._SPLIT_BYTES // len(row) + 1)
+        rows[1 if half == "head" else -1] += b"\xff"
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(rows) + b"\n")
+        assert bad.stat().st_size > table_module._SPLIT_BYTES
+        code, out, err = run(capsys, "icc", "--input", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error[2] UnicodeDecodeError: ")
+
+    def test_undecodable_head_as_printf_writes_it(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1,2\n3,\xff\n")
+        code, _, err = run(capsys, "icc", "--input", str(bad))
+        assert code == 2 and err.startswith("error[2] UnicodeDecodeError: ")
 
     def test_structural_error(self, capsys, tmp_path):
         bad = tmp_path / "empty_col.csv"

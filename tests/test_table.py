@@ -1,3 +1,7 @@
+import contextlib
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import read_cells_loop, save_csv_loop
 
+import icctab.table as table_module
 from icctab import (
     DataTable,
     MissingPattern,
@@ -160,7 +165,45 @@ READ_CASES = {
     "blank-file": (b"\n\r\n\n", None),
     "header-only": (b"a,b\n\n", None),
     "one-column-predictor": (b"freq\n0.1\n0.2\n0.3\n", None),
+    # split at any size (_SPLIT_BYTES = 0): the tail starts after the first
+    # "\n" at or past the middle byte
+    "ragged-in-tail": (b"1,2\n3,4\n5,6\n7,8\n9,10,11\n", None),
+    "unparseable-in-tail": (b"1,2\n3,4\n5,6\n7,8\n9,x\n", None),
+    "faults-in-both-halves": (b"1,2\n3,x\n5,6\n7,8\n9,10,11\n", None),
+    "quote-in-tail": (b'1,2\n3,4\n5,6\n7,"8"\n', None),
+    "blank-tail": (b"1,2\n3,4\n\n\n\n\n\n\n\n\n", None),
+    "header-then-split": (b"a,b\n1,2\n3,4\n5,6\n7,8\n", None),
+    "cr-lines-in-head": (b"1,2\r3,4\r\n5,6\n7,8\n9,10\n", None),
+    "sentinel-in-both-halves": (b"1,-99\n3,4\n5,6\n-99,8\n", -99.0),
+    "two-rows": (b"1,2\n3,4", None),
+    # read in one process at any size
+    "quoted-head": (b'"1",2\n3,4\n5,6\n7,8\n', None),
+    "cr-only": (b"1,2\r3,4\r5,6\r7,8\r", None),
+    "midpoint-in-header": (b"item,participant_one,participant_two\n1,2,3\n", None),
+    "two-rows-lf": (b"1,2\n3,4\n", None),
 }
+SPLIT_READS = {"ragged-in-tail", "unparseable-in-tail", "faults-in-both-halves", "quote-in-tail",
+               "blank-tail", "header-then-split", "cr-lines-in-head", "sentinel-in-both-halves",
+               "two-rows"}
+ONE_PROCESS_READS = {"quoted-head", "cr-only", "midpoint-in-header", "two-rows-lf", "empty-file"}
+
+# Bytes that are not UTF-8 raise at their row, in file order.  The per-cell
+# oracle decodes the whole file before it parses a row, so it is no
+# reference here: on the first case it raises UnicodeDecodeError.
+DECODE_CASES = {
+    "unparseable-head-undecodable-tail": (b"1,2\nx,4\n5,6\n7,8\n9,\xff\n", TableFormatError),
+    "undecodable-tail": (b"1,2\n3,4\n5,6\n7,8\n9,\xff\n", UnicodeDecodeError),
+    "undecodable-head": (b"1,2\n3,\xff\n5,6\n7,8\n", UnicodeDecodeError),
+}
+
+
+def check_read_fixture(tmp_path, name):
+    text, missing_code = READ_CASES[name]
+    path = tmp_path / "t.csv"
+    path.write_bytes(text)
+    assert read_outcome(_read_cells, path, missing_code) == read_outcome(
+        read_cells_loop, path, missing_code
+    )
 
 
 class TestStreamingMatchesLoop:
@@ -168,12 +211,7 @@ class TestStreamingMatchesLoop:
 
     @pytest.mark.parametrize("name", READ_CASES)
     def test_read_fixture(self, tmp_path, name):
-        text, missing_code = READ_CASES[name]
-        path = tmp_path / "t.csv"
-        path.write_bytes(text)
-        assert read_outcome(_read_cells, path, missing_code) == read_outcome(
-            read_cells_loop, path, missing_code
-        )
+        check_read_fixture(tmp_path, name)
 
     @pytest.mark.parametrize("token", ["", "NA", "a,b", 'say "no"', "a\nb", 0, -99.0,
                                        float("inf")])
@@ -206,35 +244,203 @@ def masked_tables(draw):
     return DataTable(values, missing)
 
 
+def check_round_trip(tmp_path_factory, table, sentinel):
+    """Written bytes equal the per-cell writer's, and values and mask read back."""
+    assume(not (table.values[table.valid] == sentinel).any())
+    path = tmp_path_factory.mktemp("rt") / "t.csv"
+    loop_path = path.with_name("loop.csv")
+    valid = table.valid
+    for token, code in (("", None), (sentinel, sentinel)):
+        save_csv(table, path, token)
+        save_csv_loop(table, loop_path, token)
+        assert path.read_bytes() == loop_path.read_bytes()
+        back = load_csv(path, missing_code=code)
+        assert np.array_equal(back.missing, table.missing)
+        assert back.values[valid].tobytes() == table.values[valid].tobytes()
+    # load_csv takes numeric sentinels only: a string token is checked
+    # cell by cell against the file written with empty cells
+    save_csv(table, path, "")
+    blank = [row.split(b",") for row in path.read_bytes().split(b"\r\n")]
+    save_csv(table, path, "NA")
+    na = [row.split(b",") for row in path.read_bytes().split(b"\r\n")]
+    assert [[cell == b"NA" for cell in row] for row in na[:-1]] == table.missing.tolist()
+    assert [[b"" if cell == b"NA" else cell for cell in row] for row in na] == blank
+
+
 class TestRoundTripProperty:
     @settings(max_examples=60, deadline=None)
     @given(table=masked_tables(), sentinel=st.sampled_from([-99.0, 1e308, -7.25e-12]))
     def test_round_trip_is_bit_exact(self, tmp_path_factory, table, sentinel):
-        assume(not (table.values[table.valid] == sentinel).any())
-        path = tmp_path_factory.mktemp("rt") / "t.csv"
-        loop_path = path.with_name("loop.csv")
-        valid = table.valid
-        for token, code in (("", None), (sentinel, sentinel)):
-            save_csv(table, path, token)
-            save_csv_loop(table, loop_path, token)
-            assert path.read_bytes() == loop_path.read_bytes()
-            back = load_csv(path, missing_code=code)
-            assert np.array_equal(back.missing, table.missing)
-            assert back.values[valid].tobytes() == table.values[valid].tobytes()
-        # load_csv takes numeric sentinels only: a string token is checked
-        # cell by cell against the file written with empty cells
-        save_csv(table, path, "")
-        blank = [row.split(b",") for row in path.read_bytes().split(b"\r\n")]
-        save_csv(table, path, "NA")
-        na = [row.split(b",") for row in path.read_bytes().split(b"\r\n")]
-        assert [[cell == b"NA" for cell in row] for row in na[:-1]] == table.missing.tolist()
-        assert [[b"" if cell == b"NA" else cell for cell in row] for row in na] == blank
+        check_round_trip(tmp_path_factory, table, sentinel)
+
+    # fewer examples: every save and load here forks
+    @settings(max_examples=10, deadline=None)
+    @given(table=masked_tables(), sentinel=st.sampled_from([-99.0, 1e308, -7.25e-12]))
+    def test_split_round_trip_is_bit_exact(self, tmp_path_factory, table, sentinel):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(table_module, "_SPLIT_BYTES", 0)
+            check_round_trip(tmp_path_factory, table, sentinel)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
     def test_literal_nonfinite_cell_is_structural_error(self, tmp_path, cell):
         path = write(tmp_path, f"1,{cell}\n3,4\n")
         with pytest.raises(StructuralError, match="valid entries must be finite"):
             load_csv(path)
+
+
+class TestSplitMatchesLoop:
+    """The read fixtures with every read split between two processes.  (The
+    1400x80 writes and reads above are split at the default size.)"""
+
+    @pytest.fixture(autouse=True)
+    def split_everything(self, monkeypatch):
+        monkeypatch.setattr(table_module, "_SPLIT_BYTES", 0)
+
+    @pytest.mark.parametrize("name", READ_CASES)
+    def test_read_fixture(self, tmp_path, monkeypatch, name):
+        forks = count_forks(monkeypatch)
+        with leaves_nothing():
+            check_read_fixture(tmp_path, name)
+        if name in SPLIT_READS | ONE_PROCESS_READS:
+            assert len(forks) == (name in SPLIT_READS)
+
+    @pytest.mark.parametrize("name", DECODE_CASES)
+    def test_first_fault_in_file_order(self, tmp_path, monkeypatch, name):
+        text, klass = DECODE_CASES[name]
+        path = tmp_path / "t.csv"
+        path.write_bytes(text)
+        forks = count_forks(monkeypatch)
+        split = read_outcome(_read_cells, path)
+        assert len(forks) == 1 and split[0] is klass
+        monkeypatch.setattr(table_module, "_SPLIT_BYTES", 1 << 62)
+        assert read_outcome(_read_cells, path) == split
+
+
+def count_forks(monkeypatch) -> list:
+    """Patch ``os.fork`` to record each call; returns the record."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+@contextlib.contextmanager
+def leaves_nothing(spill=None):
+    """Check that the block leaves no child, no open descriptor and, in
+    ``spill``, no temp file."""
+    fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert spill is None or list(spill.iterdir()) == []
+    if fds:
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+class TestSplitHygiene:
+    """Children are reaped and temp files removed on every path, and a host
+    that cannot fork gets the same results."""
+
+    @pytest.fixture
+    def spill(self, tmp_path, monkeypatch):
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spill))
+        return spill
+
+    @pytest.fixture
+    def table(self, z_table_1400x80):
+        return degrade_random(z_table_1400x80, 0.2, rng=3)
+
+    def test_read_and_write(self, tmp_path, monkeypatch, spill, table):
+        path = tmp_path / "t.csv"
+        forks = count_forks(monkeypatch)
+        with leaves_nothing(spill):
+            save_csv(table, path)
+            back = load_csv(path)
+        assert len(forks) == 2
+        assert back.values[back.valid].tobytes() == table.values[table.valid].tobytes()
+
+    def test_head_fault_stops_a_running_child(self, tmp_path, spill, table):
+        path = tmp_path / "t.csv"
+        save_csv(table, path)
+        lines = path.read_bytes().split(b"\r\n")
+        lines[1] = b"x" + lines[1]
+        path.write_bytes(b"\r\n".join(lines))
+        assert path.stat().st_size >= table_module._SPLIT_BYTES
+        with leaves_nothing(spill), pytest.raises(TableFormatError, match="row 2, column 1"):
+            load_csv(path)
+
+    def test_failed_child_read_is_redone_here(self, tmp_path, monkeypatch, spill):
+        monkeypatch.setattr(table_module, "_SPLIT_BYTES", 0)
+        path = tmp_path / "t.csv"
+        path.write_bytes(READ_CASES["sentinel-in-both-halves"][0])
+        expected = read_outcome(_read_cells, path, -99.0)
+        monkeypatch.setattr(table_module, "_parse_rows", fail_in(os.getpid(), False,
+                                                               table_module._parse_rows))
+        with leaves_nothing(spill):
+            assert read_outcome(_read_cells, path, -99.0) == expected
+
+    @pytest.mark.parametrize("in_parent", [True, False], ids=["parent", "child"])
+    def test_write_errors(self, tmp_path, monkeypatch, spill, table, in_parent):
+        table = DataTable(table.values[:60, :10])
+        path, reference = tmp_path / "t.csv", tmp_path / "one.csv"
+        save_csv(table, reference)
+        monkeypatch.setattr(table_module, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(table_module, "_write_rows", fail_in(os.getpid(), in_parent,
+                                                               table_module._write_rows))
+        with leaves_nothing(spill):
+            if in_parent:
+                with pytest.raises(OSError, match="disk full"):
+                    save_csv(table, path)
+            else:
+                save_csv(table, path)
+                assert path.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("host", ["no-fork", "one-cpu"])
+    def test_one_process_hosts_are_bit_identical(self, tmp_path, monkeypatch, spill, table,
+                                                 host):
+        table = DataTable(table.values[:60, :10])
+        monkeypatch.setattr(table_module, "_SPLIT_BYTES", 0)
+        path = tmp_path / "t.csv"
+        cases = {name: READ_CASES[name] for name in SPLIT_READS}
+        cases.update((name, (text, None)) for name, (text, _) in DECODE_CASES.items())
+
+        def outcomes():
+            found = {}
+            for name, (text, missing_code) in cases.items():
+                path.write_bytes(text)
+                found[name] = read_outcome(_read_cells, path, missing_code)
+            return found
+
+        split = outcomes()
+        save_csv(table, path, "NA")
+        written = path.read_bytes()
+        forks = count_forks(monkeypatch)
+        if host == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert outcomes() == split
+        with leaves_nothing(spill):
+            save_csv(table, path, "NA")
+        assert path.read_bytes() == written
+        assert forks == []
+
+
+def fail_in(parent_pid: int, in_parent: bool, kernel):
+    """``kernel`` that raises OSError in the parent or in a forked child only."""
+
+    def kernel_or_fail(*args):
+        if (os.getpid() == parent_pid) == in_parent:
+            raise OSError("disk full")
+        return kernel(*args)
+
+    return kernel_or_fail
 
 
 class TestZscore:
