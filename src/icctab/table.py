@@ -13,17 +13,20 @@ non-numeric cell is a header, and error messages count rows after it.
 Rows stream, so memory stays O(table), not one Python string per cell.
 
 Reads and writes of at least ``_SPLIT_BYTES`` (512 KiB of file or of
-values) use two processes when the host gives this one more than one CPU:
-a forked child parses the rows after the first ``\\n`` at or past the
-file's midpoint, or formats the second half of the rows into an unnamed
-temp file, while the caller does the first half.  A file is read in one
-process when its first half holds a ``"`` (a quoted field could span the
-split), when no ``\\n`` follows the midpoint, or when the first half holds
-no data row.  Values, bytes and errors are the same either way: faults are
-raised in file order, and bytes that are not UTF-8 raise
-``UnicodeDecodeError`` at their row.  The child runs no BLAS and leaves
-through ``os._exit``; on Python 3.12 and later ``os.fork`` still warns
-(``DeprecationWarning``) when OpenBLAS has started threads.
+values) use two processes when the host gives this one more than one CPU
+and this process runs a single thread (a forked child could inherit a lock
+another thread holds): a forked child parses the rows after the first
+``\\n`` at or past the file's midpoint, or formats the second half of the
+rows into an unnamed temp file, while the caller does the first half.  A
+file is read in one process when its first half holds a ``"`` (a quoted
+field could span the split), when no ``\\n`` follows the midpoint, or when
+the first half holds no data row.  Values, bytes and errors are the same
+either way: faults are raised in file order, and bytes that are not UTF-8
+raise ``UnicodeDecodeError`` at their row.  The child runs no BLAS and leaves
+through ``os._exit``; if something else reaps it (``SIGCHLD`` ignored, or
+a handler that waits for any child), its half is redone in the caller.
+On Python 3.12 and later ``os.fork`` still warns (``DeprecationWarning``)
+when OpenBLAS has started threads.
 
 Tables are immutable: every operation returns a new table, so instances can
 be shared freely across threads.
@@ -35,6 +38,7 @@ import operator
 import os
 import shutil
 import tempfile
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +57,13 @@ __all__ = [
 ]
 
 # A CSV read or write at least this large (file bytes read, value bytes
-# written) is split in two, and a forked child takes the second half.  A
-# fork and wait cost about 4 ms and rows parse at about 20 MB/s, so a split
-# pays from about 200 KB; the margin covers hosts where forking costs more.
+# written) is split in two, and a forked child takes the second half.
+# Timed on 2 vCPUs with 80 columns: in a command-line process (36 MB, fork
+# and wait 4 ms) a split pays from about 300 KB read and 100 KB of values
+# written.  Forking costs more as the caller's Python heap grows (16 ms
+# with 260 MB of Python objects; large numpy arrays add little), and there
+# a split pays from about 300 KB of values written but only from about
+# 1.3 MB read, so such a caller reads files of 0.5-1.3 MB up to 15% slower.
 _SPLIT_BYTES = 512 * 1024
 
 
@@ -219,6 +227,7 @@ def _forks(nbytes: int) -> bool:
         and hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) > 1
+        and threading.active_count() == 1
     )
 
 
@@ -410,10 +419,12 @@ def _write_halves(handle, values, missing, token: str) -> None:
 def _with_child(child, parent):
     """Run ``child()`` in a forked process while ``parent()`` runs here.
 
-    Returns ``parent()``'s result and whether the child exited cleanly (it
-    did not if the fork failed).  The child leaves through ``os._exit``
-    whatever happens, so it never returns into the caller.  The parent
-    always reaps it, and kills it first when ``parent()`` raises.
+    Returns ``parent()``'s result and whether the child exited cleanly.  It
+    did not if the fork failed, or if something else reaped it (``SIGCHLD``
+    ignored, or a handler that waits for any child), as its exit status is
+    then lost.  The child leaves through ``os._exit`` whatever happens, so
+    it never returns into the caller.  The parent always reaps it, and kills
+    it first when ``parent()`` raises.
     """
     try:
         pid = os.fork()
@@ -431,10 +442,16 @@ def _with_child(child, parent):
     except BaseException:
         import signal  # error path only: importing it costs start-up time
 
-        os.kill(pid, signal.SIGKILL)
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:  # already reaped elsewhere
+            pass
         raise
     finally:
-        status = os.waitpid(pid, 0)[1]
+        try:
+            status = os.waitpid(pid, 0)[1]
+        except ChildProcessError:  # reaped elsewhere: exit status lost
+            status = None
     return result, status == 0
 
 

@@ -1,6 +1,8 @@
 import contextlib
 import os
+import signal
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -197,21 +199,44 @@ DECODE_CASES = {
 }
 
 
-def check_read_fixture(tmp_path, name):
-    text, missing_code = READ_CASES[name]
-    path = tmp_path / "t.csv"
-    path.write_bytes(text)
-    assert read_outcome(_read_cells, path, missing_code) == read_outcome(
-        read_cells_loop, path, missing_code
-    )
+# each read fixture at the default split size (all of them are smaller, so
+# one process) and split at any size (_SPLIT_BYTES = 0)
+READ_FIXTURES = [pytest.param(name, None, id=name) for name in READ_CASES] + [
+    pytest.param(name, 0, id=f"{name}-split") for name in READ_CASES
+]
 
 
 class TestStreamingMatchesLoop:
     """The row-streaming reader and writer against the per-cell loops."""
 
-    @pytest.mark.parametrize("name", READ_CASES)
-    def test_read_fixture(self, tmp_path, name):
-        check_read_fixture(tmp_path, name)
+    @pytest.mark.parametrize("name,split", READ_FIXTURES)
+    def test_read_fixture(self, tmp_path, monkeypatch, name, split):
+        text, missing_code = READ_CASES[name]
+        path = tmp_path / "t.csv"
+        path.write_bytes(text)
+        if split is not None:
+            monkeypatch.setattr(table_module, "_SPLIT_BYTES", split)
+        forks = count_forks(monkeypatch)
+        with leaves_nothing():
+            assert read_outcome(_read_cells, path, missing_code) == read_outcome(
+                read_cells_loop, path, missing_code
+            )
+        if split is None:
+            assert forks == []
+        elif name in SPLIT_READS | ONE_PROCESS_READS:
+            assert len(forks) == (name in SPLIT_READS)
+
+    @pytest.mark.parametrize("name", DECODE_CASES)
+    def test_first_fault_in_file_order(self, tmp_path, monkeypatch, name):
+        text, klass = DECODE_CASES[name]
+        path = tmp_path / "t.csv"
+        path.write_bytes(text)
+        monkeypatch.setattr(table_module, "_SPLIT_BYTES", 0)
+        forks = count_forks(monkeypatch)
+        split = read_outcome(_read_cells, path)
+        assert len(forks) == 1 and split[0] is klass
+        monkeypatch.setattr(table_module, "_SPLIT_BYTES", 1 << 62)
+        assert read_outcome(_read_cells, path) == split
 
     @pytest.mark.parametrize("token", ["", "NA", "a,b", 'say "no"', "a\nb", 0, -99.0,
                                        float("inf")])
@@ -273,8 +298,9 @@ class TestRoundTripProperty:
     def test_round_trip_is_bit_exact(self, tmp_path_factory, table, sentinel):
         check_round_trip(tmp_path_factory, table, sentinel)
 
-    # fewer examples: every save and load here forks
-    @settings(max_examples=10, deadline=None)
+    # half the examples: each one forks seven times, about 11 ms a fork in
+    # the test process
+    @settings(max_examples=30, deadline=None)
     @given(table=masked_tables(), sentinel=st.sampled_from([-99.0, 1e308, -7.25e-12]))
     def test_split_round_trip_is_bit_exact(self, tmp_path_factory, table, sentinel):
         with pytest.MonkeyPatch.context() as patch:
@@ -286,34 +312,6 @@ class TestRoundTripProperty:
         path = write(tmp_path, f"1,{cell}\n3,4\n")
         with pytest.raises(StructuralError, match="valid entries must be finite"):
             load_csv(path)
-
-
-class TestSplitMatchesLoop:
-    """The read fixtures with every read split between two processes.  (The
-    1400x80 writes and reads above are split at the default size.)"""
-
-    @pytest.fixture(autouse=True)
-    def split_everything(self, monkeypatch):
-        monkeypatch.setattr(table_module, "_SPLIT_BYTES", 0)
-
-    @pytest.mark.parametrize("name", READ_CASES)
-    def test_read_fixture(self, tmp_path, monkeypatch, name):
-        forks = count_forks(monkeypatch)
-        with leaves_nothing():
-            check_read_fixture(tmp_path, name)
-        if name in SPLIT_READS | ONE_PROCESS_READS:
-            assert len(forks) == (name in SPLIT_READS)
-
-    @pytest.mark.parametrize("name", DECODE_CASES)
-    def test_first_fault_in_file_order(self, tmp_path, monkeypatch, name):
-        text, klass = DECODE_CASES[name]
-        path = tmp_path / "t.csv"
-        path.write_bytes(text)
-        forks = count_forks(monkeypatch)
-        split = read_outcome(_read_cells, path)
-        assert len(forks) == 1 and split[0] is klass
-        monkeypatch.setattr(table_module, "_SPLIT_BYTES", 1 << 62)
-        assert read_outcome(_read_cells, path) == split
 
 
 def count_forks(monkeypatch) -> list:
@@ -401,7 +399,7 @@ class TestSplitHygiene:
                 save_csv(table, path)
                 assert path.read_bytes() == reference.read_bytes()
 
-    @pytest.mark.parametrize("host", ["no-fork", "one-cpu"])
+    @pytest.mark.parametrize("host", ["no-fork", "one-cpu", "second-thread"])
     def test_one_process_hosts_are_bit_identical(self, tmp_path, monkeypatch, spill, table,
                                                  host):
         table = DataTable(table.values[:60, :10])
@@ -423,13 +421,45 @@ class TestSplitHygiene:
         forks = count_forks(monkeypatch)
         if host == "no-fork":
             monkeypatch.delattr(os, "fork")
-        else:
+        elif host == "one-cpu":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert outcomes() == split
-        with leaves_nothing(spill):
-            save_csv(table, path, "NA")
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        if host == "second-thread":  # a forked child could inherit its held locks
+            other.start()
+        try:
+            assert outcomes() == split
+            with leaves_nothing(spill):
+                save_csv(table, path, "NA")
+        finally:
+            stop.set()
+            if other.is_alive():
+                other.join()
         assert path.read_bytes() == written
         assert forks == []
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGCHLD"), reason="no SIGCHLD")
+    def test_child_reaped_elsewhere(self, tmp_path, monkeypatch, spill, table):
+        """With SIGCHLD ignored the kernel reaps the child and its exit status
+        is lost, so the parent does the child's half itself."""
+        path, reference = tmp_path / "t.csv", tmp_path / "one.csv"
+        save_csv(table, reference)
+        expected = read_outcome(_read_cells, reference)
+        monkeypatch.setattr(table_module, "_SPLIT_BYTES", 1 << 62)
+        one_process = read_outcome(_read_cells, reference)
+        monkeypatch.setattr(table_module, "_SPLIT_BYTES", 0)
+        forks = count_forks(monkeypatch)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            save_csv(table, path)
+            assert read_outcome(_read_cells, path) == expected == one_process
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 2
+        assert path.read_bytes() == reference.read_bytes()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(spill.iterdir()) == []
 
 
 def fail_in(parent_pid: int, in_parent: bool, kernel):
