@@ -6,113 +6,60 @@ missing cells, correcting it (and predictor goodness-of-fit statistics)
 for the missing proportion, imputing missing cells so that item means and
 a target ICC are preserved, and validating the additive data model by
 permutation resampling.
+
+Exports load on first use (PEP 562), so ``import icctab`` and the command
+line import only the modules they run.
 """
 
-from .anova import (
-    AnovaDecomposition,
-    IccReport,
-    anova,
-    corrected_icc,
-    corrected_interval,
-    expected_icc,
-    icc_report,
-)
-from .ecvt import EcvtReport, default_group_sizes, ecvt
-from .errors import (
-    IccTabError,
-    NumericError,
-    PreconditionError,
-    StructuralError,
-    TableFormatError,
-    UnreachableTargetError,
-)
-from .fit import (
-    PredictorFit,
-    R2BiasPoint,
-    RatioCurvePoint,
-    corrected_r2,
-    fit_predictors,
-    r2cor_bias_demo,
-    r2_icc_curve,
-)
-from .impute import (
-    AriBiasPoint,
-    ImputationOutcome,
-    adjust_fills,
-    ari_bias_demo,
-    ari_impute,
-    crari_impute,
-)
-from .rand import as_generator, split_seed
-from .special import beta_quantile, chi2_upper_tail, f_quantile
-from .synth import (
-    SynthSpec,
-    SynthTruth,
-    alpha_cdf,
-    degrade_pattern,
-    degrade_random,
-    generate,
-    signed_power,
-)
-from .table import (
-    DataTable,
-    MissingPattern,
-    load_csv,
-    mix_rows,
-    save_csv,
-    virtualize,
-    zscore,
-)
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnovaDecomposition",
-    "AriBiasPoint",
-    "DataTable",
-    "EcvtReport",
-    "IccReport",
-    "IccTabError",
-    "ImputationOutcome",
-    "MissingPattern",
-    "NumericError",
-    "PreconditionError",
-    "PredictorFit",
-    "R2BiasPoint",
-    "RatioCurvePoint",
-    "StructuralError",
-    "SynthSpec",
-    "SynthTruth",
-    "TableFormatError",
-    "UnreachableTargetError",
-    "adjust_fills",
-    "alpha_cdf",
-    "anova",
-    "ari_bias_demo",
-    "ari_impute",
-    "as_generator",
-    "beta_quantile",
-    "chi2_upper_tail",
-    "corrected_icc",
-    "corrected_interval",
-    "corrected_r2",
-    "crari_impute",
-    "default_group_sizes",
-    "degrade_pattern",
-    "degrade_random",
-    "ecvt",
-    "expected_icc",
-    "f_quantile",
-    "fit_predictors",
-    "generate",
-    "icc_report",
-    "load_csv",
-    "mix_rows",
-    "r2_icc_curve",
-    "r2cor_bias_demo",
-    "save_csv",
-    "signed_power",
-    "split_seed",
-    "virtualize",
-    "zscore",
-]
+# submodule -> the names it exports here
+_EXPORTS = {
+    "anova": "AnovaDecomposition IccReport anova corrected_icc corrected_interval "
+             "expected_icc icc_report",
+    "ecvt": "EcvtReport default_group_sizes ecvt",
+    "errors": "IccTabError NumericError PreconditionError StructuralError TableFormatError "
+              "UnreachableTargetError",
+    "fit": "PredictorFit R2BiasPoint RatioCurvePoint corrected_r2 fit_predictors "
+           "r2cor_bias_demo r2_icc_curve",
+    "impute": "AriBiasPoint ImputationOutcome adjust_fills ari_bias_demo ari_impute "
+              "crari_impute",
+    "rand": "as_generator split_seed",
+    "special": "beta_quantile chi2_upper_tail f_quantile",
+    "synth": "SynthSpec SynthTruth alpha_cdf degrade_pattern degrade_random generate",
+    "table": "DataTable MissingPattern load_csv mix_rows save_csv virtualize zscore",
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+class _Package(types.ModuleType):
+    """Keeps ``icctab.anova`` and ``icctab.ecvt`` the functions.
+
+    Importing a submodule binds it on its package under its own name, and
+    these two submodules share that name with the function they export.
+    """
+
+    def __setattr__(self, name, value):
+        if not (isinstance(value, types.ModuleType) and _SOURCE.get(name) == name):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

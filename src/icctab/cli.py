@@ -13,18 +13,16 @@ Reports are plain ``key: value`` text on stdout and always embed the tool
 version, the fully resolved configuration and the seed, so a report can be
 reproduced byte for byte from its own header.  Exit codes: 0 ok, 2 format
 error, 3 structural error, 4 numeric error, 5 unreachable imputation
-target, 6 precondition violation.
+target, 6 precondition violation.  Each handler imports the kernels it
+runs, so ``--version``, ``--help`` and usage errors never load numpy.
 """
 
 import argparse
 import csv
+import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from .anova import icc_report
-from .ecvt import ecvt
 from .errors import (
     IccTabError,
     NumericError,
@@ -33,12 +31,6 @@ from .errors import (
     TableFormatError,
     UnreachableTargetError,
 )
-from .experiments import crari_recovery_study, default_table
-from .fit import fit_predictors, r2cor_bias_demo
-from .impute import ari_bias_demo, crari_impute
-from .rand import as_generator, split_seed
-from .synth import SynthSpec, degrade_random, generate
-from .table import DataTable, _read_cells, load_csv, mix_rows, save_csv, virtualize, zscore
 
 EXIT_CODES = {
     TableFormatError: 2,
@@ -69,7 +61,7 @@ def main(argv=None) -> int:
         code = _exit_code(exc)
         print(f"error[{code}] {type(exc).__name__}: {exc}", file=sys.stderr)
         return code
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"error[2] {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
@@ -181,7 +173,10 @@ def _parse_missing_code(raw):
         raise TableFormatError(f"--missing-code must be numeric or empty, got {raw!r}") from None
 
 
-def _load_table(args) -> DataTable:
+def _load_table(args):
+    from .rand import as_generator
+    from .table import load_csv, mix_rows, virtualize, zscore
+
     table = load_csv(args.input, _parse_missing_code(args.missing_code))
     rng = as_generator(args.seed)
     if getattr(args, "zscore", False):
@@ -210,9 +205,9 @@ def _fmt(x: float) -> str:
 
 def _icc_lines(report) -> list[str]:
     lines = [
-        f"q: {_fmt(report.q)}" if np.isfinite(report.q) else "q: inf",
+        f"q: {_fmt(report.q)}" if math.isfinite(report.q) else "q: inf",
         f"icc: {_fmt(report.icc)}",
-        f"Fobs: {_fmt(report.f_obs)}" if np.isfinite(report.f_obs) else "Fobs: inf",
+        f"Fobs: {_fmt(report.f_obs)}" if math.isfinite(report.f_obs) else "Fobs: inf",
         f"pmiss: {_fmt(report.pmiss)}",
         f"iccCor: {_fmt(report.icc_cor)}",
     ]
@@ -226,6 +221,8 @@ def _icc_lines(report) -> list[str]:
 
 
 def _run_icc(args) -> int:
+    from .anova import icc_report
+
     table = _load_table(args)
     report = icc_report(table, _parse_floats(args.conf))
     lines = _header(args, {
@@ -243,11 +240,14 @@ def _run_icc(args) -> int:
 
 
 def _run_impute(args) -> int:
+    from .impute import crari_impute
+    from .table import save_csv
+
     table = _load_table(args)
     target = args.target if args.target in ("low", "corrected") else float(args.target)
     outcome = crari_impute(table, target=target, rng=args.seed, c_max=args.c_max)
     save_csv(outcome.imputed, args.output)
-    drift = float(np.abs(outcome.imputed.row_means() - table.row_means()).max())
+    drift = float(abs(outcome.imputed.row_means() - table.row_means()).max())
     lines = _header(args, {
         "input": args.input,
         "output": args.output,
@@ -271,6 +271,8 @@ def _run_impute(args) -> int:
 
 
 def _run_ecvt(args) -> int:
+    from .ecvt import ecvt
+
     table = _load_table(args)
     groups = None
     if args.groups:
@@ -313,6 +315,8 @@ def _run_ecvt(args) -> int:
 
 
 def _run_fit(args) -> int:
+    from .fit import fit_predictors
+
     table = _load_table(args)
     predictors = _load_matrix(args.predictors)
     fit = fit_predictors(table, predictors, _parse_floats(args.conf))
@@ -338,16 +342,22 @@ def _run_fit(args) -> int:
     return 0
 
 
-def _load_matrix(path) -> np.ndarray:
+def _load_matrix(path):
     """Dense numeric CSV (any shape, no missing cells), header optional."""
+    from .table import _read_cells
+
     values, missing = _read_cells(path)
     if missing.any():
-        i, j = np.argwhere(missing)[0]
+        i, j = divmod(int(missing.argmax()), missing.shape[1])
         raise TableFormatError(f"{path}: row {i + 1}, column {j + 1}: cannot parse ''")
     return values
 
 
 def _run_synth(args) -> int:
+    from .rand import split_seed
+    from .synth import SynthSpec, degrade_random, generate
+    from .table import save_csv
+
     spec = SynthSpec(
         rows=args.rows,
         cols=args.cols,
@@ -386,6 +396,13 @@ def _run_synth(args) -> int:
 
 
 def _run_experiment(args) -> int:
+    from .experiments import crari_recovery_study, default_table
+    from .fit import r2cor_bias_demo
+    from .impute import ari_bias_demo
+    from .rand import as_generator, split_seed
+    from .synth import SynthSpec, generate
+    from .table import zscore
+
     default_grid, columns = EXPERIMENTS[args.name]
     p_grid = _parse_floats(args.p_grid or "") or default_grid
     table_seed, run_seed = split_seed(args.seed, 2)

@@ -33,7 +33,6 @@ __all__ = [
     "SynthSpec",
     "SynthTruth",
     "generate",
-    "signed_power",
     "alpha_cdf",
     "degrade_random",
     "degrade_pattern",
@@ -85,7 +84,7 @@ class SynthTruth:
     expected_icc: float
 
 
-def signed_power(base: float | np.ndarray, exponent: float | np.ndarray):
+def _signed_power(base: float | np.ndarray, exponent: float | np.ndarray):
     """sign(base) * |base| ** exponent, with sign(0) defined as 0."""
     return np.sign(base) * np.abs(base) ** exponent
 
@@ -103,7 +102,7 @@ def generate(spec: SynthSpec) -> tuple[DataTable, SynthTruth]:
     noise = gen.normal(0.0, spec.noise_sd, size=(spec.rows, spec.cols))
     cells = (
         spec.mean
-        + signed_power(item_effects[:, None], exponents[None, :])
+        + _signed_power(item_effects[:, None], exponents[None, :])
         + noise
     )
     n = spec.cols
@@ -128,7 +127,10 @@ def degrade_random(table: DataTable, p: float, rng=None) -> DataTable:
     """Mask ``round(p * m * n)`` uniformly random valid cells.
 
     The masked set is rejection-resampled until every row and column keeps
-    at least one valid entry (up to ``_MAX_RETRIES`` attempts).
+    at least one valid entry.  After ``_MAX_RETRIES`` rejected draws, one
+    random valid cell per row and per column is kept aside (rows take
+    uncovered columns first, so a complete table keeps ``max(m, n)``) and
+    the cells are masked among the rest.
     """
     if not 0.0 <= p <= 0.95:
         raise PreconditionError(f"missing proportion must lie in [0, 0.95], got {p}")
@@ -149,10 +151,20 @@ def degrade_random(table: DataTable, p: float, rng=None) -> DataTable:
         valid = ~mask
         if valid.any(axis=1).all() and valid.any(axis=0).all():
             return DataTable(table.values, mask)
-    raise StructuralError(
-        f"could not mask {count} cells without emptying a row or column "
-        f"after {_MAX_RETRIES} attempts"
-    )
+    valid = table.valid
+    kept, covered = np.zeros_like(valid), np.zeros(n, bool)
+    for i in gen.permutation(m):
+        free = np.flatnonzero(valid[i] & ~covered)
+        j = gen.choice(free if free.size else np.flatnonzero(valid[i]))
+        kept[i, j] = covered[j] = True
+    for j in np.flatnonzero(~covered):
+        kept[gen.choice(np.flatnonzero(valid[:, j])), j] = True
+    rest = np.flatnonzero((valid & ~kept).ravel())
+    if count > rest.size:
+        raise StructuralError(f"cannot mask {count} cells without emptying a row or column")
+    mask = np.array(table.missing)
+    mask.ravel()[gen.choice(rest, size=count, replace=False)] = True
+    return DataTable(table.values, mask)
 
 
 def degrade_pattern(

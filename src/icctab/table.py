@@ -22,9 +22,10 @@ file is read in one process when its first half holds a ``"`` (a quoted
 field could span the split), when no ``\\n`` follows the midpoint, or when
 the first half holds no data row.  Values, bytes and errors are the same
 either way: faults are raised in file order, and bytes that are not UTF-8
-raise ``UnicodeDecodeError`` at their row.  The child runs no BLAS and leaves
-through ``os._exit``; if something else reaps it (``SIGCHLD`` ignored, or
-a handler that waits for any child), its half is redone in the caller.
+raise ``TableFormatError`` naming their line of the file.  The child runs
+no BLAS and leaves through ``os._exit``; if something else reaps it
+(``SIGCHLD`` ignored, or a handler that waits for any child), its half is
+redone in the caller.
 On Python 3.12 and later ``os.fork`` still warns (``DeprecationWarning``)
 when OpenBLAS has started threads.
 
@@ -180,12 +181,11 @@ def load_csv(path, missing_code: float | None = None) -> DataTable:
     ------
     TableFormatError
         Ragged rows or unparseable cells (message carries the 1-based
-        row/column location).
+        row/column location), or bytes that are not UTF-8 (message carries
+        the 1-based line of the file, blank and header lines included).
     StructuralError
         Fewer than 2 rows/columns of data, or a row/column with no valid
         entry after sentinel conversion.
-    UnicodeDecodeError
-        Bytes that are not UTF-8.
     """
     return DataTable(*_read_cells(path, missing_code))
 
@@ -197,27 +197,44 @@ def _read_cells(path, missing_code: float | None = None) -> tuple[np.ndarray, np
     0 in the values.  Shared by :func:`load_csv` and the predictor reader
     of the command line.
     """
-    with open(path, "rb") as handle:
-        split = _split_point(handle)
-        first, rows, header = _first_data_row(handle, split)
-        if first is None and split is not None:  # the head holds no data row
-            handle.seek(0)
-            split = None
-            first, rows, header = _first_data_row(handle, None)
-        if first is None:
-            raise StructuralError(f"{path}: file contains no data{' rows' if header else ''}")
-        width = len(first)
-        head = itertools.chain([first], rows)
-        if split is None:
-            value_rows, mask_rows = _parse_rows(head, path, width, 1)
-        else:
-            value_rows, mask_rows = _read_halves(path, handle, split, head, width)
+    try:
+        with open(path, "rb") as handle:
+            split = _split_point(handle)
+            first, rows, header = _first_data_row(handle, split)
+            if first is None and split is not None:  # the head holds no data row
+                handle.seek(0)
+                split = None
+                first, rows, header = _first_data_row(handle, None)
+            if first is None:
+                raise StructuralError(f"{path}: file contains no data{' rows' if header else ''}")
+            width = len(first)
+            head = itertools.chain([first], rows)
+            if split is None:
+                value_rows, mask_rows = _parse_rows(head, path, width, 1)
+            else:
+                value_rows, mask_rows = _read_halves(path, handle, split, head, width)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     values, mask = np.vstack(value_rows), np.vstack(mask_rows)
     if missing_code is not None:
         sentinel = values == missing_code
         values[sentinel] = 0.0
         mask |= sentinel
     return values, mask
+
+
+def _not_utf8(path) -> TableFormatError:
+    """The error for a file that is not UTF-8, naming its first such line."""
+    with open(path, "rb") as handle:
+        lines = itertools.chain.from_iterable(raw.splitlines() for raw in handle)
+        for k, line in enumerate(lines, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return TableFormatError(
+                    f"{path}: line {k}: not UTF-8 ({exc.reason} at byte {exc.start + 1})"
+                )
+    return TableFormatError(f"{path}: not UTF-8")
 
 
 def _forks(nbytes: int) -> bool:

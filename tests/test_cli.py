@@ -291,13 +291,30 @@ class TestErrorExitCodes:
         assert bad.stat().st_size > table_module._SPLIT_BYTES
         code, out, err = run(capsys, "icc", "--input", str(bad))
         assert code == 2 and out == ""
-        assert err.startswith("error[2] UnicodeDecodeError: ")
+        line = 2 if half == "head" else len(rows)
+        assert err.startswith(f"error[2] TableFormatError: {bad}: line {line}: not UTF-8 (")
 
     def test_undecodable_head_as_printf_writes_it(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"1,2\n3,\xff\n")
         code, _, err = run(capsys, "icc", "--input", str(bad))
-        assert code == 2 and err.startswith("error[2] UnicodeDecodeError: ")
+        assert code == 2
+        assert err == (f"error[2] TableFormatError: {bad}: line 2: not UTF-8 "
+                       "(invalid start byte at byte 3)\n")
+
+    @pytest.mark.parametrize("split", [None, 0], ids=["one-process", "split"])
+    def test_undecodable_predictor_file_is_named(self, capsys, tmp_path, monkeypatch,
+                                                 degraded_csv, split):
+        if split is not None:
+            monkeypatch.setattr(table_module, "_SPLIT_BYTES", split)
+        bad = tmp_path / "predictors.csv"
+        rows = [b"freq"] + [b"%d" % i for i in range(120)]
+        rows[100] += b"\xc3"
+        bad.write_bytes(b"\n".join(rows) + b"\n")
+        code, out, err = run(capsys, "fit", "--input", str(degraded_csv),
+                             "--predictors", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error[2] TableFormatError: {bad}: line 101: not UTF-8 (")
 
     def test_structural_error(self, capsys, tmp_path):
         bad = tmp_path / "empty_col.csv"

@@ -14,8 +14,8 @@ from icctab import (
     degrade_random,
     generate,
     icc_report,
-    signed_power,
 )
+from icctab.synth import _signed_power
 
 
 class TestGenerate:
@@ -65,14 +65,14 @@ class TestGenerate:
 
 class TestSignedPower:
     def test_zero_base(self):
-        assert signed_power(0.0, 3.7) == 0.0
+        assert _signed_power(0.0, 3.7) == 0.0
 
     def test_negative_base_keeps_sign(self):
-        assert signed_power(-2.0, 3.0) == pytest.approx(-8.0)
+        assert _signed_power(-2.0, 3.0) == pytest.approx(-8.0)
 
     def test_unit_exponent_is_identity(self):
         x = np.array([-1.5, 0.0, 0.4, 2.0])
-        assert signed_power(x, 1.0) == pytest.approx(x)
+        assert _signed_power(x, 1.0) == pytest.approx(x)
 
 
 class TestAlphaCdf:
@@ -116,6 +116,21 @@ class TestDegradeRandom:
         a = degrade_random(complete_table, 0.25, rng=9)
         b = degrade_random(complete_table, 0.25, rng=9)
         assert np.array_equal(a.missing, b.missing)
+
+    def test_feasible_request_after_rejected_draws(self):
+        # rejection sampling alone misses it on 100 draws: at p = 0.59 a
+        # 4-cell row is fully masked with probability 0.12
+        raw, _ = generate(SynthSpec(rows=29, cols=4, seed=0))
+        degraded = degrade_random(raw, 0.59375, rng=1)
+        assert degraded.missing.sum() == 69
+        assert np.array_equal(degraded.values[degraded.valid], raw.values[degraded.valid])
+
+    @pytest.mark.parametrize("rng", range(5))
+    def test_tightest_request_keeps_one_cell_per_row_and_column(self, rng):
+        raw, _ = generate(SynthSpec(rows=10, cols=10, seed=3))
+        degraded = degrade_random(raw, 0.9, rng=rng)
+        assert (degraded.valid.sum(axis=0) == 1).all()
+        assert (degraded.valid.sum(axis=1) == 1).all()
 
     def test_unsatisfiable_constraint(self):
         t = DataTable(np.arange(4.0).reshape(2, 2) + 1)

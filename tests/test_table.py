@@ -189,13 +189,19 @@ SPLIT_READS = {"ragged-in-tail", "unparseable-in-tail", "faults-in-both-halves",
                "two-rows"}
 ONE_PROCESS_READS = {"quoted-head", "cr-only", "midpoint-in-header", "two-rows-lf", "empty-file"}
 
-# Bytes that are not UTF-8 raise at their row, in file order.  The per-cell
-# oracle decodes the whole file before it parses a row, so it is no
-# reference here: on the first case it raises UnicodeDecodeError.
+# Bytes that are not UTF-8 raise at their row, in file order, and name
+# their line of the whole file.  The per-cell oracle decodes the whole file
+# before it parses a row, so it is no reference here: on the first case it
+# raises UnicodeDecodeError.
 DECODE_CASES = {
-    "unparseable-head-undecodable-tail": (b"1,2\nx,4\n5,6\n7,8\n9,\xff\n", TableFormatError),
-    "undecodable-tail": (b"1,2\n3,4\n5,6\n7,8\n9,\xff\n", UnicodeDecodeError),
-    "undecodable-head": (b"1,2\n3,\xff\n5,6\n7,8\n", UnicodeDecodeError),
+    "unparseable-head-undecodable-tail": (b"1,2\nx,4\n5,6\n7,8\n9,\xff\n",
+                                          "row 2, column 1: cannot parse 'x'"),
+    "undecodable-tail": (b"1,2\n3,4\n5,6\n7,8\n9,\xff\n",
+                         "line 5: not UTF-8 (invalid start byte at byte 3)"),
+    "undecodable-head": (b"1,2\n3,\xff\n5,6\n7,8\n",
+                         "line 2: not UTF-8 (invalid start byte at byte 3)"),
+    "undecodable-after-header-blank-and-cr": (b"a,b\r\n1,2\n\n3,4\r5,6\n7,\xff\n",
+                                              "line 6: not UTF-8"),
 }
 
 
@@ -228,13 +234,14 @@ class TestStreamingMatchesLoop:
 
     @pytest.mark.parametrize("name", DECODE_CASES)
     def test_first_fault_in_file_order(self, tmp_path, monkeypatch, name):
-        text, klass = DECODE_CASES[name]
+        text, message = DECODE_CASES[name]
         path = tmp_path / "t.csv"
         path.write_bytes(text)
         monkeypatch.setattr(table_module, "_SPLIT_BYTES", 0)
         forks = count_forks(monkeypatch)
         split = read_outcome(_read_cells, path)
-        assert len(forks) == 1 and split[0] is klass
+        assert len(forks) == 1 and split[0] is TableFormatError
+        assert split[1].startswith(f"{path}: {message}")
         monkeypatch.setattr(table_module, "_SPLIT_BYTES", 1 << 62)
         assert read_outcome(_read_cells, path) == split
 
