@@ -18,9 +18,10 @@ so with the participant Gram matrix ``G = Vc' Vc`` (n x n, formed once)
 
 and the ``1/g`` factors cancel.  The draws are processed in chunks whose
 two n x B indicator matrices stay within a fixed byte budget, so a chunk
-costs two small ``G @ W`` products.  Each draw is still one
-:func:`disjoint_groups` call, in the same order as a draw-by-draw loop, so
-a seed yields the same groups and the same report.
+costs two small ``G @ W`` products.  A chunk's B draws are one
+``Generator.permuted`` call over B rows of ``arange(n)``, which shuffles
+each row as ``permutation(n)`` does, so a seed yields the same groups and
+report as a draw-by-draw loop.
 
 The test requires a complete table — resampling cannot form full item-mean
 vectors when cells are missing — so incomplete tables must be imputed
@@ -191,34 +192,27 @@ def ecvt(
     )
 
 
-def disjoint_groups(
-    gen: np.random.Generator, n: int, g: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two disjoint uniformly random participant groups of size ``g``."""
-    draw = gen.permutation(n)[: 2 * g]
-    return draw[:g], draw[g:]
-
-
 def _group_indicator_chunks(
     gen: np.random.Generator, n: int, g: int, resamples: int, rows: int
 ):
-    """Yield ``resamples`` :func:`disjoint_groups` draws in chunks.
+    """Yield ``resamples`` draws of two disjoint size-``g`` groups in chunks.
 
     Each chunk is a pair of n x B 0/1 matrices whose column ``k`` marks the
-    two groups of one draw.  The draws are made one by one in order, so the
-    random stream is that of a draw-by-draw loop.  B is set so that one
-    ``rows`` x B float block, the caller's per-chunk temporary, fits in
-    ``_CHUNK_BYTES``.
+    first and the next ``g`` entries of one permutation of the participants.
+    The B permutations are one ``permuted`` call, equal to B successive
+    ``permutation(n)`` calls, so the random stream is that of a draw-by-draw
+    loop.  B is set so that one ``rows`` x B float block, the caller's
+    per-chunk temporary, fits in ``_CHUNK_BYTES``.
     """
     chunk = _chunk_draws(rows)
     for start in range(0, resamples, chunk):
         size = min(chunk, resamples - start)
+        draws = gen.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
+        cols = np.arange(size)[:, None]
         in_a = np.zeros((n, size))
         in_b = np.zeros((n, size))
-        for k in range(size):
-            group_a, group_b = disjoint_groups(gen, n, g)
-            in_a[group_a, k] = 1.0
-            in_b[group_b, k] = 1.0
+        in_a[draws[:, :g], cols] = 1.0
+        in_b[draws[:, g : 2 * g], cols] = 1.0
         yield in_a, in_b
 
 

@@ -136,12 +136,12 @@ def r2_icc_curve(
     that resample; the mean number of exclusions is reported per size.
 
     The draws come in chunks of n x B group-indicator matrices ``W``, sized
-    by a fixed byte budget (see :mod:`icctab.ecvt`); each draw is one
-    ``disjoint_groups`` call in the same order as a draw-by-draw loop, so a
-    seed yields the same groups.  A chunk's per-item valid counts are
-    ``valid @ W`` and its sums ``filled @ W`` (missing cells filled with 0),
-    two GEMMs whose results are kept one row per draw, and the pairwise
-    exclusion is a masked Pearson correlation per draw.
+    by a fixed byte budget; a chunk's draws are one ``permuted`` call that
+    gives the groups of a draw-by-draw loop (see :mod:`icctab.ecvt`).  A
+    chunk's per-item valid counts are ``valid @ W`` and its sums
+    ``filled @ W`` (missing cells filled with 0), two GEMMs whose results
+    are kept one row per draw, and the pairwise exclusion is a masked
+    Pearson correlation per draw.
     """
     pred = np.asarray(predictor, dtype=float).ravel()
     if pred.size != table.rows:

@@ -136,19 +136,18 @@ def crari_impute(
     the ICC at ``c = 0`` (including the zero-ICC plateau) or ``F`` is zero,
     ``c = 0``.  The attained ICC is measured on the returned table.
 
-    When no row has more than one missing cell the imputation is
-    deterministic (fills equal the row's valid mean), ``c`` is reported as
-    1, and a warning names the target and the attained ICC, which the
-    target does not influence.  In the random case the target must lie
-    inside the reachable range; :class:`UnreachableTargetError` is raised
-    otherwise.
+    When no row has more than one missing cell the fills are the row's
+    valid mean, ``c`` is reported as 1, and the only reachable ICC is that
+    of the filled table: any other target raises with ``reachable = (icc,
+    icc)``.  In the random case the target must lie inside the reachable
+    range; :class:`UnreachableTargetError` is raised otherwise.
 
     Raises
     ------
     PreconditionError
         Malformed explicit target or nonpositive ``c_max``.
     UnreachableTargetError
-        Target outside the reachable ICC range.
+        Target outside the reachable ICC range (one point for row-mean fills).
     """
     if c_max <= 0:
         raise PreconditionError("c_max must be positive")
@@ -182,10 +181,12 @@ def crari_impute(
     if table.missing.sum(axis=1).max() <= 1:
         imputed = _fill_with_row_means(table)
         icc_after = _complete_icc(imputed)
-        warnings.append(
-            f"target ICC {target_icc:.4f} not reached: no row has more than one "
-            f"missing cell, so the fills are the row means; attained ICC {icc_after:.4f}"
-        )
+        if target_icc != icc_after:
+            raise UnreachableTargetError(
+                f"target ICC {target_icc:.4f} not reachable: no row has more than one "
+                f"missing cell, so the fills are the row means, with ICC {icc_after:.4f}",
+                reachable=(icc_after, icc_after),
+            )
         return outcome(imputed=imputed, c=1.0, icc_after=icc_after, warnings=tuple(warnings))
 
     gen = as_generator(rng)

@@ -509,7 +509,8 @@ def mix_rows(table: DataTable, rng=None) -> DataTable:
     """Randomly permute the valid values within each row.
 
     Missing positions stay missing, so per-row valid counts, sums and means
-    are preserved exactly.
+    are preserved exactly.  Rows permute different lengths, so the draws stay
+    a loop: one ``permuted`` call, as in :func:`virtualize`, would change them.
     """
     gen = as_generator(rng)
     out = np.array(table.values)
@@ -528,16 +529,18 @@ def virtualize(table: DataTable, rng=None) -> DataTable:
     values land on a uniformly random subset of them, one value per column,
     and the remaining cells are masked.  Row value multisets are preserved.
     Input is expected to be Z-scores (not checked numerically).
+    All rows permute the same width, so one ``permuted`` call over a rows x
+    width block draws what one ``permutation(width)`` call per row would.
     """
     gen = as_generator(rng)
     valid = table.valid
     counts = valid.sum(axis=1)
     width = int(counts.max())
+    keep = np.arange(width) < counts[:, None]
+    cols = gen.permuted(np.tile(np.arange(width), (table.rows, 1)), axis=1)[keep]
+    rows = np.repeat(np.arange(table.rows), counts)
     values = np.full((table.rows, width), np.nan)
     mask = np.ones((table.rows, width), dtype=bool)
-    for i in range(table.rows):
-        row_values = table.values[i, valid[i]]
-        targets = gen.permutation(width)[: counts[i]]
-        values[i, targets] = row_values
-        mask[i, targets] = False
+    values[rows, cols] = table.values[valid]
+    mask[rows, cols] = False
     return DataTable(values, mask)

@@ -4,8 +4,11 @@ These deliberately avoid the code paths they check: distribution functions
 are evaluated by adaptive quadrature over the densities (scipy.integrate),
 quantiles by root-finding on those quadrature CDFs, and the balanced ANOVA
 by the textbook cell-mean formulas.  The split-group resampling oracles are
-the draw-by-draw loops that the batched kernels replaced: they share only
-the draw function (``disjoint_groups``) with the code under test.  The
+the draw-by-draw loops that the batched kernels replaced: each draw is its
+own ``permutation(n)`` call (``disjoint_groups``), where the code under
+test makes one ``permuted`` call per chunk of draws, so they share only the
+generator with it.  The ``virtualize`` oracle is the per-row loop of
+``permutation(width)`` calls that the one-call kernel replaced.  The
 CRARI oracle is the dichotomic search on the fill scale that the closed
 form replaced; it shares only the donor draws with the code under test.
 The donor oracles are the per-row and per-column loops that the one-call
@@ -23,7 +26,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from icctab.anova import anova, expected_icc
-from icctab.ecvt import default_group_sizes, disjoint_groups
+from icctab.ecvt import default_group_sizes
 from icctab.errors import StructuralError, TableFormatError, UnreachableTargetError
 from icctab.impute import _column_donor_fills, _fill_with_row_means, adjust_fills
 from icctab.rand import as_generator
@@ -110,6 +113,12 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     if denom == 0.0:
         return math.nan
     return float(xc @ yc) / denom
+
+
+def disjoint_groups(gen: np.random.Generator, n: int, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two disjoint uniformly random participant groups of size ``g``."""
+    draw = gen.permutation(n)[: 2 * g]
+    return draw[:g], draw[g:]
 
 
 def ecvt_loop(table, group_sizes=None, resamples=200, rng=None, fisher_z=False) -> dict:
@@ -265,6 +274,21 @@ def column_donor_fills_loop(table, gen) -> np.ndarray:
         if missing.size:
             fills[i, missing] -= fills[i, missing].mean()
     return fills
+
+
+def virtualize_loop(table, rng=None) -> DataTable:
+    """``virtualize`` with one ``permutation(width)`` call per row."""
+    gen = as_generator(rng)
+    valid = table.valid
+    counts = valid.sum(axis=1)
+    width = int(counts.max())
+    values = np.full((table.rows, width), np.nan)
+    mask = np.ones((table.rows, width), dtype=bool)
+    for i in range(table.rows):
+        targets = gen.permutation(width)[: counts[i]]
+        values[i, targets] = table.values[i, valid[i]]
+        mask[i, targets] = False
+    return DataTable(values, mask)
 
 
 def read_cells_loop(path, missing_code=None) -> tuple[np.ndarray, np.ndarray]:

@@ -100,6 +100,17 @@ class TestImputeCommand:
         assert "UnreachableTargetError" in err
 
 
+    def test_one_missing_cell_per_row_exit_code(self, capsys, tmp_path):
+        table_csv = tmp_path / "one_per_row.csv"
+        table_csv.write_text("1,2,,3\n4,,5,6\n7,8,9,1\n2,6,4,5\n")
+        code, out, err = run(capsys, "impute", "--input", str(table_csv),
+                             "--output", str(tmp_path / "x.csv"), "--seed", "1")
+        assert code == 5 and out == ""
+        assert err.startswith("error[5] UnreachableTargetError: ")
+        assert "no row has more than one missing cell" in err
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestEcvtCommand:
     def test_report_and_curve(self, capsys, tmp_path):
         table_csv = tmp_path / "table.csv"

@@ -15,9 +15,9 @@ from icctab import (
     generate,
     zscore,
 )
-from icctab.ecvt import _chunk_draws, default_group_sizes, disjoint_groups
+from icctab.ecvt import _chunk_draws, _group_indicator_chunks, default_group_sizes
 from icctab.rand import as_generator
-from oracles import ecvt_loop
+from oracles import disjoint_groups, ecvt_loop
 
 IDENTICAL_COLUMNS = DataTable(np.tile(np.array([1.0, 5.0, 2.0, 8.0, 3.0, 9.0])[:, None], (1, 8)))
 ORACLE_TABLE = zscore(generate(SynthSpec(rows=50, cols=16, severity=1.0, seed=71))[0])
@@ -34,19 +34,56 @@ class TestDefaultGroupSizes:
         assert default_group_sizes(6) == (1, 2, 3)
 
 
+class TestNumpyStreamIdentity:
+    """The batched draws rest on ``permuted`` reproducing ``permutation``.
+
+    A numpy release that changes either routine must fail here instead of
+    silently changing every seeded ECVT, curve and ``virtualize`` report.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 80, 240])
+    @pytest.mark.parametrize("warm", [0, 3], ids=["fresh", "odd-uint32"])
+    def test_permuted_rows_equal_successive_permutations(self, n, warm):
+        gen, gen_loop = np.random.default_rng(41), np.random.default_rng(41)
+        for each in (gen, gen_loop):
+            each.integers(0, 2**32, size=warm, dtype=np.uint32)
+        block = gen.permuted(np.tile(np.arange(n), (7, 1)), axis=1)
+        loop = np.array([gen_loop.permutation(n) for _ in range(7)])
+        assert np.array_equal(block, loop)
+        assert gen.bit_generator.state == gen_loop.bit_generator.state
+
+
+def _draws(gen, n, g, resamples, rows):
+    """Sorted (group A, group B) indices per draw from the chunk helper, resamples x 2 x g."""
+    pairs = []
+    for in_a, in_b in _group_indicator_chunks(gen, n, g, resamples, rows):
+        pairs += [(np.flatnonzero(a), np.flatnonzero(b)) for a, b in zip(in_a.T, in_b.T)]
+    return np.array(pairs)
+
+
 class TestDisjointGroups:
+    """The chunked group-indicator draws shared by ``ecvt`` and the r2/ICC curve."""
+
     def test_groups_never_share_a_participant(self):
         gen = as_generator(5)
-        for g in (1, 3, 10):
-            for _ in range(50):
-                a, b = disjoint_groups(gen, 25, g)
-                assert len(a) == len(b) == g
-                assert not set(a.tolist()) & set(b.tolist())
+        for g in (1, 3, 10, 12):
+            for in_a, in_b in _group_indicator_chunks(gen, 25, g, 50, 25):
+                assert set(np.unique(in_a)) <= {0.0, 1.0}
+                assert (in_a.sum(axis=0) == g).all() and (in_b.sum(axis=0) == g).all()
+                assert not (in_a * in_b).any()
 
     def test_reproducible(self):
-        a1, b1 = disjoint_groups(as_generator(9), 12, 4)
-        a2, b2 = disjoint_groups(as_generator(9), 12, 4)
-        assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
+        a = _draws(as_generator(9), 12, 4, 30, 12)
+        assert a.shape == (30, 2, 4)
+        assert np.array_equal(a, _draws(as_generator(9), 12, 4, 30, 12))
+
+    @pytest.mark.parametrize("n, g, rows", [(16, 3, 16), (25, 12, 700)])
+    def test_chunk_boundary_matches_per_draw_oracle(self, n, g, rows):
+        resamples = _chunk_draws(rows) + 1
+        gen, gen_loop = as_generator(13), as_generator(13)
+        loop = [np.sort(disjoint_groups(gen_loop, n, g)) for _ in range(resamples)]
+        assert np.array_equal(_draws(gen, n, g, resamples, rows), np.array(loop))
+        assert gen.bit_generator.state == gen_loop.bit_generator.state
 
 
 class TestEcvtPreconditions:

@@ -133,14 +133,18 @@ class TestCrariDeterministicCases:
         assert outcome.c == 1.0
         assert outcome.icc_after == outcome.icc_before
 
+    ONE_PER_ROW = DataTable(np.array([
+        [1.0, 2.0, np.nan, 3.0],
+        [4.0, np.nan, 5.0, 6.0],
+        [7.0, 8.0, 9.0, 1.0],
+    ]))
+
     def test_at_most_one_missing_per_row_fills_with_row_mean(self):
-        t = DataTable(np.array([
-            [1.0, 2.0, np.nan, 3.0],
-            [4.0, np.nan, 5.0, 6.0],
-            [7.0, 8.0, 9.0, 1.0],
-        ]))
-        outcome = crari_impute(t, rng=11)
+        point = _complete_icc(_fill_with_row_means(self.ONE_PER_ROW))
+        outcome = crari_impute(self.ONE_PER_ROW, target=point, rng=11)
         assert outcome.c == 1.0
+        assert outcome.icc_after == point
+        assert outcome.warnings == ()
         assert outcome.imputed.values[0, 2] == pytest.approx(2.0)
         assert outcome.imputed.values[1, 1] == pytest.approx(5.0)
 
@@ -148,21 +152,27 @@ class TestCrariDeterministicCases:
         raw, _ = generate(SynthSpec(rows=200, cols=40, seed=3))
         values = np.array(raw.values)
         values[np.arange(200), as_generator(1).integers(0, 40, size=200)] = np.nan
-        outcome = crari_impute(DataTable(values), target=0.8, rng=2)
-        assert outcome.icc_after != pytest.approx(0.8, abs=1e-3)
-        assert outcome.warnings == (
-            f"target ICC 0.8000 not reached: no row has more than one missing cell, "
-            f"so the fills are the row means; attained ICC {outcome.icc_after:.4f}",
+        table = DataTable(values)
+        point = _complete_icc(_fill_with_row_means(table))
+        with pytest.raises(UnreachableTargetError) as info:
+            crari_impute(table, target=0.8, rng=2)
+        assert info.value.reachable == (point, point)
+        assert str(info.value) == (
+            f"target ICC 0.8000 not reachable: no row has more than one missing cell, "
+            f"so the fills are the row means, with ICC {point:.4f}"
         )
 
+    @pytest.mark.parametrize("target", ["low", "corrected"])
+    def test_named_targets_off_the_single_point_raise(self, target):
+        point = _complete_icc(_fill_with_row_means(self.ONE_PER_ROW))
+        with pytest.raises(UnreachableTargetError) as info:
+            crari_impute(self.ONE_PER_ROW, target=target, rng=3)
+        assert info.value.reachable == (point, point)
+
     def test_deterministic_case_independent_of_rng(self):
-        t = DataTable(np.array([
-            [1.0, 2.0, np.nan, 3.0],
-            [4.0, np.nan, 5.0, 6.0],
-            [7.0, 8.0, 9.0, 1.0],
-        ]))
-        a = crari_impute(t, rng=1)
-        b = crari_impute(t, rng=999)
+        point = _complete_icc(_fill_with_row_means(self.ONE_PER_ROW))
+        a = crari_impute(self.ONE_PER_ROW, target=point, rng=1)
+        b = crari_impute(self.ONE_PER_ROW, target=point, rng=999)
         assert np.array_equal(a.imputed.values, b.imputed.values)
 
 

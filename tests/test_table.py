@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import read_cells_loop, save_csv_loop
+from oracles import read_cells_loop, save_csv_loop, virtualize_loop
 
 import icctab.table as table_module
 from icctab import (
@@ -581,6 +581,22 @@ class TestVirtualize:
         a = virtualize(small_table, rng=21)
         b = virtualize(small_table, rng=21)
         assert np.array_equal(a.values, b.values, equal_nan=True)
+
+    @pytest.mark.parametrize("rows, cols, p", [(4, 3, 0.2), (30, 6, 0.3), (200, 40, 0.2)])
+    def test_matches_per_row_loop(self, rows, cols, p):
+        raw = DataTable(np.random.default_rng(rows).normal(size=(rows, cols)))
+        table = degrade_random(raw, p, rng=cols)
+        gen, gen_loop = np.random.default_rng(17), np.random.default_rng(17)
+        out, loop = virtualize(table, gen), virtualize_loop(table, gen_loop)
+        assert np.array_equal(out.values, loop.values, equal_nan=True)
+        assert np.array_equal(out.missing, loop.missing)
+        assert gen.bit_generator.state == gen_loop.bit_generator.state
+
+    def test_paper_size_matches_per_row_loop(self, z_table_1400x80):
+        degraded = degrade_random(z_table_1400x80, 0.2, rng=18)
+        out, loop = virtualize(degraded, rng=19), virtualize_loop(degraded, rng=19)
+        assert np.array_equal(out.values, loop.values, equal_nan=True)
+        assert np.array_equal(out.missing, loop.missing)
 
 
 class TestMissingPattern:
