@@ -16,9 +16,10 @@ so with the participant Gram matrix ``G = Vc' Vc`` (n x n, formed once)
 
     r = w_A' G w_B / sqrt(w_A' G w_A * w_B' G w_B)
 
-and the ``1/g`` factors cancel.  The draws are processed in chunks whose
-two n x B indicator matrices stay within a fixed byte budget, so a chunk
-costs two small ``G @ W`` products.  A chunk's B draws are one
+and the ``1/g`` factors cancel.  The draws are processed in chunks of B,
+sized by a fixed byte budget.  A chunk is one n x 2B indicator block, group
+A in its first B columns and group B in the next B, so a chunk costs two
+small ``G @ W`` products, one per half.  A chunk's B draws are one
 ``Generator.permuted`` call over B rows of ``arange(n)``, which shuffles
 each row as ``permutation(n)`` does, so a seed yields the same groups and
 report as a draw-by-draw loop.
@@ -113,7 +114,8 @@ def ecvt(
     Raises
     ------
     PreconditionError
-        Missing cells present (impute first), or a group size too large.
+        Missing cells present (impute first), no group size, or a size
+        below 1 or too large.
     """
     if table.missing.any():
         raise PreconditionError(
@@ -121,17 +123,9 @@ def ecvt(
             "before running the validity test"
         )
     n = table.cols
-    if group_sizes is None:
-        sizes = default_group_sizes(n)
-    else:
-        sizes = tuple(int(g) for g in group_sizes)
-        if not sizes or min(sizes) < 1:
-            raise PreconditionError("group sizes must be positive integers")
-    if 2 * max(sizes) > n:
-        raise PreconditionError(
-            f"two disjoint groups of size {max(sizes)} do not fit in "
-            f"{n} participants"
-        )
+    sizes = _checked_group_sizes(
+        default_group_sizes(n) if group_sizes is None else group_sizes, n
+    )
     if resamples < 2:
         raise PreconditionError("at least 2 resamples are required")
     dec = anova(table)
@@ -149,8 +143,8 @@ def ecvt(
     warnings = []
     for k, g in enumerate(sizes):
         rs = np.concatenate([
-            _gram_correlations(gram, in_a, in_b)
-            for in_a, in_b in _group_indicator_chunks(gen, n, g, resamples, n)
+            _gram_correlations(gram, block)
+            for block in _group_indicator_chunks(gen, n, g, resamples, n)
         ])
         observed_sd[k] = rs.std(ddof=1)
         if fisher_z:
@@ -192,13 +186,28 @@ def ecvt(
     )
 
 
+def _checked_group_sizes(group_sizes, n: int) -> tuple[int, ...]:
+    """The sizes as ints; PreconditionError unless each is >= 1 and two
+    disjoint groups of the largest fit in ``n`` participants."""
+    sizes = tuple(int(g) for g in group_sizes)
+    if not sizes or min(sizes) < 1:
+        raise PreconditionError("group sizes must be positive integers")
+    if 2 * max(sizes) > n:
+        raise PreconditionError(
+            f"two disjoint groups of size {max(sizes)} do not fit in "
+            f"{n} participants"
+        )
+    return sizes
+
+
 def _group_indicator_chunks(
     gen: np.random.Generator, n: int, g: int, resamples: int, rows: int
 ):
     """Yield ``resamples`` draws of two disjoint size-``g`` groups in chunks.
 
-    Each chunk is a pair of n x B 0/1 matrices whose column ``k`` marks the
-    first and the next ``g`` entries of one permutation of the participants.
+    Each chunk is one n x 2B 0/1 block.  For the chunk's draw ``k``, column
+    ``k`` marks the first ``g`` entries of one permutation of the
+    participants (group A) and column ``B + k`` the next ``g`` (group B).
     The B permutations are one ``permuted`` call, equal to B successive
     ``permutation(n)`` calls, so the random stream is that of a draw-by-draw
     loop.  B is set so that one ``rows`` x B float block, the caller's
@@ -209,27 +218,27 @@ def _group_indicator_chunks(
         size = min(chunk, resamples - start)
         draws = gen.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
         cols = np.arange(size)[:, None]
-        in_a = np.zeros((n, size))
-        in_b = np.zeros((n, size))
-        in_a[draws[:, :g], cols] = 1.0
-        in_b[draws[:, g : 2 * g], cols] = 1.0
-        yield in_a, in_b
+        block = np.zeros((n, 2 * size))
+        block[draws[:, :g], cols] = 1.0
+        block[draws[:, g : 2 * g], cols + size] = 1.0
+        yield block
 
 
 def _chunk_draws(rows: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * rows))
 
 
-def _gram_correlations(
-    gram: np.ndarray, in_a: np.ndarray, in_b: np.ndarray
-) -> np.ndarray:
-    """Item-mean correlations of the group pairs marked by the columns of
-    ``in_a`` and ``in_b``, from the participant Gram matrix (NaN where a
-    group's item means are constant).
+def _gram_correlations(gram: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Item-mean correlations of the group pairs marked by an indicator
+    block (group A in its first half of columns, group B in the second),
+    from the participant Gram matrix (NaN where a group's item means are
+    constant).
 
     The sums run down axis 0, which numpy adds in row order whatever the
     zero pattern, so identical columns give r == 1 exactly.
     """
+    size = block.shape[1] // 2
+    in_a, in_b = block[:, :size], block[:, size:]
     gram_a = gram @ in_a
     gram_b = gram @ in_b
     cross = (in_b * gram_a).sum(axis=0)

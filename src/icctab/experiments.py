@@ -14,6 +14,7 @@ import numpy as np
 
 from .anova import icc_report
 from .errors import PreconditionError
+from .fit import _pearson
 from .impute import crari_impute
 from .rand import as_generator
 from .synth import SynthSpec, degrade_random, generate
@@ -77,7 +78,7 @@ def crari_recovery_study(
             missing[r] = outcome.icc_before
             cor[r] = outcome.icc_cor
             imputed[r] = outcome.icc_after
-            r_means[r] = float(np.corrcoef(exact_means, degraded.row_means())[0, 1])
+            r_means[r] = _pearson(exact_means, degraded.row_means())
         points.append(
             RecoveryPoint(
                 p=float(p),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anova import IccReport, icc_report
-from .ecvt import _group_indicator_chunks
+from .ecvt import _checked_group_sizes, _group_indicator_chunks
 from .errors import NumericError, PreconditionError, StructuralError
 from .rand import as_generator
 from .synth import degrade_random
@@ -135,44 +135,42 @@ def r2_icc_curve(
     without any valid value inside a drawn group are excluded pairwise from
     that resample; the mean number of exclusions is reported per size.
 
-    The draws come in chunks of n x B group-indicator matrices ``W``, sized
-    by a fixed byte budget; a chunk's draws are one ``permuted`` call that
-    gives the groups of a draw-by-draw loop (see :mod:`icctab.ecvt`).  A
-    chunk's per-item valid counts are ``valid @ W`` and its sums
-    ``filled @ W`` (missing cells filled with 0), two GEMMs whose results
-    are kept one row per draw, and the pairwise exclusion is a masked
-    Pearson correlation per draw.
+    The draws come in chunks of one n x 2B group-indicator block ``W``
+    (group A in its first B columns, group B in the next B), sized by a
+    fixed byte budget; a chunk's draws are one ``permuted`` call that gives
+    the groups of a draw-by-draw loop (see :mod:`icctab.ecvt`).  A chunk's
+    per-item valid counts are ``W' valid`` and its sums ``W' filled``
+    (missing cells filled with 0), two GEMMs whose results are kept one
+    row per group.  A group's item means are its sums over its counts,
+    with an empty count taken as 1 (its sum is 0), and its 0/1 item
+    weights are the counts capped at 1; the pairwise exclusion is a
+    weighted Pearson correlation per draw.
     """
     pred = np.asarray(predictor, dtype=float).ravel()
     if pred.size != table.rows:
         raise StructuralError(
             f"predictor must have {table.rows} values, got {pred.size}"
         )
-    sizes = tuple(int(g) for g in group_sizes)
     n = table.cols
-    if 2 * max(sizes) > n:
-        raise PreconditionError(
-            f"two disjoint groups of size {max(sizes)} do not fit in {n} participants"
-        )
+    sizes = _checked_group_sizes(group_sizes, n)
+    if resamples < 1:
+        raise PreconditionError("at least 1 resample is required")
     gen = as_generator(rng)
-    # transposed so that each chunk's results are B x m, one row per draw
+    # transposed so that each chunk's results are 2B x m, one row per group
     filled = np.where(table.valid, table.values, 0.0).T
     valid = table.valid.T.astype(float)
     points = []
     for g in sizes:
         r_icc, r2_vals, excluded = [], [], []
-        for in_a, in_b in _group_indicator_chunks(gen, n, g, resamples, table.rows):
-            counts_a = in_a.T @ valid
-            counts_b = in_b.T @ valid
-            has_a = counts_a > 0
-            has_b = counts_b > 0
-            both = has_a & has_b
-            means_a = np.divide(in_a.T @ filled, counts_a, out=np.zeros_like(counts_a),
-                                where=has_a)
-            means_b = np.divide(in_b.T @ filled, counts_b, out=np.zeros_like(counts_b),
-                                where=has_b)
-            r_icc.append(_pearson(means_a, means_b, both))
-            r2_vals.append(_pearson(means_a, pred, has_a) ** 2)
+        for block in _group_indicator_chunks(gen, n, g, resamples, table.rows):
+            size = block.shape[1] // 2
+            counts = block.T @ valid
+            means = block.T @ filled
+            means /= np.maximum(counts, 1.0)
+            weight = np.minimum(counts, 1.0, out=counts)
+            both = weight[:size] * weight[size:]
+            r_icc.append(_pearson(means[:size], means[size:], both))
+            r2_vals.append(_pearson(means[:size], pred, weight[:size]) ** 2)
             excluded.append(table.rows - both.sum(axis=1))
         icc_g = float(np.concatenate(r_icc).mean())
         r2_g = float(np.concatenate(r2_vals).mean())
@@ -226,19 +224,24 @@ def r2cor_bias_demo(
     return points
 
 
-def _pearson(x: np.ndarray, y: np.ndarray, mask=None) -> np.ndarray:
+def _pearson(x: np.ndarray, y: np.ndarray, weight=None) -> np.ndarray:
     """Pearson correlations along the last axis of ``x`` and ``y``.
 
-    ``x`` and ``y`` broadcast to one k x m shape; only entries where
-    ``mask`` (same shape, default all) is True enter a row's correlation.
-    Rows with a constant side, or no entries, give NaN.
+    ``x``, ``y`` and the float 0/1 ``weight`` (default all ones) broadcast
+    to one shape; only entries of weight 1 enter a row's correlation.  The
+    sums are two-pass (means first, then centered products), so a shift of
+    the data does not cost precision.  Rows with a constant side, or no
+    entries, give NaN.
     """
-    x, y = np.broadcast_arrays(x, y)
-    weight = np.ones(x.shape) if mask is None else mask.astype(float)
+    if weight is None:
+        weight = np.ones(np.shape(x)[-1])
+    count = weight.sum(axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        count = weight.sum(axis=-1, keepdims=True)
-        xc = (x - (weight * x).sum(axis=-1, keepdims=True) / count) * weight
-        yc = (y - (weight * y).sum(axis=-1, keepdims=True) / count) * weight
-        denom = np.sqrt((xc * xc).sum(axis=-1) * (yc * yc).sum(axis=-1))
-        return np.divide((xc * yc).sum(axis=-1), denom,
+        xc = x - (np.einsum("...i,...i->...", weight, x) / count)[..., None]
+        yc = y - (np.einsum("...i,...i->...", weight, y) / count)[..., None]
+        xc *= weight
+        yc *= weight
+        denom = np.sqrt(np.einsum("...i,...i->...", xc, xc)
+                        * np.einsum("...i,...i->...", yc, yc))
+        return np.divide(np.einsum("...i,...i->...", xc, yc), denom,
                          out=np.full(denom.shape, np.nan), where=denom != 0.0)

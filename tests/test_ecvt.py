@@ -56,7 +56,8 @@ class TestNumpyStreamIdentity:
 def _draws(gen, n, g, resamples, rows):
     """Sorted (group A, group B) indices per draw from the chunk helper, resamples x 2 x g."""
     pairs = []
-    for in_a, in_b in _group_indicator_chunks(gen, n, g, resamples, rows):
+    for block in _group_indicator_chunks(gen, n, g, resamples, rows):
+        in_a, in_b = np.split(block, 2, axis=1)
         pairs += [(np.flatnonzero(a), np.flatnonzero(b)) for a, b in zip(in_a.T, in_b.T)]
     return np.array(pairs)
 
@@ -65,12 +66,19 @@ class TestDisjointGroups:
     """The chunked group-indicator draws shared by ``ecvt`` and the r2/ICC curve."""
 
     def test_groups_never_share_a_participant(self):
+        # group A fills the first half of a chunk's columns, group B the second
         gen = as_generator(5)
         for g in (1, 3, 10, 12):
-            for in_a, in_b in _group_indicator_chunks(gen, 25, g, 50, 25):
-                assert set(np.unique(in_a)) <= {0.0, 1.0}
+            sizes = []
+            # 2000 rows give chunks of 8 draws, so 50 draws span several
+            for block in _group_indicator_chunks(gen, 25, g, 50, 2000):
+                assert block.shape[0] == 25 and block.shape[1] % 2 == 0
+                assert set(np.unique(block)) <= {0.0, 1.0}
+                in_a, in_b = np.split(block, 2, axis=1)
                 assert (in_a.sum(axis=0) == g).all() and (in_b.sum(axis=0) == g).all()
                 assert not (in_a * in_b).any()
+                sizes.append(in_a.shape[1])
+            assert sum(sizes) == 50 and sizes[0] == _chunk_draws(2000) < 50
 
     def test_reproducible(self):
         a = _draws(as_generator(9), 12, 4, 30, 12)
@@ -98,6 +106,10 @@ class TestEcvtPreconditions:
     def test_bad_group_list(self, complete_table):
         with pytest.raises(PreconditionError):
             ecvt(complete_table, group_sizes=[0, 2])
+
+    def test_empty_group_list(self, complete_table):
+        with pytest.raises(PreconditionError, match="positive"):
+            ecvt(complete_table, group_sizes=[])
 
 
 class TestEcvtClassification:

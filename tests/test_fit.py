@@ -139,6 +139,16 @@ class TestR2IccCurve:
         with pytest.raises(PreconditionError):
             r2_icc_curve(complete_table, np.arange(5.0), group_sizes=[3], rng=1)
 
+    @pytest.mark.parametrize("sizes, resamples, match", [
+        ([], 200, "positive"),
+        ([0], 200, "positive"),
+        ([-1], 200, "positive"),
+        ([1], 0, "resample"),
+    ], ids=["no-size", "zero-size", "negative-size", "zero-resamples"])
+    def test_bad_arguments_rejected(self, complete_table, sizes, resamples, match):
+        with pytest.raises(PreconditionError, match=match):
+            r2_icc_curve(complete_table, np.arange(5.0), sizes, resamples=resamples, rng=1)
+
 
 class TestR2IccCurveMatchesLoop:
     """The chunked GEMM kernel against the draw-by-draw loop."""
@@ -151,16 +161,29 @@ class TestR2IccCurveMatchesLoop:
         if resamples == "chunk + 1":
             resamples = _chunk_draws(table.rows) + 1
         sizes = (1, 2, 5, 8)
-        points = r2_icc_curve(table, truth.item_effects, sizes, resamples=resamples, rng=83)
-        loop = r2_icc_curve_loop(table, truth.item_effects, sizes, resamples=resamples, rng=83)
+        points = self.check(table, truth.item_effects, sizes, resamples, rng=83)
+        if p_missing:
+            assert points[0].excluded > 0
+
+    def test_ecvt_power_shape(self):
+        # the benchmark's table shape and missing share; two full chunks and one draw
+        raw, truth = generate(SynthSpec(rows=1400, cols=80, seed=84))
+        table = degrade_random(raw, 0.16, rng=85)
+        points = self.check(table, truth.item_effects, (1, 8, 40),
+                            2 * _chunk_draws(table.rows) + 1, rng=86)
+        assert points[0].excluded > 0
+
+    @staticmethod
+    def check(table, predictor, sizes, resamples, rng):
+        points = r2_icc_curve(table, predictor, sizes, resamples=resamples, rng=rng)
+        loop = r2_icc_curve_loop(table, predictor, sizes, resamples=resamples, rng=rng)
         for point, (g, icc, r2, ratio, excluded) in zip(points, loop, strict=True):
             assert point.g == g
             assert point.icc == pytest.approx(icc, abs=1e-12)
             assert point.r2 == pytest.approx(r2, abs=1e-12)
             assert point.ratio == pytest.approx(ratio, abs=1e-12)
             assert point.excluded == excluded
-        if p_missing:
-            assert points[0].excluded > 0
+        return points
 
 
 class TestR2IccCurveShiftScale:
@@ -171,10 +194,14 @@ class TestR2IccCurveShiftScale:
         raw, truth = generate(SynthSpec(rows=60, cols=12, seed=seed))
         table = degrade_random(raw, 0.3, rng=seed)
         moved = DataTable(table.values * scale + shift)
+        # an affine map of the predictor leaves its squared correlations alone
+        moved_pred = -scale * truth.item_effects + shift
         base = r2_icc_curve(table, truth.item_effects, (1, 3), resamples=20, rng=seed)
-        after = r2_icc_curve(moved, truth.item_effects, (1, 3), resamples=20, rng=seed)
-        for a, b in zip(base, after):
+        after = r2_icc_curve(moved, moved_pred, (1, 3), resamples=20, rng=seed)
+        for a, b in zip(base, after, strict=True):
             assert b.icc == pytest.approx(a.icc, abs=1e-9)
+            assert b.r2 == pytest.approx(a.r2, abs=1e-9)
+            assert b.ratio == pytest.approx(a.ratio, abs=1e-9)
 
 
 class TestR2CorBiasDemo:

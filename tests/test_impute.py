@@ -6,6 +6,7 @@ from oracles import ari_impute_loop, column_donor_fills_loop, crari_bisect
 
 from icctab import (
     DataTable,
+    NumericError,
     PreconditionError,
     SynthSpec,
     UnreachableTargetError,
@@ -14,10 +15,13 @@ from icctab import (
     ari_impute,
     crari_impute,
     degrade_random,
+    anova,
     generate,
     icc_report,
+    save_csv,
     zscore,
 )
+from icctab.cli import main
 from icctab.impute import _column_donor_fills, _complete_icc, _fill_with_row_means
 from icctab.rand import as_generator
 
@@ -303,9 +307,13 @@ class TestCrariProperties:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**16), rows=st.integers(8, 40), cols=st.integers(4, 12),
            p=st.floats(0.1, 0.5), zscored=st.booleans(), share=st.floats(0.01, 0.99))
+    @example(seed=8, rows=8, cols=4, p=0.46875, zscored=False, share=0.5)
     def test_reachable_target_attained_exactly(self, seed, rows, cols, p, zscored, share):
         table = _degraded_table(rows, cols, seed, p, zscored)
         assume(table.missing.sum(axis=1).max() > 1)
+        # tables that anova cannot decompose fail before any target matters
+        # (TestCrariUndecomposableTable)
+        assume(_decomposes(table))
         try:
             crari_bisect(table, 2.0, rng=seed)
         except UnreachableTargetError as exc:
@@ -318,6 +326,38 @@ class TestCrariProperties:
         assert drift <= 1e-9
         valid = table.valid
         assert np.array_equal(outcome.imputed.values[valid], table.values[valid])
+
+
+def _decomposes(table) -> bool:
+    try:
+        anova(table)
+    except NumericError:
+        return False
+    return True
+
+
+class TestCrariUndecomposableTable:
+    """A small raw table so unbalanced that ``anova``'s interaction variance
+    comes out negative (vij = -0.627): CRARI fails with the documented
+    NumericError whatever the target."""
+
+    @staticmethod
+    def table():
+        return _degraded_table(8, 4, 8, 0.46875, zscored=False)
+
+    @pytest.mark.parametrize("target", ["corrected", "low", 0.5])
+    def test_crari_raises_numeric_error(self, target):
+        with pytest.raises(NumericError, match="negative interaction variance"):
+            crari_impute(self.table(), target=target, rng=8)
+
+    def test_cli_impute_exits_4(self, capsys, tmp_path):
+        source = tmp_path / "unbalanced.csv"
+        save_csv(self.table(), source)
+        code = main(["impute", "--input", str(source), "--output", str(tmp_path / "x.csv")])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("error[4] NumericError: ")
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestAriBiasDemo:
