@@ -30,8 +30,8 @@ _EXPORTS = {
               "crari_impute",
     "rand": "as_generator split_seed",
     "special": "beta_quantile chi2_upper_tail f_quantile",
-    "synth": "SynthSpec SynthTruth alpha_cdf degrade_pattern degrade_random generate",
-    "table": "DataTable MissingPattern load_csv mix_rows save_csv virtualize zscore",
+    "synth": "SynthSpec SynthTruth alpha_cdf degrade_random generate",
+    "table": "DataTable load_csv mix_rows save_csv virtualize zscore",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

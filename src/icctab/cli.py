@@ -7,7 +7,8 @@ impute      Fill missing cells (CRARI) and write the completed table.
 ecvt        Additive-model validity test on a complete table.
 fit         Predictor goodness of fit, corrected for missing data.
 synth       Generate an artificial table with known ground truth.
-experiment  Run a named canned study and write its curve as CSV.
+experiment  Run a canned degradation study (from ``impute`` or ``fit``) and
+            write its curve as CSV.
 
 Reports are plain ``key: value`` text on stdout and always embed the tool
 version, the fully resolved configuration and the seed, so a report can be
@@ -103,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ecvt", help="additive-model validity test")
     _table_flags(p)
-    p.add_argument("--groups", default=None,
+    p.add_argument("--groups", type=_parse_ints, default=None,
                    help="comma-separated group sizes (default: doubling up to n/2)")
     p.add_argument("--resamples", type=int, default=200)
     p.add_argument("--alpha", type=float, default=0.01)
@@ -192,6 +193,14 @@ def _parse_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.split(",") if tok.strip())
 
 
+def _parse_ints(raw: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {raw!r}") from None
+
+
 def _header(args, extra: dict) -> list[str]:
     config = dict(extra)
     config.setdefault("seed", getattr(args, "seed", None))
@@ -274,10 +283,7 @@ def _run_ecvt(args) -> int:
     from .ecvt import ecvt
 
     table = _load_table(args)
-    groups = None
-    if args.groups:
-        groups = tuple(int(tok) for tok in args.groups.split(",") if tok.strip())
-    report = ecvt(table, group_sizes=groups, resamples=args.resamples,
+    report = ecvt(table, group_sizes=args.groups or None, resamples=args.resamples,
                   alpha=args.alpha, rng=args.seed)
     lines = _header(args, {
         "input": args.input,
@@ -396,9 +402,8 @@ def _run_synth(args) -> int:
 
 
 def _run_experiment(args) -> int:
-    from .experiments import crari_recovery_study, default_table
     from .fit import r2cor_bias_demo
-    from .impute import ari_bias_demo
+    from .impute import ari_bias_demo, crari_recovery_study
     from .rand import as_generator, split_seed
     from .synth import SynthSpec, generate
     from .table import zscore
@@ -414,17 +419,17 @@ def _run_experiment(args) -> int:
         "p-grid": args.p_grid or "<default>",
         "replications": args.replications,
     })
+    item_sd = 0.3 if args.name == "r2cor-bias" else SynthSpec.item_sd
+    raw, truth = generate(SynthSpec(rows=args.rows, cols=args.cols, item_sd=item_sd,
+                                    seed=table_seed))
+    table = zscore(raw)
     if args.name == "r2cor-bias":
-        raw, truth = generate(SynthSpec(rows=args.rows, cols=args.cols,
-                                        item_sd=0.3, seed=table_seed))
         gen = as_generator(run_seed)
         predictor = truth.item_effects + gen.normal(0, 0.25, size=args.rows)
-        points = r2cor_bias_demo(zscore(raw), predictor, p_grid, args.replications, gen)
+        points = r2cor_bias_demo(table, predictor, p_grid, args.replications, gen)
     elif args.name == "ari-bias":
-        table = default_table(args.rows, args.cols, seed=table_seed)
         points = ari_bias_demo(table, p_grid, args.replications, run_seed)
     else:
-        table = default_table(args.rows, args.cols, seed=table_seed)
         points = crari_recovery_study(table, p_grid, args.replications, run_seed)
     _write_csv(args.output, columns,
                ([getattr(pt, name) for name in columns] for pt in points))

@@ -187,11 +187,15 @@ def ecvt(
 
 
 def _checked_group_sizes(group_sizes, n: int) -> tuple[int, ...]:
-    """The sizes as ints; PreconditionError unless each is >= 1 and two
-    disjoint groups of the largest fit in ``n`` participants."""
-    sizes = tuple(int(g) for g in group_sizes)
-    if not sizes or min(sizes) < 1:
+    """The sizes as ints; PreconditionError unless each is an integral
+    number (not a bool) >= 1 and two disjoint groups of the largest fit in
+    ``n`` participants."""
+    sizes = tuple(group_sizes)
+    if not sizes or not all(
+        not isinstance(g, (bool, np.bool_)) and g >= 1 and float(g).is_integer() for g in sizes
+    ):
         raise PreconditionError("group sizes must be positive integers")
+    sizes = tuple(int(g) for g in sizes)
     if 2 * max(sizes) > n:
         raise PreconditionError(
             f"two disjoint groups of size {max(sizes)} do not fit in "

@@ -23,7 +23,7 @@ from .anova import IccReport, icc_report
 from .ecvt import _checked_group_sizes, _group_indicator_chunks
 from .errors import NumericError, PreconditionError, StructuralError
 from .rand import as_generator
-from .synth import degrade_random
+from .synth import _degradation_study
 from .table import DataTable
 
 __all__ = [
@@ -197,31 +197,17 @@ def r2cor_bias_demo(
 
     ``r2_exact`` is the predictor's r2 on the complete input table; each
     degradation level reports the mean observed r2 and mean corrected r2
-    over ``replications``.
+    over ``replications``.  Requires a complete input table.
     """
-    if table.missing.any():
-        raise PreconditionError("the reference table must have no missing cells")
     pred = np.asarray(predictor, dtype=float).ravel()
-    gen = as_generator(rng)
+
+    def measure(degraded, gen):
+        fit = fit_predictors(degraded, pred, conf_probs=())
+        return fit.r2[0], fit.r2_cor[0]
+
+    rows = _degradation_study(table, p_grid, replications, rng, measure)
     r2_exact = float(fit_predictors(table, pred, conf_probs=()).r2[0])
-    points = []
-    for p in p_grid:
-        observed = np.empty(replications)
-        cor = np.empty(replications)
-        for r in range(replications):
-            degraded = degrade_random(table, p, gen)
-            fit = fit_predictors(degraded, pred, conf_probs=())
-            observed[r] = fit.r2[0]
-            cor[r] = fit.r2_cor[0]
-        points.append(
-            R2BiasPoint(
-                p=float(p),
-                r2_observed=float(observed.mean()),
-                r2_cor=float(cor.mean()),
-                r2_exact=r2_exact,
-            )
-        )
-    return points
+    return [R2BiasPoint(*row, r2_exact) for row in rows]
 
 
 def _pearson(x: np.ndarray, y: np.ndarray, weight=None) -> np.ndarray:

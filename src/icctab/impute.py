@@ -24,6 +24,10 @@ dichotomic search on ``c``, computed exactly, not a different method.
 Both methods draw their donors with one ``integers`` call in cell order,
 row-major for ARI and column-major for CRARI, which matches a per-row or
 per-column loop of draws draw for draw (see :func:`_donor_fills`).
+
+Two degradation studies run on :func:`icctab.synth._degradation_study`:
+:func:`ari_bias_demo` (the ICC bias of row-wise imputation) and
+:func:`crari_recovery_study` (how well CRARI recovers the complete-table ICC).
 """
 
 import math
@@ -35,7 +39,7 @@ import numpy as np
 from .anova import anova, icc_report
 from .errors import PreconditionError, UnreachableTargetError
 from .rand import as_generator
-from .synth import degrade_random
+from .synth import _degradation_study
 from .table import DataTable
 
 __all__ = [
@@ -45,6 +49,8 @@ __all__ = [
     "adjust_fills",
     "crari_impute",
     "ari_bias_demo",
+    "RecoveryPoint",
+    "crari_recovery_study",
 ]
 
 
@@ -75,6 +81,18 @@ class AriBiasPoint:
     icc_missing: float
     icc_ari: float
     icc_cor: float
+
+
+@dataclass(frozen=True)
+class RecoveryPoint:
+    """ICC statistics plus item-mean fidelity at one degradation level."""
+
+    p: float
+    icc_missing: float
+    icc_cor: float
+    icc_imputed: float
+    r_item_means: float
+    icc_exact: float
 
 
 def adjust_fills(draws: np.ndarray, valid_mean: float) -> np.ndarray:
@@ -302,26 +320,36 @@ def ari_bias_demo(
     the degraded table's ICC, the ICC after row-wise imputation, and the
     corrected estimate.  Requires a complete input table.
     """
-    if table.missing.any():
-        raise PreconditionError("the reference table must have no missing cells")
-    gen = as_generator(rng)
-    points = []
-    for p in p_grid:
-        icc_missing = np.empty(replications)
-        icc_ari = np.empty(replications)
-        icc_cor_vals = np.empty(replications)
-        for r in range(replications):
-            degraded = degrade_random(table, p, gen)
-            report = icc_report(degraded, ())
-            icc_missing[r] = report.icc
-            icc_cor_vals[r] = report.icc_cor
-            icc_ari[r] = icc_report(ari_impute(degraded, gen), ()).icc
-        points.append(
-            AriBiasPoint(
-                p=float(p),
-                icc_missing=float(icc_missing.mean()),
-                icc_ari=float(icc_ari.mean()),
-                icc_cor=float(icc_cor_vals.mean()),
-            )
-        )
-    return points
+    def measure(degraded, gen):
+        report = icc_report(degraded, ())
+        return report.icc, icc_report(ari_impute(degraded, gen), ()).icc, report.icc_cor
+
+    rows = _degradation_study(table, p_grid, replications, rng, measure)
+    return [AriBiasPoint(*row) for row in rows]
+
+
+def crari_recovery_study(
+    table: DataTable,
+    p_grid,
+    replications: int,
+    rng=None,
+) -> list[RecoveryPoint]:
+    """Check that targeted imputation recovers the complete-table ICC.
+
+    Tracks, up to large missing proportions, how the observed ICC and the
+    correlation between degraded and complete item means fall together
+    while the corrected ICC and the ICC of the table imputed to it stay
+    near the exact value.  Requires a complete input table.
+    """
+    from .fit import _pearson
+
+    exact_means = table.row_means()
+
+    def measure(degraded, gen):
+        outcome = crari_impute(degraded, target="corrected", rng=gen)
+        return (outcome.icc_before, outcome.icc_cor, outcome.icc_after,
+                _pearson(exact_means, degraded.row_means()))
+
+    rows = _degradation_study(table, p_grid, replications, rng, measure)
+    icc_exact = icc_report(table).icc
+    return [RecoveryPoint(*row, icc_exact) for row in rows]

@@ -16,8 +16,9 @@ to detect.  The exponent distribution has the closed-form CDF
 ``1 - exp(-(e - 1) / severity)`` (see :func:`alpha_cdf`), used as the
 generator's oracle.
 
-Degradation masks cells of a complete table to simulate missing data,
-either uniformly at random or following a recorded pattern.
+Degradation masks uniformly random cells of a complete table to simulate
+missing data; :func:`_degradation_study` repeats it over a grid of missing
+proportions and averages what a study measures on each degraded table.
 """
 
 import math
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import PreconditionError, StructuralError
 from .rand import as_generator
-from .table import DataTable, MissingPattern
+from .table import DataTable
 
 __all__ = [
     "SynthSpec",
@@ -35,7 +36,6 @@ __all__ = [
     "generate",
     "alpha_cdf",
     "degrade_random",
-    "degrade_pattern",
 ]
 
 _MAX_RETRIES = 100  # degrade_random's rejection-sampling attempts
@@ -167,26 +167,21 @@ def degrade_random(table: DataTable, p: float, rng=None) -> DataTable:
     return DataTable(table.values, mask)
 
 
-def degrade_pattern(
-    table: DataTable,
-    pattern: MissingPattern | np.ndarray,
-    sort_rows_by_mean: bool = False,
-) -> DataTable:
-    """Mask cells at the locations recorded in ``pattern``.
+def _degradation_study(table: DataTable, p_grid, replications: int, rng, measure) -> list[tuple]:
+    """``(p, *means)`` per missing proportion ``p`` in ``p_grid``.
 
-    With ``sort_rows_by_mean`` the rows are first reordered by increasing
-    row mean (of valid entries), matching the way recorded real-data
-    patterns are aligned with generated tables.
+    Each level degrades the complete ``table`` ``replications`` times and
+    averages the statistics ``measure(degraded, gen)`` returns; every draw
+    comes from the one stream ``gen``, in order.
     """
-    mask = pattern.mask if isinstance(pattern, MissingPattern) else np.asarray(pattern, bool)
-    if mask.shape != table.shape:
-        raise StructuralError(
-            f"pattern shape {mask.shape} does not match table shape {table.shape}"
-        )
-    values = table.values
-    missing = table.missing
-    if sort_rows_by_mean:
-        order = np.argsort(table.row_means(), kind="stable")
-        values = values[order]
-        missing = missing[order]
-    return DataTable(values, missing | mask)
+    if table.missing.any():
+        raise PreconditionError("the reference table must have no missing cells")
+    if replications < 1:
+        raise PreconditionError(f"at least 1 replication is required, got {replications}")
+    gen = as_generator(rng)
+    points = []
+    for p in p_grid:
+        stats = np.array([measure(degrade_random(table, p, gen), gen)
+                          for _ in range(replications)])
+        points.append((float(p), *(float(column.mean()) for column in stats.T)))
+    return points

@@ -49,7 +49,6 @@ from .rand import as_generator
 
 __all__ = [
     "DataTable",
-    "MissingPattern",
     "load_csv",
     "save_csv",
     "zscore",
@@ -148,26 +147,6 @@ class DataTable:
         """Mean of the valid entries in each column."""
         filled = np.where(self.valid, self.values, 0.0)
         return filled.sum(axis=0) / self.valid.sum(axis=0)
-
-
-@dataclass(frozen=True, eq=False)
-class MissingPattern:
-    """A recorded m x n grid of missing-cell locations."""
-
-    mask: np.ndarray
-
-    def __post_init__(self):
-        mask = np.array(self.mask, dtype=bool)
-        mask.flags.writeable = False
-        object.__setattr__(self, "mask", mask)
-
-    @classmethod
-    def from_table(cls, table: DataTable) -> "MissingPattern":
-        return cls(table.missing)
-
-    @property
-    def density(self) -> float:
-        return float(self.mask.mean())
 
 
 def load_csv(path, missing_code: float | None = None) -> DataTable:

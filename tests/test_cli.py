@@ -139,6 +139,15 @@ class TestEcvtCommand:
         assert code == 6
         assert "PreconditionError" in err
 
+    @pytest.mark.parametrize("groups", ["1.5", "x,1", "2,,y"])
+    def test_non_integer_groups_usage_error(self, capsys, complete_csv, groups):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ecvt", "--input", str(complete_csv), "--groups", groups])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert "argument --groups: expected comma-separated integers" in err
+        assert "Traceback" not in err
+
 
 class TestFitCommand:
     def test_transcript_fields_present(self, capsys, tmp_path, degraded_csv):
@@ -190,6 +199,18 @@ class TestExperimentCommand:
         lines = curve.read_text().splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("p,")
+
+    @pytest.mark.parametrize("name", ["ari-bias", "crari-recovery",
+                                      "degradation-curve", "r2cor-bias"])
+    @pytest.mark.parametrize("replications", ["0", "-1"])
+    def test_no_replication_precondition_exit(self, capsys, tmp_path, name, replications):
+        curve = tmp_path / f"{name}.csv"
+        code, out, err = run(capsys, "experiment", "--name", name, "--rows", "20",
+                             "--cols", "6", "--replications", replications,
+                             "--output", str(curve))
+        assert code == 6 and out == ""
+        assert err.startswith("error[6] PreconditionError: at least 1 replication")
+        assert not curve.exists()
 
 
 EXPERIMENT_ARGS = ("--rows", "60", "--cols", "12", "--p-grid", "0.1,0.3",

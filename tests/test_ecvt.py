@@ -107,9 +107,21 @@ class TestEcvtPreconditions:
         with pytest.raises(PreconditionError):
             ecvt(complete_table, group_sizes=[0, 2])
 
+    # truncating [2.7, True] would run sizes (2, 1) without a word
+    @pytest.mark.parametrize("sizes", [[1.5], [2.7, True], [True], [np.True_, 1]],
+                             ids=["fraction", "fraction-and-bool", "bool", "numpy-bool"])
+    def test_non_integral_or_bool_sizes_rejected(self, complete_table, sizes):
+        with pytest.raises(PreconditionError, match="positive integers"):
+            ecvt(complete_table, group_sizes=sizes)
+
     def test_empty_group_list(self, complete_table):
         with pytest.raises(PreconditionError, match="positive"):
             ecvt(complete_table, group_sizes=[])
+
+    def test_integral_sizes_of_any_number_type_accepted(self, complete_table):
+        report = ecvt(complete_table, group_sizes=[np.int64(1), 2.0], resamples=10, rng=1)
+        assert report.group_sizes == (1, 2)
+        assert all(type(g) is int for g in report.group_sizes)
 
 
 class TestEcvtClassification:

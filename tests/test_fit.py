@@ -7,6 +7,7 @@ from icctab import (
     DataTable,
     NumericError,
     PreconditionError,
+    R2BiasPoint,
     StructuralError,
     SynthSpec,
     corrected_r2,
@@ -143,8 +144,10 @@ class TestR2IccCurve:
         ([], 200, "positive"),
         ([0], 200, "positive"),
         ([-1], 200, "positive"),
+        ([1.9], 200, "positive integers"),
+        ([True], 200, "positive integers"),
         ([1], 0, "resample"),
-    ], ids=["no-size", "zero-size", "negative-size", "zero-resamples"])
+    ], ids=["no-size", "zero-size", "negative-size", "fraction", "bool", "zero-resamples"])
     def test_bad_arguments_rejected(self, complete_table, sizes, resamples, match):
         with pytest.raises(PreconditionError, match=match):
             r2_icc_curve(complete_table, np.arange(5.0), sizes, resamples=resamples, rng=1)
@@ -214,6 +217,27 @@ class TestR2CorBiasDemo:
     def test_requires_complete_table(self, small_table):
         with pytest.raises(PreconditionError):
             r2cor_bias_demo(small_table, np.arange(4.0), [0.1], replications=1, rng=1)
+
+    @pytest.mark.parametrize("replications", [0, -1])
+    def test_needs_a_replication(self, complete_table, replications):
+        with pytest.raises(PreconditionError, match="replication"):
+            r2cor_bias_demo(complete_table, np.arange(5.0), [0.1], replications=replications,
+                            rng=1)
+
+    def test_pinned_points(self):
+        # recorded before the three studies shared one degradation loop
+        raw, truth = generate(SynthSpec(rows=60, cols=10, seed=91))
+        predictor = truth.item_effects + np.random.default_rng(93).normal(0, 0.25, size=60)
+        exact = 0.4788077661539857
+        assert r2cor_bias_demo(zscore(raw), predictor, [0.0, 0.2, 0.5], replications=10,
+                               rng=94) == [
+            R2BiasPoint(p=0.0, r2_observed=0.4788077661539856, r2_cor=0.4788077661539856,
+                        r2_exact=exact),
+            R2BiasPoint(p=0.2, r2_observed=0.45133960938365936, r2_cor=0.49270415057438166,
+                        r2_exact=exact),
+            R2BiasPoint(p=0.5, r2_observed=0.31314187318008513, r2_cor=0.4250001844569091,
+                        r2_exact=exact),
+        ]
 
     def test_correction_beats_observed_under_degradation(self):
         raw, truth = generate(SynthSpec(rows=1000, cols=40, item_sd=0.3, seed=64))

@@ -53,6 +53,24 @@ def test_ecvt_command_loads_only_its_kernels(tmp_path):
     assert not {"icctab.fit", "icctab.impute", "icctab.synth", "icctab.experiments"} & set(loaded)
 
 
+def test_impute_command_loads_neither_fit_nor_ecvt(tmp_path):
+    path = tmp_path / "degraded.csv"
+    # two missing cells in every third row, so the fills are random
+    path.write_text("".join(f"{i},{i + 2},{'' if i % 3 else 2 * i},{i - 3},{'' if i % 3 else i}\n"
+                            for i in range(9)))
+    code, loaded = run_script(f"""
+        import contextlib, io, json, sys
+        from icctab.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["impute", "--input", {str(path)!r},
+                         "--output", {str(tmp_path / "imputed.csv")!r}])
+        print(json.dumps([code, sorted(sys.modules)]))
+    """)
+    assert code == 0
+    assert {"icctab.impute", "icctab.anova", "icctab.table"} <= set(loaded)
+    assert not {"icctab.fit", "icctab.ecvt"} & set(loaded)
+
+
 @pytest.mark.parametrize("first", ["import icctab.fit", "import icctab.ecvt",
                                    "import icctab.anova", "from icctab import anova, ecvt"])
 def test_function_names_shared_with_submodules_stay_functions(first):

@@ -22,8 +22,19 @@ from icctab import (
     zscore,
 )
 from icctab.cli import main
-from icctab.impute import _column_donor_fills, _complete_icc, _fill_with_row_means
+from icctab.impute import (
+    AriBiasPoint,
+    RecoveryPoint,
+    _column_donor_fills,
+    _complete_icc,
+    _fill_with_row_means,
+    crari_recovery_study,
+)
 from icctab.rand import as_generator
+
+# the table and grid of the pinned degradation studies
+STUDY_TABLE = zscore(generate(SynthSpec(rows=60, cols=10, seed=91))[0])
+STUDY_GRID = [0.0, 0.2, 0.5]
 
 
 class TestAdjustFills:
@@ -379,3 +390,44 @@ class TestAriBiasDemo:
     def test_requires_complete_table(self, small_table):
         with pytest.raises(PreconditionError):
             ari_bias_demo(small_table, [0.1], replications=1, rng=1)
+
+    @pytest.mark.parametrize("replications", [0, -1])
+    def test_needs_a_replication(self, complete_table, replications):
+        with pytest.raises(PreconditionError, match="replication"):
+            ari_bias_demo(complete_table, [0.1], replications=replications, rng=1)
+
+    def test_pinned_points(self):
+        # recorded before the three studies shared one degradation loop
+        assert ari_bias_demo(STUDY_TABLE, STUDY_GRID, replications=10, rng=92) == [
+            AriBiasPoint(p=0.0, icc_missing=0.6338197711417559, icc_ari=0.6338197711417559,
+                         icc_cor=0.6338197711417559),
+            AriBiasPoint(p=0.2, icc_missing=0.5953506743004467, icc_ari=0.7230760863283632,
+                         icc_cor=0.6476639742461793),
+            AriBiasPoint(p=0.5, icc_missing=0.44402649141358774, icc_ari=0.8076594128530402,
+                         icc_cor=0.6115202301553617),
+        ]
+
+
+class TestCrariRecoveryStudy:
+    def test_requires_complete_table(self, small_table):
+        with pytest.raises(PreconditionError, match="no missing cells"):
+            crari_recovery_study(small_table, [0.1], replications=1, rng=1)
+
+    @pytest.mark.parametrize("replications", [0, -1])
+    def test_needs_a_replication(self, complete_table, replications):
+        with pytest.raises(PreconditionError, match="replication"):
+            crari_recovery_study(complete_table, [0.1], replications=replications, rng=1)
+
+    def test_pinned_points(self):
+        # recorded before the three studies shared one degradation loop
+        exact = 0.6338197711417559
+        assert crari_recovery_study(STUDY_TABLE, STUDY_GRID, replications=10, rng=95) == [
+            RecoveryPoint(p=0.0, icc_missing=exact, icc_cor=exact, icc_imputed=exact,
+                          r_item_means=1.0, icc_exact=exact),
+            RecoveryPoint(p=0.2, icc_missing=0.5750181662731143, icc_cor=0.6283399741363129,
+                          icc_imputed=0.6283399741363129, r_item_means=0.9568833019866778,
+                          icc_exact=exact),
+            RecoveryPoint(p=0.5, icc_missing=0.45316406245908514, icc_cor=0.6198556828422,
+                          icc_imputed=0.6198556828422, r_item_means=0.843012543175821,
+                          icc_exact=exact),
+        ]

@@ -5,12 +5,10 @@ import pytest
 
 from icctab import (
     DataTable,
-    MissingPattern,
     PreconditionError,
     StructuralError,
     SynthSpec,
     alpha_cdf,
-    degrade_pattern,
     degrade_random,
     generate,
     icc_report,
@@ -140,31 +138,3 @@ class TestDegradeRandom:
     def test_proportion_domain(self, complete_table):
         with pytest.raises(PreconditionError):
             degrade_random(complete_table, 0.96, rng=1)
-
-
-class TestDegradePattern:
-    def test_all_false_pattern_is_identity(self, complete_table):
-        out = degrade_pattern(complete_table, np.zeros((5, 4), bool))
-        assert np.array_equal(out.values, complete_table.values)
-        assert out.missing.sum() == 0
-
-    def test_idempotent_on_own_mask(self, small_table):
-        out = degrade_pattern(small_table, MissingPattern.from_table(small_table))
-        assert np.array_equal(out.missing, small_table.missing)
-
-    def test_density_recount(self):
-        raw, _ = generate(SynthSpec(rows=120, cols=30, seed=6))
-        reference = degrade_random(raw, 0.2, rng=7)
-        pattern = MissingPattern.from_table(reference)
-        other, _ = generate(SynthSpec(rows=120, cols=30, seed=8))
-        out = degrade_pattern(other, pattern)
-        assert out.pmiss == pytest.approx(pattern.density)
-
-    def test_shape_mismatch(self, complete_table):
-        with pytest.raises(StructuralError, match="shape"):
-            degrade_pattern(complete_table, np.zeros((3, 3), bool))
-
-    def test_sort_rows_by_mean_reorders(self):
-        values = np.array([[5.0, 6.0], [1.0, 2.0], [3.0, 4.0]])
-        out = degrade_pattern(DataTable(values), np.zeros((3, 2), bool), sort_rows_by_mean=True)
-        assert out.values[:, 0].tolist() == [1.0, 3.0, 5.0]

@@ -14,7 +14,6 @@ from oracles import read_cells_loop, save_csv_loop, virtualize_loop
 import icctab.table as table_module
 from icctab import (
     DataTable,
-    MissingPattern,
     NumericError,
     StructuralError,
     TableFormatError,
@@ -597,10 +596,3 @@ class TestVirtualize:
         out, loop = virtualize(degraded, rng=19), virtualize_loop(degraded, rng=19)
         assert np.array_equal(out.values, loop.values, equal_nan=True)
         assert np.array_equal(out.missing, loop.missing)
-
-
-class TestMissingPattern:
-    def test_from_table_records_mask(self, small_table):
-        pattern = MissingPattern.from_table(small_table)
-        assert np.array_equal(pattern.mask, small_table.missing)
-        assert pattern.density == pytest.approx(2 / 12)
