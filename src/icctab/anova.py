@@ -158,7 +158,8 @@ def icc_report(
     ------
     NumericError
         Both the row-effect and interaction variances are zero, so the ICC
-        is undefined (e.g. a constant table).
+        is undefined (e.g. a constant table); or confidence bounds are
+        requested while ``f_obs`` is not positive (all item means equal).
     """
     for prob in conf_probs:
         if not 0.0 < prob < 1.0:
@@ -175,6 +176,11 @@ def icc_report(
         q = dec.vi / dec.vij
         icc = dec.vi / (dec.vi + dec.vij / n)
         f_obs = dec.msi / dec.vij
+    if conf_probs and f_obs <= 0.0:
+        raise NumericError(
+            f"undefined confidence bounds: Fobs = {f_obs:.3g} because all item means "
+            "are equal (zero item mean square); request no bounds for the point estimates"
+        )
     pmiss = table.pmiss
     conf = []
     for prob in conf_probs:

@@ -427,6 +427,10 @@ def _run_experiment(args) -> int:
         gen = as_generator(run_seed)
         predictor = truth.item_effects + gen.normal(0, 0.25, size=args.rows)
         points = r2cor_bias_demo(table, predictor, p_grid, args.replications, gen)
+        undefined = [f"{pt.p:g}" for pt in points if math.isnan(pt.r2_cor)]
+        if undefined:
+            lines.append("warning: mean r2_cor undefined (ICC 0 in a replication) at p = "
+                         + ", ".join(undefined))
     elif args.name == "ari-bias":
         points = ari_bias_demo(table, p_grid, args.replications, run_seed)
     else:

@@ -91,7 +91,6 @@ def ecvt(
     resamples: int = 200,
     alpha: float = 0.01,
     rng=None,
-    fisher_z: bool = False,
 ) -> EcvtReport:
     """Run the validity test on a complete table.
 
@@ -107,9 +106,6 @@ def ecvt(
         Number of disjoint group pairs drawn per size.
     alpha
         Significance level of the verdict.
-    fisher_z
-        Average and standardize the correlations on the Fisher-z scale
-        instead of the raw r scale (reported means are transformed back).
 
     Raises
     ------
@@ -146,25 +142,16 @@ def ecvt(
             _gram_correlations(gram, block)
             for block in _group_indicator_chunks(gen, n, g, resamples, n)
         ])
+        observed_mean[k] = rs.mean()
         observed_sd[k] = rs.std(ddof=1)
-        if fisher_z:
-            zs = np.arctanh(np.clip(rs, -1 + 1e-15, 1 - 1e-15))
-            center, spread = zs.mean(), zs.std(ddof=1)
-            observed_mean[k] = math.tanh(center)
-            target = math.atanh(min(expected_icc(q, g), 1 - 1e-15))
-        else:
-            center, spread = rs.mean(), observed_sd[k]
-            observed_mean[k] = center
-            target = expected_icc(q, g)
         predicted[k] = expected_icc(q, g)
-        # constant correlations on the r scale: the Fisher-z spread of r == 1
-        # is a rounding residue of the clipping, not a spread
         if observed_sd[k] == 0.0:
             warnings.append(
                 f"group size {g}: constant correlations, dropped from the statistic"
             )
             continue
-        chi2 += ((center - target) / (spread / math.sqrt(resamples))) ** 2
+        chi2 += ((observed_mean[k] - predicted[k])
+                 / (observed_sd[k] / math.sqrt(resamples))) ** 2
         df += 1
 
     if df == 0:

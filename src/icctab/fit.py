@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anova import IccReport, icc_report
-from .ecvt import _checked_group_sizes, _group_indicator_chunks
+from .ecvt import _checked_group_sizes, _chunk_draws, _group_indicator_chunks
 from .errors import NumericError, PreconditionError, StructuralError
 from .rand import as_generator
 from .synth import _degradation_study
@@ -70,8 +70,11 @@ class R2BiasPoint:
 
 
 def corrected_r2(r2, icc: float, icc_cor: float):
-    """The (r2/ICC, corrected r2) pair for observed r2 values."""
+    """The (r2/ICC, corrected r2) pair for observed r2 values; both are
+    undefined (NaN) at an ICC of 0."""
     r2 = np.asarray(r2, dtype=float)
+    if icc == 0.0:
+        return np.full(r2.shape, np.nan), np.full(r2.shape, np.nan)
     ratio = r2 / icc
     return ratio, icc_cor * ratio
 
@@ -107,15 +110,17 @@ def fit_predictors(
     item_means = report.item_means
     r2 = _pearson(pred.T, item_means) ** 2
     ratio, r2_cor = corrected_r2(r2, report.icc, report.icc_cor)
-    warnings = ()
+    warnings = []
     if report.column_effect_warning:
-        warnings = ("non-negligible column effect: corrected statistics unreliable",)
+        warnings.append("non-negligible column effect: corrected statistics unreliable")
+    if report.icc == 0.0:
+        warnings.append("ICC is 0: r2/ICC and r2_cor are undefined (nan)")
     return PredictorFit(
         r2=r2,
         r2_on_icc=ratio,
         r2_cor=r2_cor,
         icc_context=report,
-        warnings=warnings,
+        warnings=tuple(warnings),
     )
 
 
@@ -139,48 +144,72 @@ def r2_icc_curve(
     (group A in its first B columns, group B in the next B), sized by a
     fixed byte budget; a chunk's draws are one ``permuted`` call that gives
     the groups of a draw-by-draw loop (see :mod:`icctab.ecvt`).  A chunk's
-    per-item valid counts are ``W' valid`` and its sums ``W' filled``
-    (missing cells filled with 0), two GEMMs whose results are kept one
-    row per group.  A group's item means are its sums over its counts,
-    with an empty count taken as 1 (its sum is 0), and its 0/1 item
-    weights are the counts capped at 1; the pairwise exclusion is a
-    weighted Pearson correlation per draw.
+    per-item valid counts are ``W' valid`` and its sums ``W' filled``, two
+    GEMMs whose results are kept one row per group.  The counts GEMM runs
+    in float32: its products are 0 or 1 and its sums integers of at most
+    n, all exact in float32 on any BLAS.  Each group then gets three rows
+    over the items: its 0/1 item weights ``w`` (the counts capped at 1),
+    its item means ``x`` (sums over counts, an empty count taken as 1, so
+    ``x`` is 0 at the items the group excludes) and ``x²``.
+
+    Each draw's correlations come from moment sums, closed by
+    :func:`_correlation`.  Group A's ``[w, x, x²]`` against ``[1, p, p²]``
+    (one GEMM per chunk) gives the r2 sums ``n, Σp, Σp², Σx, Σxp, Σx²``
+    over A's items, and against group B's ``[w, x, x²]`` (one batched
+    product) the ICC sums over the items valid in both groups, their count
+    included.  A one-pass centred sum such as ``Σx² − (Σx)²/n`` cancels
+    the mean's share of ``Σx²`` and loses as many digits as the mean
+    outweighs the spread, so ``filled`` is centred once on the grand valid
+    mean and the predictor on its mean: a group's means then sit near 0
+    whatever the table's offset, and a shift of the data costs no
+    precision.
     """
     pred = np.asarray(predictor, dtype=float).ravel()
     if pred.size != table.rows:
         raise StructuralError(
             f"predictor must have {table.rows} values, got {pred.size}"
         )
-    n = table.cols
+    m, n = table.shape
     sizes = _checked_group_sizes(group_sizes, n)
     if resamples < 1:
         raise PreconditionError("at least 1 resample is required")
     gen = as_generator(rng)
-    # transposed so that each chunk's results are 2B x m, one row per group
-    filled = np.where(table.valid, table.values, 0.0).T
-    valid = table.valid.T.astype(float)
+    # centred, 0 at missing cells; transposed so that each chunk's results
+    # are 2B x m, one row per group
+    filled = np.where(table.valid, table.values, 0.0)
+    np.subtract(filled, filled.sum() / table.valid.sum(), out=filled, where=table.valid)
+    filled = filled.T
+    valid = table.valid.T.astype(np.float32)
+    centred = pred - pred.mean()
+    basis = np.stack([np.ones(m), centred, centred * centred], axis=1)
+    # each group's [w, x, x²] rows, one buffer for every chunk
+    stacked = np.empty((2 * min(_chunk_draws(m), resamples), 3, m))
     points = []
     for g in sizes:
-        r_icc, r2_vals, excluded = [], [], []
-        for block in _group_indicator_chunks(gen, n, g, resamples, table.rows):
+        r2_sums = np.empty((resamples, 3, 3))
+        icc_sums = np.empty((resamples, 3, 3))
+        start = 0
+        for block in _group_indicator_chunks(gen, n, g, resamples, m):
             size = block.shape[1] // 2
-            counts = block.T @ valid
-            means = block.T @ filled
-            means /= np.maximum(counts, 1.0)
-            weight = np.minimum(counts, 1.0, out=counts)
-            both = weight[:size] * weight[size:]
-            r_icc.append(_pearson(means[:size], means[size:], both))
-            r2_vals.append(_pearson(means[:size], pred, weight[:size]) ** 2)
-            excluded.append(table.rows - both.sum(axis=1))
-        icc_g = float(np.concatenate(r_icc).mean())
-        r2_g = float(np.concatenate(r2_vals).mean())
+            counts = block.astype(np.float32).T @ valid
+            group = stacked[: 2 * size]
+            np.divide(block.T @ filled, np.maximum(counts, 1.0), out=group[:, 1])
+            np.minimum(counts, 1.0, out=group[:, 0])
+            np.multiply(group[:, 1], group[:, 1], out=group[:, 2])
+            group_a, group_b = group[:size], group[size:]
+            draws = slice(start, start + size)
+            r2_sums[draws] = (group_a.reshape(3 * size, m) @ basis).reshape(size, 3, 3)
+            np.matmul(group_a, group_b.transpose(0, 2, 1), out=icc_sums[draws])
+            start += size
+        icc_g = float(_moment_correlation(icc_sums).mean())
+        r2_g = float((_moment_correlation(r2_sums) ** 2).mean())
         points.append(
             RatioCurvePoint(
                 g=g,
                 icc=icc_g,
                 r2=r2_g,
                 ratio=r2_g / icc_g,
-                excluded=float(np.concatenate(excluded).mean()),
+                excluded=float((m - icc_sums[:, 0, 0]).mean()),
             )
         )
     return points
@@ -210,24 +239,44 @@ def r2cor_bias_demo(
     return [R2BiasPoint(*row, r2_exact) for row in rows]
 
 
-def _pearson(x: np.ndarray, y: np.ndarray, weight=None) -> np.ndarray:
+def _pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pearson correlations along the last axis of ``x`` and ``y``.
 
-    ``x``, ``y`` and the float 0/1 ``weight`` (default all ones) broadcast
-    to one shape; only entries of weight 1 enter a row's correlation.  The
-    sums are two-pass (means first, then centered products), so a shift of
-    the data does not cost precision.  Rows with a constant side, or no
-    entries, give NaN.
+    ``x`` and ``y`` broadcast to one shape.  The sums are two-pass: the
+    means are removed first, so a shift of the data does not cost precision
+    and the first-moment sums passed to :func:`_correlation` are 0.  Rows
+    with a constant side give NaN.
     """
-    if weight is None:
-        weight = np.ones(np.shape(x)[-1])
-    count = weight.sum(axis=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        xc = x - (np.einsum("...i,...i->...", weight, x) / count)[..., None]
-        yc = y - (np.einsum("...i,...i->...", weight, y) / count)[..., None]
-        xc *= weight
-        yc *= weight
-        denom = np.sqrt(np.einsum("...i,...i->...", xc, xc)
-                        * np.einsum("...i,...i->...", yc, yc))
-        return np.divide(np.einsum("...i,...i->...", xc, yc), denom,
-                         out=np.full(denom.shape, np.nan), where=denom != 0.0)
+    ones = np.ones(np.shape(x)[-1])
+    count = ones.sum()
+    xc = x - (np.einsum("...i,...i->...", ones, x) / count)[..., None]
+    yc = y - (np.einsum("...i,...i->...", ones, y) / count)[..., None]
+    return _correlation(count, 0.0, 0.0, np.einsum("...i,...i->...", xc, xc),
+                        np.einsum("...i,...i->...", yc, yc),
+                        np.einsum("...i,...i->...", xc, yc))
+
+
+def _correlation(n, sx, sy, sxx, syy, sxy):
+    """Pearson correlations of ``n`` pairs from their moment sums.
+
+    ``(sxy - sx*sy/n) / sqrt((sxx - sx²/n) * (syy - sy²/n))``, the one
+    correlation-closing formula of the package.  A side whose centred sum
+    does not exceed the rounding level of its one-pass form, ``n·eps`` times
+    its raw sum of squares, is constant to working precision: its
+    correlations (and those of fewer than 2 pairs) are NaN.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cxx = sxx - sx * sx / n
+        cyy = syy - sy * sy / n
+        cxy = sxy - sx * sy / n
+        tol = n * np.finfo(float).eps
+        defined = (cxx > tol * sxx) & (cyy > tol * syy)
+        return np.where(defined, cxy / np.sqrt(cxx * cyy), np.nan)
+
+
+def _moment_correlation(sums: np.ndarray) -> np.ndarray:
+    """Correlations from k x 3 x 3 moment matrices ``sums[:, i, j] = Σ u_i v_j``
+    of ``u = [w, x, x²]`` and ``v = [w', y, y²]``, where ``x`` is 0 where the
+    0/1 weight ``w`` is, and ``y`` where ``w'`` is."""
+    return _correlation(sums[:, 0, 0], sums[:, 1, 0], sums[:, 0, 1],
+                        sums[:, 2, 0], sums[:, 0, 2], sums[:, 1, 1])

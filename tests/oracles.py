@@ -121,7 +121,7 @@ def disjoint_groups(gen: np.random.Generator, n: int, g: int) -> tuple[np.ndarra
     return draw[:g], draw[g:]
 
 
-def ecvt_loop(table, group_sizes=None, resamples=200, rng=None, fisher_z=False) -> dict:
+def ecvt_loop(table, group_sizes=None, resamples=200, rng=None) -> dict:
     """ECVT statistics with one item-mean pair per draw."""
     n = table.cols
     sizes = default_group_sizes(n) if group_sizes is None else tuple(group_sizes)
@@ -137,17 +137,10 @@ def ecvt_loop(table, group_sizes=None, resamples=200, rng=None, fisher_z=False) 
         for b in range(resamples):
             group_a, group_b = disjoint_groups(gen, n, g)
             rs[b] = pearson(values[:, group_a].mean(axis=1), values[:, group_b].mean(axis=1))
-        if fisher_z:
-            zs = np.arctanh(np.clip(rs, -1 + 1e-15, 1 - 1e-15))
-            center, spread = zs.mean(), zs.std(ddof=1)
-            mean_r.append(math.tanh(center))
-            sd_r.append(rs.std(ddof=1))
-            target = math.atanh(min(expected_icc(q, g), 1 - 1e-15))
-        else:
-            center, spread = rs.mean(), rs.std(ddof=1)
-            mean_r.append(center)
-            sd_r.append(spread)
-            target = expected_icc(q, g)
+        center, spread = rs.mean(), rs.std(ddof=1)
+        mean_r.append(center)
+        sd_r.append(spread)
+        target = expected_icc(q, g)
         if rs.std(ddof=1) == 0.0:
             continue
         chi2 += ((center - target) / (spread / math.sqrt(resamples))) ** 2

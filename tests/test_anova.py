@@ -87,6 +87,14 @@ class TestIccReport:
         with pytest.raises(NumericError, match="undefined ICC"):
             icc_report(DataTable(np.ones((3, 3))))
 
+    def test_equal_item_means_have_no_confidence_bounds(self):
+        # a Latin square: every item mean is 2, so Fobs = msi / vij is 0
+        latin = DataTable(np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 3.0, 1.0]]))
+        with pytest.raises(NumericError, match="all item means are equal"):
+            icc_report(latin)
+        rep = icc_report(latin, ())
+        assert rep.icc == 0.0 and rep.f_obs == 0.0 and rep.conf == ()
+
     def test_zero_interaction_with_signal_gives_icc_one(self):
         # identical columns: pure row effect, no interaction
         col = np.array([1.0, 5.0, 2.0, 8.0])

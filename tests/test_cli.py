@@ -212,6 +212,19 @@ class TestExperimentCommand:
         assert err.startswith("error[6] PreconditionError: at least 1 replication")
         assert not curve.exists()
 
+    def test_undefined_corrected_r2_is_named(self, capsys, tmp_path):
+        # this small table has an ICC of 0 at four of the five default levels
+        curve = tmp_path / "r2cor.csv"
+        code, out, err = run(capsys, "experiment", "--name", "r2cor-bias", "--rows", "20",
+                             "--cols", "6", "--replications", "1", "--seed", "0",
+                             "--output", str(curve))
+        assert code == 0 and err == ""
+        warnings = [line for line in out.splitlines() if line.startswith("warning:")]
+        assert warnings == ["warning: mean r2_cor undefined (ICC 0 in a replication) "
+                            "at p = 0, 0.15, 0.3, 0.6"]
+        rows = list(csv.DictReader(curve.open()))
+        assert [row["r2_cor"] == "nan" for row in rows] == [True, True, True, False, True]
+
 
 EXPERIMENT_ARGS = ("--rows", "60", "--cols", "12", "--p-grid", "0.1,0.3",
                    "--replications", "2", "--seed", "6")
@@ -359,6 +372,17 @@ class TestErrorExitCodes:
         bad.write_text("3,1\n3,5\n")
         code, _, err = run(capsys, "icc", "--input", str(bad), "--zscore")
         assert code == 4 and "NumericError" in err
+
+    def test_equal_item_means_with_bounds_is_a_numeric_error(self, capsys, tmp_path):
+        latin = tmp_path / "latin.csv"
+        latin.write_text("1,2,3\n3,1,2\n2,3,1\n")
+        code, out, err = run(capsys, "icc", "--input", str(latin))
+        assert code == 4 and out == ""
+        assert err.startswith("error[4] NumericError: undefined confidence bounds")
+        assert "all item means are equal" in err
+        code, out, _ = run(capsys, "icc", "--input", str(latin), "--conf", "")
+        assert code == 0
+        assert report_value(out, "icc") == 0.0 and "conf " not in out
 
     # the failing input and the command that raises each error class
     ERROR_CASES = {

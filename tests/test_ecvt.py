@@ -169,14 +169,6 @@ class TestEcvtDegenerate:
         assert (report.observed_mean_r == 1.0).all()
         assert (report.predicted_r == 1.0).all()
 
-    def test_identical_columns_drop_all_terms_on_fisher_z_scale(self):
-        report = ecvt(IDENTICAL_COLUMNS, resamples=37, rng=72, fisher_z=True)
-        assert report.df == 0
-        assert report.chi2 == 0.0
-        assert report.p_value == 1.0
-        assert report.compatible
-        assert (report.observed_sd_r == 0.0).all()
-
 
 class TestEcvtReproducibility:
     def test_same_seed_same_report(self, z_table_1400x80):
@@ -185,14 +177,6 @@ class TestEcvtReproducibility:
         assert a.chi2 == b.chi2
         assert a.p_value == b.p_value
         assert np.array_equal(a.observed_mean_r, b.observed_mean_r)
-
-    def test_fisher_z_variant_agrees_on_clean_table(self):
-        raw, _ = generate(SynthSpec(rows=500, cols=32, seed=33))
-        zt = zscore(raw)
-        raw_scale = ecvt(zt, resamples=150, rng=34)
-        z_scale = ecvt(zt, resamples=150, rng=34, fisher_z=True)
-        assert raw_scale.compatible and z_scale.compatible
-        assert z_scale.observed_mean_r == pytest.approx(raw_scale.observed_mean_r, abs=0.02)
 
 
 class TestBatchedMatchesLoop:
@@ -205,20 +189,17 @@ class TestBatchedMatchesLoop:
         (IDENTICAL_COLUMNS, None, 37),
         (IDENTICAL_COLUMNS, (2,), "chunk + 1"),
     ])
-    @pytest.mark.parametrize("fisher_z", [False, True])
-    def test_same_statistics_for_same_seed(self, table, sizes, resamples, fisher_z):
+    def test_same_statistics_for_same_seed(self, table, sizes, resamples):
         if resamples == "chunk + 1":
             resamples = _chunk_draws(table.cols) + 1
-        report = ecvt(table, group_sizes=sizes, resamples=resamples, rng=72,
-                      fisher_z=fisher_z)
-        loop = ecvt_loop(table, group_sizes=sizes, resamples=resamples, rng=72,
-                         fisher_z=fisher_z)
+        report = ecvt(table, group_sizes=sizes, resamples=resamples, rng=72)
+        loop = ecvt_loop(table, group_sizes=sizes, resamples=resamples, rng=72)
         assert report.df == loop["df"]
         assert report.observed_mean_r == pytest.approx(loop["observed_mean_r"], abs=1e-12)
         assert report.observed_sd_r == pytest.approx(loop["observed_sd_r"], abs=1e-12)
         assert report.chi2 == pytest.approx(loop["chi2"], rel=1e-12, abs=1e-12)
         assert report.p_value == pytest.approx(loop["p_value"], rel=1e-12, abs=1e-12)
-        if table is IDENTICAL_COLUMNS and not fisher_z:
+        if table is IDENTICAL_COLUMNS:
             assert report.df == 0
             assert (report.observed_mean_r == 1.0).all()
 

@@ -34,6 +34,10 @@ class TestCorrectedR2:
         ratio, cor = corrected_r2(0.4, icc=0.8, icc_cor=0.9)
         assert cor == pytest.approx(0.9 * 0.4 / 0.8, abs=1e-15)
 
+    def test_undefined_at_zero_icc(self):
+        ratio, cor = corrected_r2([0.3, 0.0], icc=0.0, icc_cor=0.0)
+        assert np.isnan(ratio).all() and np.isnan(cor).all()
+
 
 @pytest.fixture(scope="module")
 def table_and_predictor():
@@ -99,6 +103,16 @@ class TestFitPredictors:
         fit = fit_predictors(degraded, truth.item_effects)
         assert fit.warnings
         assert fit.icc_context.column_effect_warning
+
+    def test_zero_icc_warns_instead_of_dividing(self):
+        # item means vary less than the interaction allows: the ICC is clamped at 0
+        table = DataTable(np.array([[1.0, 2.0, 3.1], [3.0, 2.0, 1.0],
+                                    [2.0, 3.0, 1.0], [1.0, 3.0, 2.0]]))
+        fit = fit_predictors(table, np.arange(4.0))
+        assert fit.icc_context.icc == 0.0
+        assert 0.0 < fit.r2[0] <= 1.0
+        assert np.isnan(fit.r2_on_icc[0]) and np.isnan(fit.r2_cor[0])
+        assert fit.warnings == ("ICC is 0: r2/ICC and r2_cor are undefined (nan)",)
 
 
 class TestR2IccCurve:
@@ -205,6 +219,51 @@ class TestR2IccCurveShiftScale:
             assert b.icc == pytest.approx(a.icc, abs=1e-9)
             assert b.r2 == pytest.approx(a.r2, abs=1e-9)
             assert b.ratio == pytest.approx(a.ratio, abs=1e-9)
+
+
+class TestR2IccCurveMomentSums:
+    """Edges of the one-pass moment sums that the draw-by-draw loop never meets."""
+
+    def test_shifted_and_scaled_table_matches_loop_on_the_original(self):
+        raw, truth = generate(SynthSpec(rows=120, cols=16, seed=87))
+        table = degrade_random(raw, 0.3, rng=88)
+        moved = DataTable((table.values + 1e6) * 1e-3)
+        moved_pred = 250.0 * truth.item_effects - 1e6
+        sizes = (1, 2, 5, 8)
+        points = r2_icc_curve(moved, moved_pred, sizes, resamples=37, rng=89)
+        loop = r2_icc_curve_loop(table, truth.item_effects, sizes, resamples=37, rng=89)
+        for point, (g, icc, r2, ratio, excluded) in zip(points, loop, strict=True):
+            assert point.icc == pytest.approx(icc, abs=1e-9)
+            assert point.r2 == pytest.approx(r2, abs=1e-9)
+            assert point.ratio == pytest.approx(ratio, abs=1e-9)
+            assert point.excluded == excluded
+
+    @pytest.mark.parametrize("offset", [0.0, 0.1, 1e3, 1e6])
+    @pytest.mark.parametrize("p_missing", [0.0, 0.3])
+    def test_constant_item_means_give_nan(self, offset, p_missing):
+        # every participant gives one value to all items, so a group's item
+        # means are one constant (with missing cells, only a group of one's);
+        # the rounding residue of Σx² − (Σx)²/n must not pass for a spread
+        gen = as_generator(90)
+        columns = offset + gen.normal(0, 1, size=24)
+        table = degrade_random(DataTable(np.tile(columns, (300, 1))), p_missing, rng=91)
+        predictor = gen.normal(size=300)
+        sizes = (1, 3, 12) if p_missing == 0.0 else (1,)
+        # one draw per call: a mean over draws is NaN as soon as one draw is
+        for seed in range(16):
+            for point in r2_icc_curve(table, predictor, sizes, resamples=1, rng=seed):
+                assert np.isnan(point.icc) and np.isnan(point.r2)
+
+    def test_excluded_counts_equal_the_loop_at_half_missing(self):
+        raw, truth = generate(SynthSpec(rows=300, cols=40, seed=93))
+        table = degrade_random(raw, 0.5, rng=94)
+        sizes = (1, 3, 20)
+        resamples = 2 * _chunk_draws(table.rows) + 1
+        points = r2_icc_curve(table, truth.item_effects, sizes, resamples=resamples, rng=95)
+        loop = r2_icc_curve_loop(table, truth.item_effects, sizes, resamples=resamples,
+                                 rng=95)
+        assert [point.excluded for point in points] == [row[4] for row in loop]
+        assert points[0].excluded > 0
 
 
 class TestR2CorBiasDemo:
