@@ -14,7 +14,7 @@ ICC.  Inverting that relation gives
 
 an estimate of the ICC the complete table would have had.  The estimate is
 reliable when the column (participant) effect is small or removed, as with
-Z-scores; the report carries a warning flag when that condition fails.
+Z-scores; the report carries a warning when that condition fails.
 """
 
 import math
@@ -63,6 +63,11 @@ class AnovaDecomposition:
     vij: float
     vi: float
     vj: float
+
+    @property
+    def q(self) -> float:
+        """Variance ratio ``vi / vij`` (item effect over noise); inf at ``vij = 0``."""
+        return math.inf if self.vij == 0.0 else self.vi / self.vij
 
     def item_means(self) -> np.ndarray:
         return self.row_sums / self.row_counts
@@ -132,10 +137,10 @@ class IccReport:
     """ICC statistics of one table.
 
     ``conf`` holds ``(probability, lower, upper)`` triples bracketing
-    ``icc`` (not ``icc_cor``).  ``column_effect_warning`` is set when the
-    column-effect variance exceeds both the row effect and the interaction
-    while more than 5% of cells are missing; the corrected statistics are
-    then unreliable.
+    ``icc`` (not ``icc_cor``).  ``warnings`` holds the column-effect
+    warning when the column-effect variance exceeds both the row effect and
+    the interaction while more than 5% of cells are missing; the corrected
+    statistics are then unreliable.
     """
 
     q: float
@@ -144,7 +149,7 @@ class IccReport:
     pmiss: float
     icc_cor: float
     conf: tuple[tuple[float, float, float], ...]
-    column_effect_warning: bool
+    warnings: tuple[str, ...]
     item_means: np.ndarray
 
 
@@ -165,17 +170,10 @@ def icc_report(
         if not 0.0 < prob < 1.0:
             raise PreconditionError(f"confidence probability {prob} not in (0, 1)")
     dec = anova(table)
-    n = table.cols
-    if dec.vij == 0.0 and dec.vi == 0.0:
+    icc = _icc(dec.msi, dec.vij, table.cols)
+    if math.isnan(icc):
         raise NumericError("undefined ICC: zero row-effect and interaction variance")
-    if dec.vij == 0.0:
-        q = math.inf
-        icc = 1.0
-        f_obs = math.inf
-    else:
-        q = dec.vi / dec.vij
-        icc = dec.vi / (dec.vi + dec.vij / n)
-        f_obs = dec.msi / dec.vij
+    f_obs = math.inf if dec.vij == 0.0 else dec.msi / dec.vij
     if conf_probs and f_obs <= 0.0:
         raise NumericError(
             f"undefined confidence bounds: Fobs = {f_obs:.3g} because all item means "
@@ -193,17 +191,29 @@ def icc_report(
             lower = 1.0 - q1 / f_obs
             upper = 1.0 - 1.0 / (q2 * f_obs)
         conf.append((prob, lower, upper))
-    warning = bool(dec.vj > min(dec.vij, dec.vi)) and pmiss > 0.05
+    warnings = ()
+    if dec.vj > min(dec.vij, dec.vi) and pmiss > 0.05:
+        warnings = ("non-negligible column effect: corrected statistics unreliable",)
     return IccReport(
-        q=q,
+        q=dec.q,
         icc=icc,
         f_obs=f_obs,
         pmiss=pmiss,
         icc_cor=corrected_icc(icc, pmiss),
         conf=tuple(conf),
-        column_effect_warning=warning,
+        warnings=warnings,
         item_means=dec.item_means(),
     )
+
+
+def _icc(msi: float, vij: float, cols: int) -> float:
+    """ICC(C,k) of a table with ``cols`` columns from its item mean square
+    and interaction variance: 1 when only ``vij`` is 0, NaN when the
+    row-effect variance is 0 too."""
+    vi = max(0.0, (msi - vij) / cols)
+    if vij == 0.0:
+        return 1.0 if vi > 0 else math.nan
+    return vi / (vi + vij / cols)
 
 
 def corrected_icc(icc_p: float, p: float) -> float:

@@ -12,7 +12,12 @@ experiment  Run a canned degradation study (from ``impute`` or ``fit``) and
 
 Reports are plain ``key: value`` text on stdout and always embed the tool
 version, the fully resolved configuration and the seed, so a report can be
-reproduced byte for byte from its own header.  Exit codes: 0 ok, 2 format
+reproduced byte for byte from its own header.  Each ``_run_*`` handler runs
+its command and returns ``(config, results)`` without printing: ``config``
+is the ordered dict of the header's ``key=value`` pairs and ``results`` the
+ordered ``(key, text)`` pairs of the report body, a warning being one more
+``("warning", text)`` pair.  :func:`main` adds the seed and renders every
+report, so the format is decided in one place.  Exit codes: 0 ok, 2 format
 error, 3 structural error, 4 numeric error, 5 unreachable imputation
 target, 6 precondition violation.  Each handler imports the kernels it
 runs, so ``--version``, ``--help`` and usage errors never load numpy.
@@ -44,12 +49,17 @@ EXIT_CODES = {
 # experiment name -> (default missing proportions, CSV columns)
 EXPERIMENTS = {
     "ari-bias": ((0.0, 0.1, 0.2, 0.3), ("p", "icc_missing", "icc_ari", "icc_cor")),
-    "crari-recovery": ((0.0, 0.1, 0.2, 0.3),
-                       ("p", "icc_missing", "icc_cor", "icc_imputed", "icc_exact")),
     "degradation-curve": ((0.1, 0.3, 0.5, 0.7, 0.9),
                           ("p", "icc_missing", "icc_cor", "icc_imputed", "r_item_means",
                            "icc_exact")),
     "r2cor-bias": ((0.0, 0.15, 0.3, 0.45, 0.6), ("p", "r2_observed", "r2_cor", "r2_exact")),
+}
+
+# table preprocessing switch -> help, in the order they apply and are reported
+_TRANSFORMS = {
+    "zscore": "standardize columns before the analysis",
+    "mix": "randomly mix values within rows (seeded)",
+    "virtualize": "repack rows into virtual participant columns (seeded)",
 }
 
 
@@ -57,7 +67,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        config, results = args.handler(args)
+        config["seed"] = args.seed
+        joined = " ".join(f"{k}={v}" for k, v in config.items())
+        print("\n".join([f"icctab {__version__}", f"command: {args.subcommand}",
+                         f"config: {joined}", *(f"{k}: {v}" for k, v in results)]))
+        return 0
     except IccTabError as exc:
         code = _exit_code(exc)
         print(f"error[{code}] {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -149,20 +164,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _table_flags(p: argparse.ArgumentParser, transforms=("zscore", "mix", "virtualize")):
+def _table_flags(p: argparse.ArgumentParser, transforms=_TRANSFORMS):
     p.add_argument("--input", required=True, help="CSV table to analyze")
     p.add_argument("--missing-code", default=None,
                    help="numeric sentinel for missing data (empty cells always count)")
     p.add_argument("--seed", type=int, default=0)
-    if "zscore" in transforms:
-        p.add_argument("--zscore", action="store_true",
-                       help="standardize columns before the analysis")
-    if "mix" in transforms:
-        p.add_argument("--mix", action="store_true",
-                       help="randomly mix values within rows (seeded)")
-    if "virtualize" in transforms:
-        p.add_argument("--virtualize", action="store_true",
-                       help="repack rows into virtual participant columns (seeded)")
+    for flag in transforms:
+        p.add_argument(f"--{flag}", action="store_true", help=_TRANSFORMS[flag])
 
 
 def _parse_missing_code(raw):
@@ -201,54 +209,51 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
             f"expected comma-separated integers, got {raw!r}") from None
 
 
-def _header(args, extra: dict) -> list[str]:
-    config = dict(extra)
-    config.setdefault("seed", getattr(args, "seed", None))
-    joined = " ".join(f"{k}={v}" for k, v in config.items())
-    return [f"icctab {__version__}", f"command: {args.subcommand}", f"config: {joined}"]
+def _table_config(args, **after_input) -> dict:
+    """The header keys of the table flags, with ``after_input`` after ``input``."""
+    config = {
+        "input": args.input,
+        **after_input,
+        "missing-code": args.missing_code or "<empty>",
+    }
+    config.update((flag, getattr(args, flag)) for flag in _TRANSFORMS if hasattr(args, flag))
+    return config
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _icc_lines(report) -> list[str]:
-    lines = [
-        f"q: {_fmt(report.q)}" if math.isfinite(report.q) else "q: inf",
-        f"icc: {_fmt(report.icc)}",
-        f"Fobs: {_fmt(report.f_obs)}" if math.isfinite(report.f_obs) else "Fobs: inf",
-        f"pmiss: {_fmt(report.pmiss)}",
-        f"iccCor: {_fmt(report.icc_cor)}",
+def _icc_results(report) -> list[tuple[str, str]]:
+    return [
+        ("q", _fmt(report.q)),
+        ("icc", _fmt(report.icc)),
+        ("Fobs", _fmt(report.f_obs)),
+        ("pmiss", _fmt(report.pmiss)),
+        ("iccCor", _fmt(report.icc_cor)),
+        *((f"conf {prob:g}", f"[{_fmt(lower)}, {_fmt(upper)}]")
+          for prob, lower, upper in report.conf),
+        ("column-effect-warning",
+         "yes (corrected statistics unreliable)" if report.warnings else "no"),
     ]
-    for prob, lower, upper in report.conf:
-        lines.append(f"conf {prob:g}: [{_fmt(lower)}, {_fmt(upper)}]")
-    lines.append(
-        "column-effect-warning: "
-        + ("yes (corrected statistics unreliable)" if report.column_effect_warning else "no")
-    )
-    return lines
 
 
-def _run_icc(args) -> int:
+def _run_icc(args):
     from .anova import icc_report
 
     table = _load_table(args)
     report = icc_report(table, _parse_floats(args.conf))
-    lines = _header(args, {
-        "input": args.input,
-        "missing-code": args.missing_code or "<empty>",
-        "zscore": args.zscore,
-        "mix": args.mix,
-        "virtualize": args.virtualize,
+    config = {
+        **_table_config(args),
         "conf": args.conf,
-    })
-    lines.append(f"table: {table.rows} rows x {table.cols} cols, {int(table.missing.sum())} missing")
-    lines += _icc_lines(report)
-    print("\n".join(lines))
-    return 0
+    }
+    return config, [
+        ("table", f"{table.rows} rows x {table.cols} cols, {int(table.missing.sum())} missing"),
+        *_icc_results(report),
+    ]
 
 
-def _run_impute(args) -> int:
+def _run_impute(args):
     from .impute import crari_impute
     from .table import save_csv
 
@@ -257,95 +262,68 @@ def _run_impute(args) -> int:
     outcome = crari_impute(table, target=target, rng=args.seed, c_max=args.c_max)
     save_csv(outcome.imputed, args.output)
     drift = float(abs(outcome.imputed.row_means() - table.row_means()).max())
-    lines = _header(args, {
-        "input": args.input,
-        "output": args.output,
-        "missing-code": args.missing_code or "<empty>",
-        "zscore": args.zscore,
+    config = {
+        **_table_config(args, output=args.output),
         "target": args.target,
         "c-max": args.c_max,
-    })
-    lines += [
-        f"icc: {_fmt(outcome.icc_before)}",
-        f"iccCor: {_fmt(outcome.icc_cor)}",
-        f"target: {_fmt(outcome.target)}",
-        f"iccImputed: {_fmt(outcome.icc_after)}",
-        f"c: {outcome.c:.4f}",
-        f"row-mean-drift: {drift:.3e}",
-        "warnings: " + ("; ".join(outcome.warnings) if outcome.warnings else "none"),
-        f"imputed table written: {args.output}",
+    }
+    return config, [
+        ("icc", _fmt(outcome.icc_before)),
+        ("iccCor", _fmt(outcome.icc_cor)),
+        ("target", _fmt(outcome.target)),
+        ("iccImputed", _fmt(outcome.icc_after)),
+        ("c", f"{outcome.c:.4f}"),
+        ("row-mean-drift", f"{drift:.3e}"),
+        ("warnings", "; ".join(outcome.warnings) or "none"),
+        ("imputed table written", args.output),
     ]
-    print("\n".join(lines))
-    return 0
 
 
-def _run_ecvt(args) -> int:
+def _run_ecvt(args):
     from .ecvt import ecvt
 
     table = _load_table(args)
     report = ecvt(table, group_sizes=args.groups or None, resamples=args.resamples,
                   alpha=args.alpha, rng=args.seed)
-    lines = _header(args, {
-        "input": args.input,
-        "missing-code": args.missing_code or "<empty>",
-        "zscore": args.zscore,
-        "mix": args.mix,
-        "virtualize": args.virtualize,
+    config = {
+        **_table_config(args),
         "groups": ",".join(str(g) for g in report.group_sizes),
         "resamples": args.resamples,
         "alpha": args.alpha,
-    })
-    lines += [
-        f"chi2: {report.chi2:.4f} (df={report.df})",
-        f"p-value: {report.p_value:.6g}",
-        f"verdict: {report.verdict} (alpha={args.alpha:g})",
+    }
+    curve = list(zip(report.group_sizes, report.predicted_r,
+                     report.observed_mean_r, report.observed_sd_r))
+    results = [
+        ("chi2", f"{report.chi2:.4f} (df={report.df})"),
+        ("p-value", f"{report.p_value:.6g}"),
+        ("verdict", f"{report.verdict} (alpha={args.alpha:g})"),
+        *((f"g={g}", f"predicted={_fmt(predicted)} observed={_fmt(observed)} sd={_fmt(sd)}")
+          for g, predicted, observed, sd in curve),
+        *(("warning", warning) for warning in report.warnings),
     ]
-    for k, g in enumerate(report.group_sizes):
-        lines.append(
-            f"g={g}: predicted={_fmt(report.predicted_r[k])} "
-            f"observed={_fmt(report.observed_mean_r[k])} "
-            f"sd={_fmt(report.observed_sd_r[k])}"
-        )
-    for warning in report.warnings:
-        lines.append(f"warning: {warning}")
     if args.curve:
-        _write_csv(
-            args.curve,
-            ["g", "predicted_r", "observed_mean_r", "observed_sd_r"],
-            zip(report.group_sizes, report.predicted_r,
-                report.observed_mean_r, report.observed_sd_r),
-        )
-        lines.append(f"curve written: {args.curve}")
-    print("\n".join(lines))
-    return 0
+        _write_csv(args.curve, ["g", "predicted_r", "observed_mean_r", "observed_sd_r"], curve)
+        results.append(("curve written", args.curve))
+    return config, results
 
 
-def _run_fit(args) -> int:
+def _run_fit(args):
     from .fit import fit_predictors
 
     table = _load_table(args)
     predictors = _load_matrix(args.predictors)
     fit = fit_predictors(table, predictors, _parse_floats(args.conf))
-    report = fit.icc_context
-    lines = _header(args, {
-        "input": args.input,
-        "predictors": args.predictors,
-        "missing-code": args.missing_code or "<empty>",
-        "zscore": args.zscore,
-        "mix": args.mix,
-        "virtualize": args.virtualize,
+    config = {
+        **_table_config(args, predictors=args.predictors),
         "conf": args.conf,
-    })
-    lines += _icc_lines(report)
-    lines += [
-        "r2: " + " ".join(_fmt(v) for v in fit.r2),
-        "r2onICC: " + " ".join(_fmt(v) for v in fit.r2_on_icc),
-        "r2Cor: " + " ".join(_fmt(v) for v in fit.r2_cor),
+    }
+    return config, [
+        *_icc_results(fit.icc_context),
+        ("r2", " ".join(_fmt(v) for v in fit.r2)),
+        ("r2onICC", " ".join(_fmt(v) for v in fit.r2_on_icc)),
+        ("r2Cor", " ".join(_fmt(v) for v in fit.r2_cor)),
+        *(("warning", warning) for warning in fit.warnings),
     ]
-    for warning in fit.warnings:
-        lines.append(f"warning: {warning}")
-    print("\n".join(lines))
-    return 0
 
 
 def _load_matrix(path):
@@ -359,7 +337,7 @@ def _load_matrix(path):
     return values
 
 
-def _run_synth(args) -> int:
+def _run_synth(args):
     from .rand import split_seed
     from .synth import SynthSpec, degrade_random, generate
     from .table import save_csv
@@ -379,7 +357,7 @@ def _run_synth(args) -> int:
         table = degrade_random(table, args.degrade, degrade_seed)
     token = "" if args.missing_code is None else args.missing_code
     save_csv(table, args.output, token)
-    lines = _header(args, {
+    config = {
         "output": args.output,
         "rows": args.rows,
         "cols": args.cols,
@@ -388,20 +366,21 @@ def _run_synth(args) -> int:
         "noise-sd": args.noise_sd,
         "severity": args.severity,
         "degrade": args.degrade,
-    })
-    lines.append(f"expected icc at n={args.cols}: {_fmt(truth.expected_icc)}")
-    lines.append(f"table written: {args.output}")
+    }
+    results = [
+        (f"expected icc at n={args.cols}", _fmt(truth.expected_icc)),
+        ("table written", args.output),
+    ]
     if args.ground_truth:
         _write_csv(args.ground_truth, ("item_effect", "participant_exponent"), (
             (repr(float(truth.item_effects[i])) if i < args.rows else "",
              repr(float(truth.participant_exponents[i])) if i < args.cols else "")
             for i in range(max(args.rows, args.cols))))
-        lines.append(f"ground truth written: {args.ground_truth}")
-    print("\n".join(lines))
-    return 0
+        results.append(("ground truth written", args.ground_truth))
+    return config, results
 
 
-def _run_experiment(args) -> int:
+def _run_experiment(args):
     from .fit import r2cor_bias_demo
     from .impute import ari_bias_demo, crari_recovery_study
     from .rand import as_generator, split_seed
@@ -411,35 +390,35 @@ def _run_experiment(args) -> int:
     default_grid, columns = EXPERIMENTS[args.name]
     p_grid = _parse_floats(args.p_grid or "") or default_grid
     table_seed, run_seed = split_seed(args.seed, 2)
-    lines = _header(args, {
+    config = {
         "name": args.name,
         "output": args.output,
         "rows": args.rows,
         "cols": args.cols,
         "p-grid": args.p_grid or "<default>",
         "replications": args.replications,
-    })
+    }
     item_sd = 0.3 if args.name == "r2cor-bias" else SynthSpec.item_sd
     raw, truth = generate(SynthSpec(rows=args.rows, cols=args.cols, item_sd=item_sd,
                                     seed=table_seed))
     table = zscore(raw)
+    results = []
     if args.name == "r2cor-bias":
         gen = as_generator(run_seed)
         predictor = truth.item_effects + gen.normal(0, 0.25, size=args.rows)
         points = r2cor_bias_demo(table, predictor, p_grid, args.replications, gen)
         undefined = [f"{pt.p:g}" for pt in points if math.isnan(pt.r2_cor)]
         if undefined:
-            lines.append("warning: mean r2_cor undefined (ICC 0 in a replication) at p = "
-                         + ", ".join(undefined))
+            results.append(("warning", "mean r2_cor undefined (ICC 0 in a replication) "
+                            "at p = " + ", ".join(undefined)))
     elif args.name == "ari-bias":
         points = ari_bias_demo(table, p_grid, args.replications, run_seed)
     else:
         points = crari_recovery_study(table, p_grid, args.replications, run_seed)
     _write_csv(args.output, columns,
                ([getattr(pt, name) for name in columns] for pt in points))
-    lines.append(f"curve written: {args.output}")
-    print("\n".join(lines))
-    return 0
+    results.append(("curve written", args.output))
+    return config, results
 
 
 def _write_csv(path, header, rows) -> None:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anova import anova, expected_icc
-from .errors import PreconditionError
+from .errors import NumericError, PreconditionError
 from .rand import as_generator
 from .special import chi2_upper_tail
 from .table import DataTable
@@ -112,6 +112,9 @@ def ecvt(
     PreconditionError
         Missing cells present (impute first), no group size, or a size
         below 1 or too large.
+    NumericError
+        A drawn group's item means are constant, so its correlation is
+        undefined.
     """
     if table.missing.any():
         raise PreconditionError(
@@ -124,8 +127,7 @@ def ecvt(
     )
     if resamples < 2:
         raise PreconditionError("at least 2 resamples are required")
-    dec = anova(table)
-    q = math.inf if dec.vij == 0.0 else dec.vi / dec.vij
+    q = anova(table).q
     gen = as_generator(rng)
     centered = table.values - table.values.mean(axis=0)
     gram = centered.T @ centered
@@ -142,6 +144,11 @@ def ecvt(
             _gram_correlations(gram, block)
             for block in _group_indicator_chunks(gen, n, g, resamples, n)
         ])
+        if np.isnan(rs).any():
+            raise NumericError(
+                f"group size {g}: undefined correlation, because the item means "
+                "of a drawn group are constant"
+            )
         observed_mean[k] = rs.mean()
         observed_sd[k] = rs.std(ddof=1)
         predicted[k] = expected_icc(q, g)

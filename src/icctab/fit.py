@@ -110,17 +110,15 @@ def fit_predictors(
     item_means = report.item_means
     r2 = _pearson(pred.T, item_means) ** 2
     ratio, r2_cor = corrected_r2(r2, report.icc, report.icc_cor)
-    warnings = []
-    if report.column_effect_warning:
-        warnings.append("non-negligible column effect: corrected statistics unreliable")
+    warnings = report.warnings
     if report.icc == 0.0:
-        warnings.append("ICC is 0: r2/ICC and r2_cor are undefined (nan)")
+        warnings += ("ICC is 0: r2/ICC and r2_cor are undefined (nan)",)
     return PredictorFit(
         r2=r2,
         r2_on_icc=ratio,
         r2_cor=r2_cor,
         icc_context=report,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 

@@ -36,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from .anova import anova, icc_report
+from .anova import _icc, anova, icc_report
 from .errors import PreconditionError, UnreachableTargetError
 from .rand import as_generator
 from .synth import _degradation_study
@@ -178,7 +178,7 @@ def crari_impute(
             target_icc = icc_before
         elif target == "corrected":
             target_icc = icc_cor
-            if report.column_effect_warning:
+            if report.warnings:
                 warnings.append(
                     "non-negligible column effect: target ICC possibly biased"
                 )
@@ -297,14 +297,6 @@ def _column_donor_fills(table: DataTable, gen: np.random.Generator) -> np.ndarra
 def _complete_icc(table: DataTable) -> float:
     dec = anova(table)
     return _icc(dec.msi, dec.vij, table.cols)
-
-
-def _icc(msi: float, vij: float, cols: int) -> float:
-    """ICC(C,k) of a complete table from its variance components."""
-    vi = max(0.0, (msi - vij) / cols)
-    if vij == 0.0:
-        return 1.0 if vi > 0 else math.nan
-    return vi / (vi + vij / cols)
 
 
 def ari_bias_demo(

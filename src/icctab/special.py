@@ -23,6 +23,7 @@ _CF_MAX_ITER = 500
 _CF_EPS = 1e-15
 _TINY = 1e-300
 _MAX_BISECT = 200
+_QUANTILE_TOL = 1e-6  # bisection tolerance of the quantiles, in probability
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
@@ -85,11 +86,11 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     )
 
 
-def beta_quantile(p: float, a: float, b: float, tol: float = 1e-6) -> float:
+def beta_quantile(p: float, a: float, b: float) -> float:
     """Quantile of the Beta(a, b) distribution.
 
-    Bisects on [0, 1] until ``|I_x(a, b) - p| <= tol`` (the tolerance is in
-    probability space, not in x).
+    Bisects on [0, 1] until ``|I_x(a, b) - p| <= _QUANTILE_TOL`` (the
+    tolerance is in probability space, not in x).
     """
     if not 0.0 < p < 1.0:
         raise PreconditionError(f"beta_quantile requires p in (0, 1), got {p}")
@@ -97,7 +98,7 @@ def beta_quantile(p: float, a: float, b: float, tol: float = 1e-6) -> float:
     x = 0.5
     dp = reg_inc_beta(x, a, b) - p
     iterations = 0
-    while abs(dp) > tol:
+    while abs(dp) > _QUANTILE_TOL:
         if dp <= 0.0:
             lo = x
         if dp >= 0.0:
@@ -112,9 +113,9 @@ def beta_quantile(p: float, a: float, b: float, tol: float = 1e-6) -> float:
     return x
 
 
-def f_quantile(p: float, d1: float, d2: float, tol: float = 1e-6) -> float:
+def f_quantile(p: float, d1: float, d2: float) -> float:
     """Quantile of the F(d1, d2) distribution via the beta quantile."""
-    x = beta_quantile(p, d1 / 2.0, d2 / 2.0, tol=tol)
+    x = beta_quantile(p, d1 / 2.0, d2 / 2.0)
     return x * d2 / ((1.0 - x) * d1)
 
 

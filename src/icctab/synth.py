@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .anova import expected_icc
 from .errors import PreconditionError, StructuralError
 from .rand import as_generator
 from .table import DataTable
@@ -105,11 +106,10 @@ def generate(spec: SynthSpec) -> tuple[DataTable, SynthTruth]:
         + _signed_power(item_effects[:, None], exponents[None, :])
         + noise
     )
-    n = spec.cols
     truth = SynthTruth(
         item_effects=item_effects,
         participant_exponents=exponents,
-        expected_icc=spec.q * n / (spec.q * n + 1.0),
+        expected_icc=expected_icc(spec.q, spec.cols),
     )
     return DataTable(cells), truth
 

@@ -107,8 +107,9 @@ class TestIccReport:
         offsets = np.random.default_rng(8).normal(0, 3, size=12)
         shifted = DataTable(raw.values + offsets)
         degraded = degrade_random(shifted, 0.2, rng=9)
-        assert icc_report(degraded).column_effect_warning
-        assert not icc_report(shifted).column_effect_warning  # pmiss = 0
+        assert icc_report(degraded).warnings == (
+            "non-negligible column effect: corrected statistics unreliable",)
+        assert icc_report(shifted).warnings == ()  # pmiss = 0
 
     def test_conf_probability_domain(self):
         raw, _ = generate(SynthSpec(rows=20, cols=5, seed=1))

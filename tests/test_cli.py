@@ -63,6 +63,14 @@ class TestIccCommand:
         _, second, _ = run(capsys, "icc", "--input", str(degraded_csv), "--seed", "5")
         assert first == second
 
+    def test_zero_interaction_prints_inf(self, capsys, tmp_path):
+        table_csv = tmp_path / "identical.csv"
+        table_csv.write_text("1,1,1\n5,5,5\n2,2,2\n")
+        code, out, _ = run(capsys, "icc", "--input", str(table_csv))
+        assert code == 0
+        assert "\nq: inf\nicc: 1.000000\nFobs: inf\n" in out
+        assert "\nconf 0.95: [1.000000, 1.000000]\n" in out
+
     def test_transform_flags_accepted(self, capsys, degraded_csv):
         code, out, _ = run(capsys, "icc", "--input", str(degraded_csv),
                            "--mix", "--seed", "3")
@@ -134,6 +142,16 @@ class TestEcvtCommand:
         assert code == 0
         assert out.encode() == (golden / "ecvt_report.txt").read_bytes()
 
+    def test_constant_item_means_exit_4_naming_the_cause(self, capsys, tmp_path):
+        # participants 1 and 4 (as 2 and 3) average to 2.5 on every item
+        table_csv = tmp_path / "table.csv"
+        table_csv.write_text("1,2,3,4\n4,3,2,1\n2,2,3,3\n3,3,2,2\n")
+        code, out, err = run(capsys, "ecvt", "--input", str(table_csv),
+                             "--groups", "1,2", "--resamples", "5")
+        assert code == 4 and out == ""
+        assert err.startswith("error[4] NumericError: group size ")
+        assert "item means of a drawn group are constant" in err
+
     def test_missing_cells_precondition_exit(self, capsys, degraded_csv):
         code, _, err = run(capsys, "ecvt", "--input", str(degraded_csv))
         assert code == 6
@@ -187,8 +205,7 @@ class TestSynthCommand:
 
 
 class TestExperimentCommand:
-    @pytest.mark.parametrize("name", ["ari-bias", "crari-recovery",
-                                      "degradation-curve", "r2cor-bias"])
+    @pytest.mark.parametrize("name", ["ari-bias", "degradation-curve", "r2cor-bias"])
     def test_each_study_writes_curve(self, capsys, tmp_path, name):
         curve = tmp_path / f"{name}.csv"
         code, out, _ = run(capsys, "experiment", "--name", name,
@@ -200,8 +217,7 @@ class TestExperimentCommand:
         assert len(lines) == 3
         assert lines[0].startswith("p,")
 
-    @pytest.mark.parametrize("name", ["ari-bias", "crari-recovery",
-                                      "degradation-curve", "r2cor-bias"])
+    @pytest.mark.parametrize("name", ["ari-bias", "degradation-curve", "r2cor-bias"])
     @pytest.mark.parametrize("replications", ["0", "-1"])
     def test_no_replication_precondition_exit(self, capsys, tmp_path, name, replications):
         curve = tmp_path / f"{name}.csv"
@@ -233,9 +249,9 @@ EXPERIMENT_ARGS = ("--rows", "60", "--cols", "12", "--p-grid", "0.1,0.3",
 class TestGoldenReports:
     """Reports and files byte for byte against golden copies.
 
-    All but ``impute_report.txt`` were made before the CRARI coefficient
-    became a closed-form root, so they pin every output that change must
-    not move.  Commands run in a temporary directory with relative paths,
+    Of the first six cases, all but ``impute_report.txt`` were made
+    before the CRARI coefficient became a closed-form root, so they pin
+    every output that change must not move.  Commands run in a temporary directory with relative paths,
     because reports embed their paths.
     """
 
@@ -257,6 +273,22 @@ class TestGoldenReports:
         ("r2cor-bias", ["experiment", "--name", "r2cor-bias", *EXPERIMENT_ARGS,
                         "--output", "r2cor-bias.csv"],
          [], ["r2cor-bias.csv"]),
+        # the warning, curve and ground-truth lines, recorded before the
+        # handlers stopped printing their own reports
+        ("ecvt-identical", ["ecvt", "--input", "ecvt_identical.csv", "--groups", "1,2,4",
+                            "--resamples", "5", "--seed", "3",
+                            "--curve", "ecvt_identical_curve.csv"],
+         ["ecvt_identical.csv"], ["ecvt_identical_curve.csv"]),
+        ("synth-truth", ["synth", "--rows", "12", "--cols", "5", "--severity", "0.5",
+                         "--seed", "8", "--degrade", "0.1", "--output", "synth_truth_table.csv",
+                         "--ground-truth", "synth_truth.csv"],
+         [], ["synth_truth_table.csv", "synth_truth.csv"]),
+        ("fit-coleffect", ["fit", "--input", "coleffect_table.csv",
+                           "--predictors", "coleffect_predictors.csv", "--seed", "2"],
+         ["coleffect_table.csv", "coleffect_predictors.csv"], []),
+        ("impute-coleffect", ["impute", "--input", "coleffect_table.csv",
+                              "--output", "coleffect_imputed.csv", "--seed", "7"],
+         ["coleffect_table.csv"], []),
     ])
     def test_same_bytes(self, capsys, tmp_path, monkeypatch, name, argv, inputs, outputs):
         for path in inputs:
@@ -268,7 +300,7 @@ class TestGoldenReports:
         for path in outputs:
             assert (tmp_path / path).read_bytes() == (GOLDEN / path).read_bytes()
 
-    @pytest.mark.parametrize("name", ["crari-recovery", "degradation-curve"])
+    @pytest.mark.parametrize("name", ["degradation-curve"])
     def test_recovery_curves_move_only_in_the_imputed_icc(self, capsys, tmp_path,
                                                           monkeypatch, name):
         monkeypatch.chdir(tmp_path)
@@ -360,6 +392,19 @@ class TestErrorExitCodes:
                              "--predictors", str(bad))
         assert code == 2 and out == ""
         assert err.startswith(f"error[2] TableFormatError: {bad}: line 101: not UTF-8 (")
+
+    def test_broken_pipe_exits_2(self, capsys, monkeypatch, complete_csv):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        code = main(["icc", "--input", str(complete_csv)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error[2] BrokenPipeError: ")
 
     def test_structural_error(self, capsys, tmp_path):
         bad = tmp_path / "empty_col.csv"

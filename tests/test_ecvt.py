@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from icctab import (
     DataTable,
+    NumericError,
     PreconditionError,
     SynthSpec,
     anova,
@@ -168,6 +169,14 @@ class TestEcvtDegenerate:
         assert report.warnings
         assert (report.observed_mean_r == 1.0).all()
         assert (report.predicted_r == 1.0).all()
+
+    def test_constant_item_means_of_a_group_raise(self):
+        # no two columns are identical, but participants 1 and 4 (as 2 and
+        # 3) average to 2.5 on every item, so the correlation is undefined
+        table = DataTable(np.array([[1.0, 2, 3, 4], [4, 3, 2, 1], [2, 2, 3, 3], [3, 3, 2, 2]]))
+        with pytest.raises(NumericError, match="group size 2: undefined correlation, because "
+                                               "the item means of a drawn group are constant"):
+            ecvt(table, group_sizes=[1, 2], resamples=5, rng=0)
 
 
 class TestEcvtReproducibility:

@@ -101,8 +101,8 @@ class TestFitPredictors:
         offsets = np.random.default_rng(47).normal(0, 3, size=12)
         degraded = degrade_random(DataTable(raw.values + offsets), 0.2, rng=48)
         fit = fit_predictors(degraded, truth.item_effects)
-        assert fit.warnings
-        assert fit.icc_context.column_effect_warning
+        assert fit.warnings == fit.icc_context.warnings == (
+            "non-negligible column effect: corrected statistics unreliable",)
 
     def test_zero_icc_warns_instead_of_dividing(self):
         # item means vary less than the interaction allows: the ICC is clamped at 0
