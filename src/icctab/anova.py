@@ -106,8 +106,9 @@ def anova(table: DataTable) -> AnovaDecomposition:
     vij = ssij / dfij
     if vij < 0:
         raise NumericError(
-            f"negative interaction variance ({vij:.3e}); "
-            "the table is too unbalanced for this decomposition"
+            f"negative interaction variance ({vij:.3e}): the table is too unbalanced "
+            "for this decomposition, as happens when a raw table with missing cells "
+            "has a column (participant) effect; standardize its columns first (--zscore)"
         )
     vi = max(0.0, (msi - vij) / n)
     vj = max(0.0, (msj - vij) / m)
@@ -234,10 +235,12 @@ def corrected_interval(
     """Apply the missing-data correction to a confidence triple's bounds.
 
     This reproduces, without imputation, the interval one would obtain on a
-    table imputed to the corrected ICC.
+    table imputed to the corrected ICC.  An F-based bound below 0 (a small
+    table, or one with little item variance) is taken as 0 before the
+    correction, since an ICC is never below 0.
     """
     prob, lower, upper = triple
-    return (prob, corrected_icc(lower, p), corrected_icc(upper, p))
+    return (prob, corrected_icc(max(lower, 0.0), p), corrected_icc(max(upper, 0.0), p))
 
 
 def expected_icc(q: float, group_size: int) -> float:

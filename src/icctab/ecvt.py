@@ -16,13 +16,15 @@ so with the participant Gram matrix ``G = Vc' Vc`` (n x n, formed once)
 
     r = w_A' G w_B / sqrt(w_A' G w_A * w_B' G w_B)
 
-and the ``1/g`` factors cancel.  The draws are processed in chunks of B,
-sized by a fixed byte budget.  A chunk is one n x 2B indicator block, group
-A in its first B columns and group B in the next B, so a chunk costs two
-small ``G @ W`` products, one per half.  A chunk's B draws are one
-``Generator.permuted`` call over B rows of ``arange(n)``, which shuffles
-each row as ``permutation(n)`` does, so a seed yields the same groups and
-report as a draw-by-draw loop.
+and the ``1/g`` factors cancel.  The draws are processed in chunks of B.
+A chunk is one n x 2B indicator block, group A in its first B columns and
+group B in the next B, so a chunk costs two small ``G @ W`` products, one
+per half.  B is the number of draws whose whole footprint fits in a fixed
+byte budget: 48n bytes a draw, for the block's two columns and the
+permutation row that marks them, the two products and one elementwise
+product.  A chunk's B draws are one ``Generator.permuted`` call over B rows of
+``arange(n)``, which shuffles each row as ``permutation(n)`` does, so a
+seed yields the same groups and report as a draw-by-draw loop, whatever B.
 
 The test requires a complete table — resampling cannot form full item-mean
 vectors when cells are missing — so incomplete tables must be imputed
@@ -42,9 +44,13 @@ from .table import DataTable
 
 __all__ = ["EcvtReport", "ecvt", "default_group_sizes"]
 
-# Bytes of one float block of ``rows`` x B that sets the number B of draws per
-# chunk; a chunk's temporaries are a few such blocks.
-_CHUNK_BYTES = 1 << 17
+# Bytes that the arrays of one chunk may take together: the indicator block
+# and permutation rows of ``_group_indicator_chunks`` and every buffer and
+# temporary of the caller's kernel.  Each caller states its bytes per draw,
+# and a chunk holds as many draws as fit.  At the paper's 1400 x 80 shape the
+# r2/ICC curve gets 16 draws a chunk at the traced peak it had when only one
+# 1400 x B block was budgeted (in 128 KiB, 11 draws).
+_CHUNK_BYTES = 5 << 18
 
 
 @dataclass(frozen=True)
@@ -142,7 +148,7 @@ def ecvt(
     for k, g in enumerate(sizes):
         rs = np.concatenate([
             _gram_correlations(gram, block)
-            for block in _group_indicator_chunks(gen, n, g, resamples, n)
+            for block in _group_indicator_chunks(gen, n, g, resamples, 48 * n)
         ])
         if np.isnan(rs).any():
             raise NumericError(
@@ -199,7 +205,7 @@ def _checked_group_sizes(group_sizes, n: int) -> tuple[int, ...]:
 
 
 def _group_indicator_chunks(
-    gen: np.random.Generator, n: int, g: int, resamples: int, rows: int
+    gen: np.random.Generator, n: int, g: int, resamples: int, draw_bytes: int
 ):
     """Yield ``resamples`` draws of two disjoint size-``g`` groups in chunks.
 
@@ -208,10 +214,13 @@ def _group_indicator_chunks(
     participants (group A) and column ``B + k`` the next ``g`` (group B).
     The B permutations are one ``permuted`` call, equal to B successive
     ``permutation(n)`` calls, so the random stream is that of a draw-by-draw
-    loop.  B is set so that one ``rows`` x B float block, the caller's
-    per-chunk temporary, fits in ``_CHUNK_BYTES``.
+    loop for any B.  ``draw_bytes`` is the caller's whole footprint per
+    draw, and B draws take at most ``_CHUNK_BYTES``.  Of that footprint
+    this helper holds 24n bytes while the caller works on a chunk (two
+    float64 block columns and one int64 permutation row) and 40n while it
+    makes the next chunk, the caller's last block being still alive.
     """
-    chunk = _chunk_draws(rows)
+    chunk = _chunk_draws(draw_bytes)
     for start in range(0, resamples, chunk):
         size = min(chunk, resamples - start)
         draws = gen.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
@@ -222,8 +231,8 @@ def _group_indicator_chunks(
         yield block
 
 
-def _chunk_draws(rows: int) -> int:
-    return max(1, _CHUNK_BYTES // (8 * rows))
+def _chunk_draws(draw_bytes: int) -> int:
+    return max(1, _CHUNK_BYTES // draw_bytes)
 
 
 def _gram_correlations(gram: np.ndarray, block: np.ndarray) -> np.ndarray:

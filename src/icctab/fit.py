@@ -139,23 +139,30 @@ def r2_icc_curve(
     that resample; the mean number of exclusions is reported per size.
 
     The draws come in chunks of one n x 2B group-indicator block ``W``
-    (group A in its first B columns, group B in the next B), sized by a
-    fixed byte budget; a chunk's draws are one ``permuted`` call that gives
-    the groups of a draw-by-draw loop (see :mod:`icctab.ecvt`).  A chunk's
-    per-item valid counts are ``W' valid`` and its sums ``W' filled``, two
-    GEMMs whose results are kept one row per group.  The counts GEMM runs
-    in float32: its products are 0 or 1 and its sums integers of at most
-    n, all exact in float32 on any BLAS.  Each group then gets three rows
-    over the items: its 0/1 item weights ``w`` (the counts capped at 1),
-    its item means ``x`` (sums over counts, an empty count taken as 1, so
-    ``x`` is 0 at the items the group excludes) and ``x²``.
+    (group A in its first B columns, group B in the next B); a chunk's
+    draws are one ``permuted`` call that gives the groups of a draw-by-draw
+    loop (see :mod:`icctab.ecvt`).  Each group gets three rows over the
+    items: its 0/1 item weights ``w``, its item means ``x`` and ``x²``.
+    They are the rows of three contiguous 2B x m planes of one buffer,
+    which is allocated once with a float32 counts buffer.  Both GEMMs and
+    every elementwise step write into these two buffers: no step allocates
+    a chunk-sized temporary, and no output partly overlaps an operand,
+    which would make numpy copy it first.  The counts ``W'
+    valid`` run in float32: their products are 0 or 1 and their sums
+    integers of at most n, exact on any BLAS.  ``w`` is the counts capped at
+    1; the sums ``W' filled`` go to the ``x`` plane and are divided there by
+    the counts floored at 1, so ``x`` is 0 at the items a group excludes.
+    B is the number of draws whose whole footprint fits in the chunk budget
+    of :func:`icctab.ecvt._group_indicator_chunks`, 56m + 40n bytes a draw:
+    the planes (48m), the counts (8m) and the indicator block with its
+    permutation row (40n, the float32 copy of the block included).
 
     Each draw's correlations come from moment sums, closed by
     :func:`_correlation`.  Group A's ``[w, x, x²]`` against ``[1, p, p²]``
-    (one GEMM per chunk) gives the r2 sums ``n, Σp, Σp², Σx, Σxp, Σx²``
-    over A's items, and against group B's ``[w, x, x²]`` (one batched
-    product) the ICC sums over the items valid in both groups, their count
-    included.  A one-pass centred sum such as ``Σx² − (Σx)²/n`` cancels
+    (one GEMM per plane and chunk) gives the r2 sums ``n, Σp, Σp², Σx,
+    Σxp, Σx²`` over A's items, and against group B's ``[w, x, x²]`` (one
+    batched product) the ICC sums over the items valid in both groups, their
+    count included.  A one-pass centred sum such as ``Σx² − (Σx)²/n`` cancels
     the mean's share of ``Σx²`` and loses as many digits as the mean
     outweighs the spread, so ``filled`` is centred once on the grand valid
     mean and the predictor on its mean: a group's means then sit near 0
@@ -180,24 +187,33 @@ def r2_icc_curve(
     valid = table.valid.T.astype(np.float32)
     centred = pred - pred.mean()
     basis = np.stack([np.ones(m), centred, centred * centred], axis=1)
-    # each group's [w, x, x²] rows, one buffer for every chunk
-    stacked = np.empty((2 * min(_chunk_draws(m), resamples), 3, m))
+    draw_bytes = 56 * m + 40 * n
+    rows = 2 * min(_chunk_draws(draw_bytes), resamples)
+    # the w, x and x² planes, and the counts, for every chunk
+    planes = np.empty((3, rows, m))
+    counts = np.empty((rows, m), dtype=np.float32)
     points = []
     for g in sizes:
         r2_sums = np.empty((resamples, 3, 3))
         icc_sums = np.empty((resamples, 3, 3))
         start = 0
-        for block in _group_indicator_chunks(gen, n, g, resamples, m):
+        for block in _group_indicator_chunks(gen, n, g, resamples, draw_bytes):
             size = block.shape[1] // 2
-            counts = block.astype(np.float32).T @ valid
-            group = stacked[: 2 * size]
-            np.divide(block.T @ filled, np.maximum(counts, 1.0), out=group[:, 1])
-            np.minimum(counts, 1.0, out=group[:, 0])
-            np.multiply(group[:, 1], group[:, 1], out=group[:, 2])
-            group_a, group_b = group[:size], group[size:]
+            group = planes[:, : 2 * size]
+            w, x, xx = group
+            count = counts[: 2 * size]
+            np.matmul(block.T.astype(np.float32), valid, out=count)
+            np.matmul(block.T, filled, out=x)
+            np.minimum(count, 1.0, out=w)
+            np.maximum(count, 1.0, out=count)
+            np.divide(x, count, out=x)
+            np.multiply(x, x, out=xx)
+            # 3 x B x m views: [w, x, x²] of group A's draws, and of group B's
+            group_a, group_b = group[:, :size], group[:, size:]
             draws = slice(start, start + size)
-            r2_sums[draws] = (group_a.reshape(3 * size, m) @ basis).reshape(size, 3, 3)
-            np.matmul(group_a, group_b.transpose(0, 2, 1), out=icc_sums[draws])
+            np.matmul(group_a, basis, out=r2_sums[draws].transpose(1, 0, 2))
+            np.matmul(group_a.transpose(1, 0, 2), group_b.transpose(1, 2, 0),
+                      out=icc_sums[draws])
             start += size
         icc_g = float(_moment_correlation(icc_sums).mean())
         r2_g = float((_moment_correlation(r2_sums) ** 2).mean())

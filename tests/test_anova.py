@@ -16,7 +16,10 @@ from icctab import (
     expected_icc,
     generate,
     icc_report,
+    save_csv,
+    zscore,
 )
+from icctab.cli import main
 
 import oracles
 
@@ -61,6 +64,36 @@ class TestAnova:
         assert dec.ssi == pytest.approx(ssi, rel=1e-8)
         assert dec.ssj == pytest.approx(ssj, rel=1e-8, abs=1e-10)
         assert dec.ssij == pytest.approx(ssij, rel=1e-8)
+
+
+
+class TestNegativeInteraction:
+    """A raw 30x6 additive table with column offsets of sd 3 and 30% of its
+    cells masked: the unbalanced interaction variance comes out at -0.63."""
+
+    @staticmethod
+    def table() -> DataTable:
+        raw, _ = generate(SynthSpec(rows=30, cols=6, seed=6))
+        offsets = np.random.default_rng(6).normal(0, 3, size=6)
+        return degrade_random(DataTable(raw.values + offsets), 0.3, rng=7)
+
+    def test_error_names_the_column_effect_and_the_remedy(self):
+        with pytest.raises(NumericError, match="negative interaction variance") as info:
+            anova(self.table())
+        assert "column (participant) effect" in str(info.value)
+        assert "--zscore" in str(info.value)
+        assert anova(zscore(self.table())).vij > 0
+
+    def test_cli_exits_4_and_zscore_runs(self, capsys, tmp_path):
+        source = tmp_path / "coleffect.csv"
+        save_csv(self.table(), source)
+        assert main(["icc", "--input", str(source)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[4] NumericError: negative interaction variance")
+        assert "--zscore" in captured.err
+        assert main(["icc", "--input", str(source), "--zscore"]) == 0
+        assert "icc: " in capsys.readouterr().out
 
 
 class TestIccReport:
@@ -159,6 +192,21 @@ class TestCorrectedInterval:
         assert prob == 0.95
         assert lower == pytest.approx(corrected_icc(0.859, 0.1568))
         assert upper == pytest.approx(corrected_icc(0.866, 0.1568))
+
+    def test_bound_below_zero_is_corrected_from_zero(self):
+        # a 10x4 table with little item variance and 20% missing: every F-based
+        # lower bound is below 0, where no ICC lies
+        raw, _ = generate(SynthSpec(rows=10, cols=4, item_sd=0.2, seed=2))
+        report = icc_report(degrade_random(raw, 0.2, rng=2))
+        assert report.pmiss > 0
+        for triple in report.conf:
+            prob, lower, upper = corrected_interval(triple, report.pmiss)
+            assert triple[1] < 0.0 <= triple[2]
+            assert prob == triple[0] and lower == 0.0
+            assert upper == corrected_icc(triple[2], report.pmiss)
+
+    def test_negative_upper_bound_maps_to_zero(self):
+        assert corrected_interval((0.95, -1.79, -0.2), 0.2) == (0.95, 0.0, 0.0)
 
 
 class TestExpectedIcc:

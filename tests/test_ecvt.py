@@ -16,7 +16,7 @@ from icctab import (
     generate,
     zscore,
 )
-from icctab.ecvt import _chunk_draws, _group_indicator_chunks, default_group_sizes
+from icctab.ecvt import _CHUNK_BYTES, _chunk_draws, _group_indicator_chunks, default_group_sizes
 from icctab.rand import as_generator
 from oracles import disjoint_groups, ecvt_loop
 
@@ -54,10 +54,10 @@ class TestNumpyStreamIdentity:
         assert gen.bit_generator.state == gen_loop.bit_generator.state
 
 
-def _draws(gen, n, g, resamples, rows):
+def _draws(gen, n, g, resamples, draw_bytes):
     """Sorted (group A, group B) indices per draw from the chunk helper, resamples x 2 x g."""
     pairs = []
-    for block in _group_indicator_chunks(gen, n, g, resamples, rows):
+    for block in _group_indicator_chunks(gen, n, g, resamples, draw_bytes):
         in_a, in_b = np.split(block, 2, axis=1)
         pairs += [(np.flatnonzero(a), np.flatnonzero(b)) for a, b in zip(in_a.T, in_b.T)]
     return np.array(pairs)
@@ -71,15 +71,15 @@ class TestDisjointGroups:
         gen = as_generator(5)
         for g in (1, 3, 10, 12):
             sizes = []
-            # 2000 rows give chunks of 8 draws, so 50 draws span several
-            for block in _group_indicator_chunks(gen, 25, g, 50, 2000):
+            # an eighth of the budget per draw gives chunks of 8, so 50 draws span several
+            for block in _group_indicator_chunks(gen, 25, g, 50, _CHUNK_BYTES // 8):
                 assert block.shape[0] == 25 and block.shape[1] % 2 == 0
                 assert set(np.unique(block)) <= {0.0, 1.0}
                 in_a, in_b = np.split(block, 2, axis=1)
                 assert (in_a.sum(axis=0) == g).all() and (in_b.sum(axis=0) == g).all()
                 assert not (in_a * in_b).any()
                 sizes.append(in_a.shape[1])
-            assert sum(sizes) == 50 and sizes[0] == _chunk_draws(2000) < 50
+            assert sum(sizes) == 50 and sizes[0] == _chunk_draws(_CHUNK_BYTES // 8) == 8
 
     def test_reproducible(self):
         a = _draws(as_generator(9), 12, 4, 30, 12)
@@ -88,10 +88,11 @@ class TestDisjointGroups:
 
     @pytest.mark.parametrize("n, g, rows", [(16, 3, 16), (25, 12, 700)])
     def test_chunk_boundary_matches_per_draw_oracle(self, n, g, rows):
-        resamples = _chunk_draws(rows) + 1
+        # a caller holding one float64 column of ``rows`` per draw
+        resamples = _chunk_draws(8 * rows) + 1
         gen, gen_loop = as_generator(13), as_generator(13)
         loop = [np.sort(disjoint_groups(gen_loop, n, g)) for _ in range(resamples)]
-        assert np.array_equal(_draws(gen, n, g, resamples, rows), np.array(loop))
+        assert np.array_equal(_draws(gen, n, g, resamples, 8 * rows), np.array(loop))
         assert gen.bit_generator.state == gen_loop.bit_generator.state
 
 
@@ -200,7 +201,7 @@ class TestBatchedMatchesLoop:
     ])
     def test_same_statistics_for_same_seed(self, table, sizes, resamples):
         if resamples == "chunk + 1":
-            resamples = _chunk_draws(table.cols) + 1
+            resamples = _chunk_draws(48 * table.cols) + 1  # ecvt's bytes per draw
         report = ecvt(table, group_sizes=sizes, resamples=resamples, rng=72)
         loop = ecvt_loop(table, group_sizes=sizes, resamples=resamples, rng=72)
         assert report.df == loop["df"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,19 @@ class TestR2IccCurve:
             r2_icc_curve(complete_table, np.arange(5.0), sizes, resamples=resamples, rng=1)
 
 
+def curve_chunk(table) -> int:
+    """Draws per chunk of ``r2_icc_curve`` on ``table``: its bytes per draw are
+    56 per item and 40 per participant."""
+    return _chunk_draws(56 * table.rows + 40 * table.cols)
+
+
+@pytest.fixture(scope="module")
+def ecvt_power_table():
+    """The ecvt-power benchmark's table shape and missing share, and a predictor."""
+    raw, truth = generate(SynthSpec(rows=1400, cols=80, seed=84))
+    return degrade_random(raw, 0.16, rng=85), truth.item_effects
+
+
 class TestR2IccCurveMatchesLoop:
     """The chunked GEMM kernel against the draw-by-draw loop."""
 
@@ -176,19 +191,20 @@ class TestR2IccCurveMatchesLoop:
         raw, truth = generate(SynthSpec(rows=120, cols=16, seed=81))
         table = degrade_random(raw, p_missing, rng=82)
         if resamples == "chunk + 1":
-            resamples = _chunk_draws(table.rows) + 1
+            resamples = curve_chunk(table) + 1
         sizes = (1, 2, 5, 8)
         points = self.check(table, truth.item_effects, sizes, resamples, rng=83)
         if p_missing:
             assert points[0].excluded > 0
 
-    def test_ecvt_power_shape(self):
-        # the benchmark's table shape and missing share; two full chunks and one draw
-        raw, truth = generate(SynthSpec(rows=1400, cols=80, seed=84))
-        table = degrade_random(raw, 0.16, rng=85)
-        points = self.check(table, truth.item_effects, (1, 8, 40),
-                            2 * _chunk_draws(table.rows) + 1, rng=86)
-        assert points[0].excluded > 0
+    def test_ecvt_power_shape(self, ecvt_power_table):
+        # one draw short of a chunk, one chunk, one more draw, two chunks and
+        # one draw; g = 40 is half the participants
+        table, predictor = ecvt_power_table
+        chunk = curve_chunk(table)
+        for resamples in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            points = self.check(table, predictor, (1, 8, 40), resamples, rng=86)
+            assert points[0].excluded > 0
 
     @staticmethod
     def check(table, predictor, sizes, resamples, rng):
@@ -201,6 +217,23 @@ class TestR2IccCurveMatchesLoop:
             assert point.ratio == pytest.approx(ratio, abs=1e-12)
             assert point.excluded == excluded
         return points
+
+
+class TestR2IccCurveMemory:
+    # the traced peak of this curve under the previous chunk rule (11 draws
+    # of separately allocated blocks) was 2 797 956 bytes, 2.67 MiB; one more
+    # draw per chunk now adds about 80 kB
+    PEAK_BOUND = 2.7 * 2**20
+
+    def test_ecvt_power_curve_peak(self, ecvt_power_table):
+        table, predictor = ecvt_power_table
+        tracemalloc.start()
+        try:
+            r2_icc_curve(table, predictor, (1, 2, 4, 8, 16, 32, 40), resamples=200, rng=87)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_BOUND
 
 
 class TestR2IccCurveShiftScale:
@@ -258,7 +291,7 @@ class TestR2IccCurveMomentSums:
         raw, truth = generate(SynthSpec(rows=300, cols=40, seed=93))
         table = degrade_random(raw, 0.5, rng=94)
         sizes = (1, 3, 20)
-        resamples = 2 * _chunk_draws(table.rows) + 1
+        resamples = 2 * curve_chunk(table) + 1
         points = r2_icc_curve(table, truth.item_effects, sizes, resamples=resamples, rng=95)
         loop = r2_icc_curve_loop(table, truth.item_effects, sizes, resamples=resamples,
                                  rng=95)
