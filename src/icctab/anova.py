@@ -15,6 +15,11 @@ ICC.  Inverting that relation gives
 an estimate of the ICC the complete table would have had.  The estimate is
 reliable when the column (participant) effect is small or removed, as with
 Z-scores; the report carries a warning when that condition fails.
+
+The module also holds the package's one correlation-closing formula,
+:func:`_correlation`, with its two-pass front end :func:`_pearson`: the
+ECVT, the r2/ICC curve and predictor fits all close their correlations with
+it, and every kernel already imports this module.
 """
 
 import math
@@ -256,3 +261,38 @@ def expected_icc(q: float, group_size: int) -> float:
     if math.isinf(q):
         return 1.0
     return q * group_size / (q * group_size + 1.0)
+
+
+def _pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pearson correlations along the last axis of ``x`` and ``y``.
+
+    ``x`` and ``y`` broadcast to one shape.  The sums are two-pass: the
+    means are removed first, so a shift of the data does not cost precision
+    and the first-moment sums passed to :func:`_correlation` are 0.  Rows
+    with a constant side give NaN.
+    """
+    ones = np.ones(np.shape(x)[-1])
+    count = ones.sum()
+    xc = x - (np.einsum("...i,...i->...", ones, x) / count)[..., None]
+    yc = y - (np.einsum("...i,...i->...", ones, y) / count)[..., None]
+    return _correlation(count, 0.0, 0.0, np.einsum("...i,...i->...", xc, xc),
+                        np.einsum("...i,...i->...", yc, yc),
+                        np.einsum("...i,...i->...", xc, yc))
+
+
+def _correlation(n, sx, sy, sxx, syy, sxy):
+    """Pearson correlations of ``n`` pairs from their moment sums.
+
+    ``(sxy - sx*sy/n) / sqrt((sxx - sx²/n) * (syy - sy²/n))``, the one
+    correlation-closing formula of the package.  A side whose centred sum
+    does not exceed the rounding level of its one-pass form, ``n·eps`` times
+    its raw sum of squares, is constant to working precision: its
+    correlations (and those of fewer than 2 pairs) are NaN.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cxx = sxx - sx * sx / n
+        cyy = syy - sy * sy / n
+        cxy = sxy - sx * sy / n
+        tol = n * np.finfo(float).eps
+        defined = (cxx > tol * sxx) & (cyy > tol * syy)
+        return np.where(defined, cxy / np.sqrt(cxx * cyy), np.nan)

@@ -46,13 +46,12 @@ EXIT_CODES = {
     PreconditionError: 6,
 }
 
-# experiment name -> (default missing proportions, CSV columns)
+# experiment name -> default missing proportions; the CSV columns are the
+# fields of the study's point dataclass
 EXPERIMENTS = {
-    "ari-bias": ((0.0, 0.1, 0.2, 0.3), ("p", "icc_missing", "icc_ari", "icc_cor")),
-    "degradation-curve": ((0.1, 0.3, 0.5, 0.7, 0.9),
-                          ("p", "icc_missing", "icc_cor", "icc_imputed", "r_item_means",
-                           "icc_exact")),
-    "r2cor-bias": ((0.0, 0.15, 0.3, 0.45, 0.6), ("p", "r2_observed", "r2_cor", "r2_exact")),
+    "ari-bias": (0.0, 0.1, 0.2, 0.3),
+    "degradation-curve": (0.1, 0.3, 0.5, 0.7, 0.9),
+    "r2cor-bias": (0.0, 0.15, 0.3, 0.45, 0.6),
 }
 
 # table preprocessing switch -> help, in the order they apply and are reported
@@ -381,14 +380,15 @@ def _run_synth(args):
 
 
 def _run_experiment(args):
+    from dataclasses import astuple, fields
+
     from .fit import r2cor_bias_demo
     from .impute import ari_bias_demo, crari_recovery_study
     from .rand import as_generator, split_seed
     from .synth import SynthSpec, generate
     from .table import zscore
 
-    default_grid, columns = EXPERIMENTS[args.name]
-    p_grid = _parse_floats(args.p_grid or "") or default_grid
+    p_grid = _parse_floats(args.p_grid or "") or EXPERIMENTS[args.name]
     table_seed, run_seed = split_seed(args.seed, 2)
     config = {
         "name": args.name,
@@ -415,8 +415,8 @@ def _run_experiment(args):
         points = ari_bias_demo(table, p_grid, args.replications, run_seed)
     else:
         points = crari_recovery_study(table, p_grid, args.replications, run_seed)
-    _write_csv(args.output, columns,
-               ([getattr(pt, name) for name in columns] for pt in points))
+    _write_csv(args.output, [field.name for field in fields(points[0])],
+               (astuple(pt) for pt in points))
     results.append(("curve written", args.output))
     return config, results
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anova import anova, expected_icc
+from .anova import _correlation, anova, expected_icc
 from .errors import NumericError, PreconditionError
 from .rand import as_generator
 from .special import chi2_upper_tail
@@ -111,13 +111,13 @@ def ecvt(
     resamples
         Number of disjoint group pairs drawn per size.
     alpha
-        Significance level of the verdict.
+        Significance level of the verdict, in (0, 1).
 
     Raises
     ------
     PreconditionError
-        Missing cells present (impute first), no group size, or a size
-        below 1 or too large.
+        Missing cells present (impute first), no group size, a size below
+        1 or too large, fewer than 2 resamples, or ``alpha`` outside (0, 1).
     NumericError
         A drawn group's item means are constant, so its correlation is
         undefined.
@@ -133,6 +133,8 @@ def ecvt(
     )
     if resamples < 2:
         raise PreconditionError("at least 2 resamples are required")
+    if not 0.0 < alpha < 1.0:
+        raise PreconditionError(f"alpha must lie in (0, 1), got {alpha}")
     q = anova(table).q
     gen = as_generator(rng)
     centered = table.values - table.values.mean(axis=0)
@@ -147,7 +149,7 @@ def ecvt(
     warnings = []
     for k, g in enumerate(sizes):
         rs = np.concatenate([
-            _gram_correlations(gram, block)
+            _gram_correlations(gram, block, table.rows)
             for block in _group_indicator_chunks(gen, n, g, resamples, 48 * n)
         ])
         if np.isnan(rs).any():
@@ -235,11 +237,12 @@ def _chunk_draws(draw_bytes: int) -> int:
     return max(1, _CHUNK_BYTES // draw_bytes)
 
 
-def _gram_correlations(gram: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Item-mean correlations of the group pairs marked by an indicator
-    block (group A in its first half of columns, group B in the second),
-    from the participant Gram matrix (NaN where a group's item means are
-    constant).
+def _gram_correlations(gram: np.ndarray, block: np.ndarray, m: int) -> np.ndarray:
+    """Item-mean correlations over ``m`` items of the group pairs marked by
+    an indicator block (group A in its first half of columns, group B in
+    the second), from the participant Gram matrix (NaN where a group's item
+    means are constant).  The Gram products are the centred moment sums
+    that :func:`icctab.anova._correlation` closes.
 
     The sums run down axis 0, which numpy adds in row order whatever the
     zero pattern, so identical columns give r == 1 exactly.
@@ -248,6 +251,5 @@ def _gram_correlations(gram: np.ndarray, block: np.ndarray) -> np.ndarray:
     in_a, in_b = block[:, :size], block[:, size:]
     gram_a = gram @ in_a
     gram_b = gram @ in_b
-    cross = (in_b * gram_a).sum(axis=0)
-    denom = np.sqrt((in_a * gram_a).sum(axis=0) * (in_b * gram_b).sum(axis=0))
-    return np.divide(cross, denom, out=np.full(denom.shape, math.nan), where=denom != 0.0)
+    return _correlation(m, 0.0, 0.0, (in_a * gram_a).sum(axis=0),
+                        (in_b * gram_b).sum(axis=0), (in_b * gram_a).sum(axis=0))

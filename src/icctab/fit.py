@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anova import IccReport, icc_report
+from .anova import IccReport, _correlation, _pearson, icc_report
 from .ecvt import _checked_group_sizes, _chunk_draws, _group_indicator_chunks
 from .errors import NumericError, PreconditionError, StructuralError
 from .rand import as_generator
@@ -158,16 +158,16 @@ def r2_icc_curve(
     permutation row (40n, the float32 copy of the block included).
 
     Each draw's correlations come from moment sums, closed by
-    :func:`_correlation`.  Group A's ``[w, x, x²]`` against ``[1, p, p²]``
-    (one GEMM per plane and chunk) gives the r2 sums ``n, Σp, Σp², Σx,
-    Σxp, Σx²`` over A's items, and against group B's ``[w, x, x²]`` (one
-    batched product) the ICC sums over the items valid in both groups, their
-    count included.  A one-pass centred sum such as ``Σx² − (Σx)²/n`` cancels
-    the mean's share of ``Σx²`` and loses as many digits as the mean
-    outweighs the spread, so ``filled`` is centred once on the grand valid
-    mean and the predictor on its mean: a group's means then sit near 0
-    whatever the table's offset, and a shift of the data costs no
-    precision.
+    :func:`icctab.anova._correlation`.  Group A's ``[w, x, x²]`` against
+    ``[1, p, p²]`` (one GEMM per plane and chunk) gives the r2 sums
+    ``n, Σp, Σp², Σx, Σxp, Σx²`` over A's items, and against group B's
+    ``[w, x, x²]`` (one batched product) the ICC sums over the items valid
+    in both groups, their count included.  A one-pass centred sum such as
+    ``Σx² − (Σx)²/n`` cancels the mean's share of ``Σx²`` and loses as many
+    digits as the mean outweighs the spread, so ``filled`` is centred once
+    on the grand valid mean and the predictor on its mean: a group's means
+    then sit near 0 whatever the table's offset, and a shift of the data
+    costs no precision.
     """
     pred = np.asarray(predictor, dtype=float).ravel()
     if pred.size != table.rows:
@@ -251,41 +251,6 @@ def r2cor_bias_demo(
     rows = _degradation_study(table, p_grid, replications, rng, measure)
     r2_exact = float(fit_predictors(table, pred, conf_probs=()).r2[0])
     return [R2BiasPoint(*row, r2_exact) for row in rows]
-
-
-def _pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pearson correlations along the last axis of ``x`` and ``y``.
-
-    ``x`` and ``y`` broadcast to one shape.  The sums are two-pass: the
-    means are removed first, so a shift of the data does not cost precision
-    and the first-moment sums passed to :func:`_correlation` are 0.  Rows
-    with a constant side give NaN.
-    """
-    ones = np.ones(np.shape(x)[-1])
-    count = ones.sum()
-    xc = x - (np.einsum("...i,...i->...", ones, x) / count)[..., None]
-    yc = y - (np.einsum("...i,...i->...", ones, y) / count)[..., None]
-    return _correlation(count, 0.0, 0.0, np.einsum("...i,...i->...", xc, xc),
-                        np.einsum("...i,...i->...", yc, yc),
-                        np.einsum("...i,...i->...", xc, yc))
-
-
-def _correlation(n, sx, sy, sxx, syy, sxy):
-    """Pearson correlations of ``n`` pairs from their moment sums.
-
-    ``(sxy - sx*sy/n) / sqrt((sxx - sx²/n) * (syy - sy²/n))``, the one
-    correlation-closing formula of the package.  A side whose centred sum
-    does not exceed the rounding level of its one-pass form, ``n·eps`` times
-    its raw sum of squares, is constant to working precision: its
-    correlations (and those of fewer than 2 pairs) are NaN.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cxx = sxx - sx * sx / n
-        cyy = syy - sy * sy / n
-        cxy = sxy - sx * sy / n
-        tol = n * np.finfo(float).eps
-        defined = (cxx > tol * sxx) & (cyy > tol * syy)
-        return np.where(defined, cxy / np.sqrt(cxx * cyy), np.nan)
 
 
 def _moment_correlation(sums: np.ndarray) -> np.ndarray:

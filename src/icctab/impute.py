@@ -36,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from .anova import _icc, anova, icc_report
+from .anova import _icc, _pearson, anova, icc_report
 from .errors import PreconditionError, UnreachableTargetError
 from .rand import as_generator
 from .synth import _degradation_study
@@ -163,12 +163,12 @@ def crari_impute(
     Raises
     ------
     PreconditionError
-        Malformed explicit target or nonpositive ``c_max``.
+        Malformed explicit target, or ``c_max`` not positive (NaN included).
     UnreachableTargetError
         Target outside the reachable ICC range (one point for row-mean fills).
     """
-    if c_max <= 0:
-        raise PreconditionError("c_max must be positive")
+    if not c_max > 0:
+        raise PreconditionError(f"c_max must be positive, got {c_max}")
     report = icc_report(table, ())
     icc_before = report.icc
     icc_cor = report.icc_cor
@@ -333,8 +333,6 @@ def crari_recovery_study(
     while the corrected ICC and the ICC of the table imputed to it stay
     near the exact value.  Requires a complete input table.
     """
-    from .fit import _pearson
-
     exact_means = table.row_means()
 
     def measure(degraded, gen):

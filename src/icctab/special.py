@@ -1,10 +1,11 @@
-"""Scalar special-function kernel: regularized incomplete beta and gamma,
-and the distribution quantiles built on them.
+"""Scalar special-function kernel: the regularized incomplete beta, the
+beta and F quantiles built on it, and the chi-square upper tail.
 
-The incomplete functions are evaluated by standard continued fractions
-(modified Lentz) to ~1e-14 relative accuracy, so the 1e-6 bisection
-tolerance of the quantile searches dominates the overall error.  All
-functions are pure; no state is kept between calls.
+The incomplete beta is evaluated by a standard continued fraction (modified
+Lentz) to ~1e-14 relative accuracy, so the 1e-6 bisection tolerance of the
+quantile searches dominates the overall error.  The chi-square tail of an
+integer df is a closed-form finite sum.  All functions are pure; no state
+is kept between calls.
 """
 
 import math
@@ -13,7 +14,6 @@ from .errors import NumericError, PreconditionError
 
 __all__ = [
     "reg_inc_beta",
-    "reg_upper_gamma",
     "beta_quantile",
     "f_quantile",
     "chi2_upper_tail",
@@ -119,60 +119,32 @@ def f_quantile(p: float, d1: float, d2: float) -> float:
     return x * d2 / ((1.0 - x) * d1)
 
 
-def reg_upper_gamma(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma function Q(a, x)."""
-    if a <= 0:
-        raise PreconditionError("reg_upper_gamma requires a > 0")
-    if x < 0:
-        raise PreconditionError("reg_upper_gamma requires x >= 0")
-    if x == 0.0:
+def chi2_upper_tail(x: float, df: int) -> float:
+    """Upper-tail probability P(X >= x) for a chi-square with ``df`` degrees.
+
+    For an integer ``df`` the tail is a finite sum (Abramowitz & Stegun
+    26.4.4 and 26.4.5).  With ``h = x/2`` and ``k`` running over the
+    ``df // 2`` values 0, 1, 2, ... (even df) or 1/2, 3/2, ... (odd df)
+    below ``df/2``:
+
+        P = [erfc(sqrt(h)) if df is odd] + sum_k exp(-h) h**k / gamma(k + 1)
+
+    Each term is formed in log space, ``exp(k log h - h - lgamma(k + 1))``,
+    so a large ``x`` or ``df`` cannot overflow.
+    """
+    if not (df >= 1 and float(df).is_integer()):
+        raise PreconditionError(f"chi2_upper_tail requires an integer df >= 1, got {df}")
+    if not x >= 0:
+        raise PreconditionError(f"chi2_upper_tail requires x >= 0, got {x}")
+    h = 0.5 * x
+    if h == 0.0:  # x is 0, or so small that x/2 underflows
         return 1.0
-    if x < a + 1.0:
-        return 1.0 - _lower_gamma_series(a, x)
-    return _upper_gamma_cf(a, x)
-
-
-def _lower_gamma_series(a: float, x: float) -> float:
-    ap = a
-    total = 1.0 / a
-    term = total
-    for _ in range(_CF_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _CF_EPS:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise NumericError(f"incomplete gamma series did not converge (a={a}, x={x})")
-
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _CF_MAX_ITER + 1):
-        coeff = -i * (i - a)
-        b += 2.0
-        d = coeff * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + coeff / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-    raise NumericError(
-        f"incomplete gamma continued fraction did not converge (a={a}, x={x})"
+    if h == math.inf:
+        return 0.0
+    log_h = math.log(h)
+    odd = df % 2 == 1
+    head = math.erfc(math.sqrt(h)) if odd else 0.0
+    return head + sum(
+        math.exp(k * log_h - h - math.lgamma(k + 1.0))
+        for k in (j + 0.5 * odd for j in range(int(df) // 2))
     )
-
-
-def chi2_upper_tail(x: float, df: float) -> float:
-    """Upper-tail probability P(X >= x) for a chi-square with ``df`` degrees."""
-    if df <= 0:
-        raise PreconditionError("chi2_upper_tail requires df > 0")
-    if x < 0:
-        raise PreconditionError("chi2_upper_tail requires x >= 0")
-    return reg_upper_gamma(df / 2.0, x / 2.0)

@@ -108,6 +108,13 @@ class TestImputeCommand:
         assert "UnreachableTargetError" in err
 
 
+    def test_nan_c_max_precondition_exit(self, capsys, degraded_csv, tmp_path):
+        code, out, err = run(capsys, "impute", "--input", str(degraded_csv),
+                             "--output", str(tmp_path / "x.csv"), "--c-max", "nan")
+        assert code == 6 and out == ""
+        assert err.startswith("error[6] PreconditionError: c_max must be positive")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_one_missing_cell_per_row_exit_code(self, capsys, tmp_path):
         table_csv = tmp_path / "one_per_row.csv"
         table_csv.write_text("1,2,,3\n4,,5,6\n7,8,9,1\n2,6,4,5\n")
@@ -156,6 +163,12 @@ class TestEcvtCommand:
         code, _, err = run(capsys, "ecvt", "--input", str(degraded_csv))
         assert code == 6
         assert "PreconditionError" in err
+
+    @pytest.mark.parametrize("alpha", ["7", "-0.1", "nan"])
+    def test_alpha_outside_unit_interval_precondition_exit(self, capsys, complete_csv, alpha):
+        code, out, err = run(capsys, "ecvt", "--input", str(complete_csv), "--alpha", alpha)
+        assert code == 6 and out == ""
+        assert err.startswith("error[6] PreconditionError: alpha must lie in (0, 1)")
 
     @pytest.mark.parametrize("groups", ["1.5", "x,1", "2,,y"])
     def test_non_integer_groups_usage_error(self, capsys, complete_csv, groups):

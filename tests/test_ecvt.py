@@ -120,6 +120,13 @@ class TestEcvtPreconditions:
         with pytest.raises(PreconditionError, match="positive"):
             ecvt(complete_table, group_sizes=[])
 
+    # 7 was always incompatible, a negative alpha always compatible and NaN
+    # always incompatible
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 7.0, -0.1, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, complete_table, alpha):
+        with pytest.raises(PreconditionError, match=r"alpha must lie in \(0, 1\)"):
+            ecvt(complete_table, resamples=10, alpha=alpha, rng=1)
+
     def test_integral_sizes_of_any_number_type_accepted(self, complete_table):
         report = ecvt(complete_table, group_sizes=[np.int64(1), 2.0], resamples=10, rng=1)
         assert report.group_sizes == (1, 2)

@@ -249,8 +249,10 @@ class TestCrariRandomCase:
             crari_impute(degraded, target="exact", rng=1)
         with pytest.raises(PreconditionError):
             crari_impute(degraded, target=1.5, rng=1)
-        with pytest.raises(PreconditionError):
-            crari_impute(degraded, c_max=0.0, rng=1)
+        # NaN is not an unreachable target "outside the reachable range [nan, ...]"
+        for c_max in (0.0, float("nan")):
+            with pytest.raises(PreconditionError, match="c_max must be positive"):
+                crari_impute(degraded, c_max=c_max, rng=1)
 
     def test_column_effect_warning_for_corrected_target(self):
         raw, _ = generate(SynthSpec(rows=200, cols=12, item_sd=0.2, seed=71))

@@ -1,9 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icctab import PreconditionError, beta_quantile, chi2_upper_tail, f_quantile
-from icctab.special import reg_inc_beta, reg_upper_gamma
+from icctab.special import reg_inc_beta
 
 import oracles
 
@@ -75,6 +77,10 @@ class TestChi2UpperTail:
     def test_at_zero(self):
         assert chi2_upper_tail(0.0, 5) == 1.0
 
+    def test_at_infinity(self):
+        for df in (1, 2, 7, 40):
+            assert chi2_upper_tail(math.inf, df) == 0.0
+
     def test_exponential_closed_form(self):
         assert chi2_upper_tail(2 * math.log(2), 2) == pytest.approx(0.5, abs=1e-12)
 
@@ -87,17 +93,23 @@ class TestChi2UpperTail:
                 oracles.chi2_upper(x, df), abs=1e-10
             )
 
+    # odd df take the erfc head and half-integer terms, even df whole terms;
+    # the quadrature is good to about 1e-10 absolute near a tail of 1
+    @pytest.mark.parametrize("df", [*range(1, 61), 100, 101])
+    def test_finite_sum_matches_quadrature(self, df):
+        for x in (1e-6, 0.5, 3.0, 17.0, 60.0, 150.0, 400.0, 1000.0):
+            assert chi2_upper_tail(x, df) == pytest.approx(
+                oracles.chi2_upper(x, df), rel=1e-9, abs=2e-10
+            ), x
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(0.0, 2000.0), dx=st.floats(1e-6, 100.0), df=st.integers(1, 120))
+    def test_falls_in_x_and_rises_in_df(self, x, dx, df):
+        tail = chi2_upper_tail(x, df)
+        assert chi2_upper_tail(x + dx, df) <= tail * (1 + 1e-12)
+        assert chi2_upper_tail(x, df + 1) >= tail * (1 - 1e-12)
+
     def test_domain_checks(self):
-        with pytest.raises(PreconditionError):
-            chi2_upper_tail(-1.0, 3)
-        with pytest.raises(PreconditionError):
-            chi2_upper_tail(1.0, 0)
-
-
-def test_reg_upper_gamma_series_and_cf_branches_agree():
-    # x just below and above the a+1 branch switch
-    a = 4.0
-    left = reg_upper_gamma(a, a + 0.999)
-    right = reg_upper_gamma(a, a + 1.001)
-    assert left > right
-    assert left == pytest.approx(oracles.chi2_upper(2 * (a + 0.999), 2 * a), abs=1e-12)
+        for x, df in [(-1.0, 3), (math.nan, 3), (1.0, 0), (1.0, 2.5), (1.0, math.nan)]:
+            with pytest.raises(PreconditionError):
+                chi2_upper_tail(x, df)
