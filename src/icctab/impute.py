@@ -13,8 +13,9 @@ Column-and-row adjusted random imputation (:func:`crari_impute`) fixes
 that.  Donors are drawn column-wise (so even one-valid-value rows receive
 fills with nonzero spread), fills are then re-centered per row, and every
 fill is scaled by a coefficient ``c`` before the row's valid mean is added
-back.  Growing ``c`` inflates the interaction variance and lowers the ICC,
-so some ``c`` drives the imputed table to any reachable target ICC, such as
+back.  Past the ICC's peak (at ``c = 0`` unless a column effect moves it),
+growing ``c`` inflates the interaction variance and lowers the ICC, so
+some ``c`` drives the imputed table to any reachable target ICC, such as
 the observed ("low") ICC or the missing-data-corrected estimate.  The fills
 are centered per row, so the row sums do not depend on ``c`` and the
 interaction sum of squares of the completed table is an exact quadratic in
@@ -113,7 +114,8 @@ def ari_impute(table: DataTable, rng=None) -> DataTable:
     are preserved exactly.  Rows without missing cells are untouched.
     """
     values = np.array(table.values)
-    values[table.missing] = _donor_fills(table.values, table.missing, as_generator(rng))
+    np.put(values, np.flatnonzero(table.missing),
+           _donor_fills(table.values, table.missing, as_generator(rng)))
     return DataTable(values, np.zeros(table.shape, dtype=bool))
 
 
@@ -136,7 +138,7 @@ def crari_impute(
         Seed or generator for the donor draws.
     c_max
         Largest admissible scaling coefficient; the reachable ICC range is
-        ``[ICC at c_max, ICC at 0]``.
+        ``[ICC at c_max, ICC at c_top]`` (see Notes).
 
     Notes
     -----
@@ -147,12 +149,14 @@ def crari_impute(
     ``ssij(c) = a0 + a1*c + a2*c**2`` with ``a0 = ssij(B)``,
     ``a1 = -2 * sum_j colsum(B)_j * colsum(F)_j / m`` and
     ``a2 = sum(F**2) - sum_j colsum(F)_j**2 / m >= 0``.  The ICC of a
-    complete table is ``1 - vij/msi``, so the target is attained at the
-    larger root of ``ssij(c) = (1 - target) * msi * dfij``, which lies on
-    the decreasing branch inside ``[0, c_max]``.  This root is what the
-    paper's dichotomic search on ``c`` converges to.  When the target equals
-    the ICC at ``c = 0`` (including the zero-ICC plateau) or ``F`` is zero,
-    ``c = 0``.  The attained ICC is measured on the returned table.
+    complete table is ``1 - vij/msi``, so it peaks where ``ssij`` is least,
+    at ``c_top``: the vertex ``-a1 / (2*a2)`` if it lies in ``(0, c_max)``
+    (a column effect can make ``a1 < 0``), else 0.  The target is attained
+    at the larger root of ``ssij(c) = (1 - target) * msi * dfij``, on the
+    decreasing branch ``[c_top, c_max]``, where the paper's dichotomic
+    search on ``c`` converges.  A target equal to the ICC at 0 (the zero-ICC
+    plateau included) or a zero ``F`` gives ``c = 0``, one equal to the ICC
+    at ``c_top`` gives ``c_top``; the attained ICC is measured on the output.
 
     When no row has more than one missing cell the fills are the row's
     valid mean, ``c`` is reported as 1, and the only reachable ICC is that
@@ -170,18 +174,14 @@ def crari_impute(
     if not c_max > 0:
         raise PreconditionError(f"c_max must be positive, got {c_max}")
     report = icc_report(table, ())
-    icc_before = report.icc
-    icc_cor = report.icc_cor
     warnings: list[str] = []
     if isinstance(target, str):
         if target == "low":
-            target_icc = icc_before
+            target_icc = report.icc
         elif target == "corrected":
-            target_icc = icc_cor
+            target_icc = report.icc_cor
             if report.warnings:
-                warnings.append(
-                    "non-negligible column effect: target ICC possibly biased"
-                )
+                warnings.append("non-negligible column effect: target ICC possibly biased")
         else:
             raise PreconditionError(
                 f"target must be 'low', 'corrected' or a float, got {target!r}"
@@ -191,10 +191,10 @@ def crari_impute(
         if not 0.0 <= target_icc <= 1.0:
             raise PreconditionError(f"explicit target must lie in [0, 1], got {target}")
 
-    outcome = partial(ImputationOutcome, icc_before=icc_before, icc_cor=icc_cor,
+    outcome = partial(ImputationOutcome, icc_before=report.icc, icc_cor=report.icc_cor,
                       target=target_icc)
     if table.n_valid == table.rows * table.cols:
-        return outcome(imputed=table, c=1.0, icc_after=icc_before, warnings=tuple(warnings))
+        return outcome(imputed=table, c=1.0, icc_after=report.icc, warnings=tuple(warnings))
 
     if table.missing.sum(axis=1).max() <= 1:
         imputed = _fill_with_row_means(table)
@@ -207,25 +207,23 @@ def crari_impute(
             )
         return outcome(imputed=imputed, c=1.0, icc_after=icc_after, warnings=tuple(warnings))
 
-    gen = as_generator(rng)
-    centered = _column_donor_fills(table, gen)
-    base = _fill_with_row_means(table)
-    dec = anova(base)
-    rows, cols = table.shape
+    centered = _column_donor_fills(table, as_generator(rng))
+    base = np.where(table.missing, report.item_means[:, None], table.values)
+    dec = anova(DataTable(base, np.zeros(table.shape, dtype=bool)))
     fill_col_sums = centered.sum(axis=0)
-    a0 = dec.ssij
-    a1 = -2.0 * float(dec.col_sums @ fill_col_sums) / rows
-    a2 = float((centered * centered).sum() - fill_col_sums @ fill_col_sums / rows)
+    a1 = -2.0 * float(dec.col_sums @ fill_col_sums) / table.rows
+    a2 = float((centered * centered).sum() - fill_col_sums @ fill_col_sums / table.rows)
 
     def icc_at(c: float) -> float:
-        return _icc(dec.msi, (a0 + c * (a1 + c * a2)) / dec.dfij, cols)
+        return _icc(dec.msi, (dec.ssij + c * (a1 + c * a2)) / dec.dfij, table.cols)
 
-    icc_high = icc_at(0.0)
-    icc_low = icc_at(c_max)
+    c_top = -a1 / (2.0 * a2) if a2 > 0.0 else 0.0
+    c_top = c_top if 0.0 < c_top < c_max else 0.0
+    icc_high, icc_low = icc_at(c_top), icc_at(c_max)
     if icc_high < icc_low:
         raise UnreachableTargetError(
-            f"ICC is not decreasing in c on [0, {c_max}] "
-            f"(ICC {icc_high:.4f} at 0 vs {icc_low:.4f} at {c_max})",
+            f"ICC is not decreasing in c on [{c_top:g}, {c_max}] "
+            f"(ICC {icc_high:.4f} at {c_top:g} vs {icc_low:.4f} at {c_max})",
             reachable=(icc_low, icc_high),
         )
     if not icc_low <= target_icc <= icc_high:
@@ -235,20 +233,23 @@ def crari_impute(
             reachable=(icc_low, icc_high),
         )
 
-    if target_icc == icc_high or a2 == 0.0:
+    if a2 == 0.0 or target_icc == icc_at(0.0):
         c = 0.0
+    elif target_icc == icc_high:
+        c = c_top
     else:
-        # a2*c**2 + a1*c + k = 0 with k <= 0: the larger root, written
-        # without cancellation for either sign of a1
-        k = a0 - (1.0 - target_icc) * dec.msi * dec.dfij
+        # a2*c**2 + a1*c + k = 0 (k > 0 only above ICC(0), with a1 < 0): the
+        # larger root, written without cancellation for either sign of a1
+        k = dec.ssij - (1.0 - target_icc) * dec.msi * dec.dfij
         root = math.sqrt(max(a1 * a1 - 4.0 * a2 * k, 0.0))
         c = -2.0 * k / (a1 + root) if a1 > 0 else (root - a1) / (2.0 * a2)
 
-    imputed = DataTable(base.values + c * centered, np.zeros(table.shape, dtype=bool))
-    icc_after = _complete_icc(imputed)
-    drift = float(np.abs(imputed.row_means() - table.row_means()).max())
+    imputed = DataTable(base + c * centered, np.zeros(table.shape, dtype=bool))
+    after = anova(imputed)
+    drift = float(np.abs(after.item_means() - report.item_means).max())
     if drift > 1e-9:
         warnings.append(f"item mean inaccuracy: {drift:.3e}")
+    icc_after = _icc(after.msi, after.vij, table.cols)
     return outcome(imputed=imputed, c=c, icc_after=icc_after, warnings=tuple(warnings))
 
 
@@ -262,35 +263,34 @@ def _donor_fills(values: np.ndarray, missing: np.ndarray, gen: np.random.Generat
 
     Each missing cell draws one of its row's valid values (in column order)
     with replacement; each row's draws are then adjusted by the rule of
-    :func:`adjust_fills`.  One ``gen.integers`` call with one bound per
-    cell gives the same indices, and leaves ``gen`` in the same state, as
-    one ``integers(0, k, size=s)`` call per row with missing cells.
+    :func:`adjust_fills`.  One ``gen.integers`` call with one bound per cell
+    matches one ``integers(0, k, size=s)`` call per row, ``gen`` state included.
     """
-    valid = ~missing
-    rows = np.nonzero(missing)[0]
-    counts = valid.sum(axis=1)
-    donors = values[valid]
+    m, k = values.shape
+    miss = np.count_nonzero(missing, axis=1)
+    rows = np.repeat(np.arange(m), miss)
+    counts = k - miss
     starts = np.cumsum(counts) - counts
-    draws = donors[starts[rows] + gen.integers(0, counts[rows])]
-    m = values.shape[0]
-    draw_means = np.bincount(rows, draws, m)[rows] / np.bincount(rows, minlength=m)[rows]
-    valid_means = np.where(valid, values, 0.0).sum(axis=1) / counts
-    return draws - draw_means + valid_means[rows]
+    cells = np.flatnonzero(~missing)  # flat indices gather faster than a random boolean mask
+    draws = np.take(values, cells[starts[rows] + gen.integers(0, counts[rows])])
+    draw_means = np.bincount(rows, draws, m) / np.maximum(miss, 1)
+    valid_means = np.where(missing, 0.0, values).sum(axis=1) / counts
+    return draws - draw_means[rows] + valid_means[rows]
 
 
 def _column_donor_fills(table: DataTable, gen: np.random.Generator) -> np.ndarray:
     """Column-wise donor draws, adjusted per column then centered per row.
 
     The donor kernel runs on the transpose, so cells draw in column-major
-    order.  Returns a matrix that is zero at valid cells and holds the centered
-    fills at missing cells; scaling it by ``c`` and adding the row-mean
-    base yields the candidate table for that ``c``.
+    order.  The result is zero at valid cells and holds the centered fills
+    at missing cells (the mask keeps each row's shift off its valid cells);
+    scaled by ``c`` and added to the row-mean base, it is the table at ``c``.
     """
     missing = table.missing
     fills = np.zeros(table.shape)
     fills.T[missing.T] = _donor_fills(table.values.T, missing.T, gen)
-    rows = np.nonzero(missing)[0]
-    fills[missing] -= fills.sum(axis=1)[rows] / missing.sum(axis=1)[rows]
+    shift = fills.sum(axis=1) / np.maximum(np.count_nonzero(missing, axis=1), 1)
+    fills -= shift[:, None] * missing
     return fills
 
 

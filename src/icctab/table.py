@@ -97,7 +97,7 @@ class DataTable:
         if m < 2 or n < 2:
             raise StructuralError(f"table must be at least 2x2, got {m}x{n}")
         valid = ~missing
-        if not np.isfinite(values[valid]).all():
+        if not (np.isfinite(values) | missing).all():
             raise StructuralError("valid entries must be finite")
         empty_rows = np.flatnonzero(~valid.any(axis=1))
         if empty_rows.size:

@@ -10,9 +10,13 @@ test makes one ``permuted`` call per chunk of draws, so they share only the
 generator with it.  The ``virtualize`` oracle is the per-row loop of
 ``permutation(width)`` calls that the one-call kernel replaced.  The
 CRARI oracle is the dichotomic search on the fill scale that the closed
-form replaced; it shares only the donor draws with the code under test.
+form replaced; it shares only the donor draws with the code under test,
+and finds where the ICC peaks from three ``anova`` sums of squares.
 The donor oracles are the per-row and per-column loops that the one-call
-donor kernel replaced: one ``integers(0, k, size=s)`` call per line.
+donor kernel replaced: one ``integers(0, k, size=s)`` call per line; the
+masked-index kernels are the one-call kernel before it took each row's
+missing count once, kept verbatim so that the two can be compared bit for
+bit.
 The CSV oracles are the per-cell reader and writer that the row-streaming
 kernels replaced: the reader holds every cell string of the file before
 parsing, the writer runs ``csv.writer`` over one ``repr`` per cell.
@@ -69,12 +73,16 @@ def f_quantile(p: float, d1: float, d2: float, hi: float = 60.0) -> float:
 
 
 def chi2_upper(x: float, df: float) -> float:
+    """Upper chi-square tail by quadrature over the shorter side of the mode."""
     def density(t):
         return math.exp(
             (df / 2 - 1) * math.log(t) - t / 2 - (df / 2) * math.log(2) - math.lgamma(df / 2)
         )
 
-    value, _ = quad(density, x, np.inf, limit=300)
+    if x < max(df - 2, 0):
+        low, _ = quad(density, 0.0, x, epsabs=0, epsrel=1e-13, limit=500)
+        return 1.0 - low
+    value, _ = quad(density, x, np.inf, epsabs=0, epsrel=1e-13, limit=500)
     return value
 
 
@@ -196,9 +204,11 @@ def crari_bisect(table, target_icc, rng=None, c_max=10.0, c_tol=1e-4):
     """(c, attained ICC, completed values) by dichotomic search on ``c``.
 
     The random path of CRARI with the paper's search: the same donor draws
-    as ``crari_impute``, halving ``[0, c_max]`` until it is narrower than
-    ``c_tol``.  Raises the same ``UnreachableTargetError`` as the code it
-    replaced.
+    as ``crari_impute``, halving ``[c_top, c_max]`` until it is narrower
+    than ``c_tol``.  ``c_top`` is where the ICC peaks when that lies inside
+    ``(0, c_max)``, else 0; it is the vertex of the parabola through the
+    interaction sums of squares at ``c`` = 0, 1 and 2.  Raises the same
+    ``UnreachableTargetError`` as the code under test.
     """
     gen = as_generator(rng)
     centered = _column_donor_fills(table, gen)
@@ -207,12 +217,17 @@ def crari_bisect(table, target_icc, rng=None, c_max=10.0, c_tol=1e-4):
     def candidate(c):
         return base + c * centered
 
-    icc_high = _complete_icc(candidate(0.0))
+    s0, s1, s2 = (anova(DataTable(candidate(c))).ssij for c in (0.0, 1.0, 2.0))
+    curvature = s2 - 2.0 * s1 + s0
+    c_top = (s0 - s1) / curvature + 0.5 if curvature > 0 else 0.0
+    if not 0.0 < c_top < c_max:
+        c_top = 0.0
+    icc_high = _complete_icc(candidate(c_top))
     icc_low = _complete_icc(candidate(c_max))
     if icc_high < icc_low:
         raise UnreachableTargetError(
-            f"ICC is not decreasing in c on [0, {c_max}] "
-            f"(ICC {icc_high:.4f} at 0 vs {icc_low:.4f} at {c_max})",
+            f"ICC is not decreasing in c on [{c_top:g}, {c_max}] "
+            f"(ICC {icc_high:.4f} at {c_top:g} vs {icc_low:.4f} at {c_max})",
             reachable=(icc_low, icc_high),
         )
     if not icc_low <= target_icc <= icc_high:
@@ -221,7 +236,7 @@ def crari_bisect(table, target_icc, rng=None, c_max=10.0, c_tol=1e-4):
             f"[{icc_low:.4f}, {icc_high:.4f}]",
             reachable=(icc_low, icc_high),
         )
-    c_lo, c_hi = 0.0, c_max
+    c_lo, c_hi = c_top, c_max
     c = 0.5 * (c_lo + c_hi)
     values = candidate(c)
     icc_after = _complete_icc(values)
@@ -266,6 +281,30 @@ def column_donor_fills_loop(table, gen) -> np.ndarray:
         missing = np.flatnonzero(table.missing[i])
         if missing.size:
             fills[i, missing] -= fills[i, missing].mean()
+    return fills
+
+
+def donor_fills_masked(values: np.ndarray, missing: np.ndarray, gen) -> np.ndarray:
+    """The donor kernel as it was before it counted each row's cells once."""
+    valid = ~missing
+    rows = np.nonzero(missing)[0]
+    counts = valid.sum(axis=1)
+    donors = values[valid]
+    starts = np.cumsum(counts) - counts
+    draws = donors[starts[rows] + gen.integers(0, counts[rows])]
+    m = values.shape[0]
+    draw_means = np.bincount(rows, draws, m)[rows] / np.bincount(rows, minlength=m)[rows]
+    valid_means = np.where(valid, values, 0.0).sum(axis=1) / counts
+    return draws - draw_means + valid_means[rows]
+
+
+def column_donor_fills_masked(table, gen) -> np.ndarray:
+    """CRARI's centered fills, re-centered through a masked gather and scatter."""
+    missing = table.missing
+    fills = np.zeros(table.shape)
+    fills.T[missing.T] = donor_fills_masked(table.values.T, missing.T, gen)
+    rows = np.nonzero(missing)[0]
+    fills[missing] -= fills.sum(axis=1)[rows] / missing.sum(axis=1)[rows]
     return fills
 
 

@@ -1,8 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import ari_impute_loop, column_donor_fills_loop, crari_bisect
+from oracles import (
+    ari_impute_loop,
+    column_donor_fills_loop,
+    column_donor_fills_masked,
+    crari_bisect,
+    donor_fills_masked,
+)
 
 from icctab import (
     DataTable,
@@ -27,6 +35,7 @@ from icctab.impute import (
     RecoveryPoint,
     _column_donor_fills,
     _complete_icc,
+    _donor_fills,
     _fill_with_row_means,
     crari_recovery_study,
 )
@@ -283,7 +292,12 @@ class TestClosedFormMatchesBisection:
         (30, 6, 5, 0.3, False, 3.0, 0.5, 10.0, "ok"),
         (60, 12, 6, 0.3, True, 0.0, 0.9999, 10.0, "outside"),
         (60, 12, 7, 0.3, True, 0.0, 0.01, 0.5, "outside"),
-        (30, 6, 8, 0.3, False, 3.0, "low", 1.0, "not decreasing"),
+        # the vertex c* lies inside (0, 1): the range runs from ICC(1) up to ICC(c*)
+        (30, 6, 8, 0.3, False, 3.0, "low", 1.0, "outside"),
+        # ... and beyond c_max = 0.5: the ICC only rises on [0, c_max]
+        (30, 6, 8, 0.3, False, 3.0, "low", 0.5, "not decreasing"),
+        # a target between ICC(0) = 0.6917 and ICC(c*) = 0.7642
+        (30, 6, 5, 0.3, False, 3.0, 0.75, 10.0, "ok"),
     ])
     def test_same_coefficient_and_errors(self, rows, cols, seed, p, zscored, column_sd,
                                          target, c_max, kind):
@@ -305,6 +319,19 @@ class TestClosedFormMatchesBisection:
         assert abs(outcome.c - c_bisect) <= 1e-4
         assert abs(outcome.icc_after - target_icc) <= 1e-12
 
+    def test_target_at_the_vertex_takes_the_vertex(self):
+        table = _degraded_table(30, 6, 5, 0.3, False, 3.0)
+        with pytest.raises(UnreachableTargetError) as info:
+            crari_impute(table, target=1.0, rng=5)
+        icc_top = info.value.reachable[1]
+        assert icc_top > _complete_icc(_fill_with_row_means(table))
+        # the search keeps the lower end of [c*, c_max] when the target is ICC(c*)
+        c_bisect, _, _ = crari_bisect(table, icc_top, rng=5)
+        outcome = crari_impute(table, target=icc_top, rng=5)
+        assert outcome.c > 0.0
+        assert abs(outcome.c - c_bisect) <= 1e-4
+        assert abs(outcome.icc_after - icc_top) <= 1e-12
+
     def test_zero_icc_plateau_takes_zero_coefficient(self):
         table = _degraded_table(12, 6, 2, 0.3, item_sd=0.01)
         with pytest.raises(UnreachableTargetError) as info:
@@ -314,6 +341,56 @@ class TestClosedFormMatchesBisection:
         assert outcome.c == 0.0
         assert outcome.icc_after == 0.0
         assert crari_bisect(table, 0.0, rng=9)[1] == 0.0
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# (rows, cols, seed, p, zscored, column_sd): low p leaves rows with no or one
+# missing cell, p = 0.95 leaves about one valid cell in twenty
+KERNEL_TABLES = [
+    ((12, 30, 60, 200)[i % 4], (5, 6, 12, 20)[i % 4], 50 + i, (0.05, 0.1, 0.3, 0.5, 0.7)[i % 5],
+     i % 2 == 0, 3.0 if i % 3 == 0 else 0.0)
+    for i in range(18)
+] + [(60, 200, 70, 0.95, True, 0.0)]
+
+
+class TestDonorKernelsMatchMaskedIndexKernels:
+    """The counted-once kernels against the masked-index kernels they replaced,
+    bit for bit (sign bits included), with the generator left in the same state."""
+
+    @pytest.mark.parametrize("spec", KERNEL_TABLES, ids=lambda spec: "-".join(map(str, spec)))
+    def test_same_bits(self, spec):
+        self.check(_degraded_table(*spec[:5], column_sd=spec[5]))
+
+    def test_one_valid_in_row_and_column(self):
+        self.check(_one_valid_in_row_and_column())
+
+    @staticmethod
+    def check(table):
+        missing = table.missing
+        counts = missing.sum(axis=1)
+        assert counts.max() > 1
+        for values, mask in ((table.values, missing), (table.values.T, missing.T)):
+            gen, gen_old = as_generator(45), as_generator(45)
+            assert _same_bits(_donor_fills(values, mask, gen), donor_fills_masked(values, mask, gen_old))
+            assert gen.bit_generator.state == gen_old.bit_generator.state
+        gen, gen_old = as_generator(46), as_generator(46)
+        assert _same_bits(_column_donor_fills(table, gen), column_donor_fills_masked(table, gen_old))
+        assert gen.bit_generator.state == gen_old.bit_generator.state
+
+    @pytest.mark.parametrize("spec", [KERNEL_TABLES[i] for i in (0, 1, 5, 8, 14, 18)],
+                             ids=lambda spec: "-".join(map(str, spec)))
+    def test_crari_raises_no_runtime_warning(self, spec):
+        table = _degraded_table(*spec[:5], column_sd=spec[5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnreachableTargetError) as info:
+                crari_impute(table, target=1.0, rng=47)
+            low, high = info.value.reachable
+            outcome = crari_impute(table, target=0.5 * (low + high), rng=47)
+        assert abs(outcome.icc_after - 0.5 * (low + high)) <= 1e-12
 
 
 class TestCrariProperties:

@@ -58,6 +58,10 @@ class TestDataTable:
         with pytest.raises(StructuralError, match="finite"):
             DataTable(np.array([[1.0, np.inf], [3.0, 4.0]]), np.zeros((2, 2), bool))
 
+    def test_masked_cell_may_hold_nonfinite(self):
+        table = DataTable(np.array([[1.0, np.inf], [3.0, 4.0]]), [[False, True], [False, False]])
+        assert np.isnan(table.values[0, 1])
+
     def test_arrays_are_frozen(self, small_table):
         with pytest.raises(ValueError):
             small_table.values[0, 0] = 99.0
