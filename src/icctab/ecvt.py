@@ -17,14 +17,16 @@ so with the participant Gram matrix ``G = Vc' Vc`` (n x n, formed once)
     r = w_A' G w_B / sqrt(w_A' G w_A * w_B' G w_B)
 
 and the ``1/g`` factors cancel.  The draws are processed in chunks of B.
-A chunk is one n x 2B indicator block, group A in its first B columns and
-group B in the next B, so a chunk costs two small ``G @ W`` products, one
-per half.  B is the number of draws whose whole footprint fits in a fixed
-byte budget: 48n bytes a draw, for the block's two columns and the
-permutation row that marks them, the two products and one elementwise
-product.  A chunk's B draws are one ``Generator.permuted`` call over B rows of
-``arange(n)``, which shuffles each row as ``permutation(n)`` does, so a
-seed yields the same groups and report as a draw-by-draw loop, whatever B.
+A chunk is one C-contiguous n x 2B indicator block, group A in its first B
+columns and group B in the next B, so a chunk costs one ``G @ W`` product
+over the whole block.  B is the number of draws whose whole footprint fits
+in a fixed byte budget: 48n bytes a draw, for the block's two columns, a
+row of ``arange(n)`` and the permutation row drawn from it, and the
+product's two columns.  The block and the two rows are allocated once per
+group size and reused by every chunk.  A chunk's B draws are one
+``Generator.permuted`` call over B rows of ``arange(n)``, which shuffles
+each row as ``permutation(n)`` does, so a seed yields the same groups and
+report as a draw-by-draw loop, whatever B.
 
 The test requires a complete table — resampling cannot form full item-mean
 vectors when cells are missing — so incomplete tables must be imputed
@@ -211,26 +213,37 @@ def _group_indicator_chunks(
 ):
     """Yield ``resamples`` draws of two disjoint size-``g`` groups in chunks.
 
-    Each chunk is one n x 2B 0/1 block.  For the chunk's draw ``k``, column
-    ``k`` marks the first ``g`` entries of one permutation of the
-    participants (group A) and column ``B + k`` the next ``g`` (group B).
-    The B permutations are one ``permuted`` call, equal to B successive
+    Each chunk is one C-contiguous n x 2B 0/1 block.  For the chunk's draw
+    ``k``, column ``k`` marks the first ``g`` entries of one permutation of
+    the participants (group A) and column ``B + k`` the next ``g`` (group
+    B).  The B permutations are one ``permuted`` call, equal to B successive
     ``permutation(n)`` calls, so the random stream is that of a draw-by-draw
     loop for any B.  ``draw_bytes`` is the caller's whole footprint per
     draw, and B draws take at most ``_CHUNK_BYTES``.  Of that footprint
-    this helper holds 24n bytes while the caller works on a chunk (two
-    float64 block columns and one int64 permutation row) and 40n while it
-    makes the next chunk, the caller's last block being still alive.
+    this helper holds 32n bytes for the whole call, in three buffers
+    allocated once: the block's two float64 columns, a row of ``arange(n)``
+    and the int64 row its permutation is drawn into.  The first 2g entries
+    of that row are then turned in place into the flat indices of the
+    draw's cells, which mark the chunk and, before the next draw, clear it
+    again.  So a yielded block is valid only until the next one is drawn.
     """
-    chunk = _chunk_draws(draw_bytes)
+    chunk = min(_chunk_draws(draw_bytes), resamples)
+    order = np.tile(np.arange(n), (chunk, 1))
+    draws = np.empty_like(order)
+    cells = np.zeros(n * 2 * chunk)
+    marks = draws[:0, : 2 * g]
     for start in range(0, resamples, chunk):
+        cells[marks] = 0.0
         size = min(chunk, resamples - start)
-        draws = gen.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
-        cols = np.arange(size)[:, None]
-        block = np.zeros((n, 2 * size))
-        block[draws[:, :g], cols] = 1.0
-        block[draws[:, g : 2 * g], cols + size] = 1.0
-        yield block
+        gen.permuted(order[:size], axis=1, out=draws[:size])
+        # each draw's 2g participants become the flat indices of their cells
+        # in columns k and size + k of the n x 2*size block
+        marks = draws[:size, : 2 * g]
+        marks *= 2 * size
+        marks += np.arange(size)[:, None]
+        marks[:, g:] += size
+        cells[marks] = 1.0
+        yield cells[: n * 2 * size].reshape(n, 2 * size)
 
 
 def _chunk_draws(draw_bytes: int) -> int:
@@ -244,12 +257,16 @@ def _gram_correlations(gram: np.ndarray, block: np.ndarray, m: int) -> np.ndarra
     means are constant).  The Gram products are the centred moment sums
     that :func:`icctab.anova._correlation` closes.
 
-    The sums run down axis 0, which numpy adds in row order whatever the
-    zero pattern, so identical columns give r == 1 exactly.
+    One GEMM gives ``G W`` for the whole block, 16n bytes a draw, and the
+    three column sums are taken from it without a product temporary.  The
+    sums run down axis 0 in row order whatever the zero pattern, and the
+    0/1 factors make every product exact, so identical columns give r == 1
+    exactly.
     """
     size = block.shape[1] // 2
+    product = gram @ block
     in_a, in_b = block[:, :size], block[:, size:]
-    gram_a = gram @ in_a
-    gram_b = gram @ in_b
-    return _correlation(m, 0.0, 0.0, (in_a * gram_a).sum(axis=0),
-                        (in_b * gram_b).sum(axis=0), (in_b * gram_a).sum(axis=0))
+    gram_a, gram_b = product[:, :size], product[:, size:]
+    return _correlation(m, 0.0, 0.0, np.einsum("ij,ij->j", in_a, gram_a),
+                        np.einsum("ij,ij->j", in_b, gram_b),
+                        np.einsum("ij,ij->j", in_b, gram_a))

@@ -139,23 +139,27 @@ def r2_icc_curve(
     that resample; the mean number of exclusions is reported per size.
 
     The draws come in chunks of one n x 2B group-indicator block ``W``
-    (group A in its first B columns, group B in the next B); a chunk's
-    draws are one ``permuted`` call that gives the groups of a draw-by-draw
-    loop (see :mod:`icctab.ecvt`).  Each group gets three rows over the
-    items: its 0/1 item weights ``w``, its item means ``x`` and ``x²``.
-    They are the rows of three contiguous 2B x m planes of one buffer,
-    which is allocated once with a float32 counts buffer.  Both GEMMs and
-    every elementwise step write into these two buffers: no step allocates
-    a chunk-sized temporary, and no output partly overlaps an operand,
-    which would make numpy copy it first.  The counts ``W'
-    valid`` run in float32: their products are 0 or 1 and their sums
-    integers of at most n, exact on any BLAS.  ``w`` is the counts capped at
-    1; the sums ``W' filled`` go to the ``x`` plane and are divided there by
-    the counts floored at 1, so ``x`` is 0 at the items a group excludes.
-    B is the number of draws whose whole footprint fits in the chunk budget
-    of :func:`icctab.ecvt._group_indicator_chunks`, 56m + 40n bytes a draw:
-    the planes (48m), the counts (8m) and the indicator block with its
-    permutation row (40n, the float32 copy of the block included).
+    (group A in its first B columns, group B in the next B); a chunk's draws
+    are one ``permuted`` call that gives the groups of a draw-by-draw loop
+    (see :mod:`icctab.ecvt`).  Each group gets three rows over the items: its
+    0/1 item weights ``w``, its item means ``x`` and ``x²``.  They are the
+    rows of three contiguous 2B x m planes of one buffer, which is allocated
+    once, as are a float32 counts buffer and a float32 copy of the block.
+    The table enters as C-contiguous n x m operands, ``filled`` and float32
+    ``valid``, built once, so both GEMMs read contiguous memory.  Both GEMMs
+    and every elementwise step write into these buffers: no step allocates a
+    chunk-sized temporary, and no output partly overlaps an operand, which
+    would make numpy copy it first.  The counts ``W' valid`` run in float32:
+    their products are 0 or 1 and their sums integers of at most n, exact on
+    any BLAS.  ``w`` is the counts capped at 1; the sums ``W' filled`` go to
+    the ``x`` plane and are divided there by the counts floored at 1, so
+    ``x`` is 0 at the items a group excludes.  The counts are copied into
+    the float64 ``w`` plane before any arithmetic, so no ufunc mixes float32
+    and float64, which would make numpy allocate casting buffers on every
+    chunk.  B is the number of draws whose whole footprint fits in the chunk
+    budget of :func:`icctab.ecvt._group_indicator_chunks`, 56m + 40n bytes a
+    draw: the planes (48m), the counts (8m), the float32 block copy (8n) and
+    the indicator block with its two int64 rows (32n).
 
     Each draw's correlations come from moment sums, closed by
     :func:`icctab.anova._correlation`.  Group A's ``[w, x, x²]`` against
@@ -179,19 +183,21 @@ def r2_icc_curve(
     if resamples < 1:
         raise PreconditionError("at least 1 resample is required")
     gen = as_generator(rng)
-    # centred, 0 at missing cells; transposed so that each chunk's results
-    # are 2B x m, one row per group
-    filled = np.where(table.valid, table.values, 0.0)
-    np.subtract(filled, filled.sum() / table.valid.sum(), out=filled, where=table.valid)
-    filled = filled.T
-    valid = table.valid.T.astype(np.float32)
+    # participants x items, so that each chunk's results are 2B x m, one row
+    # per group; centred, 0 at missing cells
+    valid = table.valid.T
+    filled = np.zeros((n, m))
+    np.copyto(filled, table.values.T, where=valid)
+    np.subtract(filled, filled.sum() / valid.sum(), out=filled, where=valid)
+    valid = valid.astype(np.float32, order="C")
     centred = pred - pred.mean()
     basis = np.stack([np.ones(m), centred, centred * centred], axis=1)
     draw_bytes = 56 * m + 40 * n
     rows = 2 * min(_chunk_draws(draw_bytes), resamples)
-    # the w, x and x² planes, and the counts, for every chunk
+    # the w, x and x² planes, the counts and the float32 block, for every chunk
     planes = np.empty((3, rows, m))
     counts = np.empty((rows, m), dtype=np.float32)
+    cells32 = np.empty(rows * n, dtype=np.float32)
     points = []
     for g in sizes:
         r2_sums = np.empty((resamples, 3, 3))
@@ -202,11 +208,16 @@ def r2_icc_curve(
             group = planes[:, : 2 * size]
             w, x, xx = group
             count = counts[: 2 * size]
-            np.matmul(block.T.astype(np.float32), valid, out=count)
+            block32 = cells32[: block.size].reshape(block.shape)
+            np.copyto(block32, block)
+            np.matmul(block32.T, valid, out=count)
             np.matmul(block.T, filled, out=x)
-            np.minimum(count, 1.0, out=w)
-            np.maximum(count, 1.0, out=count)
-            np.divide(x, count, out=x)
+            # the counts go to the w plane, floored at 1 in the x² plane to
+            # divide the sums, then capped at 1
+            np.copyto(w, count)
+            np.maximum(w, 1.0, out=xx)
+            np.divide(x, xx, out=x)
+            np.minimum(w, 1.0, out=w)
             np.multiply(x, x, out=xx)
             # 3 x B x m views: [w, x, x²] of group A's draws, and of group B's
             group_a, group_b = group[:, :size], group[:, size:]

@@ -43,7 +43,12 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     )
     front = math.exp(ln_front)
     # Symmetry switch keeps the continued fraction in its fast-converging region.
-    if x < (a + 1.0) / (a + b + 2.0):
+    lower = x < (a + 1.0) / (a + b + 2.0)
+    if front == 0.0:
+        # the fraction's factor underflowed, so its value cannot matter: this
+        # is the 0.0 or 1.0 the full evaluation returns, without its iterations
+        return 0.0 if lower else 1.0
+    if lower:
         return front * _beta_cf(a, b, x) / a
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 

@@ -136,7 +136,8 @@ def ecvt_loop(table, group_sizes=None, resamples=200, rng=None) -> dict:
     dec = anova(table)
     q = math.inf if dec.vij == 0.0 else dec.vi / dec.vij
     gen = as_generator(rng)
-    values = table.values
+    # one contiguous row per participant, so a group's rows are gathered whole
+    by_participant = np.ascontiguousarray(table.values.T)
     mean_r, sd_r = [], []
     chi2 = 0.0
     df = 0
@@ -144,7 +145,8 @@ def ecvt_loop(table, group_sizes=None, resamples=200, rng=None) -> dict:
         rs = np.empty(resamples)
         for b in range(resamples):
             group_a, group_b = disjoint_groups(gen, n, g)
-            rs[b] = pearson(values[:, group_a].mean(axis=1), values[:, group_b].mean(axis=1))
+            rs[b] = pearson(by_participant[group_a].mean(axis=0),
+                            by_participant[group_b].mean(axis=0))
         center, spread = rs.mean(), rs.std(ddof=1)
         mean_r.append(center)
         sd_r.append(spread)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,13 +46,21 @@ class TestNumpyStreamIdentity:
     @pytest.mark.parametrize("n", [2, 3, 80, 240])
     @pytest.mark.parametrize("warm", [0, 3], ids=["fresh", "odd-uint32"])
     def test_permuted_rows_equal_successive_permutations(self, n, warm):
+        # as ``_group_indicator_chunks`` draws: one order and one out buffer
+        # for every chunk, the last chunk shorter, the buffer overwritten
+        # between calls
         gen, gen_loop = np.random.default_rng(41), np.random.default_rng(41)
         for each in (gen, gen_loop):
             each.integers(0, 2**32, size=warm, dtype=np.uint32)
-        block = gen.permuted(np.tile(np.arange(n), (7, 1)), axis=1)
-        loop = np.array([gen_loop.permutation(n) for _ in range(7)])
-        assert np.array_equal(block, loop)
-        assert gen.bit_generator.state == gen_loop.bit_generator.state
+        order = np.tile(np.arange(n), (7, 1))
+        draws = np.empty_like(order)
+        for size in (7, 7, 3):
+            gen.permuted(order[:size], axis=1, out=draws[:size])
+            loop = np.array([gen_loop.permutation(n) for _ in range(size)])
+            assert np.array_equal(draws[:size], loop)
+            assert gen.bit_generator.state == gen_loop.bit_generator.state
+            draws[:size, : n // 2] *= 3
+        assert np.array_equal(order, np.tile(np.arange(n), (7, 1)))
 
 
 def _draws(gen, n, g, resamples, draw_bytes):
@@ -219,6 +228,35 @@ class TestBatchedMatchesLoop:
         if table is IDENTICAL_COLUMNS:
             assert report.df == 0
             assert (report.observed_mean_r == 1.0).all()
+
+
+class TestEcvtPowerShape:
+    """The chunked kernel at the ecvt-power benchmark's 1400 x 80 shape."""
+
+    # one draw short of a chunk, one more draw, two chunks and one draw; a
+    # second chunk drawn over stale marks of the first gives groups larger
+    # than g and fails the per-draw loop; g = 40 is half the participants
+    def test_chunk_boundaries_match_loop(self, z_table_1400x80):
+        chunk = _chunk_draws(48 * z_table_1400x80.cols)  # ecvt's bytes per draw
+        for resamples in (chunk - 1, chunk + 1, 2 * chunk + 1):
+            report = ecvt(z_table_1400x80, group_sizes=(1, 40), resamples=resamples, rng=73)
+            loop = ecvt_loop(z_table_1400x80, group_sizes=(1, 40), resamples=resamples, rng=73)
+            assert report.observed_mean_r == pytest.approx(loop["observed_mean_r"], abs=1e-12)
+            assert report.observed_sd_r == pytest.approx(loop["observed_sd_r"], abs=1e-12)
+            assert report.chi2 == pytest.approx(loop["chi2"], rel=1e-12, abs=1e-12)
+
+    # the traced peak of this call before the draw buffers were reused was
+    # 1 929 640 bytes (1.84 MiB); the margin is the curve memory test's
+    PEAK_BOUND = 1.89 * 2**20
+
+    def test_traced_peak(self, z_table_1400x80):
+        tracemalloc.start()
+        try:
+            ecvt(z_table_1400x80, resamples=1000, rng=74)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_BOUND
 
 
 class TestShiftScaleInvariance:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icctab import PreconditionError, beta_quantile, chi2_upper_tail, f_quantile
+from icctab import special
 from icctab.special import reg_inc_beta
 
 import oracles
@@ -71,6 +72,39 @@ class TestFQuantile:
     def test_matches_quadrature_oracle(self):
         # frozen from oracles.f_quantile(0.975, 10, 20)
         assert f_quantile(0.975, 10, 20) == pytest.approx(2.7736713751990294, abs=1e-4)
+
+
+def _reg_inc_beta_always_cf(x, a, b):
+    """``reg_inc_beta`` with the continued fraction run even where its
+    factor has underflowed to 0; counts those calls in ``underflows``."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log1p(-x))
+    _reg_inc_beta_always_cf.underflows += front == 0.0
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * special._beta_cf(a, b, x) / a
+    return 1.0 - front * special._beta_cf(b, a, 1.0 - x) / b
+
+
+class TestFQuantileUnderflow:
+    # the icc_report levels of the CLI's default --conf 0.95,0.99,0.999, a
+    # median and a 90% level; both df orders of the paper's 1400 x 80 table
+    # and of 4200 x 240, and small tables
+    LEVELS = (0.5, 0.9, 0.975, 0.995, 0.9995)
+    DFS = ((1399, 110521), (110521, 1399), (4199, 1003561), (1003561, 4199),
+           (79, 110521), (9, 27), (2, 3))
+
+    def test_bit_identical_to_full_evaluation(self, monkeypatch):
+        skipped = [f_quantile(p, d1, d2) for p in self.LEVELS for d1, d2 in self.DFS]
+        _reg_inc_beta_always_cf.underflows = 0
+        monkeypatch.setattr(special, "reg_inc_beta", _reg_inc_beta_always_cf)
+        full = [f_quantile(p, d1, d2) for p in self.LEVELS for d1, d2 in self.DFS]
+        assert skipped == full
+        assert f_quantile(0.9995, 1399, 110521) == full[4 * len(self.DFS)]
+        assert _reg_inc_beta_always_cf.underflows > 0
 
 
 class TestChi2UpperTail:
