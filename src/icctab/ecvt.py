@@ -222,20 +222,20 @@ def _group_indicator_chunks(
     draw, and B draws take at most ``_CHUNK_BYTES``.  Of that footprint
     this helper holds 32n bytes for the whole call, in three buffers
     allocated once: the block's two float64 columns, a row of ``arange(n)``
-    and the int64 row its permutation is drawn into.  The first 2g entries
-    of that row are then turned in place into the flat indices of the
-    draw's cells, which mark the chunk and, before the next draw, clear it
-    again.  So a yielded block is valid only until the next one is drawn.
+    and the int64 row its permutation is drawn into.  Each chunk zeroes
+    the block and turns the first 2g entries of each drawn row in place
+    into the flat indices of the cells to mark, so nothing carries over
+    between chunks, but a yielded block is valid only until the next one
+    is drawn.
     """
     chunk = min(_chunk_draws(draw_bytes), resamples)
     order = np.tile(np.arange(n), (chunk, 1))
     draws = np.empty_like(order)
-    cells = np.zeros(n * 2 * chunk)
-    marks = draws[:0, : 2 * g]
+    cells = np.empty(n * 2 * chunk)
     for start in range(0, resamples, chunk):
-        cells[marks] = 0.0
         size = min(chunk, resamples - start)
         gen.permuted(order[:size], axis=1, out=draws[:size])
+        cells[: n * 2 * size] = 0.0
         # each draw's 2g participants become the flat indices of their cells
         # in columns k and size + k of the n x 2*size block
         marks = draws[:size, : 2 * g]

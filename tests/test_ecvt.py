@@ -17,7 +17,13 @@ from icctab import (
     generate,
     zscore,
 )
-from icctab.ecvt import _CHUNK_BYTES, _chunk_draws, _group_indicator_chunks, default_group_sizes
+from icctab.ecvt import (
+    _CHUNK_BYTES,
+    _chunk_draws,
+    _gram_correlations,
+    _group_indicator_chunks,
+    default_group_sizes,
+)
 from icctab.rand import as_generator
 from oracles import disjoint_groups, ecvt_loop
 
@@ -46,12 +52,17 @@ class TestNumpyStreamIdentity:
     @pytest.mark.parametrize("n", [2, 3, 80, 240])
     @pytest.mark.parametrize("warm", [0, 3], ids=["fresh", "odd-uint32"])
     def test_permuted_rows_equal_successive_permutations(self, n, warm):
-        # as ``_group_indicator_chunks`` draws: one order and one out buffer
-        # for every chunk, the last chunk shorter, the buffer overwritten
-        # between calls
         gen, gen_loop = np.random.default_rng(41), np.random.default_rng(41)
         for each in (gen, gen_loop):
             each.integers(0, 2**32, size=warm, dtype=np.uint32)
+        # as ``virtualize`` draws: a new block and no out buffer
+        block = gen.permuted(np.tile(np.arange(n), (7, 1)), axis=1)
+        loop = np.array([gen_loop.permutation(n) for _ in range(7)])
+        assert np.array_equal(block, loop)
+        assert gen.bit_generator.state == gen_loop.bit_generator.state
+        # as ``_group_indicator_chunks`` draws: one order and one out buffer
+        # for every chunk, the last chunk shorter, the buffer overwritten
+        # between calls
         order = np.tile(np.arange(n), (7, 1))
         draws = np.empty_like(order)
         for size in (7, 7, 3):
@@ -234,8 +245,9 @@ class TestEcvtPowerShape:
     """The chunked kernel at the ecvt-power benchmark's 1400 x 80 shape."""
 
     # one draw short of a chunk, one more draw, two chunks and one draw; a
-    # second chunk drawn over stale marks of the first gives groups larger
-    # than g and fails the per-draw loop; g = 40 is half the participants
+    # block not zeroed between chunks keeps the first chunk's marks, gives
+    # groups larger than g and fails the per-draw loop; g = 40 is half the
+    # participants
     def test_chunk_boundaries_match_loop(self, z_table_1400x80):
         chunk = _chunk_draws(48 * z_table_1400x80.cols)  # ecvt's bytes per draw
         for resamples in (chunk - 1, chunk + 1, 2 * chunk + 1):
@@ -257,6 +269,28 @@ class TestEcvtPowerShape:
         finally:
             tracemalloc.stop()
         assert peak <= self.PEAK_BOUND
+
+    # ``anova`` sets the peak of a whole ``ecvt`` call, so the chunk loop is
+    # traced alone too.  Before the draw buffers were reused its peak was
+    # 1 389 806 bytes (1.33 MiB) for either size, now 1 340 499 (1.28 MiB);
+    # a product temporary per column sum reaches 1 665 990, a block zeroed
+    # afresh each chunk 1 448 592 at g = 40
+    LOOP_PEAK_BOUND = 1.34 * 2**20
+
+    @pytest.mark.parametrize("g", [1, 40])
+    def test_chunk_loop_traced_peak(self, z_table_1400x80, g):
+        centered = z_table_1400x80.values - z_table_1400x80.values.mean(axis=0)
+        gram = centered.T @ centered
+        n = z_table_1400x80.cols
+        gen = as_generator(74)
+        tracemalloc.start()
+        try:
+            for block in _group_indicator_chunks(gen, n, g, 1000, 48 * n):
+                _gram_correlations(gram, block, z_table_1400x80.rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.LOOP_PEAK_BOUND
 
 
 class TestShiftScaleInvariance:
