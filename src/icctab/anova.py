@@ -4,6 +4,8 @@ Rows (items) and columns (participants) are both treated as random
 effects; the consistency-of-averages intraclass correlation ICC(C,k) is
 estimated from the variance components.  An empty cell simply drops out of
 every sum, so the same code path serves complete and incomplete tables.
+Besides its input, :func:`anova` holds one float table, the zero-filled
+values, squared in place (ufunc ``out=``) for the total sum of squares.
 
 The corrected coefficient compensates for randomly missing data: a
 proportion ``p`` of missing cells reduces the mean number of averaged
@@ -92,8 +94,7 @@ def anova(table: DataTable) -> AnovaDecomposition:
     col_sums = x.sum(axis=0)
     col_counts = valid.sum(axis=0)
     n_valid = int(row_counts.sum())
-    dfi = m - 1
-    dfj = n - 1
+    dfi, dfj = m - 1, n - 1
     dfij = n_valid - 1 - dfi - dfj
     if dfij < 1:
         raise StructuralError(
@@ -102,7 +103,7 @@ def anova(table: DataTable) -> AnovaDecomposition:
         )
     total = row_sums.sum()
     correction = total * total / n_valid
-    ss = float((x * x).sum() - correction)
+    ss = float(np.square(x, out=x).sum() - correction)
     ssi = float((row_sums**2 / row_counts).sum() - correction)
     ssj = float((col_sums**2 / col_counts).sum() - correction)
     ssij = ss - ssi - ssj
@@ -118,23 +119,9 @@ def anova(table: DataTable) -> AnovaDecomposition:
     vi = max(0.0, (msi - vij) / n)
     vj = max(0.0, (msj - vij) / m)
     return AnovaDecomposition(
-        row_sums=row_sums,
-        row_counts=row_counts,
-        col_sums=col_sums,
-        col_counts=col_counts,
-        n_valid=n_valid,
-        ss=ss,
-        ssi=ssi,
-        ssj=ssj,
-        ssij=ssij,
-        dfi=dfi,
-        dfj=dfj,
-        dfij=dfij,
-        msi=msi,
-        msj=msj,
-        vij=vij,
-        vi=vi,
-        vj=vj,
+        row_sums=row_sums, row_counts=row_counts, col_sums=col_sums, col_counts=col_counts,
+        n_valid=n_valid, ss=ss, ssi=ssi, ssj=ssj, ssij=ssij, dfi=dfi, dfj=dfj, dfij=dfij,
+        msi=msi, msj=msj, vij=vij, vi=vi, vj=vj,
     )
 
 
@@ -201,14 +188,8 @@ def icc_report(
     if dec.vj > min(dec.vij, dec.vi) and pmiss > 0.05:
         warnings = ("non-negligible column effect: corrected statistics unreliable",)
     return IccReport(
-        q=dec.q,
-        icc=icc,
-        f_obs=f_obs,
-        pmiss=pmiss,
-        icc_cor=corrected_icc(icc, pmiss),
-        conf=tuple(conf),
-        warnings=warnings,
-        item_means=dec.item_means(),
+        q=dec.q, icc=icc, f_obs=f_obs, pmiss=pmiss, icc_cor=corrected_icc(icc, pmiss),
+        conf=tuple(conf), warnings=warnings, item_means=dec.item_means(),
     )
 
 

@@ -24,7 +24,10 @@ dichotomic search on ``c``, computed exactly, not a different method.
 
 Both methods draw their donors with one ``integers`` call in cell order,
 row-major for ARI and column-major for CRARI, which matches a per-row or
-per-column loop of draws draw for draw (see :func:`_donor_fills`).
+per-column loop of draws draw for draw (see :func:`_donor_fills`).  Their
+index arrays are sized by the missing cells, and a transposed view is read
+without a copy; besides those, temporaries reused in place keep ARI at two
+float tables at most and CRARI at three (``B + c*F`` forms in ``F``'s buffer).
 
 Two degradation studies run on :func:`icctab.synth._degradation_study`:
 :func:`ari_bias_demo` (the ICC bias of row-wise imputation) and
@@ -113,9 +116,10 @@ def ari_impute(table: DataTable, rng=None) -> DataTable:
     Every missing cell is filled from its own row's valid values; row means
     are preserved exactly.  Rows without missing cells are untouched.
     """
+    fills = _donor_fills(table.values, table.missing, as_generator(rng))
     values = np.array(table.values)
-    np.put(values, np.flatnonzero(table.missing),
-           _donor_fills(table.values, table.missing, as_generator(rng)))
+    values.reshape(-1)[np.flatnonzero(table.missing)] = fills
+    del fills  # not held while the table copies ``values``
     return DataTable(values, np.zeros(table.shape, dtype=bool))
 
 
@@ -208,8 +212,9 @@ def crari_impute(
         return outcome(imputed=imputed, c=1.0, icc_after=icc_after, warnings=tuple(warnings))
 
     centered = _column_donor_fills(table, as_generator(rng))
-    base = np.where(table.missing, report.item_means[:, None], table.values)
-    dec = anova(DataTable(base, np.zeros(table.shape, dtype=bool)))
+    base = DataTable(np.where(table.missing, report.item_means[:, None], table.values),
+                     np.zeros(table.shape, dtype=bool))
+    dec = anova(base)
     fill_col_sums = centered.sum(axis=0)
     a1 = -2.0 * float(dec.col_sums @ fill_col_sums) / table.rows
     a2 = float((centered * centered).sum() - fill_col_sums @ fill_col_sums / table.rows)
@@ -244,7 +249,10 @@ def crari_impute(
         root = math.sqrt(max(a1 * a1 - 4.0 * a2 * k, 0.0))
         c = -2.0 * k / (a1 + root) if a1 > 0 else (root - a1) / (2.0 * a2)
 
-    imputed = DataTable(base + c * centered, np.zeros(table.shape, dtype=bool))
+    # base + c*F, formed in the fills buffer; both are let go before the last anova
+    imputed = DataTable(np.add(base.values, np.multiply(c, centered, out=centered), out=centered),
+                        base.missing)
+    del base, centered
     after = anova(imputed)
     drift = float(np.abs(after.item_means() - report.item_means).max())
     if drift > 1e-9:
@@ -268,14 +276,21 @@ def _donor_fills(values: np.ndarray, missing: np.ndarray, gen: np.random.Generat
     """
     m, k = values.shape
     miss = np.count_nonzero(missing, axis=1)
-    rows = np.repeat(np.arange(m), miss)
     counts = k - miss
-    starts = np.cumsum(counts) - counts
-    cells = np.flatnonzero(~missing)  # flat indices gather faster than a random boolean mask
-    draws = np.take(values, cells[starts[rows] + gen.integers(0, counts[rows])])
-    draw_means = np.bincount(rows, draws, m) / np.maximum(miss, 1)
     valid_means = np.where(missing, 0.0, values).sum(axis=1) / counts
-    return draws - draw_means[rows] + valid_means[rows]
+    rows = np.repeat(np.arange(m), miss)
+    # one name, rebound from donor positions to flat indices to values
+    draws = gen.integers(0, counts[rows])
+    draws += (np.cumsum(counts) - counts)[rows]  # each row's first valid cell
+    draws = np.flatnonzero(~missing)[draws]  # flat indices gather faster than a random boolean mask
+    if values.flags.f_contiguous and not values.flags.c_contiguous:
+        # a transposed view: read (no copy) its C-ordered transpose, where i*k + j is j*m + i
+        draws *= m
+        draws += rows * (1 - k * m)
+        values = values.T
+    draws = np.take(values, draws)
+    draws -= (np.bincount(rows, draws, m) / np.maximum(miss, 1))[rows]
+    return np.add(draws, valid_means[rows], out=draws)
 
 
 def _column_donor_fills(table: DataTable, gen: np.random.Generator) -> np.ndarray:
@@ -287,11 +302,11 @@ def _column_donor_fills(table: DataTable, gen: np.random.Generator) -> np.ndarra
     scaled by ``c`` and added to the row-mean base, it is the table at ``c``.
     """
     missing = table.missing
+    draws = _donor_fills(table.values.T, missing.T, gen)
     fills = np.zeros(table.shape)
-    fills.T[missing.T] = _donor_fills(table.values.T, missing.T, gen)
+    fills.T[missing.T] = draws
     shift = fills.sum(axis=1) / np.maximum(np.count_nonzero(missing, axis=1), 1)
-    fills -= shift[:, None] * missing
-    return fills
+    return np.subtract(fills, shift[:, None], out=fills, where=missing)
 
 
 def _complete_icc(table: DataTable) -> float:

@@ -30,7 +30,10 @@ On Python 3.12 and later ``os.fork`` still warns (``DeprecationWarning``)
 when OpenBLAS has started threads.
 
 Tables are immutable: every operation returns a new table, so instances can
-be shared freely across threads.
+be shared freely across threads.  A table holds one copy of its values.
+Kernels reuse their table-sized temporaries in place (ufunc ``out=``,
+``np.copyto(where=)``), as each fresh one costs page faults: :func:`zscore`
+holds at most two float tables besides its input.
 """
 
 import csv
@@ -471,17 +474,18 @@ def zscore(table: DataTable) -> DataTable:
         raise StructuralError(
             f"column(s) {(thin + 1).tolist()} have fewer than 2 valid entries"
         )
-    filled = np.where(valid, table.values, 0.0)
-    means = filled.sum(axis=0) / counts
-    centered = np.where(valid, table.values - means, 0.0)
-    variances = (centered**2).sum(axis=0) / (counts - 1)
+    centered = np.where(valid, table.values, 0.0)
+    means = centered.sum(axis=0) / counts
+    np.subtract(table.values, means, out=centered)
+    np.copyto(centered, 0.0, where=table.missing)
+    variances = np.square(centered).sum(axis=0) / (counts - 1)
     degenerate = np.flatnonzero(variances <= 0)
     if degenerate.size:
         raise NumericError(
             f"column(s) {(degenerate + 1).tolist()} have zero variance"
         )
-    scaled = np.where(valid, centered / np.sqrt(variances), np.nan)
-    return DataTable(scaled, table.missing)
+    # the table sets NaN at the masked cells
+    return DataTable(np.divide(centered, np.sqrt(variances), out=centered), table.missing)
 
 
 def mix_rows(table: DataTable, rng=None) -> DataTable:

@@ -17,6 +17,10 @@ donor kernel replaced: one ``integers(0, k, size=s)`` call per line; the
 masked-index kernels are the one-call kernel before it took each row's
 missing count once, kept verbatim so that the two can be compared bit for
 bit.
+The allocating kernels are ``anova``, ``zscore``, the donor kernels and
+``crari_impute`` as they were before their table-sized temporaries were
+reused in place, kept verbatim (the names of the copies they call aside)
+so that the two can be compared bit for bit.
 The CSV oracles are the per-cell reader and writer that the row-streaming
 kernels replaced: the reader holds every cell string of the file before
 parsing, the writer runs ``csv.writer`` over one ``repr`` per cell.
@@ -24,15 +28,28 @@ parsing, the writer runs ``csv.writer`` over one ``repr`` per cell.
 
 import csv
 import math
+from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from icctab.anova import anova, expected_icc
+from icctab.anova import AnovaDecomposition, _icc, anova, expected_icc, icc_report
 from icctab.ecvt import default_group_sizes
-from icctab.errors import StructuralError, TableFormatError, UnreachableTargetError
-from icctab.impute import _column_donor_fills, _fill_with_row_means, adjust_fills
+from icctab.errors import (
+    NumericError,
+    PreconditionError,
+    StructuralError,
+    TableFormatError,
+    UnreachableTargetError,
+)
+from icctab.impute import (
+    ImputationOutcome,
+    _column_donor_fills,
+    _fill_with_row_means,
+    adjust_fills,
+)
+from icctab.impute import _complete_icc as _table_icc
 from icctab.rand import as_generator
 from icctab.special import chi2_upper_tail
 from icctab.table import DataTable
@@ -308,6 +325,202 @@ def column_donor_fills_masked(table, gen) -> np.ndarray:
     rows = np.nonzero(missing)[0]
     fills[missing] -= fills.sum(axis=1)[rows] / missing.sum(axis=1)[rows]
     return fills
+
+
+def anova_allocating(table: DataTable) -> AnovaDecomposition:
+    """``anova`` with a fresh product table for the total sum of squares."""
+    m, n = table.shape
+    valid = table.valid
+    x = np.where(valid, table.values, 0.0)
+    row_sums = x.sum(axis=1)
+    row_counts = valid.sum(axis=1)
+    col_sums = x.sum(axis=0)
+    col_counts = valid.sum(axis=0)
+    n_valid = int(row_counts.sum())
+    dfi = m - 1
+    dfj = n - 1
+    dfij = n_valid - 1 - dfi - dfj
+    if dfij < 1:
+        raise StructuralError(
+            f"insufficient data for the interaction term: dfij={dfij} "
+            f"({n_valid} valid cells in a {m}x{n} table)"
+        )
+    total = row_sums.sum()
+    correction = total * total / n_valid
+    ss = float((x * x).sum() - correction)
+    ssi = float((row_sums**2 / row_counts).sum() - correction)
+    ssj = float((col_sums**2 / col_counts).sum() - correction)
+    ssij = ss - ssi - ssj
+    msi = ssi / dfi
+    msj = ssj / dfj
+    vij = ssij / dfij
+    if vij < 0:
+        raise NumericError(
+            f"negative interaction variance ({vij:.3e}): the table is too unbalanced "
+            "for this decomposition, as happens when a raw table with missing cells "
+            "has a column (participant) effect; standardize its columns first (--zscore)"
+        )
+    vi = max(0.0, (msi - vij) / n)
+    vj = max(0.0, (msj - vij) / m)
+    return AnovaDecomposition(
+        row_sums=row_sums,
+        row_counts=row_counts,
+        col_sums=col_sums,
+        col_counts=col_counts,
+        n_valid=n_valid,
+        ss=ss,
+        ssi=ssi,
+        ssj=ssj,
+        ssij=ssij,
+        dfi=dfi,
+        dfj=dfj,
+        dfij=dfij,
+        msi=msi,
+        msj=msj,
+        vij=vij,
+        vi=vi,
+        vj=vj,
+    )
+
+
+def zscore_allocating(table: DataTable) -> DataTable:
+    """``zscore`` through three ``np.where`` selects, each a fresh table."""
+    valid = table.valid
+    counts = valid.sum(axis=0)
+    thin = np.flatnonzero(counts < 2)
+    if thin.size:
+        raise StructuralError(
+            f"column(s) {(thin + 1).tolist()} have fewer than 2 valid entries"
+        )
+    filled = np.where(valid, table.values, 0.0)
+    means = filled.sum(axis=0) / counts
+    centered = np.where(valid, table.values - means, 0.0)
+    variances = (centered**2).sum(axis=0) / (counts - 1)
+    degenerate = np.flatnonzero(variances <= 0)
+    if degenerate.size:
+        raise NumericError(
+            f"column(s) {(degenerate + 1).tolist()} have zero variance"
+        )
+    scaled = np.where(valid, centered / np.sqrt(variances), np.nan)
+    return DataTable(scaled, table.missing)
+
+
+def donor_fills_allocating(values: np.ndarray, missing: np.ndarray, gen) -> np.ndarray:
+    """The donor kernel gathering through ``np.take`` on ``values`` (a copy
+    of a transposed view), with a fresh array per adjustment step."""
+    m, k = values.shape
+    miss = np.count_nonzero(missing, axis=1)
+    rows = np.repeat(np.arange(m), miss)
+    counts = k - miss
+    starts = np.cumsum(counts) - counts
+    cells = np.flatnonzero(~missing)  # flat indices gather faster than a random boolean mask
+    draws = np.take(values, cells[starts[rows] + gen.integers(0, counts[rows])])
+    draw_means = np.bincount(rows, draws, m) / np.maximum(miss, 1)
+    valid_means = np.where(missing, 0.0, values).sum(axis=1) / counts
+    return draws - draw_means[rows] + valid_means[rows]
+
+
+def column_donor_fills_allocating(table, gen) -> np.ndarray:
+    """CRARI's centered fills, shifted through a fresh product table."""
+    missing = table.missing
+    fills = np.zeros(table.shape)
+    fills.T[missing.T] = donor_fills_allocating(table.values.T, missing.T, gen)
+    shift = fills.sum(axis=1) / np.maximum(np.count_nonzero(missing, axis=1), 1)
+    fills -= shift[:, None] * missing
+    return fills
+
+
+def ari_impute_allocating(table, rng=None) -> DataTable:
+    """``ari_impute`` scattering its fills through ``np.put``."""
+    values = np.array(table.values)
+    np.put(values, np.flatnonzero(table.missing),
+           donor_fills_allocating(table.values, table.missing, as_generator(rng)))
+    return DataTable(values, np.zeros(table.shape, dtype=bool))
+
+
+def crari_impute_allocating(table, target="corrected", rng=None, c_max=10.0) -> ImputationOutcome:
+    """``crari_impute`` with a row-mean base copied into its ``DataTable`` and
+    the table at ``c`` formed in two fresh arrays."""
+    if not c_max > 0:
+        raise PreconditionError(f"c_max must be positive, got {c_max}")
+    report = icc_report(table, ())
+    warnings: list[str] = []
+    if isinstance(target, str):
+        if target == "low":
+            target_icc = report.icc
+        elif target == "corrected":
+            target_icc = report.icc_cor
+            if report.warnings:
+                warnings.append("non-negligible column effect: target ICC possibly biased")
+        else:
+            raise PreconditionError(
+                f"target must be 'low', 'corrected' or a float, got {target!r}"
+            )
+    else:
+        target_icc = float(target)
+        if not 0.0 <= target_icc <= 1.0:
+            raise PreconditionError(f"explicit target must lie in [0, 1], got {target}")
+
+    outcome = partial(ImputationOutcome, icc_before=report.icc, icc_cor=report.icc_cor,
+                      target=target_icc)
+    if table.n_valid == table.rows * table.cols:
+        return outcome(imputed=table, c=1.0, icc_after=report.icc, warnings=tuple(warnings))
+
+    if table.missing.sum(axis=1).max() <= 1:
+        imputed = _fill_with_row_means(table)
+        icc_after = _table_icc(imputed)
+        if target_icc != icc_after:
+            raise UnreachableTargetError(
+                f"target ICC {target_icc:.4f} not reachable: no row has more than one "
+                f"missing cell, so the fills are the row means, with ICC {icc_after:.4f}",
+                reachable=(icc_after, icc_after),
+            )
+        return outcome(imputed=imputed, c=1.0, icc_after=icc_after, warnings=tuple(warnings))
+
+    centered = column_donor_fills_allocating(table, as_generator(rng))
+    base = np.where(table.missing, report.item_means[:, None], table.values)
+    dec = anova_allocating(DataTable(base, np.zeros(table.shape, dtype=bool)))
+    fill_col_sums = centered.sum(axis=0)
+    a1 = -2.0 * float(dec.col_sums @ fill_col_sums) / table.rows
+    a2 = float((centered * centered).sum() - fill_col_sums @ fill_col_sums / table.rows)
+
+    def icc_at(c: float) -> float:
+        return _icc(dec.msi, (dec.ssij + c * (a1 + c * a2)) / dec.dfij, table.cols)
+
+    c_top = -a1 / (2.0 * a2) if a2 > 0.0 else 0.0
+    c_top = c_top if 0.0 < c_top < c_max else 0.0
+    icc_high, icc_low = icc_at(c_top), icc_at(c_max)
+    if icc_high < icc_low:
+        raise UnreachableTargetError(
+            f"ICC is not decreasing in c on [{c_top:g}, {c_max}] "
+            f"(ICC {icc_high:.4f} at {c_top:g} vs {icc_low:.4f} at {c_max})",
+            reachable=(icc_low, icc_high),
+        )
+    if not icc_low <= target_icc <= icc_high:
+        raise UnreachableTargetError(
+            f"target ICC {target_icc:.4f} outside the reachable range "
+            f"[{icc_low:.4f}, {icc_high:.4f}]",
+            reachable=(icc_low, icc_high),
+        )
+
+    if a2 == 0.0 or target_icc == icc_at(0.0):
+        c = 0.0
+    elif target_icc == icc_high:
+        c = c_top
+    else:
+        # a2*c**2 + a1*c + k = 0 (k > 0 only above ICC(0), with a1 < 0): the
+        # larger root, written without cancellation for either sign of a1
+        k = dec.ssij - (1.0 - target_icc) * dec.msi * dec.dfij
+        root = math.sqrt(max(a1 * a1 - 4.0 * a2 * k, 0.0))
+        c = -2.0 * k / (a1 + root) if a1 > 0 else (root - a1) / (2.0 * a2)
+
+    imputed = DataTable(base + c * centered, np.zeros(table.shape, dtype=bool))
+    after = anova_allocating(imputed)
+    drift = float(np.abs(after.item_means() - report.item_means).max())
+    if drift > 1e-9:
+        warnings.append(f"item mean inaccuracy: {drift:.3e}")
+    icc_after = _icc(after.msi, after.vij, table.cols)
+    return outcome(imputed=imputed, c=c, icc_after=icc_after, warnings=tuple(warnings))
 
 
 def virtualize_loop(table, rng=None) -> DataTable:
