@@ -94,7 +94,8 @@ def anova(table: DataTable) -> AnovaDecomposition:
     col_sums = x.sum(axis=0)
     col_counts = valid.sum(axis=0)
     n_valid = int(row_counts.sum())
-    dfi, dfj = m - 1, n - 1
+    dfi = m - 1
+    dfj = n - 1
     dfij = n_valid - 1 - dfi - dfj
     if dfij < 1:
         raise StructuralError(
@@ -119,9 +120,23 @@ def anova(table: DataTable) -> AnovaDecomposition:
     vi = max(0.0, (msi - vij) / n)
     vj = max(0.0, (msj - vij) / m)
     return AnovaDecomposition(
-        row_sums=row_sums, row_counts=row_counts, col_sums=col_sums, col_counts=col_counts,
-        n_valid=n_valid, ss=ss, ssi=ssi, ssj=ssj, ssij=ssij, dfi=dfi, dfj=dfj, dfij=dfij,
-        msi=msi, msj=msj, vij=vij, vi=vi, vj=vj,
+        row_sums=row_sums,
+        row_counts=row_counts,
+        col_sums=col_sums,
+        col_counts=col_counts,
+        n_valid=n_valid,
+        ss=ss,
+        ssi=ssi,
+        ssj=ssj,
+        ssij=ssij,
+        dfi=dfi,
+        dfj=dfj,
+        dfij=dfij,
+        msi=msi,
+        msj=msj,
+        vij=vij,
+        vi=vi,
+        vj=vj,
     )
 
 
@@ -188,8 +203,14 @@ def icc_report(
     if dec.vj > min(dec.vij, dec.vi) and pmiss > 0.05:
         warnings = ("non-negligible column effect: corrected statistics unreliable",)
     return IccReport(
-        q=dec.q, icc=icc, f_obs=f_obs, pmiss=pmiss, icc_cor=corrected_icc(icc, pmiss),
-        conf=tuple(conf), warnings=warnings, item_means=dec.item_means(),
+        q=dec.q,
+        icc=icc,
+        f_obs=f_obs,
+        pmiss=pmiss,
+        icc_cor=corrected_icc(icc, pmiss),
+        conf=tuple(conf),
+        warnings=warnings,
+        item_means=dec.item_means(),
     )
 
 

@@ -468,6 +468,19 @@ class TestInPlaceKernelsMatchAllocatingKernels:
     def test_same_bits_on_sparse_masks(self, table):
         self.check(table)
 
+    @pytest.mark.parametrize("spec", [(30, 6, 83, 0.5, True, 0.0), (200, 20, 88, 0.5, False, 3.0),
+                                      (1400, 80, 89, 0.1, True, 0.0)],
+                             ids=lambda spec: "-".join(map(str, spec)))
+    def test_same_bits_on_fortran_ordered_tables(self, spec):
+        # a table keeps the layout of the values it is given (a transpose, a
+        # pandas frame); sums over such a layout can round differently from
+        # the C-ordered table's, so each is compared with its allocating form
+        table = _degraded_table(*spec)
+        fortran = DataTable(np.asfortranarray(table.values), table.missing)
+        assert fortran.values.flags.f_contiguous and not fortran.values.flags.c_contiguous
+        self.check(fortran)
+        self.check(DataTable(fortran.values, np.asfortranarray(table.missing)))
+
     @staticmethod
     def check(table):
         assert _outcome_bits(anova, table) == _outcome_bits(anova_allocating, table)
@@ -495,15 +508,16 @@ class TestKernelTracedPeaks:
 
     Measured peaks (numpy 2.4) and those of the allocating forms they
     replaced, at p = 0.1 / 0.5 / 0.9: ``anova`` 1.23 (was 2.15), ``zscore``
-    2.63 (was 4.63), ``ari_impute`` 2.63 / 2.63 / 2.85 (was 3.27 / 4.07 /
+    2.63 (was 4.63), ``ari_impute`` 2.63 / 2.63 / 2.84 (was 3.27 / 4.07 /
     5.67), ``crari_impute`` 3.67 (was 5.32) and its donor kernel
-    ``_column_donor_fills`` 1.36 / 2.01 / 2.81 (was 3.21 / 4.01 / 4.81).
-    Each bound is the largest peak plus 0.05 of a table (45 kB); one
-    table-sized temporary more in a kernel exceeds it.
+    ``_column_donor_fills`` 2.16 / 2.16 / 2.80 (was 3.21 / 4.01 / 4.81).
+    Each bound is the largest peak plus 0.25 of a table (224 kB): room for
+    three ufunc iterator buffers of 8192 float64 (numpy traces one in a
+    masked subtract), so less than one table-sized temporary more.
     """
 
-    BOUNDS = {"anova": 1.28, "zscore": 2.68, "ari_impute": 2.90, "crari_impute": 3.72,
-              "column_donor_fills": 2.86}
+    BOUNDS = {"anova": 1.48, "zscore": 2.88, "ari_impute": 3.09, "crari_impute": 3.92,
+              "column_donor_fills": 3.06}
     KERNELS = {
         "anova": anova,
         "zscore": zscore,
