@@ -18,13 +18,23 @@ is the ordered dict of the header's ``key=value`` pairs and ``results`` the
 ordered ``(key, text)`` pairs of the report body, a warning being one more
 ``("warning", text)`` pair.  :func:`main` adds the seed and renders every
 report, so the format is decided in one place.  Exit codes: 0 ok, 2 format
-error, 3 structural error, 4 numeric error, 5 unreachable imputation
-target, 6 precondition violation.  Each handler imports the kernels it
-runs, so ``--version``, ``--help`` and usage errors never load numpy.
+or usage error, 3 structural error, 4 numeric error, 5 unreachable
+imputation target, 6 precondition violation.  Each handler imports the
+kernels it runs, so ``--version``, ``--help`` and usage errors never load
+numpy.
+
+:func:`entrypoint` is the process (the console script and ``python -m
+icctab``), and it ends it: once :func:`main` returns or raises, it freezes
+the collector (``gc.freeze``), so the interpreter's final collections skip
+the objects the imports and the command leave alive.  Only the process's
+last function may freeze: :func:`main` also runs inside long-lived
+processes (tests, the benchmark's traced replay), where frozen garbage
+would never be freed.
 """
 
 import argparse
 import csv
+import gc
 import math
 import sys
 
@@ -82,7 +92,10 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
 
 
 def _exit_code(exc: IccTabError) -> int:
@@ -103,14 +116,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("icc", help="ICC report for a table")
     _table_flags(p)
-    p.add_argument("--conf", default="0.95,0.99,0.999",
+    p.add_argument("--conf", type=_float_list, default="0.95,0.99,0.999",
                    help="comma-separated confidence probabilities")
     p.set_defaults(handler=_run_icc)
 
     p = sub.add_parser("impute", help="fill missing cells with a target ICC")
     _table_flags(p, transforms=("zscore",))
     p.add_argument("--output", required=True, help="path of the imputed CSV")
-    p.add_argument("--target", default="corrected",
+    p.add_argument("--target", type=_target, default="corrected",
                    help="'low', 'corrected' or an explicit ICC value")
     p.add_argument("--c-max", type=float, default=10.0,
                    help="largest fill scale; bounds the reachable ICC range")
@@ -130,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _table_flags(p)
     p.add_argument("--predictors", required=True,
                    help="CSV of predictor columns aligned with the table rows")
-    p.add_argument("--conf", default="0.95,0.99,0.999")
+    p.add_argument("--conf", type=_float_list, default="0.95,0.99,0.999")
     p.set_defaults(handler=_run_fit)
 
     p = sub.add_parser("synth", help="generate an artificial table")
@@ -154,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True, choices=tuple(EXPERIMENTS))
     p.add_argument("--rows", type=int, default=1400)
     p.add_argument("--cols", type=int, default=80)
-    p.add_argument("--p-grid", default=None,
+    p.add_argument("--p-grid", type=_float_list, default=None,
                    help="comma-separated missing proportions")
     p.add_argument("--replications", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -198,6 +211,30 @@ def _load_table(args):
 
 def _parse_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+
+
+def _float_list(raw: str) -> str:
+    """``raw`` if :func:`_parse_floats` reads it, else a usage error.
+
+    The raw text is kept for the report header.
+    """
+    try:
+        _parse_floats(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {raw!r}") from None
+    return raw
+
+
+def _target(raw: str) -> str:
+    """``raw`` if it is 'low', 'corrected' or a number, else a usage error."""
+    if raw not in ("low", "corrected"):
+        try:
+            float(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected 'low', 'corrected' or a number, got {raw!r}") from None
+    return raw
 
 
 def _parse_ints(raw: str) -> tuple[int, ...]:
@@ -430,4 +467,4 @@ def _write_csv(path, header, rows) -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entrypoint()

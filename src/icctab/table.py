@@ -182,11 +182,11 @@ def _read_cells(path, missing_code: float | None = None) -> tuple[np.ndarray, np
     try:
         with open(path, "rb") as handle:
             split = _split_point(handle)
-            first, rows, header = _first_data_row(handle, split)
+            first, rows, header = _first_data_row(handle, path, split)
             if first is None and split is not None:  # the head holds no data row
                 handle.seek(0)
                 split = None
-                first, rows, header = _first_data_row(handle, None)
+                first, rows, header = _first_data_row(handle, path, None)
             if first is None:
                 raise StructuralError(f"{path}: file contains no data{' rows' if header else ''}")
             width = len(first)
@@ -275,36 +275,44 @@ def _rows(handle, stop: int | None = None):
     return filter(None, csv.reader(_lines(handle, stop)))
 
 
-def _first_data_row(handle, stop: int | None):
+def _first_data_row(handle, path, stop: int | None):
     """First data row up to byte ``stop``, the rows after it, and whether a
-    header row came before it."""
+    header row came before it.  A row that ``csv.reader`` rejects here is
+    named row 1, even a header."""
     rows = _rows(handle, stop)
-    first = next(rows, None)
-    header = first is not None and _first_non_number(first) is not None
-    if header:
+    try:
         first = next(rows, None)
+        header = first is not None and _first_non_number(first) is not None
+        if header:
+            first = next(rows, None)
+    except csv.Error as exc:
+        raise TableFormatError(f"{path}: row 1: {exc}") from None
     return first, rows, header
 
 
 def _parse_rows(rows, path, width: int, start: int) -> tuple[list, list]:
     """Value and mask arrays, one pair per row, of CSV rows numbered from ``start``."""
     value_rows, mask_rows = [], []
-    for i, row in enumerate(rows, start):
-        if len(row) != width:
-            raise TableFormatError(f"{path}: row {i} has {len(row)} columns, expected {width}")
-        texts = list(map(str.strip, row))
-        empty = np.fromiter(map(operator.not_, texts), bool, width)
-        try:
-            parsed = np.fromiter(map(float, filter(None, texts)), float)
-        except ValueError:
-            j = _first_non_number(texts)
-            raise TableFormatError(
-                f"{path}: row {i}, column {j + 1}: cannot parse {texts[j]!r}"
-            ) from None
-        row_values = np.zeros(width)
-        row_values[~empty] = parsed
-        value_rows.append(row_values)
-        mask_rows.append(empty)
+    i = start - 1
+    try:
+        for i, row in enumerate(rows, start):
+            if len(row) != width:
+                raise TableFormatError(f"{path}: row {i} has {len(row)} columns, expected {width}")
+            texts = list(map(str.strip, row))
+            empty = np.fromiter(map(operator.not_, texts), bool, width)
+            try:
+                parsed = np.fromiter(map(float, filter(None, texts)), float)
+            except ValueError:
+                j = _first_non_number(texts)
+                raise TableFormatError(
+                    f"{path}: row {i}, column {j + 1}: cannot parse {texts[j]!r}"
+                ) from None
+            row_values = np.zeros(width)
+            row_values[~empty] = parsed
+            value_rows.append(row_values)
+            mask_rows.append(empty)
+    except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+        raise TableFormatError(f"{path}: row {i + 1}: {exc}") from None
     return value_rows, mask_rows
 
 

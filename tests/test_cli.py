@@ -1,14 +1,19 @@
 import csv
+import gc
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import icctab
 import icctab.table as table_module
 from icctab import SynthSpec, degrade_random, generate, save_csv, zscore
-from icctab.cli import EXIT_CODES, _exit_code, main
+from icctab.cli import EXIT_CODES, _exit_code, entrypoint, main
 from icctab.errors import (
     IccTabError,
     NumericError,
@@ -406,6 +411,45 @@ class TestErrorExitCodes:
         assert code == 2 and out == ""
         assert err.startswith(f"error[2] TableFormatError: {bad}: line 101: not UTF-8 (")
 
+    def test_overlong_predictor_cell_is_a_format_error(self, capsys, tmp_path, degraded_csv):
+        limit = csv.field_size_limit()
+        bad = tmp_path / "predictors.csv"
+        bad.write_text("freq\n0.1\n" + "0" * (limit + 1) + "\n")
+        code, out, err = run(capsys, "fit", "--input", str(degraded_csv),
+                             "--predictors", str(bad))
+        assert code == 2 and out == ""
+        assert err == (f"error[2] TableFormatError: {bad}: row 2: "
+                       f"field larger than field limit ({limit})\n")
+
+    # a malformed value of each option that is checked when it is parsed;
+    # the files named are never opened
+    USAGE_CASES = {
+        "icc-conf": (["icc", "--input", "t.csv", "--conf", "0.95,x"],
+                     "argument --conf: expected comma-separated numbers, got '0.95,x'"),
+        "fit-conf": (["fit", "--input", "t.csv", "--predictors", "p.csv", "--conf", "abc"],
+                     "argument --conf: expected comma-separated numbers, got 'abc'"),
+        "experiment-p-grid": (["experiment", "--name", "ari-bias", "--output", "c.csv",
+                               "--p-grid", "a"],
+                              "argument --p-grid: expected comma-separated numbers, got 'a'"),
+        "impute-target": (["impute", "--input", "t.csv", "--output", "o.csv",
+                           "--target", "abc"],
+                          "argument --target: expected 'low', 'corrected' or a number, "
+                          "got 'abc'"),
+    }
+
+    @pytest.mark.parametrize("name", USAGE_CASES)
+    def test_malformed_option_value_is_a_usage_error(self, capsys, tmp_path, monkeypatch,
+                                                     name):
+        argv, message = self.USAGE_CASES[name]
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exit_info.value.code == 2 and out == ""
+        assert err.startswith("usage: icctab ")
+        assert err.endswith(f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_broken_pipe_exits_2(self, capsys, monkeypatch, complete_csv):
         class ClosedPipe:
             def write(self, text):
@@ -467,3 +511,52 @@ class TestErrorExitCodes:
     def test_every_subclass_has_a_code_and_the_base_class_maps_to_one(self):
         assert set(IccTabError.__subclasses__()) == set(EXIT_CODES)
         assert _exit_code(IccTabError("unclassified")) == 1
+
+
+def icctab_process(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m icctab`` on the package these tests import."""
+    src = str(Path(icctab.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, "-m", "icctab", *argv], capture_output=True,
+                          env=env, timeout=60)
+
+
+class TestProcessEntry:
+    """``python -m icctab`` and the freeze that ends the process."""
+
+    def test_report_bytes_match_in_process_main(self, capsys, complete_csv):
+        code, out, err = run(capsys, "icc", "--input", str(complete_csv), "--seed", "3")
+        proc = icctab_process("icc", "--input", str(complete_csv), "--seed", "3")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"")
+        assert code == 0 and err == ""
+
+    def test_version_usage_and_structural_exits(self, tmp_path):
+        version = icctab_process("--version")
+        assert version.returncode == 0
+        assert version.stdout == f"icctab {icctab.__version__}\n".encode()
+        usage = icctab_process("icc", "--input", "t.csv", "--conf", "abc")
+        assert usage.returncode == 2 and usage.stdout == b""
+        assert usage.stderr.startswith(b"usage: icctab icc ")
+        bad = tmp_path / "empty_row.csv"
+        bad.write_text("1,\n3,\n")
+        structural = icctab_process("icc", "--input", str(bad))
+        assert structural.returncode == 3 and structural.stdout == b""
+        assert structural.stderr.startswith(b"error[3] StructuralError: ")
+
+    def test_main_never_freezes(self, capsys, complete_csv):
+        before = gc.get_freeze_count()
+        code, _, _ = run(capsys, "icc", "--input", str(complete_csv))
+        assert code == 0 and gc.get_freeze_count() == before
+
+    def test_entrypoint_freezes_on_its_way_out(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["icctab", "--version"])
+        before = gc.get_freeze_count()
+        try:
+            with pytest.raises(SystemExit) as exit_info:
+                entrypoint()
+            assert exit_info.value.code == 0
+            assert gc.get_freeze_count() > before
+        finally:
+            gc.unfreeze()
+        assert capsys.readouterr().out == f"icctab {icctab.__version__}\n"

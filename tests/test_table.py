@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import os
 import signal
 import tempfile
@@ -110,6 +111,13 @@ class TestLoadCsv:
         t = load_csv(write(tmp_path, "1,inf\n3,4\n"), missing_code=float("inf"))
         assert t.missing[0, 1]
 
+    @pytest.mark.parametrize("first", ["1", "a"], ids=["data", "header"])
+    def test_overlong_first_row_is_row_1(self, tmp_path, first):
+        # csv.reader refuses a cell longer than csv.field_size_limit()
+        path = write(tmp_path, f"{first},{'2' * (csv.field_size_limit() + 1)}\n3,4\n5,6\n")
+        with pytest.raises(TableFormatError, match=r"row 1: field larger than field limit"):
+            load_csv(path)
+
 
 class TestSaveCsv:
     def test_round_trip_values_and_mask(self, tmp_path, small_table):
@@ -193,10 +201,13 @@ SPLIT_READS = {"ragged-in-tail", "unparseable-in-tail", "faults-in-both-halves",
 ONE_PROCESS_READS = {"quoted-head", "cr-only", "midpoint-in-header", "two-rows-lf", "empty-file"}
 
 # Bytes that are not UTF-8 raise at their row, in file order, and name
-# their line of the whole file.  The per-cell oracle decodes the whole file
-# before it parses a row, so it is no reference here: on the first case it
-# raises UnicodeDecodeError.
-DECODE_CASES = {
+# their line of the whole file; a cell longer than csv.field_size_limit()
+# (131 072 characters) raises naming its row.  The per-cell oracle decodes
+# the whole file before it parses a row, so it is no reference here: on the
+# first case it raises UnicodeDecodeError.
+_PAD = b" " * 131000  # a padded cell within the limit
+_OVERLONG = b" " * 131073
+FAULT_CASES = {
     "unparseable-head-undecodable-tail": (b"1,2\nx,4\n5,6\n7,8\n9,\xff\n",
                                           "row 2, column 1: cannot parse 'x'"),
     "undecodable-tail": (b"1,2\n3,4\n5,6\n7,8\n9,\xff\n",
@@ -205,6 +216,13 @@ DECODE_CASES = {
                          "line 2: not UTF-8 (invalid start byte at byte 3)"),
     "undecodable-after-header-blank-and-cr": (b"a,b\r\n1,2\n\n3,4\r5,6\n7,\xff\n",
                                               "line 6: not UTF-8"),
+    "overlong-cell-in-head": (b"1,2\n3," + _OVERLONG + b"4\n5,6\n7,8\n",
+                              "row 2: field larger than field limit (131072)"),
+    "overlong-cell-in-tail": (b"1," + _PAD + b"2\na,b\n3," + _PAD + b"4\n5," + _OVERLONG
+                              + b"6\n7,8\n", "row 2, column 1: cannot parse 'a'"),
+    "overlong-cell-in-tail-only": (b"1," + _PAD + b"2\n3," + _PAD + b"4\n5," + _OVERLONG
+                                   + b"6\n7,8\n",
+                                   "row 3: field larger than field limit (131072)"),
 }
 
 
@@ -235,9 +253,9 @@ class TestStreamingMatchesLoop:
         elif name in SPLIT_READS | ONE_PROCESS_READS:
             assert len(forks) == (name in SPLIT_READS)
 
-    @pytest.mark.parametrize("name", DECODE_CASES)
+    @pytest.mark.parametrize("name", FAULT_CASES)
     def test_first_fault_in_file_order(self, tmp_path, monkeypatch, name):
-        text, message = DECODE_CASES[name]
+        text, message = FAULT_CASES[name]
         path = tmp_path / "t.csv"
         path.write_bytes(text)
         monkeypatch.setattr(table_module, "_SPLIT_BYTES", 0)
@@ -416,7 +434,7 @@ class TestSplitHygiene:
         monkeypatch.setattr(table_module, "_SPLIT_BYTES", 0)
         path = tmp_path / "t.csv"
         cases = {name: READ_CASES[name] for name in SPLIT_READS}
-        cases.update((name, (text, None)) for name, (text, _) in DECODE_CASES.items())
+        cases.update((name, (text, None)) for name, (text, _) in FAULT_CASES.items())
 
         def outcomes():
             found = {}
