@@ -163,8 +163,10 @@ def load_csv(path, missing_code: float | None = None) -> DataTable:
     ------
     TableFormatError
         Ragged rows or unparseable cells (message carries the 1-based
-        row/column location), or bytes that are not UTF-8 (message carries
-        the 1-based line of the file, blank and header lines included).
+        row/column location), a cell longer than ``csv.field_size_limit()``
+        (message carries the row), or bytes that are not UTF-8 (message
+        carries the 1-based line of the file, blank and header lines
+        included).
     StructuralError
         Fewer than 2 rows/columns of data, or a row/column with no valid
         entry after sentinel conversion.

@@ -218,11 +218,11 @@ FAULT_CASES = {
                                               "line 6: not UTF-8"),
     "overlong-cell-in-head": (b"1,2\n3," + _OVERLONG + b"4\n5,6\n7,8\n",
                               "row 2: field larger than field limit (131072)"),
-    "overlong-cell-in-tail": (b"1," + _PAD + b"2\na,b\n3," + _PAD + b"4\n5," + _OVERLONG
-                              + b"6\n7,8\n", "row 2, column 1: cannot parse 'a'"),
-    "overlong-cell-in-tail-only": (b"1," + _PAD + b"2\n3," + _PAD + b"4\n5," + _OVERLONG
-                                   + b"6\n7,8\n",
-                                   "row 3: field larger than field limit (131072)"),
+    "unparseable-head-overlong-tail": (b"1," + _PAD + b"2\na,b\n3," + _PAD + b"4\n5,"
+                                      + _OVERLONG + b"6\n7,8\n",
+                                      "row 2, column 1: cannot parse 'a'"),
+    "overlong-cell-in-tail": (b"1," + _PAD + b"2\n3," + _PAD + b"4\n5," + _OVERLONG
+                              + b"6\n7,8\n", "row 3: field larger than field limit (131072)"),
 }
 
 
