@@ -13,14 +13,15 @@ Column-and-row adjusted random imputation (:func:`crari_impute`) fixes
 that.  Donors are drawn column-wise (so even one-valid-value rows receive
 fills with nonzero spread), fills are then re-centered per row, and every
 fill is scaled by a coefficient ``c`` before the row's valid mean is added
-back.  Past the ICC's peak (at ``c = 0`` unless a column effect moves it),
-growing ``c`` inflates the interaction variance and lowers the ICC, so
-some ``c`` drives the imputed table to any reachable target ICC, such as
-the observed ("low") ICC or the missing-data-corrected estimate.  The fills
-are centered per row, so the row sums do not depend on ``c`` and the
-interaction sum of squares of the completed table is an exact quadratic in
-``c``; the coefficient is its root.  This is the limit of the paper's
-dichotomic search on ``c``, computed exactly, not a different method.
+back.  The fills are centered per row, so the row sums do not depend on
+``c`` and the interaction sum of squares of the completed table is an exact
+quadratic in ``c``: the ICC peaks at one ``c`` (0 unless a column effect
+moves it) and falls away from it, so some ``c`` in ``[0, c_max]`` drives the
+imputed table to any target ICC between the least and the greatest on that
+interval, such as the observed ("low") ICC or the missing-data-corrected
+estimate.  The coefficient is a root of the quadratic; past the peak it is
+the limit of the paper's dichotomic search on ``c``, computed exactly, not a
+different method.
 
 Both methods draw their donors with one ``integers`` call in cell order,
 row-major for ARI and column-major for CRARI, which matches a per-row or
@@ -62,9 +63,10 @@ __all__ = [
 class ImputationOutcome:
     """Result of a CRARI run: the complete table plus diagnostics.
 
-    ``c`` is the fill scale that attains ``target`` (1 when there is
-    nothing to fill or the fills are deterministic).  It is diagnostic output: it depends on the random
-    donor draws, so only the attained ICC ``icc_after``, measured on
+    ``c`` is the fill scale that attains ``target`` (0 when the fills are
+    zero, as when each row misses at most one cell; 1 only for a complete
+    table, returned as it is).  It is diagnostic output: it depends on the
+    random donor draws, so only the attained ICC ``icc_after``, measured on
     ``imputed``, is reproducible across streams.
     """
 
@@ -142,7 +144,7 @@ def crari_impute(
         Seed or generator for the donor draws.
     c_max
         Largest admissible scaling coefficient; the reachable ICC range is
-        ``[ICC at c_max, ICC at c_top]`` (see Notes).
+        ``[min(ICC at 0, ICC at c_max), ICC at c_top]`` (see Notes).
 
     Notes
     -----
@@ -154,26 +156,25 @@ def crari_impute(
     ``a1 = -2 * sum_j colsum(B)_j * colsum(F)_j / m`` and
     ``a2 = sum(F**2) - sum_j colsum(F)_j**2 / m >= 0``.  The ICC of a
     complete table is ``1 - vij/msi``, so it peaks where ``ssij`` is least,
-    at ``c_top``: the vertex ``-a1 / (2*a2)`` if it lies in ``(0, c_max)``
-    (a column effect can make ``a1 < 0``), else 0.  The target is attained
-    at the larger root of ``ssij(c) = (1 - target) * msi * dfij``, on the
-    decreasing branch ``[c_top, c_max]``, where the paper's dichotomic
-    search on ``c`` converges.  A target equal to the ICC at 0 (the zero-ICC
-    plateau included) or a zero ``F`` gives ``c = 0``, one equal to the ICC
-    at ``c_top`` gives ``c_top``; the attained ICC is measured on the output.
-
-    When no row has more than one missing cell the fills are the row's
-    valid mean, ``c`` is reported as 1, and the only reachable ICC is that
-    of the filled table: any other target raises with ``reachable = (icc,
-    icc)``.  In the random case the target must lie inside the reachable
-    range; :class:`UnreachableTargetError` is raised otherwise.
+    at ``c_top``: the vertex ``-a1 / (2*a2)`` clipped to ``[0, c_max]`` (a
+    column effect can make ``a1 < 0``), or 0 when ``a2 = 0``.  The ICC rises
+    on ``[0, c_top]`` and falls on ``[c_top, c_max]``, so the reachable range
+    is ``[min(ICC(0), ICC(c_max)), ICC(c_top)]``; a target outside it raises
+    :class:`UnreachableTargetError`.  A target at or above ``ICC(c_max)`` is
+    attained at the larger root of ``ssij(c) = (1 - target) * msi * dfij``,
+    on the falling branch, where the paper's dichotomic search on ``c``
+    converges; a lower one, on the rising branch, at the smaller root.  A
+    target equal to ``ICC(0)`` (the zero-ICC plateau included) or a zero
+    ``F`` (each row missing at most one cell, so the range is one point)
+    gives ``c = 0``, one equal to ``ICC(c_top)`` gives ``c_top``; the
+    attained ICC is measured on the output.
 
     Raises
     ------
     PreconditionError
         Malformed explicit target, or ``c_max`` not positive (NaN included).
     UnreachableTargetError
-        Target outside the reachable ICC range (one point for row-mean fills).
+        Target outside the reachable ICC range.
     """
     if not c_max > 0:
         raise PreconditionError(f"c_max must be positive, got {c_max}")
@@ -200,17 +201,6 @@ def crari_impute(
     if table.n_valid == table.rows * table.cols:
         return outcome(imputed=table, c=1.0, icc_after=report.icc, warnings=tuple(warnings))
 
-    if table.missing.sum(axis=1).max() <= 1:
-        imputed = _fill_with_row_means(table)
-        icc_after = _complete_icc(imputed)
-        if target_icc != icc_after:
-            raise UnreachableTargetError(
-                f"target ICC {target_icc:.4f} not reachable: no row has more than one "
-                f"missing cell, so the fills are the row means, with ICC {icc_after:.4f}",
-                reachable=(icc_after, icc_after),
-            )
-        return outcome(imputed=imputed, c=1.0, icc_after=icc_after, warnings=tuple(warnings))
-
     centered = _column_donor_fills(table, as_generator(rng))
     base = DataTable(np.where(table.missing, report.item_means[:, None], table.values),
                      np.zeros(table.shape, dtype=bool))
@@ -222,15 +212,9 @@ def crari_impute(
     def icc_at(c: float) -> float:
         return _icc(dec.msi, (dec.ssij + c * (a1 + c * a2)) / dec.dfij, table.cols)
 
-    c_top = -a1 / (2.0 * a2) if a2 > 0.0 else 0.0
-    c_top = c_top if 0.0 < c_top < c_max else 0.0
-    icc_high, icc_low = icc_at(c_top), icc_at(c_max)
-    if icc_high < icc_low:
-        raise UnreachableTargetError(
-            f"ICC is not decreasing in c on [{c_top:g}, {c_max}] "
-            f"(ICC {icc_high:.4f} at {c_top:g} vs {icc_low:.4f} at {c_max})",
-            reachable=(icc_low, icc_high),
-        )
+    c_top = min(max(0.0, -a1 / (2.0 * a2)), c_max) if a2 > 0.0 else 0.0
+    icc_zero, icc_high, icc_end = icc_at(0.0), icc_at(c_top), icc_at(c_max)
+    icc_low = min(icc_zero, icc_end)
     if not icc_low <= target_icc <= icc_high:
         raise UnreachableTargetError(
             f"target ICC {target_icc:.4f} outside the reachable range "
@@ -238,16 +222,19 @@ def crari_impute(
             reachable=(icc_low, icc_high),
         )
 
-    if a2 == 0.0 or target_icc == icc_at(0.0):
+    if a2 == 0.0 or target_icc == icc_zero:
         c = 0.0
     elif target_icc == icc_high:
         c = c_top
     else:
-        # a2*c**2 + a1*c + k = 0 (k > 0 only above ICC(0), with a1 < 0): the
-        # larger root, written without cancellation for either sign of a1
+        # a2*c**2 + a1*c + k = 0 has the roots q/a2 and k/q, free of cancellation.
+        # The larger (k/q when a1 > 0) lies on the falling branch [c_top, c_max];
+        # a target below ICC(c_max) is met only on the rising branch [0, c_top]
+        # (so a1 < 0), at the smaller root k/q.
         k = dec.ssij - (1.0 - target_icc) * dec.msi * dec.dfij
         root = math.sqrt(max(a1 * a1 - 4.0 * a2 * k, 0.0))
-        c = -2.0 * k / (a1 + root) if a1 > 0 else (root - a1) / (2.0 * a2)
+        q = -0.5 * (a1 + root) if a1 > 0 else 0.5 * (root - a1)
+        c = k / q if a1 > 0 or (a1 < 0 and target_icc < icc_end) else q / a2
 
     # base + c*F, formed in the fills buffer; both are let go before the last anova
     imputed = DataTable(np.add(base.values, np.multiply(c, centered, out=centered), out=centered),
@@ -259,11 +246,6 @@ def crari_impute(
         warnings.append(f"item mean inaccuracy: {drift:.3e}")
     icc_after = _icc(after.msi, after.vij, table.cols)
     return outcome(imputed=imputed, c=c, icc_after=icc_after, warnings=tuple(warnings))
-
-
-def _fill_with_row_means(table: DataTable) -> DataTable:
-    values = np.where(table.missing, table.row_means()[:, None], table.values)
-    return DataTable(values, np.zeros(table.shape, dtype=bool))
 
 
 def _donor_fills(values: np.ndarray, missing: np.ndarray, gen: np.random.Generator) -> np.ndarray:
@@ -309,11 +291,6 @@ def _column_donor_fills(table: DataTable, gen: np.random.Generator) -> np.ndarra
     shift = fills.sum(axis=1) / np.maximum(np.count_nonzero(missing, axis=1), 1)
     fills -= shift[:, None] * missing  # a masked subtract (where=) branches per cell: slower
     return fills
-
-
-def _complete_icc(table: DataTable) -> float:
-    dec = anova(table)
-    return _icc(dec.msi, dec.vij, table.cols)
 
 
 def ari_bias_demo(

@@ -19,8 +19,9 @@ missing count once, kept verbatim so that the two can be compared bit for
 bit.
 The allocating kernels are ``anova``, ``zscore``, the donor kernels and
 ``crari_impute`` as they were before their table-sized temporaries were
-reused in place, kept verbatim (the names of the copies they call aside)
-so that the two can be compared bit for bit.
+reused in place, kept verbatim (the names of the copies they call aside,
+and CRARI's reachable range and root rule, which follow the code under
+test) so that the two can be compared bit for bit.
 The CSV oracles are the per-cell reader and writer that the row-streaming
 kernels replaced: the reader holds every cell string of the file before
 parsing, the writer runs ``csv.writer`` over one ``repr`` per cell.
@@ -43,13 +44,7 @@ from icctab.errors import (
     TableFormatError,
     UnreachableTargetError,
 )
-from icctab.impute import (
-    ImputationOutcome,
-    _column_donor_fills,
-    _fill_with_row_means,
-    adjust_fills,
-)
-from icctab.impute import _complete_icc as _table_icc
+from icctab.impute import ImputationOutcome, _column_donor_fills, adjust_fills
 from icctab.rand import as_generator
 from icctab.special import chi2_upper_tail
 from icctab.table import DataTable
@@ -219,48 +214,47 @@ def _complete_icc(values: np.ndarray) -> float:
     return dec.vi / (dec.vi + dec.vij / values.shape[1])
 
 
+def _fill_with_row_means(table) -> np.ndarray:
+    """The table's values with each missing cell set to its row's valid mean."""
+    return np.where(table.missing, table.row_means()[:, None], table.values)
+
+
 def crari_bisect(table, target_icc, rng=None, c_max=10.0, c_tol=1e-4):
     """(c, attained ICC, completed values) by dichotomic search on ``c``.
 
-    The random path of CRARI with the paper's search: the same donor draws
-    as ``crari_impute``, halving ``[c_top, c_max]`` until it is narrower
-    than ``c_tol``.  ``c_top`` is where the ICC peaks when that lies inside
-    ``(0, c_max)``, else 0; it is the vertex of the parabola through the
-    interaction sums of squares at ``c`` = 0, 1 and 2.  Raises the same
-    ``UnreachableTargetError`` as the code under test.
+    CRARI with the paper's search: the same donor draws as
+    ``crari_impute``, halving ``[c_top, c_max]``, where the ICC falls, or
+    ``[0, c_top]``, where it rises, for a target below the ICC at ``c_max``,
+    until the interval is narrower than ``c_tol``.  ``c_top`` is where the
+    ICC peaks, clipped to ``[0, c_max]``; it is the vertex of the parabola
+    through the interaction sums of squares at ``c`` = 0, 1 and 2.  Raises
+    the same ``UnreachableTargetError`` as the code under test.
     """
     gen = as_generator(rng)
     centered = _column_donor_fills(table, gen)
-    base = _fill_with_row_means(table).values
+    base = _fill_with_row_means(table)
 
     def candidate(c):
         return base + c * centered
 
     s0, s1, s2 = (anova(DataTable(candidate(c))).ssij for c in (0.0, 1.0, 2.0))
     curvature = s2 - 2.0 * s1 + s0
-    c_top = (s0 - s1) / curvature + 0.5 if curvature > 0 else 0.0
-    if not 0.0 < c_top < c_max:
-        c_top = 0.0
-    icc_high = _complete_icc(candidate(c_top))
-    icc_low = _complete_icc(candidate(c_max))
-    if icc_high < icc_low:
-        raise UnreachableTargetError(
-            f"ICC is not decreasing in c on [{c_top:g}, {c_max}] "
-            f"(ICC {icc_high:.4f} at {c_top:g} vs {icc_low:.4f} at {c_max})",
-            reachable=(icc_low, icc_high),
-        )
+    c_top = min(max(0.0, (s0 - s1) / curvature + 0.5), c_max) if curvature > 0 else 0.0
+    icc_zero, icc_high, icc_end = (_complete_icc(candidate(c)) for c in (0.0, c_top, c_max))
+    icc_low = min(icc_zero, icc_end)
     if not icc_low <= target_icc <= icc_high:
         raise UnreachableTargetError(
             f"target ICC {target_icc:.4f} outside the reachable range "
             f"[{icc_low:.4f}, {icc_high:.4f}]",
             reachable=(icc_low, icc_high),
         )
-    c_lo, c_hi = c_top, c_max
+    rising = target_icc < icc_end
+    c_lo, c_hi = (0.0, c_top) if rising else (c_top, c_max)
     c = 0.5 * (c_lo + c_hi)
     values = candidate(c)
     icc_after = _complete_icc(values)
     while True:
-        if icc_after > target_icc:
+        if (icc_after > target_icc) != rising:
             c_lo = c
         else:
             c_hi = c
@@ -466,17 +460,6 @@ def crari_impute_allocating(table, target="corrected", rng=None, c_max=10.0) -> 
     if table.n_valid == table.rows * table.cols:
         return outcome(imputed=table, c=1.0, icc_after=report.icc, warnings=tuple(warnings))
 
-    if table.missing.sum(axis=1).max() <= 1:
-        imputed = _fill_with_row_means(table)
-        icc_after = _table_icc(imputed)
-        if target_icc != icc_after:
-            raise UnreachableTargetError(
-                f"target ICC {target_icc:.4f} not reachable: no row has more than one "
-                f"missing cell, so the fills are the row means, with ICC {icc_after:.4f}",
-                reachable=(icc_after, icc_after),
-            )
-        return outcome(imputed=imputed, c=1.0, icc_after=icc_after, warnings=tuple(warnings))
-
     centered = column_donor_fills_allocating(table, as_generator(rng))
     base = np.where(table.missing, report.item_means[:, None], table.values)
     dec = anova_allocating(DataTable(base, np.zeros(table.shape, dtype=bool)))
@@ -487,15 +470,9 @@ def crari_impute_allocating(table, target="corrected", rng=None, c_max=10.0) -> 
     def icc_at(c: float) -> float:
         return _icc(dec.msi, (dec.ssij + c * (a1 + c * a2)) / dec.dfij, table.cols)
 
-    c_top = -a1 / (2.0 * a2) if a2 > 0.0 else 0.0
-    c_top = c_top if 0.0 < c_top < c_max else 0.0
-    icc_high, icc_low = icc_at(c_top), icc_at(c_max)
-    if icc_high < icc_low:
-        raise UnreachableTargetError(
-            f"ICC is not decreasing in c on [{c_top:g}, {c_max}] "
-            f"(ICC {icc_high:.4f} at {c_top:g} vs {icc_low:.4f} at {c_max})",
-            reachable=(icc_low, icc_high),
-        )
+    c_top = min(max(0.0, -a1 / (2.0 * a2)), c_max) if a2 > 0.0 else 0.0
+    icc_zero, icc_high, icc_end = icc_at(0.0), icc_at(c_top), icc_at(c_max)
+    icc_low = min(icc_zero, icc_end)
     if not icc_low <= target_icc <= icc_high:
         raise UnreachableTargetError(
             f"target ICC {target_icc:.4f} outside the reachable range "
@@ -503,16 +480,15 @@ def crari_impute_allocating(table, target="corrected", rng=None, c_max=10.0) -> 
             reachable=(icc_low, icc_high),
         )
 
-    if a2 == 0.0 or target_icc == icc_at(0.0):
+    if a2 == 0.0 or target_icc == icc_zero:
         c = 0.0
     elif target_icc == icc_high:
         c = c_top
     else:
-        # a2*c**2 + a1*c + k = 0 (k > 0 only above ICC(0), with a1 < 0): the
-        # larger root, written without cancellation for either sign of a1
         k = dec.ssij - (1.0 - target_icc) * dec.msi * dec.dfij
         root = math.sqrt(max(a1 * a1 - 4.0 * a2 * k, 0.0))
-        c = -2.0 * k / (a1 + root) if a1 > 0 else (root - a1) / (2.0 * a2)
+        q = -0.5 * (a1 + root) if a1 > 0 else 0.5 * (root - a1)
+        c = k / q if a1 > 0 or (a1 < 0 and target_icc < icc_end) else q / a2
 
     imputed = DataTable(base + c * centered, np.zeros(table.shape, dtype=bool))
     after = anova_allocating(imputed)

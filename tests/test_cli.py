@@ -127,8 +127,22 @@ class TestImputeCommand:
                              "--output", str(tmp_path / "x.csv"), "--seed", "1")
         assert code == 5 and out == ""
         assert err.startswith("error[5] UnreachableTargetError: ")
-        assert "no row has more than one missing cell" in err
+        # the row-centered fills are 0, so the reachable range is one point
+        assert re.search(r"outside the reachable range \[(\d\.\d{4}), \1\]", err)
         assert not (tmp_path / "x.csv").exists()
+
+    def test_target_on_the_rising_branch_attained(self, capsys, tmp_path):
+        # a raw table with column offsets: the ICC rises from 0.7296 at c = 0
+        # to 0.7813 and falls to 0.7668 at c = 1, so 0.74 takes the smaller root
+        raw, _ = generate(SynthSpec(rows=30, cols=6, seed=8))
+        offsets = np.random.default_rng(8).normal(0, 3.0, size=6)
+        table_csv = tmp_path / "offsets.csv"
+        save_csv(degrade_random(icctab.DataTable(raw.values + offsets), 0.3, rng=9), table_csv)
+        code, out, _ = run(capsys, "impute", "--input", str(table_csv), "--output",
+                           str(tmp_path / "x.csv"), "--target", "0.74", "--c-max", "1",
+                           "--seed", "8")
+        assert code == 0
+        assert "\niccImputed: 0.740000\n" in out
 
 
 class TestEcvtCommand:

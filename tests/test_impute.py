@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    _complete_icc,
+    _fill_with_row_means,
     anova_allocating,
     ari_impute_allocating,
     ari_impute_loop,
@@ -44,9 +46,7 @@ from icctab.impute import (
     AriBiasPoint,
     RecoveryPoint,
     _column_donor_fills,
-    _complete_icc,
     _donor_fills,
-    _fill_with_row_means,
     crari_recovery_study,
 )
 from icctab.rand import as_generator
@@ -174,9 +174,10 @@ class TestCrariDeterministicCases:
     ]))
 
     def test_at_most_one_missing_per_row_fills_with_row_mean(self):
+        # the row-centered fills are all 0, so every c gives the row-mean table
         point = _complete_icc(_fill_with_row_means(self.ONE_PER_ROW))
         outcome = crari_impute(self.ONE_PER_ROW, target=point, rng=11)
-        assert outcome.c == 1.0
+        assert outcome.c == 0.0
         assert outcome.icc_after == point
         assert outcome.warnings == ()
         assert outcome.imputed.values[0, 2] == pytest.approx(2.0)
@@ -192,14 +193,14 @@ class TestCrariDeterministicCases:
             crari_impute(table, target=0.8, rng=2)
         assert info.value.reachable == (point, point)
         assert str(info.value) == (
-            f"target ICC 0.8000 not reachable: no row has more than one missing cell, "
-            f"so the fills are the row means, with ICC {point:.4f}"
+            f"target ICC 0.8000 outside the reachable range [{point:.4f}, {point:.4f}]"
         )
 
     @pytest.mark.parametrize("target", ["low", "corrected"])
     def test_named_targets_off_the_single_point_raise(self, target):
         point = _complete_icc(_fill_with_row_means(self.ONE_PER_ROW))
-        with pytest.raises(UnreachableTargetError) as info:
+        with pytest.raises(UnreachableTargetError,
+                           match=rf"outside the reachable range \[{point:.4f}, {point:.4f}\]") as info:
             crari_impute(self.ONE_PER_ROW, target=target, rng=3)
         assert info.value.reachable == (point, point)
 
@@ -258,8 +259,8 @@ class TestCrariRandomCase:
     def test_icc_monotone_in_scaling_coefficient(self, degraded):
         gen = as_generator(37)
         centered = _column_donor_fills(degraded, gen)
-        base = _fill_with_row_means(degraded).values
-        iccs = [_complete_icc(DataTable(base + c * centered)) for c in range(11)]
+        base = _fill_with_row_means(degraded)
+        iccs = [_complete_icc(base + c * centered) for c in range(11)]
         diffs = np.diff(iccs)
         assert (diffs <= 1e-9).all()
 
@@ -302,10 +303,13 @@ class TestClosedFormMatchesBisection:
         (30, 6, 5, 0.3, False, 3.0, 0.5, 10.0, "ok"),
         (60, 12, 6, 0.3, True, 0.0, 0.9999, 10.0, "outside"),
         (60, 12, 7, 0.3, True, 0.0, 0.01, 0.5, "outside"),
-        # the vertex c* lies inside (0, 1): the range runs from ICC(1) up to ICC(c*)
+        # the vertex c* lies inside (0, 1): the range runs from ICC(0) = 0.7296
+        # up to ICC(c*), and a target below ICC(1) = 0.7668 takes the smaller root
         (30, 6, 8, 0.3, False, 3.0, "low", 1.0, "outside"),
+        (30, 6, 8, 0.3, False, 3.0, 0.74, 1.0, "ok"),
         # ... and beyond c_max = 0.5: the ICC only rises on [0, c_max]
-        (30, 6, 8, 0.3, False, 3.0, "low", 0.5, "not decreasing"),
+        (30, 6, 8, 0.3, False, 3.0, "low", 0.5, "outside"),
+        (30, 6, 8, 0.3, False, 3.0, 0.75, 0.5, "ok"),
         # a target between ICC(0) = 0.6917 and ICC(c*) = 0.7642
         (30, 6, 5, 0.3, False, 3.0, 0.75, 10.0, "ok"),
     ])
@@ -542,21 +546,27 @@ class TestKernelTracedPeaks:
 class TestCrariProperties:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**16), rows=st.integers(8, 40), cols=st.integers(4, 12),
-           p=st.floats(0.1, 0.5), zscored=st.booleans(), share=st.floats(0.01, 0.99))
-    @example(seed=8, rows=8, cols=4, p=0.46875, zscored=False, share=0.5)
-    def test_reachable_target_attained_exactly(self, seed, rows, cols, p, zscored, share):
-        table = _degraded_table(rows, cols, seed, p, zscored)
-        assume(table.missing.sum(axis=1).max() > 1)
+           p=st.floats(0.1, 0.5), zscored=st.booleans(), column_sd=st.sampled_from([0.0, 3.0]),
+           c_max=st.sampled_from([10.0, 1.0]), share=st.floats(0.01, 0.99))
+    @example(seed=8, rows=8, cols=4, p=0.46875, zscored=False, column_sd=0.0, c_max=10.0,
+             share=0.5)
+    # the ICC rises from 0.7296 at c = 0 to 0.7813 at c* and falls to 0.7668 at
+    # c = 1: the target 0.7399 lies on the rising branch only
+    @example(seed=8, rows=30, cols=6, p=0.3, zscored=False, column_sd=3.0, c_max=1.0,
+             share=0.2)
+    def test_reachable_target_attained_exactly(self, seed, rows, cols, p, zscored, column_sd,
+                                               c_max, share):
+        table = _degraded_table(rows, cols, seed, p, zscored, column_sd)
         # tables that anova cannot decompose fail before any target matters
         # (TestCrariUndecomposableTable)
         assume(_decomposes(table))
         try:
-            crari_bisect(table, 2.0, rng=seed)
+            crari_bisect(table, 2.0, rng=seed, c_max=c_max)
         except UnreachableTargetError as exc:
             low, high = exc.reachable
         assume(low < high)
         target = low + share * (high - low)
-        outcome = crari_impute(table, target=target, rng=seed)
+        outcome = crari_impute(table, target=target, rng=seed, c_max=c_max)
         assert abs(outcome.icc_after - target) <= 1e-12
         drift = np.abs(outcome.imputed.row_means() - table.row_means()).max()
         assert drift <= 1e-9
