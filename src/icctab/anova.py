@@ -193,12 +193,8 @@ def icc_report(
         level = 1.0 - (1.0 - prob) / 2.0
         q1 = f_quantile(level, dec.dfi, dec.dfij)
         q2 = f_quantile(level, dec.dfij, dec.dfi)
-        if math.isinf(f_obs):
-            lower, upper = 1.0, 1.0
-        else:
-            lower = 1.0 - q1 / f_obs
-            upper = 1.0 - 1.0 / (q2 * f_obs)
-        conf.append((prob, lower, upper))
+        # at f_obs = inf both bounds are exactly 1
+        conf.append((prob, 1.0 - q1 / f_obs, 1.0 - 1.0 / (q2 * f_obs)))
     warnings = ()
     if dec.vj > min(dec.vij, dec.vi) and pmiss > 0.05:
         warnings = ("non-negligible column effect: corrected statistics unreliable",)

@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="proportion of cells to mask after generation")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True, help="path of the table CSV")
-    p.add_argument("--missing-code", default=None)
+    p.add_argument("--missing-code", default=None, help="token written in missing cells")
     p.add_argument("--ground-truth", default=None,
                    help="optional CSV path for item effects and exponents")
     p.set_defaults(handler=_run_synth)
@@ -179,26 +179,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _table_flags(p: argparse.ArgumentParser, transforms=_TRANSFORMS):
     p.add_argument("--input", required=True, help="CSV table to analyze")
     p.add_argument("--missing-code", default=None,
-                   help="numeric sentinel for missing data (empty cells always count)")
+                   help="token of a missing cell, text or number (empty cells always count)")
     p.add_argument("--seed", type=int, default=0)
     for flag in transforms:
         p.add_argument(f"--{flag}", action="store_true", help=_TRANSFORMS[flag])
-
-
-def _parse_missing_code(raw):
-    if raw is None or raw == "":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise TableFormatError(f"--missing-code must be numeric or empty, got {raw!r}") from None
 
 
 def _load_table(args):
     from .rand import as_generator
     from .table import load_csv, mix_rows, virtualize, zscore
 
-    table = load_csv(args.input, _parse_missing_code(args.missing_code))
+    table = load_csv(args.input, args.missing_code)
     rng = as_generator(args.seed)
     if getattr(args, "zscore", False):
         table = zscore(table)
@@ -391,8 +382,7 @@ def _run_synth(args):
     if args.degrade > 0:
         degrade_seed, = split_seed(args.seed, 1)
         table = degrade_random(table, args.degrade, degrade_seed)
-    token = "" if args.missing_code is None else args.missing_code
-    save_csv(table, args.output, token)
+    save_csv(table, args.output, args.missing_code)
     config = {
         "output": args.output,
         "rows": args.rows,

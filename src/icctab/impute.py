@@ -37,7 +37,6 @@ Two degradation studies run on :func:`icctab.synth._degradation_study`:
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -64,10 +63,10 @@ class ImputationOutcome:
     """Result of a CRARI run: the complete table plus diagnostics.
 
     ``c`` is the fill scale that attains ``target`` (0 when the fills are
-    zero, as when each row misses at most one cell; 1 only for a complete
-    table, returned as it is).  It is diagnostic output: it depends on the
-    random donor draws, so only the attained ICC ``icc_after``, measured on
-    ``imputed``, is reproducible across streams.
+    zero, as when each row misses at most one cell or none: a complete
+    table comes back as an equal copy).  It is diagnostic output: it
+    depends on the random donor draws, so only the attained ICC
+    ``icc_after``, measured on ``imputed``, is reproducible across streams.
     """
 
     imputed: DataTable
@@ -136,7 +135,9 @@ def crari_impute(
     Parameters
     ----------
     table
-        Input table; may be complete (returned unchanged).
+        Input table.  A complete one gets zero fills and draws nothing, so
+        its reachable range is its own ICC, met at ``c = 0`` by an equal
+        copy; any other explicit target is unreachable.
     target
         ``"low"`` (the table's observed ICC), ``"corrected"`` (the
         missing-data-corrected ICC) or an explicit float.
@@ -196,11 +197,6 @@ def crari_impute(
         if not 0.0 <= target_icc <= 1.0:
             raise PreconditionError(f"explicit target must lie in [0, 1], got {target}")
 
-    outcome = partial(ImputationOutcome, icc_before=report.icc, icc_cor=report.icc_cor,
-                      target=target_icc)
-    if table.n_valid == table.rows * table.cols:
-        return outcome(imputed=table, c=1.0, icc_after=report.icc, warnings=tuple(warnings))
-
     centered = _column_donor_fills(table, as_generator(rng))
     base = DataTable(np.where(table.missing, report.item_means[:, None], table.values),
                      np.zeros(table.shape, dtype=bool))
@@ -245,7 +241,8 @@ def crari_impute(
     if drift > 1e-9:
         warnings.append(f"item mean inaccuracy: {drift:.3e}")
     icc_after = _icc(after.msi, after.vij, table.cols)
-    return outcome(imputed=imputed, c=c, icc_after=icc_after, warnings=tuple(warnings))
+    return ImputationOutcome(imputed=imputed, c=c, icc_before=report.icc, icc_cor=report.icc_cor,
+                             icc_after=icc_after, target=target_icc, warnings=tuple(warnings))
 
 
 def _donor_fills(values: np.ndarray, missing: np.ndarray, gen: np.random.Generator) -> np.ndarray:

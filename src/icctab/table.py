@@ -2,14 +2,17 @@
 
 A :class:`DataTable` is a rectangular grid of measurements (rows are items,
 columns are participants) paired with a boolean mask marking missing cells.
-Missing data are represented by the mask alone; numeric sentinels such as
-``0`` or ``inf`` exist only at the CSV boundary and are converted on load.
-This removes the classic failure mode where a sentinel value collides with
-a legitimate measurement (``0`` is a perfectly good Z-score).
+Missing data are represented by the mask alone; missing tokens such as
+``NA``, ``0`` or ``inf`` exist only at the CSV boundary and are converted
+on load.  This removes the classic failure mode where a sentinel value
+collides with a legitimate measurement (``0`` is a perfectly good Z-score).
 
 CSV files hold each value as its ``repr`` (round-trip precision), with
-CRLF line ends.  Blank lines are skipped, a first non-blank row with a
-non-numeric cell is a header, and error messages count rows after it.
+CRLF line ends.  A masked cell holds the missing token (a number's
+``repr``, nothing for ``None``); on load a cell is missing when it is empty,
+when its stripped text is the stripped token, or when it equals a numeric
+token.  Blank lines are skipped, a first non-blank row with a cell neither
+missing nor numeric is a header, and error messages count rows after it.
 Rows stream, so memory stays O(table), not one Python string per cell.
 
 Reads and writes of at least ``_SPLIT_BYTES`` (512 KiB of file or of
@@ -152,12 +155,12 @@ class DataTable:
         return filled.sum(axis=0) / self.valid.sum(axis=0)
 
 
-def load_csv(path, missing_code: float | None = None) -> DataTable:
-    """Read a comma-separated table, converting sentinels to the mask.
+def load_csv(path, missing_code: str | float | None = None) -> DataTable:
+    """Read a comma-separated table, converting missing tokens to the mask.
 
-    Empty cells are always treated as missing; additionally, any cell whose
-    numeric value equals ``missing_code`` exactly is masked.  The file
-    follows the CSV contract of the module docstring.
+    The file follows the CSV contract of the module docstring, its missing
+    cells included, so ``load_csv(path, t)`` reads back ``save_csv(table,
+    path, t)`` for any token ``t`` that no valid value equals.
 
     Raises
     ------
@@ -169,42 +172,51 @@ def load_csv(path, missing_code: float | None = None) -> DataTable:
         included).
     StructuralError
         Fewer than 2 rows/columns of data, or a row/column with no valid
-        entry after sentinel conversion.
+        entry after token conversion.
     """
     return DataTable(*_read_cells(path, missing_code))
 
 
-def _read_cells(path, missing_code: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _read_cells(path, missing_code: str | float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Values and missing mask of a CSV grid of any shape, header skipped.
 
-    Empty cells, and cells equal to ``missing_code``, are missing and hold
-    0 in the values.  Shared by :func:`load_csv` and the predictor reader
-    of the command line.
+    Missing cells, by the rule of :func:`load_csv`, hold 0 in the values.
+    Shared by :func:`load_csv` and the predictor reader of the command line.
     """
+    token = _token_text(missing_code).strip()
     try:
         with open(path, "rb") as handle:
             split = _split_point(handle)
-            first, rows, header = _first_data_row(handle, path, split)
+            first, rows, header = _first_data_row(handle, path, split, token)
             if first is None and split is not None:  # the head holds no data row
                 handle.seek(0)
                 split = None
-                first, rows, header = _first_data_row(handle, path, None)
+                first, rows, header = _first_data_row(handle, path, None, token)
             if first is None:
                 raise StructuralError(f"{path}: file contains no data{' rows' if header else ''}")
             width = len(first)
             head = itertools.chain([first], rows)
             if split is None:
-                value_rows, mask_rows = _parse_rows(head, path, width, 1)
+                value_rows, mask_rows = _parse_rows(head, path, width, 1, token)
             else:
-                value_rows, mask_rows = _read_halves(path, handle, split, head, width)
+                value_rows, mask_rows = _read_halves(path, handle, split, head, width, token)
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     values, mask = np.vstack(value_rows), np.vstack(mask_rows)
-    if missing_code is not None:
-        sentinel = values == missing_code
-        values[sentinel] = 0.0
-        mask |= sentinel
+    try:
+        sentinel = values == float(token)
+    except ValueError:  # no token, or a token that is not a number
+        return values, mask
+    values[sentinel] = 0.0
+    mask |= sentinel
     return values, mask
+
+
+def _token_text(missing_code: str | float | None) -> str:
+    """Text of a missing cell: a number's ``repr``, else the string ("" for None)."""
+    if isinstance(missing_code, (int, float)) and not isinstance(missing_code, bool):
+        return repr(float(missing_code))
+    return "" if missing_code is None else str(missing_code)
 
 
 def _not_utf8(path) -> TableFormatError:
@@ -277,14 +289,14 @@ def _rows(handle, stop: int | None = None):
     return filter(None, csv.reader(_lines(handle, stop)))
 
 
-def _first_data_row(handle, path, stop: int | None):
+def _first_data_row(handle, path, stop: int | None, token: str):
     """First data row up to byte ``stop``, the rows after it, and whether a
     header row came before it.  A row that ``csv.reader`` rejects here is
     named row 1, even a header."""
     rows = _rows(handle, stop)
     try:
         first = next(rows, None)
-        header = first is not None and _first_non_number(first) is not None
+        header = first is not None and _first_non_number(first, token) is not None
         if header:
             first = next(rows, None)
     except csv.Error as exc:
@@ -292,7 +304,7 @@ def _first_data_row(handle, path, stop: int | None):
     return first, rows, header
 
 
-def _parse_rows(rows, path, width: int, start: int) -> tuple[list, list]:
+def _parse_rows(rows, path, width: int, start: int, token: str) -> tuple[list, list]:
     """Value and mask arrays, one pair per row, of CSV rows numbered from ``start``."""
     value_rows, mask_rows = [], []
     i = start - 1
@@ -301,6 +313,8 @@ def _parse_rows(rows, path, width: int, start: int) -> tuple[list, list]:
             if len(row) != width:
                 raise TableFormatError(f"{path}: row {i} has {len(row)} columns, expected {width}")
             texts = list(map(str.strip, row))
+            if token:
+                texts = ["" if text == token else text for text in texts]
             empty = np.fromiter(map(operator.not_, texts), bool, width)
             try:
                 parsed = np.fromiter(map(float, filter(None, texts)), float)
@@ -318,7 +332,7 @@ def _parse_rows(rows, path, width: int, start: int) -> tuple[list, list]:
     return value_rows, mask_rows
 
 
-def _read_halves(path, handle, split: int, head, width: int) -> tuple[list, list]:
+def _read_halves(path, handle, split: int, head, width: int, token: str) -> tuple[list, list]:
     """Parse ``head`` here while a forked child parses the rows from byte ``split`` on.
 
     The child sends its row count, values and mask through a pipe.  If it
@@ -332,7 +346,7 @@ def _read_halves(path, handle, split: int, head, width: int) -> tuple[list, list
         def send():
             with open(path, "rb") as tail:
                 tail.seek(split)
-                value_rows, mask_rows = _parse_rows(_rows(tail), path, width, 1)
+                value_rows, mask_rows = _parse_rows(_rows(tail), path, width, 1, token)
             values = np.array(value_rows, float).reshape(-1, width)
             sink.write(len(values).to_bytes(8, "little"))
             sink.write(values)
@@ -341,7 +355,7 @@ def _read_halves(path, handle, split: int, head, width: int) -> tuple[list, list
 
         def receive():
             sink.close()
-            head_rows = _parse_rows(head, path, width, 1)
+            head_rows = _parse_rows(head, path, width, 1, token)
             count = int.from_bytes(pipe.read(8), "little")
             values, mask = np.empty((count, width)), np.empty((count, width), bool)
             pipe.readinto(values)
@@ -351,15 +365,15 @@ def _read_halves(path, handle, split: int, head, width: int) -> tuple[list, list
         ((value_rows, mask_rows), tail), ok = _with_child(send, receive)
     if not ok:
         handle.seek(split)
-        tail = _parse_rows(_rows(handle), path, width, len(value_rows) + 1)
+        tail = _parse_rows(_rows(handle), path, width, len(value_rows) + 1, token)
     return value_rows + tail[0], mask_rows + tail[1]
 
 
-def _first_non_number(cells) -> int | None:
-    """Index of the first non-blank cell that ``float`` cannot parse."""
+def _first_non_number(cells, token: str = "") -> int | None:
+    """Index of the first cell, not blank or ``token``, that ``float`` cannot parse."""
     for j, cell in enumerate(cells):
         text = cell.strip()
-        if text:
+        if text and text != token:
             try:
                 float(text)
             except ValueError:
@@ -367,18 +381,15 @@ def _first_non_number(cells) -> int | None:
     return None
 
 
-def save_csv(table: DataTable, path, missing_code: float | str = "") -> None:
+def save_csv(table: DataTable, path, missing_code: str | float | None = None) -> None:
     """Write a table as CSV, serializing masked cells as ``missing_code``.
 
-    Values are written with round-trip precision, so
-    ``load_csv(save_csv(t))`` reproduces values exactly and the mask
-    bit-for-bit (given a matching missing token).  The bytes, token
-    quoting included, are those of ``csv.writer``.
+    Values are written with round-trip precision, so ``load_csv(path,
+    missing_code)`` reproduces values exactly and the mask bit for bit,
+    unless a valid value equals a numeric token.  The bytes, token quoting
+    included, are those of ``csv.writer``.
     """
-    if isinstance(missing_code, (int, float)) and not isinstance(missing_code, bool):
-        token = repr(float(missing_code))
-    else:
-        token = str(missing_code)
+    token = _token_text(missing_code)
     if any(char in token for char in ',"\r\n'):
         token = '"' + token.replace('"', '""') + '"'
     values, missing = table.values, table.missing

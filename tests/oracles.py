@@ -24,7 +24,10 @@ and CRARI's reachable range and root rule, which follow the code under
 test) so that the two can be compared bit for bit.
 The CSV oracles are the per-cell reader and writer that the row-streaming
 kernels replaced: the reader holds every cell string of the file before
-parsing, the writer runs ``csv.writer`` over one ``repr`` per cell.
+parsing, the writer runs ``csv.writer`` over one ``repr`` per cell.  The
+reader states the missing-token rule on its own: a cell is missing when
+it is blank, when its text is the token's, or when it equals a numeric
+token, and a first row of such cells and numbers is data.
 """
 
 import csv
@@ -457,9 +460,6 @@ def crari_impute_allocating(table, target="corrected", rng=None, c_max=10.0) -> 
 
     outcome = partial(ImputationOutcome, icc_before=report.icc, icc_cor=report.icc_cor,
                       target=target_icc)
-    if table.n_valid == table.rows * table.cols:
-        return outcome(imputed=table, c=1.0, icc_after=report.icc, warnings=tuple(warnings))
-
     centered = column_donor_fills_allocating(table, as_generator(rng))
     base = np.where(table.missing, report.item_means[:, None], table.values)
     dec = anova_allocating(DataTable(base, np.zeros(table.shape, dtype=bool)))
@@ -515,11 +515,21 @@ def virtualize_loop(table, rng=None) -> DataTable:
 
 
 def read_cells_loop(path, missing_code=None) -> tuple[np.ndarray, np.ndarray]:
+    """A cell is missing when it is blank, when its stripped text is the
+    token's (``repr`` of a number), or when it equals a numeric token."""
+    if missing_code is None or isinstance(missing_code, str):
+        token = (missing_code or "").strip()
+    else:
+        token = repr(float(missing_code))
+    try:
+        number = float(token)
+    except ValueError:
+        number = None
     with open(path, newline="", encoding="utf-8") as handle:
         raw = [row for row in csv.reader(handle) if row]
     if not raw:
         raise StructuralError(f"{path}: file contains no data")
-    if _looks_like_header(raw[0]):
+    if _looks_like_header(raw[0], token):
         raw = raw[1:]
     if not raw:
         raise StructuralError(f"{path}: file contains no data rows")
@@ -533,7 +543,7 @@ def read_cells_loop(path, missing_code=None) -> tuple[np.ndarray, np.ndarray]:
             )
         for j, cell in enumerate(row):
             text = cell.strip()
-            if text == "":
+            if text == "" or text == token:
                 mask[i, j] = True
                 continue
             try:
@@ -542,17 +552,17 @@ def read_cells_loop(path, missing_code=None) -> tuple[np.ndarray, np.ndarray]:
                 raise TableFormatError(
                     f"{path}: row {i + 1}, column {j + 1}: cannot parse {text!r}"
                 ) from None
-            if missing_code is not None and value == missing_code:
+            if number is not None and value == number:
                 mask[i, j] = True
             else:
                 values[i, j] = value
     return values, mask
 
 
-def _looks_like_header(row: list[str]) -> bool:
+def _looks_like_header(row: list[str], token: str) -> bool:
     for cell in row:
         text = cell.strip()
-        if text == "":
+        if text == "" or text == token:
             continue
         try:
             float(text)
@@ -561,11 +571,11 @@ def _looks_like_header(row: list[str]) -> bool:
     return False
 
 
-def save_csv_loop(table, path, missing_code="") -> None:
+def save_csv_loop(table, path, missing_code=None) -> None:
     if isinstance(missing_code, (int, float)) and not isinstance(missing_code, bool):
         token = repr(float(missing_code))
     else:
-        token = str(missing_code)
+        token = "" if missing_code is None else str(missing_code)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         for i in range(table.rows):

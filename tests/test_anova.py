@@ -134,6 +134,8 @@ class TestIccReport:
         rep = icc_report(DataTable(np.tile(col[:, None], (1, 4))))
         assert rep.icc == 1.0
         assert math.isinf(rep.q)
+        # Fobs = inf puts both bounds at exactly 1
+        assert rep.conf == ((0.95, 1.0, 1.0), (0.99, 1.0, 1.0), (0.999, 1.0, 1.0))
 
     def test_column_effect_warning_rule(self):
         raw, _ = generate(SynthSpec(rows=200, cols=12, item_sd=0.2, seed=7))

@@ -113,6 +113,20 @@ class TestImputeCommand:
         assert "UnreachableTargetError" in err
 
 
+    def test_complete_table_off_target_exit_code(self, capsys, tmp_path):
+        # a complete table has nothing to fill: its own ICC is the whole range
+        table_csv = tmp_path / "complete.csv"
+        save_csv(generate(SynthSpec(rows=40, cols=8, seed=3))[0], table_csv)
+        code, out, _ = run(capsys, "icc", "--input", str(table_csv), "--zscore")
+        icc = report_value(out, "icc")
+        assert code == 0 and 0.3 < icc < 0.8
+        code, out, err = run(capsys, "impute", "--input", str(table_csv), "--zscore",
+                             "--output", str(tmp_path / "x.csv"), "--target", "0.2")
+        assert code == 5 and out == ""
+        assert err == ("error[5] UnreachableTargetError: target ICC 0.2000 outside the "
+                       f"reachable range [{icc:.4f}, {icc:.4f}]\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_nan_c_max_precondition_exit(self, capsys, degraded_csv, tmp_path):
         code, out, err = run(capsys, "impute", "--input", str(degraded_csv),
                              "--output", str(tmp_path / "x.csv"), "--c-max", "nan")
@@ -234,6 +248,44 @@ class TestSynthCommand:
         assert code == 0
         text = table_csv.read_text()
         assert text.count(",,") + text.count(",\n") > 0
+
+
+class TestMissingToken:
+    """A text token written by ``synth --missing-code`` reads back in every
+    command that takes ``--missing-code``."""
+
+    @pytest.mark.parametrize("split", [None, 0], ids=["one-process", "split"])
+    def test_synth_output_reads_back(self, capsys, tmp_path, monkeypatch, split):
+        if split is not None:
+            monkeypatch.setattr(table_module, "_SPLIT_BYTES", split)
+        table_csv, imputed = tmp_path / "na.csv", tmp_path / "imputed.csv"
+        code, _, _ = run(capsys, "synth", "--rows", "40", "--cols", "8", "--degrade", "0.2",
+                         "--missing-code", "NA", "--output", str(table_csv))
+        assert code == 0 and ",NA," in table_csv.read_text()
+        predictors = tmp_path / "predictors.csv"
+        predictors.write_text("freq\n" + "".join(f"{0.1 * i}\n" for i in range(40)))
+        token = ("--input", str(table_csv), "--missing-code", "NA", "--zscore")
+        code, out, err = run(capsys, "icc", *token)
+        assert code == 0, err
+        assert "\ntable: 40 rows x 8 cols, 64 missing\n" in out
+        code, _, err = run(capsys, "impute", *token, "--output", str(imputed))
+        assert code == 0, err
+        code, _, err = run(capsys, "fit", *token, "--predictors", str(predictors))
+        assert code == 0, err
+        code, _, err = run(capsys, "ecvt", "--input", str(imputed), "--resamples", "20")
+        assert code == 0, err
+
+    def test_token_in_the_first_row_keeps_it_data(self, capsys, tmp_path):
+        table_csv = tmp_path / "first.csv"
+        table_csv.write_text("1,NA\n3,4\n5,6\n")
+        code, out, _ = run(capsys, "icc", "--input", str(table_csv), "--missing-code", "NA",
+                           "--zscore")
+        assert code == 0
+        assert "\ntable: 3 rows x 2 cols, 1 missing\n" in out
+        # without the token the first row is a header
+        code, out, _ = run(capsys, "icc", "--input", str(table_csv))
+        assert code == 0
+        assert "\ntable: 2 rows x 2 cols, 0 missing\n" in out
 
 
 class TestExperimentCommand:

@@ -107,3 +107,20 @@ def test_every_export_resolves_lazily():
     assert "signed_power" not in icctab.__all__
     with pytest.raises(AttributeError):
         icctab.signed_power  # noqa: B018
+
+
+def test_every_submodule_export_is_a_package_export():
+    unlisted = run_script("""
+        import importlib, json, pkgutil
+        import icctab
+        unlisted = {}
+        for info in pkgutil.iter_modules(icctab.__path__):
+            if info.name == "__main__":  # importing it runs the command line
+                continue
+            module = importlib.import_module(f"icctab.{info.name}")
+            names = set(getattr(module, "__all__", ())) - set(icctab.__all__)
+            if names:
+                unlisted[info.name] = sorted(names)
+        print(json.dumps(unlisted))
+    """)
+    assert unlisted == {}

@@ -162,10 +162,22 @@ class TestDonorKernelMatchesLoops:
 
 class TestCrariDeterministicCases:
     def test_complete_table_returned_unchanged(self, complete_table):
-        outcome = crari_impute(complete_table, rng=1)
-        assert outcome.imputed is complete_table
-        assert outcome.c == 1.0
-        assert outcome.icc_after == outcome.icc_before
+        # no cell to fill: the fills are 0 and draw nothing, so c = 0
+        icc = icc_report(complete_table, ()).icc
+        gen = as_generator(1)
+        state = gen.bit_generator.state
+        for target in ("low", "corrected", icc):
+            outcome = crari_impute(complete_table, target, rng=gen)
+            assert outcome.c == 0.0
+            assert outcome.imputed is not complete_table
+            assert outcome.imputed.values.tobytes() == complete_table.values.tobytes()
+            assert not outcome.imputed.missing.any()
+            assert outcome.icc_after == outcome.icc_before == icc
+        assert gen.bit_generator.state == state
+        # any other target is out of the one-point range
+        with pytest.raises(UnreachableTargetError) as info:
+            crari_impute(complete_table, 0.2, rng=1)
+        assert info.value.reachable == (icc, icc)
 
     ONE_PER_ROW = DataTable(np.array([
         [1.0, 2.0, np.nan, 3.0],
