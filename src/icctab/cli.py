@@ -13,12 +13,17 @@ experiment  Run a canned degradation study (from ``impute`` or ``fit``) and
 Reports are plain ``key: value`` text on stdout and always embed the tool
 version, the fully resolved configuration and the seed, so a report can be
 reproduced byte for byte from its own header.  Each ``_run_*`` handler runs
-its command and returns ``(config, results)`` without printing: ``config``
-is the ordered dict of the header's ``key=value`` pairs and ``results`` the
-ordered ``(key, text)`` pairs of the report body, a warning being one more
-``("warning", text)`` pair.  :func:`main` adds the seed and renders every
-report, so the format is decided in one place.  Exit codes: 0 ok, 2 format
-or usage error, 3 structural error, 4 numeric error, 5 unreachable
+its command and returns its ``results`` without printing: the ordered
+``(key, text)`` pairs of the report body, a warning being one more
+``("warning", text)`` pair.  A handler that resolves a default writes it
+back to ``args`` (``ecvt`` its group sizes, ``experiment`` its p-grid).
+:func:`main` then renders every report, so the format is decided in one
+place.  The ``config:`` header holds every option of the subcommand as
+``key=value`` in the order the parser defines them, ``seed`` last:
+``None`` prints as ``<empty>``, a tuple comma-joined, anything else as
+``str``.  Values are not quoted, so a path with a space in it makes a
+header that does not split back into its options.  Exit codes: 0 ok, 2
+format or usage error, 3 structural error, 4 numeric error, 5 unreachable
 imputation target, 6 precondition violation.  Each handler imports the
 kernels it runs, so ``--version``, ``--help`` and usage errors never load
 numpy.
@@ -76,9 +81,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config, results = args.handler(args)
-        config["seed"] = args.seed
-        joined = " ".join(f"{k}={v}" for k, v in config.items())
+        results = args.handler(args)
+        config = {k: v for k, v in vars(args).items() if k not in ("subcommand", "handler")}
+        config["seed"] = config.pop("seed")
+        joined = " ".join(f"{k.replace('_', '-')}={_header_value(v)}" for k, v in config.items())
         print("\n".join([f"icctab {__version__}", f"command: {args.subcommand}",
                          f"config: {joined}", *(f"{k}: {v}" for k, v in results)]))
         return 0
@@ -96,6 +102,12 @@ def entrypoint() -> None:
         sys.exit(main())
     finally:
         gc.freeze()
+
+
+def _header_value(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return "<empty>" if value is None else str(value)
 
 
 def _exit_code(exc: IccTabError) -> int:
@@ -121,8 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_run_icc)
 
     p = sub.add_parser("impute", help="fill missing cells with a target ICC")
-    _table_flags(p, transforms=("zscore",))
-    p.add_argument("--output", required=True, help="path of the imputed CSV")
+    _table_flags(p, "--output", "path of the imputed CSV", transforms=("zscore",))
     p.add_argument("--target", type=_target, default="corrected",
                    help="'low', 'corrected' or an explicit ICC value")
     p.add_argument("--c-max", type=float, default=10.0,
@@ -140,13 +151,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_run_ecvt)
 
     p = sub.add_parser("fit", help="predictor goodness of fit")
-    _table_flags(p)
-    p.add_argument("--predictors", required=True,
-                   help="CSV of predictor columns aligned with the table rows")
+    _table_flags(p, "--predictors", "CSV of predictor columns aligned with the table rows")
     p.add_argument("--conf", type=_float_list, default="0.95,0.99,0.999")
     p.set_defaults(handler=_run_fit)
 
     p = sub.add_parser("synth", help="generate an artificial table")
+    p.add_argument("--output", required=True, help="path of the table CSV")
     p.add_argument("--rows", type=int, default=1400)
     p.add_argument("--cols", type=int, default=80)
     p.add_argument("--mu", type=float, default=0.0, help="grand mean")
@@ -157,7 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrade", type=float, default=0.0,
                    help="proportion of cells to mask after generation")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", required=True, help="path of the table CSV")
     p.add_argument("--missing-code", default=None, help="token written in missing cells")
     p.add_argument("--ground-truth", default=None,
                    help="optional CSV path for item effects and exponents")
@@ -165,19 +174,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a named canned study")
     p.add_argument("--name", required=True, choices=tuple(EXPERIMENTS))
+    p.add_argument("--output", required=True, help="path of the curve CSV")
     p.add_argument("--rows", type=int, default=1400)
     p.add_argument("--cols", type=int, default=80)
     p.add_argument("--p-grid", type=_float_list, default=None,
                    help="comma-separated missing proportions")
     p.add_argument("--replications", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", required=True, help="path of the curve CSV")
     p.set_defaults(handler=_run_experiment)
     return parser
 
 
-def _table_flags(p: argparse.ArgumentParser, transforms=_TRANSFORMS):
+def _table_flags(p: argparse.ArgumentParser, *path_flag, transforms=_TRANSFORMS):
     p.add_argument("--input", required=True, help="CSV table to analyze")
+    if path_flag:  # the command's own (flag, help), reported right after --input
+        p.add_argument(path_flag[0], required=True, help=path_flag[1])
     p.add_argument("--missing-code", default=None,
                    help="token of a missing cell, text or number (empty cells always count)")
     p.add_argument("--seed", type=int, default=0)
@@ -200,32 +211,23 @@ def _load_table(args):
     return table
 
 
-def _parse_floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-
-
-def _float_list(raw: str) -> str:
-    """``raw`` if :func:`_parse_floats` reads it, else a usage error.
-
-    The raw text is kept for the report header.
-    """
+def _float_list(raw: str) -> tuple[float, ...]:
     try:
-        _parse_floats(raw)
+        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {raw!r}") from None
-    return raw
 
 
-def _target(raw: str) -> str:
-    """``raw`` if it is 'low', 'corrected' or a number, else a usage error."""
-    if raw not in ("low", "corrected"):
-        try:
-            float(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected 'low', 'corrected' or a number, got {raw!r}") from None
-    return raw
+def _target(raw: str) -> str | float:
+    """'low', 'corrected' or the number ``raw`` reads as, else a usage error."""
+    if raw in ("low", "corrected"):
+        return raw
+    try:
+        return float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'low', 'corrected' or a number, got {raw!r}") from None
 
 
 def _parse_ints(raw: str) -> tuple[int, ...]:
@@ -234,17 +236,6 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {raw!r}") from None
-
-
-def _table_config(args, **after_input) -> dict:
-    """The header keys of the table flags, with ``after_input`` after ``input``."""
-    config = {
-        "input": args.input,
-        **after_input,
-        "missing-code": args.missing_code or "<empty>",
-    }
-    config.update((flag, getattr(args, flag)) for flag in _TRANSFORMS if hasattr(args, flag))
-    return config
 
 
 def _fmt(x: float) -> str:
@@ -269,12 +260,8 @@ def _run_icc(args):
     from .anova import icc_report
 
     table = _load_table(args)
-    report = icc_report(table, _parse_floats(args.conf))
-    config = {
-        **_table_config(args),
-        "conf": args.conf,
-    }
-    return config, [
+    report = icc_report(table, args.conf)
+    return [
         ("table", f"{table.rows} rows x {table.cols} cols, {int(table.missing.sum())} missing"),
         *_icc_results(report),
     ]
@@ -285,16 +272,10 @@ def _run_impute(args):
     from .table import save_csv
 
     table = _load_table(args)
-    target = args.target if args.target in ("low", "corrected") else float(args.target)
-    outcome = crari_impute(table, target=target, rng=args.seed, c_max=args.c_max)
+    outcome = crari_impute(table, target=args.target, rng=args.seed, c_max=args.c_max)
     save_csv(outcome.imputed, args.output)
     drift = float(abs(outcome.imputed.row_means() - table.row_means()).max())
-    config = {
-        **_table_config(args, output=args.output),
-        "target": args.target,
-        "c-max": args.c_max,
-    }
-    return config, [
+    return [
         ("icc", _fmt(outcome.icc_before)),
         ("iccCor", _fmt(outcome.icc_cor)),
         ("target", _fmt(outcome.target)),
@@ -312,12 +293,7 @@ def _run_ecvt(args):
     table = _load_table(args)
     report = ecvt(table, group_sizes=args.groups or None, resamples=args.resamples,
                   alpha=args.alpha, rng=args.seed)
-    config = {
-        **_table_config(args),
-        "groups": ",".join(str(g) for g in report.group_sizes),
-        "resamples": args.resamples,
-        "alpha": args.alpha,
-    }
+    args.groups = report.group_sizes
     curve = list(zip(report.group_sizes, report.predicted_r,
                      report.observed_mean_r, report.observed_sd_r))
     results = [
@@ -331,7 +307,7 @@ def _run_ecvt(args):
     if args.curve:
         _write_csv(args.curve, ["g", "predicted_r", "observed_mean_r", "observed_sd_r"], curve)
         results.append(("curve written", args.curve))
-    return config, results
+    return results
 
 
 def _run_fit(args):
@@ -339,12 +315,8 @@ def _run_fit(args):
 
     table = _load_table(args)
     predictors = _load_matrix(args.predictors)
-    fit = fit_predictors(table, predictors, _parse_floats(args.conf))
-    config = {
-        **_table_config(args, predictors=args.predictors),
-        "conf": args.conf,
-    }
-    return config, [
+    fit = fit_predictors(table, predictors, args.conf)
+    return [
         *_icc_results(fit.icc_context),
         ("r2", " ".join(_fmt(v) for v in fit.r2)),
         ("r2onICC", " ".join(_fmt(v) for v in fit.r2_on_icc)),
@@ -383,16 +355,6 @@ def _run_synth(args):
         degrade_seed, = split_seed(args.seed, 1)
         table = degrade_random(table, args.degrade, degrade_seed)
     save_csv(table, args.output, args.missing_code)
-    config = {
-        "output": args.output,
-        "rows": args.rows,
-        "cols": args.cols,
-        "mu": args.mu,
-        "item-sd": args.item_sd,
-        "noise-sd": args.noise_sd,
-        "severity": args.severity,
-        "degrade": args.degrade,
-    }
     results = [
         (f"expected icc at n={args.cols}", _fmt(truth.expected_icc)),
         ("table written", args.output),
@@ -403,7 +365,7 @@ def _run_synth(args):
              repr(float(truth.participant_exponents[i])) if i < args.cols else "")
             for i in range(max(args.rows, args.cols))))
         results.append(("ground truth written", args.ground_truth))
-    return config, results
+    return results
 
 
 def _run_experiment(args):
@@ -415,16 +377,8 @@ def _run_experiment(args):
     from .synth import SynthSpec, generate
     from .table import zscore
 
-    p_grid = _parse_floats(args.p_grid or "") or EXPERIMENTS[args.name]
+    args.p_grid = p_grid = args.p_grid or EXPERIMENTS[args.name]
     table_seed, run_seed = split_seed(args.seed, 2)
-    config = {
-        "name": args.name,
-        "output": args.output,
-        "rows": args.rows,
-        "cols": args.cols,
-        "p-grid": args.p_grid or "<default>",
-        "replications": args.replications,
-    }
     item_sd = 0.3 if args.name == "r2cor-bias" else SynthSpec.item_sd
     raw, truth = generate(SynthSpec(rows=args.rows, cols=args.cols, item_sd=item_sd,
                                     seed=table_seed))
@@ -445,7 +399,7 @@ def _run_experiment(args):
     _write_csv(args.output, [field.name for field in fields(points[0])],
                (astuple(pt) for pt in points))
     results.append(("curve written", args.output))
-    return config, results
+    return results
 
 
 def _write_csv(path, header, rows) -> None:

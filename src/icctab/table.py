@@ -11,8 +11,9 @@ CSV files hold each value as its ``repr`` (round-trip precision), with
 CRLF line ends.  A masked cell holds the missing token (a number's
 ``repr``, nothing for ``None``); on load a cell is missing when it is empty,
 when its stripped text is the stripped token, or when it equals a numeric
-token.  Blank lines are skipped, a first non-blank row with a cell neither
-missing nor numeric is a header, and error messages count rows after it.
+token; a save refuses a numeric token that a valid value equals.  Blank
+lines are skipped, a first non-blank row with a cell neither missing nor
+numeric is a header, and error messages count rows after it.
 Rows stream, so memory stays O(table), not one Python string per cell.
 
 Reads and writes of at least ``_SPLIT_BYTES`` (512 KiB of file or of
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, StructuralError, TableFormatError
+from .errors import NumericError, PreconditionError, StructuralError, TableFormatError
 from .rand import as_generator
 
 __all__ = [
@@ -160,7 +161,8 @@ def load_csv(path, missing_code: str | float | None = None) -> DataTable:
 
     The file follows the CSV contract of the module docstring, its missing
     cells included, so ``load_csv(path, t)`` reads back ``save_csv(table,
-    path, t)`` for any token ``t`` that no valid value equals.
+    path, t)`` for any token ``t`` (``save_csv`` refuses a numeric token
+    that a valid value equals).
 
     Raises
     ------
@@ -385,11 +387,26 @@ def save_csv(table: DataTable, path, missing_code: str | float | None = None) ->
     """Write a table as CSV, serializing masked cells as ``missing_code``.
 
     Values are written with round-trip precision, so ``load_csv(path,
-    missing_code)`` reproduces values exactly and the mask bit for bit,
-    unless a valid value equals a numeric token.  The bytes, token quoting
-    included, are those of ``csv.writer``.
+    missing_code)`` reproduces values exactly and the mask bit for bit.
+    The bytes, token quoting included, are those of ``csv.writer``.
+
+    Raises
+    ------
+    PreconditionError
+        The token parses as a number and a valid value equals it, so the
+        read-back would mask that value (message carries the 1-based
+        row/column of the first such cell); no file is opened.
     """
     token = _token_text(missing_code)
+    try:
+        clash = table.values == float(token)  # masked cells hold NaN
+    except ValueError:  # no token, or a token that is not a number
+        pass
+    else:
+        if clash.any():
+            i, j = divmod(int(clash.argmax()), table.cols)
+            raise PreconditionError(f"{path}: row {i + 1}, column {j + 1}: valid value "
+                                    f"equals the missing token {token.strip()!r}")
     if any(char in token for char in ',"\r\n'):
         token = '"' + token.replace('"', '""') + '"'
     values, missing = table.values, table.missing

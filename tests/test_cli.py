@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import os
@@ -13,7 +14,7 @@ import pytest
 import icctab
 import icctab.table as table_module
 from icctab import SynthSpec, degrade_random, generate, save_csv, zscore
-from icctab.cli import EXIT_CODES, _exit_code, entrypoint, main
+from icctab.cli import EXIT_CODES, _build_parser, _exit_code, entrypoint, main
 from icctab.errors import (
     IccTabError,
     NumericError,
@@ -287,6 +288,17 @@ class TestMissingToken:
         assert code == 0
         assert "\ntable: 2 rows x 2 cols, 0 missing\n" in out
 
+    def test_numeric_token_equal_to_a_valid_value_exits_6(self, capsys, tmp_path):
+        table_csv, coded = tmp_path / "t.csv", tmp_path / "coded.csv"
+        argv = ("synth", "--rows", "40", "--cols", "10", "--seed", "4")
+        code, _, _ = run(capsys, *argv, "--output", str(table_csv))
+        assert code == 0
+        cell = table_csv.read_text().split(",")[0]
+        code, out, err = run(capsys, *argv, "--missing-code", cell, "--output", str(coded))
+        assert code == 6 and out == ""
+        assert err.startswith(f"error[6] PreconditionError: {coded}: row 1, column 1: ")
+        assert not coded.exists()
+
 
 class TestExperimentCommand:
     @pytest.mark.parametrize("name", ["ari-bias", "degradation-curve", "r2cor-bias"])
@@ -403,6 +415,69 @@ class TestGoldenReports:
             # the search stopped within 1e-4 of c; the root attains the target
             assert imputed == pytest.approx(old_imputed, abs=1e-4)
             assert imputed == pytest.approx(float(row["icc_cor"]), abs=1e-9)
+
+
+def config_pairs(out: str) -> list[tuple[str, str]]:
+    line, = (line for line in out.splitlines() if line.startswith("config: "))
+    return [tuple(pair.split("=", 1)) for pair in line[len("config: "):].split(" ")]
+
+
+class TestReportHeader:
+    """The ``config:`` line holds every option of the command, in parser order."""
+
+    def test_keys_are_the_subcommand_options_with_seed_last(self, capsys, tmp_path,
+                                                             complete_csv, degraded_csv):
+        predictors = tmp_path / "p.csv"
+        predictors.write_text("".join(f"{0.1 * i}\n" for i in range(120)))
+        argvs = {
+            "icc": ["--input", str(complete_csv)],
+            "impute": ["--input", str(degraded_csv), "--output", str(tmp_path / "i.csv")],
+            "ecvt": ["--input", str(complete_csv), "--resamples", "5"],
+            "fit": ["--input", str(degraded_csv), "--predictors", str(predictors)],
+            "synth": ["--rows", "10", "--cols", "4", "--output", str(tmp_path / "s.csv")],
+            "experiment": ["--name", "ari-bias", "--rows", "20", "--cols", "6",
+                           "--replications", "1", "--output", str(tmp_path / "e.csv")],
+        }
+        subparsers, = (action for action in _build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+        assert set(subparsers.choices) == set(argvs)
+        for command, parser in subparsers.choices.items():
+            options = [action.option_strings[-1][2:] for action in parser._actions
+                       if action.option_strings and action.dest != "help"]
+            options.append(options.pop(options.index("seed")))
+            code, out, err = run(capsys, command, *argvs[command])
+            assert code == 0, err
+            assert [key for key, _ in config_pairs(out)] == options, command
+
+    def test_synth_replays_from_its_header(self, capsys, tmp_path, monkeypatch):
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        monkeypatch.chdir(first)
+        code, out, _ = run(capsys, "synth", "--rows", "30", "--cols", "6", "--seed", "5",
+                           "--missing-code", "NA", "--ground-truth", "t.csv",
+                           "--degrade", "0.2", "--output", "table.csv")
+        assert code == 0
+        argv = [arg for key, value in config_pairs(out) if value != "<empty>"
+                for arg in (f"--{key}", value)]
+        monkeypatch.chdir(second)
+        code, replayed, _ = run(capsys, "synth", *argv)
+        assert code == 0 and replayed == out
+        assert ",NA," in (first / "table.csv").read_text()
+        for name in ("table.csv", "t.csv"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+
+    def test_conf_prints_normalized(self, capsys, complete_csv):
+        code, out, _ = run(capsys, "icc", "--input", str(complete_csv), "--conf", "0.95, 0.99")
+        assert code == 0
+        assert ("conf", "0.95,0.99") in config_pairs(out)
+
+    def test_experiment_prints_the_resolved_p_grid(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "experiment", "--name", "ari-bias", "--rows", "20",
+                           "--cols", "6", "--replications", "1",
+                           "--output", str(tmp_path / "e.csv"))
+        assert code == 0
+        assert ("p-grid", "0.0,0.1,0.2,0.3") in config_pairs(out)
 
 
 class TestFitPredictorFile:

@@ -16,6 +16,7 @@ import icctab.table as table_module
 from icctab import (
     DataTable,
     NumericError,
+    PreconditionError,
     StructuralError,
     TableFormatError,
     degrade_random,
@@ -140,6 +141,15 @@ class TestSaveCsv:
         path = tmp_path / "out.csv"
         save_csv(small_table, path, missing_code="inf")
         assert "inf" in path.read_text().splitlines()[1]
+
+    @pytest.mark.parametrize("token", [0, "0"], ids=["number", "text"])
+    def test_numeric_token_equal_to_a_valid_value_is_refused(self, tmp_path, token):
+        # read back, the valid 0.0 at row 2, column 1 would be masked too
+        table = DataTable(np.array([[1.0, np.nan], [0.0, 4.0], [5.0, 6.0]]))
+        path = tmp_path / "out.csv"
+        with pytest.raises(PreconditionError, match=r"row 2, column 1: valid value equals"):
+            save_csv(table, path, token)
+        assert not path.exists()
 
     def test_no_token_writes_empty_cells(self, tmp_path, small_table):
         empty, none = tmp_path / "empty.csv", tmp_path / "none.csv"
