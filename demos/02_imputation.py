@@ -7,8 +7,6 @@ target ICC lands exactly where it is told to, preserving item means and
 valid cells.
 """
 
-import numpy as np
-
 from icctab import (
     SynthSpec,
     ari_bias_demo,
@@ -35,10 +33,9 @@ print("only the corrected estimate stays on target.")
 degraded = degrade_random(table, 0.2, rng=17)
 for target in ("low", "corrected"):
     outcome = crari_impute(degraded, target=target, rng=18)
-    drift = np.abs(outcome.imputed.row_means() - degraded.row_means()).max()
     print(
         f"\ntarget={target!r}: aimed {outcome.target:.4f}, attained "
-        f"{outcome.icc_after:.4f} (c={outcome.c:.3f}, row-mean drift {drift:.1e})"
+        f"{outcome.icc_after:.4f} (c={outcome.c:.3f}, row-mean drift {outcome.row_mean_drift:.1e})"
     )
 
 print("\nimputing to the corrected ICC restores the consistency the table")

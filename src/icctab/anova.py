@@ -266,16 +266,17 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     ``x`` and ``y`` broadcast to one shape.  The sums are two-pass: the
     means are removed first, so a shift of the data does not cost precision
-    and the first-moment sums passed to :func:`_correlation` are 0.  Rows
-    with a constant side give NaN.
+    and the first-moment sums passed to :func:`_correlation` are 0.  A side
+    with all values equal gives NaN (its test there sees only exact zeros).
     """
     ones = np.ones(np.shape(x)[-1])
     count = ones.sum()
     xc = x - (np.einsum("...i,...i->...", ones, x) / count)[..., None]
     yc = y - (np.einsum("...i,...i->...", ones, y) / count)[..., None]
-    return _correlation(count, 0.0, 0.0, np.einsum("...i,...i->...", xc, xc),
-                        np.einsum("...i,...i->...", yc, yc),
-                        np.einsum("...i,...i->...", xc, yc))
+    r = _correlation(count, 0.0, 0.0, np.einsum("...i,...i->...", xc, xc),
+                     np.einsum("...i,...i->...", yc, yc), np.einsum("...i,...i->...", xc, yc))
+    constant = (x == x[..., :1]).all(axis=-1) | (y == y[..., :1]).all(axis=-1)
+    return np.where(constant, np.nan, r)
 
 
 def _correlation(n, sx, sy, sxx, syy, sxy):

@@ -19,14 +19,18 @@ its command and returns its ``results`` without printing: the ordered
 back to ``args`` (``ecvt`` its group sizes, ``experiment`` its p-grid).
 :func:`main` then renders every report, so the format is decided in one
 place.  The ``config:`` header holds every option of the subcommand as
-``key=value`` in the order the parser defines them, ``seed`` last:
-``None`` prints as ``<empty>``, a tuple comma-joined, anything else as
-``str``.  Values are not quoted, so a path with a space in it makes a
-header that does not split back into its options.  Exit codes: 0 ok, 2
-format or usage error, 3 structural error, 4 numeric error, 5 unreachable
-imputation target, 6 precondition violation.  Each handler imports the
-kernels it runs, so ``--version``, ``--help`` and usage errors never load
-numpy.
+``key=value`` in the order the parser defines them, ``seed`` last: ``None``
+prints as ``<empty>``, a tuple comma-joined, anything else as ``str``.
+Values are not quoted, so a path with a space in it makes a header that
+does not split back into its options.  Exit codes: 0 ok, 2 format or usage
+error, 3 structural error, 4 numeric error, 5 unreachable imputation
+target, 6 precondition violation.  Each handler imports the kernels it
+runs, so ``--version``, ``--help`` and usage errors never load numpy.
+
+A table command draws from one generator seeded by ``--seed``: first
+``--mix``, then ``--virtualize``, then its kernel (``impute``'s donors,
+``ecvt``'s splits).  ``synth`` and ``experiment`` give each stage its own
+``split_seed`` child.
 
 :func:`entrypoint` is the process (the console script and ``python -m
 icctab``), and it ends it: once :func:`main` returns or raises, it freezes
@@ -111,10 +115,7 @@ def _header_value(value) -> str:
 
 
 def _exit_code(exc: IccTabError) -> int:
-    for klass, code in EXIT_CODES.items():
-        if isinstance(exc, klass):
-            return code
-    return 1
+    return next((code for klass, code in EXIT_CODES.items() if isinstance(exc, klass)), 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -208,7 +209,7 @@ def _load_table(args):
         table = mix_rows(table, rng)
     if getattr(args, "virtualize", False):
         table = virtualize(table, rng)
-    return table
+    return table, rng
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
@@ -259,7 +260,7 @@ def _icc_results(report) -> list[tuple[str, str]]:
 def _run_icc(args):
     from .anova import icc_report
 
-    table = _load_table(args)
+    table, _ = _load_table(args)
     report = icc_report(table, args.conf)
     return [
         ("table", f"{table.rows} rows x {table.cols} cols, {int(table.missing.sum())} missing"),
@@ -271,17 +272,16 @@ def _run_impute(args):
     from .impute import crari_impute
     from .table import save_csv
 
-    table = _load_table(args)
-    outcome = crari_impute(table, target=args.target, rng=args.seed, c_max=args.c_max)
+    table, rng = _load_table(args)
+    outcome = crari_impute(table, target=args.target, rng=rng, c_max=args.c_max)
     save_csv(outcome.imputed, args.output)
-    drift = float(abs(outcome.imputed.row_means() - table.row_means()).max())
     return [
         ("icc", _fmt(outcome.icc_before)),
         ("iccCor", _fmt(outcome.icc_cor)),
         ("target", _fmt(outcome.target)),
         ("iccImputed", _fmt(outcome.icc_after)),
         ("c", f"{outcome.c:.4f}"),
-        ("row-mean-drift", f"{drift:.3e}"),
+        ("row-mean-drift", f"{outcome.row_mean_drift:.3e}"),
         ("warnings", "; ".join(outcome.warnings) or "none"),
         ("imputed table written", args.output),
     ]
@@ -290,9 +290,9 @@ def _run_impute(args):
 def _run_ecvt(args):
     from .ecvt import ecvt
 
-    table = _load_table(args)
+    table, rng = _load_table(args)
     report = ecvt(table, group_sizes=args.groups or None, resamples=args.resamples,
-                  alpha=args.alpha, rng=args.seed)
+                  alpha=args.alpha, rng=rng)
     args.groups = report.group_sizes
     curve = list(zip(report.group_sizes, report.predicted_r,
                      report.observed_mean_r, report.observed_sd_r))
@@ -313,7 +313,7 @@ def _run_ecvt(args):
 def _run_fit(args):
     from .fit import fit_predictors
 
-    table = _load_table(args)
+    table, _ = _load_table(args)
     predictors = _load_matrix(args.predictors)
     fit = fit_predictors(table, predictors, args.conf)
     return [

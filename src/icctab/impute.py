@@ -67,6 +67,7 @@ class ImputationOutcome:
     table comes back as an equal copy).  It is diagnostic output: it
     depends on the random donor draws, so only the attained ICC
     ``icc_after``, measured on ``imputed``, is reproducible across streams.
+    ``row_mean_drift`` is the largest change of an item mean, warned above 1e-9.
     """
 
     imputed: DataTable
@@ -75,6 +76,7 @@ class ImputationOutcome:
     icc_cor: float
     icc_after: float
     target: float
+    row_mean_drift: float
     warnings: tuple[str, ...]
 
 
@@ -242,7 +244,8 @@ def crari_impute(
         warnings.append(f"item mean inaccuracy: {drift:.3e}")
     icc_after = _icc(after.msi, after.vij, table.cols)
     return ImputationOutcome(imputed=imputed, c=c, icc_before=report.icc, icc_cor=report.icc_cor,
-                             icc_after=icc_after, target=target_icc, warnings=tuple(warnings))
+                             icc_after=icc_after, target=target_icc, row_mean_drift=drift,
+                             warnings=tuple(warnings))
 
 
 def _donor_fills(values: np.ndarray, missing: np.ndarray, gen: np.random.Generator) -> np.ndarray:

@@ -496,7 +496,8 @@ def crari_impute_allocating(table, target="corrected", rng=None, c_max=10.0) -> 
     if drift > 1e-9:
         warnings.append(f"item mean inaccuracy: {drift:.3e}")
     icc_after = _icc(after.msi, after.vij, table.cols)
-    return outcome(imputed=imputed, c=c, icc_after=icc_after, warnings=tuple(warnings))
+    return outcome(imputed=imputed, c=c, icc_after=icc_after, row_mean_drift=drift,
+                   warnings=tuple(warnings))
 
 
 def virtualize_loop(table, rng=None) -> DataTable:

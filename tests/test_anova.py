@@ -19,6 +19,7 @@ from icctab import (
     save_csv,
     zscore,
 )
+from icctab.anova import _pearson
 from icctab.cli import main
 
 import oracles
@@ -154,6 +155,21 @@ class TestIccReport:
     def test_item_means(self, small_table):
         rep = icc_report(small_table)
         assert rep.item_means == pytest.approx(small_table.row_means())
+
+
+class TestPearson:
+    def test_a_constant_side_gives_nan(self):
+        y = np.random.default_rng(5).normal(size=40)
+        assert np.isnan(_pearson(np.full(40, 0.1), y))
+        assert np.isnan(_pearson(y, np.full(40, 0.1)))
+        assert np.isnan(_pearson(np.full(7, 0.3), np.arange(7.0)))
+
+    def test_only_rows_with_a_constant_side_give_nan(self):
+        x = np.array([[1.0, 2.0, 4.0], [0.3, 0.3, 0.3], [3.0, 1.0, 2.0]])
+        r = _pearson(x, np.array([2.0, 1.0, 5.0]))
+        assert np.isnan(r[1])
+        assert r[[0, 2]] == pytest.approx([np.corrcoef(row, [2.0, 1.0, 5.0])[0, 1]
+                                           for row in x[[0, 2]]])
 
 
 class TestCorrectedIcc:

@@ -13,7 +13,8 @@ import pytest
 
 import icctab
 import icctab.table as table_module
-from icctab import SynthSpec, degrade_random, generate, save_csv, zscore
+from icctab import (SynthSpec, degrade_random, ecvt, generate, load_csv, mix_rows, save_csv,
+                    virtualize, zscore)
 from icctab.cli import EXIT_CODES, _build_parser, _exit_code, entrypoint, main
 from icctab.errors import (
     IccTabError,
@@ -23,6 +24,7 @@ from icctab.errors import (
     TableFormatError,
     UnreachableTargetError,
 )
+from icctab.rand import as_generator
 
 
 def run(capsys, *argv):
@@ -182,6 +184,25 @@ class TestEcvtCommand:
                            "--resamples", "60", "--seed", "7")
         assert code == 0
         assert out.encode() == (golden / "ecvt_report.txt").read_bytes()
+
+    @pytest.mark.parametrize("flag, transform", [("--mix", mix_rows),
+                                                 ("--virtualize", virtualize)])
+    def test_transform_and_kernel_continue_one_stream(self, capsys, tmp_path, flag, transform):
+        raw, _ = generate(SynthSpec(rows=60, cols=12, seed=94))
+        table_csv = tmp_path / "table.csv"
+        save_csv(raw, table_csv)
+        code, out, _ = run(capsys, "ecvt", "--input", str(table_csv), flag,
+                           "--resamples", "20", "--seed", "5")
+        assert code == 0
+        gen = as_generator(5)
+        report = ecvt(transform(load_csv(table_csv), gen), resamples=20, rng=gen)
+        body = out.split("\n")[3:]
+        assert body[:2] == [f"chi2: {report.chi2:.4f} (df={report.df})",
+                            f"p-value: {report.p_value:.6g}"]
+        assert body[3:-1] == [
+            f"g={g}: predicted={p:.6f} observed={o:.6f} sd={sd:.6f}"
+            for g, p, o, sd in zip(report.group_sizes, report.predicted_r,
+                                   report.observed_mean_r, report.observed_sd_r)]
 
     def test_constant_item_means_exit_4_naming_the_cause(self, capsys, tmp_path):
         # participants 1 and 4 (as 2 and 3) average to 2.5 on every item

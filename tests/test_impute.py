@@ -2,6 +2,7 @@ import dataclasses
 import tracemalloc
 import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from icctab import (
     anova,
     generate,
     icc_report,
+    load_csv,
     save_csv,
     zscore,
 )
@@ -54,6 +56,7 @@ from icctab.rand import as_generator
 # the table and grid of the pinned degradation studies
 STUDY_TABLE = zscore(generate(SynthSpec(rows=60, cols=10, seed=91))[0])
 STUDY_GRID = [0.0, 0.2, 0.5]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestAdjustFills:
@@ -252,6 +255,13 @@ class TestCrariRandomCase:
             degraded = degrade_random(zt, 0.2, rng=100 + seed)
             recovered.append(crari_impute(degraded, target="corrected", rng=seed).icc_after)
         assert np.mean(recovered) == pytest.approx(exact, abs=0.01)
+
+    def test_row_mean_drift_is_the_row_means_change(self, degraded):
+        coleffect = load_csv(GOLDEN / "coleffect_table.csv")
+        for table, seed in ((degraded, 34), (coleffect, 7)):
+            outcome = crari_impute(table, target="corrected", rng=seed)
+            assert outcome.row_mean_drift == float(
+                np.abs(outcome.imputed.row_means() - table.row_means()).max())
 
     def test_deterministic_given_seed(self, degraded):
         a = crari_impute(degraded, target="corrected", rng=35)
