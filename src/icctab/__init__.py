@@ -8,7 +8,8 @@ a target ICC are preserved, and validating the additive data model by
 permutation resampling.
 
 Exports load on first use (PEP 562), so ``import icctab`` and the command
-line import only the modules they run.
+line import only the modules they run.  ``_EXPORTS`` writes each public
+name once; a submodule's ``__all__`` is its row, and a new name goes there.
 """
 
 import importlib
@@ -17,7 +18,7 @@ import types
 
 __version__ = "0.1.0"
 
-# submodule -> the names it exports here
+# submodule -> the names it exports here and in its own __all__
 _EXPORTS = {
     "anova": "AnovaDecomposition IccReport anova corrected_icc corrected_interval "
              "expected_icc icc_report",

@@ -29,19 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import NumericError, PreconditionError, StructuralError
 from .special import f_quantile
 from .table import DataTable
 
-__all__ = [
-    "AnovaDecomposition",
-    "IccReport",
-    "anova",
-    "icc_report",
-    "corrected_icc",
-    "corrected_interval",
-    "expected_icc",
-]
+__all__ = _EXPORTS["anova"].split()
 
 
 @dataclass(frozen=True)
@@ -266,27 +259,29 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     ``x`` and ``y`` broadcast to one shape.  The sums are two-pass: the
     means are removed first, so a shift of the data does not cost precision
-    and the first-moment sums passed to :func:`_correlation` are 0.  A side
-    with all values equal gives NaN (its test there sees only exact zeros).
+    and the first-moment sums passed to :func:`_correlation` are 0.  Centring
+    leaves each value off by about ``eps·|x|``, so a side whose centred sum
+    of squares is at most ``(n·eps)²`` times its raw one is passed as 0: NaN.
     """
     ones = np.ones(np.shape(x)[-1])
     count = ones.sum()
+    floor = (count * np.finfo(float).eps) ** 2
     xc = x - (np.einsum("...i,...i->...", ones, x) / count)[..., None]
     yc = y - (np.einsum("...i,...i->...", ones, y) / count)[..., None]
-    r = _correlation(count, 0.0, 0.0, np.einsum("...i,...i->...", xc, xc),
-                     np.einsum("...i,...i->...", yc, yc), np.einsum("...i,...i->...", xc, yc))
-    constant = (x == x[..., :1]).all(axis=-1) | (y == y[..., :1]).all(axis=-1)
-    return np.where(constant, np.nan, r)
+    cxx, cyy = np.einsum("...i,...i->...", xc, xc), np.einsum("...i,...i->...", yc, yc)
+    cxx = np.where(cxx > floor * np.einsum("...i,...i->...", x, x), cxx, 0.0)
+    cyy = np.where(cyy > floor * np.einsum("...i,...i->...", y, y), cyy, 0.0)
+    return _correlation(count, 0.0, 0.0, cxx, cyy, np.einsum("...i,...i->...", xc, yc))
 
 
 def _correlation(n, sx, sy, sxx, syy, sxy):
     """Pearson correlations of ``n`` pairs from their moment sums.
 
     ``(sxy - sx*sy/n) / sqrt((sxx - sx²/n) * (syy - sy²/n))``, the one
-    correlation-closing formula of the package.  A side whose centred sum
-    does not exceed the rounding level of its one-pass form, ``n·eps`` times
-    its raw sum of squares, is constant to working precision: its
-    correlations (and those of fewer than 2 pairs) are NaN.
+    correlation-closing formula of the package.  A side whose centred sum is
+    at most ``n·eps`` times its raw one (its rounding level in one-pass sums;
+    callers that pass centred sums floor them first) is constant to working
+    precision: its correlations (and those of fewer than 2 pairs) are NaN.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         cxx = sxx - sx * sx / n

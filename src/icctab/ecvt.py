@@ -38,13 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .anova import _correlation, anova, expected_icc
 from .errors import NumericError, PreconditionError
 from .rand import as_generator
 from .special import chi2_upper_tail
 from .table import DataTable
 
-__all__ = ["EcvtReport", "ecvt", "default_group_sizes"]
+__all__ = _EXPORTS["ecvt"].split()
 
 # Bytes that the arrays of one chunk may take together: the indicator block
 # and permutation rows of ``_group_indicator_chunks`` and every buffer and
@@ -121,8 +122,8 @@ def ecvt(
         Missing cells present (impute first), no group size, a size below
         1 or too large, fewer than 2 resamples, or ``alpha`` outside (0, 1).
     NumericError
-        A drawn group's item means are constant, so its correlation is
-        undefined.
+        A drawn group's item means are constant to rounding, so its
+        correlation is undefined.
     """
     if table.missing.any():
         raise PreconditionError(
@@ -151,7 +152,7 @@ def ecvt(
     warnings = []
     for k, g in enumerate(sizes):
         rs = np.concatenate([
-            _gram_correlations(gram, block, table.rows)
+            _gram_correlations(gram, block, table.rows, g)
             for block in _group_indicator_chunks(gen, n, g, resamples, 48 * n)
         ])
         if np.isnan(rs).any():
@@ -250,12 +251,13 @@ def _chunk_draws(draw_bytes: int) -> int:
     return max(1, _CHUNK_BYTES // draw_bytes)
 
 
-def _gram_correlations(gram: np.ndarray, block: np.ndarray, m: int) -> np.ndarray:
-    """Item-mean correlations over ``m`` items of the group pairs marked by
-    an indicator block (group A in its first half of columns, group B in
-    the second), from the participant Gram matrix (NaN where a group's item
-    means are constant).  The Gram products are the centred moment sums
-    that :func:`icctab.anova._correlation` closes.
+def _gram_correlations(gram: np.ndarray, block: np.ndarray, m: int, g: int) -> np.ndarray:
+    """Item-mean correlations over ``m`` items of the size-``g`` group pairs
+    marked by an indicator block (group A in its first half of columns, B in
+    the second), from the participant Gram matrix: the centred moment sums
+    that :func:`icctab.anova._correlation` closes.  A group's ``w'Gw`` adds
+    g² Gram entries, each off by up to about ``m·eps·max_j G_jj``, so one at
+    most ``m·eps·g²·max_j G_jj`` is constant to rounding: passed as 0, NaN.
 
     One GEMM gives ``G W`` for the whole block, 16n bytes a draw, and the
     three column sums are taken from it without a product temporary.  The
@@ -267,6 +269,9 @@ def _gram_correlations(gram: np.ndarray, block: np.ndarray, m: int) -> np.ndarra
     product = gram @ block
     in_a, in_b = block[:, :size], block[:, size:]
     gram_a, gram_b = product[:, :size], product[:, size:]
-    return _correlation(m, 0.0, 0.0, np.einsum("ij,ij->j", in_a, gram_a),
-                        np.einsum("ij,ij->j", in_b, gram_b),
-                        np.einsum("ij,ij->j", in_b, gram_a))
+    floor = m * np.finfo(float).eps * g * g * gram.diagonal().max()
+    saa = np.einsum("ij,ij->j", in_a, gram_a)
+    sbb = np.einsum("ij,ij->j", in_b, gram_b)
+    saa[saa <= floor] = 0.0
+    sbb[sbb <= floor] = 0.0
+    return _correlation(m, 0.0, 0.0, saa, sbb, np.einsum("ij,ij->j", in_b, gram_a))

@@ -4,6 +4,10 @@ Each class maps to a distinct process exit code in the command-line
 front-end (see ``icctab.cli.EXIT_CODES``).
 """
 
+from . import _EXPORTS
+
+__all__ = _EXPORTS["errors"].split()
+
 
 class IccTabError(Exception):
     """Base class for all errors raised by this package."""

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .anova import IccReport, _correlation, _pearson, icc_report
 from .ecvt import _checked_group_sizes, _chunk_draws, _group_indicator_chunks
 from .errors import NumericError, PreconditionError, StructuralError
@@ -26,15 +27,7 @@ from .rand import as_generator
 from .synth import _degradation_study
 from .table import DataTable
 
-__all__ = [
-    "PredictorFit",
-    "RatioCurvePoint",
-    "R2BiasPoint",
-    "corrected_r2",
-    "fit_predictors",
-    "r2_icc_curve",
-    "r2cor_bias_demo",
-]
+__all__ = _EXPORTS["fit"].split()
 
 
 @dataclass(frozen=True)

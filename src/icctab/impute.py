@@ -40,22 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .anova import _icc, _pearson, anova, icc_report
 from .errors import PreconditionError, UnreachableTargetError
 from .rand import as_generator
 from .synth import _degradation_study
 from .table import DataTable
 
-__all__ = [
-    "ImputationOutcome",
-    "AriBiasPoint",
-    "ari_impute",
-    "adjust_fills",
-    "crari_impute",
-    "ari_bias_demo",
-    "RecoveryPoint",
-    "crari_recovery_study",
-]
+__all__ = _EXPORTS["impute"].split()
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,10 @@ are stable across numpy versions and platforms.
 
 import numpy as np
 
+from . import _EXPORTS
+
+__all__ = _EXPORTS["rand"].split()
+
 
 def as_generator(rng=None) -> np.random.Generator:
     """Coerce ``rng`` to a ``numpy.random.Generator`` (PCG64 for seeds)."""

@@ -10,14 +10,10 @@ is kept between calls.
 
 import math
 
+from . import _EXPORTS
 from .errors import NumericError, PreconditionError
 
-__all__ = [
-    "reg_inc_beta",
-    "beta_quantile",
-    "f_quantile",
-    "chi2_upper_tail",
-]
+__all__ = _EXPORTS["special"].split()
 
 _CF_MAX_ITER = 500
 _CF_EPS = 1e-15

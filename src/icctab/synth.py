@@ -26,18 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .anova import expected_icc
 from .errors import PreconditionError, StructuralError
 from .rand import as_generator
 from .table import DataTable
 
-__all__ = [
-    "SynthSpec",
-    "SynthTruth",
-    "generate",
-    "alpha_cdf",
-    "degrade_random",
-]
+__all__ = _EXPORTS["synth"].split()
 
 _MAX_RETRIES = 100  # degrade_random's rejection-sampling attempts
 

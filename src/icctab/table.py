@@ -51,17 +51,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import NumericError, PreconditionError, StructuralError, TableFormatError
 from .rand import as_generator
 
-__all__ = [
-    "DataTable",
-    "load_csv",
-    "save_csv",
-    "zscore",
-    "mix_rows",
-    "virtualize",
-]
+__all__ = _EXPORTS["table"].split()
 
 # A CSV read or write at least this large (file bytes read, value bytes
 # written) is split in two, and a forked child takes the second half.

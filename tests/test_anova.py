@@ -164,6 +164,15 @@ class TestPearson:
         assert np.isnan(_pearson(y, np.full(40, 0.1)))
         assert np.isnan(_pearson(np.full(7, 0.3), np.arange(7.0)))
 
+    def test_a_side_constant_to_rounding_gives_nan(self):
+        # columns 0 and 1 sum to 0.7 on every row, so their mean is 0.35 up to
+        # one ulp; an exact-equality test let most of these through
+        for seed in range(200):
+            v = np.random.default_rng(seed).normal(size=(30, 4))
+            v[:, 0] = v[:, 0] * 0.37 + 0.1
+            v[:, 1] = 0.7 - v[:, 0]
+            assert np.isnan(_pearson((v[:, 0] + v[:, 1]) / 2, (v[:, 2] + v[:, 3]) / 2))
+
     def test_only_rows_with_a_constant_side_give_nan(self):
         x = np.array([[1.0, 2.0, 4.0], [0.3, 0.3, 0.3], [3.0, 1.0, 2.0]])
         r = _pearson(x, np.array([2.0, 1.0, 5.0]))

@@ -188,6 +188,15 @@ class TestEcvtClassification:
         assert (report.observed_sd_r >= 0).all()
 
 
+def rounding_constant_pair(seed: int) -> DataTable:
+    """30 x 4 table whose participants 0 and 1 sum to 0.7 on every item, so
+    the item means of the group {0, 1} are constant up to one ulp."""
+    v = np.random.default_rng(seed).normal(size=(30, 4))
+    v[:, 0] = v[:, 0] * 0.37 + 0.1
+    v[:, 1] = 0.7 - v[:, 0]
+    return DataTable(v)
+
+
 class TestEcvtDegenerate:
     def test_identical_columns_drop_all_terms(self):
         report = ecvt(IDENTICAL_COLUMNS, resamples=20, rng=31)
@@ -205,6 +214,18 @@ class TestEcvtDegenerate:
         with pytest.raises(NumericError, match="group size 2: undefined correlation, because "
                                                "the item means of a drawn group are constant"):
             ecvt(table, group_sizes=[1, 2], resamples=5, rng=0)
+
+    def test_a_group_constant_to_rounding_gives_nan(self):
+        block = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        for seed in range(200):
+            values = rounding_constant_pair(seed).values
+            centered = values - values.mean(axis=0)
+            assert np.isnan(_gram_correlations(centered.T @ centered, block, 30, 2)).all()
+
+    def test_item_means_constant_to_rounding_raise(self):
+        for seed in range(40):
+            with pytest.raises(NumericError, match="item means of a drawn group are constant"):
+                ecvt(rounding_constant_pair(seed), group_sizes=(2,), resamples=50, rng=seed)
 
 
 class TestEcvtReproducibility:
@@ -289,7 +310,7 @@ class TestEcvtPowerShape:
         tracemalloc.start()
         try:
             for block in _group_indicator_chunks(gen, n, g, 1000, 48 * n):
-                _gram_correlations(gram, block, z_table_1400x80.rows)
+                _gram_correlations(gram, block, z_table_1400x80.rows, g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

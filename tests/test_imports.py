@@ -110,17 +110,26 @@ def test_every_export_resolves_lazily():
 
 
 def test_every_submodule_export_is_a_package_export():
-    unlisted = run_script("""
+    # each module's __all__ is its row of _EXPORTS and binds exactly those
+    # names on a star import; no other module exports a name
+    rows, unlisted = run_script("""
         import importlib, json, pkgutil
         import icctab
-        unlisted = {}
+        rows, unlisted = {}, {}
         for info in pkgutil.iter_modules(icctab.__path__):
             if info.name == "__main__":  # importing it runs the command line
                 continue
             module = importlib.import_module(f"icctab.{info.name}")
-            names = set(getattr(module, "__all__", ())) - set(icctab.__all__)
-            if names:
-                unlisted[info.name] = sorted(names)
-        print(json.dumps(unlisted))
+            if info.name in icctab._EXPORTS:
+                star = {}
+                exec(f"from icctab.{info.name} import *", star)
+                rows[info.name] = [module.__all__, sorted(set(star) - {"__builtins__"})]
+            elif hasattr(module, "__all__"):
+                unlisted[info.name] = module.__all__
+        print(json.dumps([rows, unlisted]))
     """)
+    from icctab import _EXPORTS
+
+    assert rows == {module: [names.split(), sorted(names.split())]
+                    for module, names in _EXPORTS.items()}
     assert unlisted == {}
