@@ -32,7 +32,7 @@ import numpy as np
 from . import _EXPORTS
 from .errors import NumericError, PreconditionError, StructuralError
 from .special import f_quantile
-from .table import DataTable
+from .table import DataTable, _constant_to_rounding
 
 __all__ = _EXPORTS["anova"].split()
 
@@ -257,21 +257,27 @@ def expected_icc(q: float, group_size: int) -> float:
 def _pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pearson correlations along the last axis of ``x`` and ``y``.
 
-    ``x`` and ``y`` broadcast to one shape.  The sums are two-pass: the
-    means are removed first, so a shift of the data does not cost precision
-    and the first-moment sums passed to :func:`_correlation` are 0.  Centring
-    leaves each value off by about ``eps·|x|``, so a side whose centred sum
-    of squares is at most ``(n·eps)²`` times its raw one is passed as 0: NaN.
+    ``x`` and ``y`` broadcast to one shape.  The sums are two-pass
+    (:func:`_centred`): the means are removed first, so a shift of the data
+    does not cost precision and the first-moment sums passed to
+    :func:`_correlation` are 0.  A side constant to rounding
+    (:func:`icctab.table._constant_to_rounding`) is passed as 0, so its
+    correlations are NaN.
     """
-    ones = np.ones(np.shape(x)[-1])
-    count = ones.sum()
-    floor = (count * np.finfo(float).eps) ** 2
+    xc, cxx, x_constant = _centred(x)
+    yc, cyy, y_constant = _centred(y)
+    return _correlation(np.shape(xc)[-1], 0.0, 0.0, np.where(x_constant, 0.0, cxx),
+                        np.where(y_constant, 0.0, cyy), np.einsum("...i,...i->...", xc, yc))
+
+
+def _centred(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``x`` less its mean along the last axis, its centred sum of squares,
+    and where that sum is constant to rounding."""
+    count = np.shape(x)[-1]
+    ones = np.ones(count)
     xc = x - (np.einsum("...i,...i->...", ones, x) / count)[..., None]
-    yc = y - (np.einsum("...i,...i->...", ones, y) / count)[..., None]
-    cxx, cyy = np.einsum("...i,...i->...", xc, xc), np.einsum("...i,...i->...", yc, yc)
-    cxx = np.where(cxx > floor * np.einsum("...i,...i->...", x, x), cxx, 0.0)
-    cyy = np.where(cyy > floor * np.einsum("...i,...i->...", y, y), cyy, 0.0)
-    return _correlation(count, 0.0, 0.0, cxx, cyy, np.einsum("...i,...i->...", xc, yc))
+    css = np.einsum("...i,...i->...", xc, xc)
+    return xc, css, _constant_to_rounding(css, np.einsum("...i,...i->...", x, x), count)
 
 
 def _correlation(n, sx, sy, sxx, syy, sxy):

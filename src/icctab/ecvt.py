@@ -43,7 +43,7 @@ from .anova import _correlation, anova, expected_icc
 from .errors import NumericError, PreconditionError
 from .rand import as_generator
 from .special import chi2_upper_tail
-from .table import DataTable
+from .table import DataTable, _constant_to_rounding
 
 __all__ = _EXPORTS["ecvt"].split()
 
@@ -61,9 +61,9 @@ class EcvtReport:
     """Observed vs. predicted split-group correlations and the verdict.
 
     ``compatible`` is True when the chi-square p-value exceeds ``alpha``.
-    Group sizes whose correlation distribution collapsed (zero standard
-    deviation) are dropped from the statistic, with ``df`` decremented and
-    a warning recorded.
+    Group sizes whose correlation distribution collapsed (a spread constant
+    to rounding, :func:`icctab.table._constant_to_rounding`) are dropped
+    from the statistic, with ``df`` decremented and a warning recorded.
     """
 
     group_sizes: tuple[int, ...]
@@ -102,6 +102,10 @@ def ecvt(
     rng=None,
 ) -> EcvtReport:
     """Run the validity test on a complete table.
+
+    A group size whose correlations are constant to rounding
+    (:func:`icctab.table._constant_to_rounding`) is dropped from the
+    statistic with a warning.
 
     Parameters
     ----------
@@ -143,6 +147,7 @@ def ecvt(
     centered = table.values - table.values.mean(axis=0)
     gram = centered.T @ centered
     del centered
+    peak = max(table.values.max(), -table.values.min())
 
     observed_mean = np.empty(len(sizes))
     observed_sd = np.empty(len(sizes))
@@ -152,7 +157,7 @@ def ecvt(
     warnings = []
     for k, g in enumerate(sizes):
         rs = np.concatenate([
-            _gram_correlations(gram, block, table.rows, g)
+            _gram_correlations(gram, block, table.rows, g, peak)
             for block in _group_indicator_chunks(gen, n, g, resamples, 48 * n)
         ])
         if np.isnan(rs).any():
@@ -163,7 +168,7 @@ def ecvt(
         observed_mean[k] = rs.mean()
         observed_sd[k] = rs.std(ddof=1)
         predicted[k] = expected_icc(q, g)
-        if observed_sd[k] == 0.0:
+        if _constant_to_rounding(observed_sd[k] ** 2 * (resamples - 1), rs @ rs, resamples):
             warnings.append(
                 f"group size {g}: constant correlations, dropped from the statistic"
             )
@@ -251,13 +256,21 @@ def _chunk_draws(draw_bytes: int) -> int:
     return max(1, _CHUNK_BYTES // draw_bytes)
 
 
-def _gram_correlations(gram: np.ndarray, block: np.ndarray, m: int, g: int) -> np.ndarray:
+def _gram_correlations(gram: np.ndarray, block: np.ndarray, m: int, g: int,
+                       peak: float) -> np.ndarray:
     """Item-mean correlations over ``m`` items of the size-``g`` group pairs
     marked by an indicator block (group A in its first half of columns, B in
     the second), from the participant Gram matrix: the centred moment sums
-    that :func:`icctab.anova._correlation` closes.  A group's ``w'Gw`` adds
-    g² Gram entries, each off by up to about ``m·eps·max_j G_jj``, so one at
-    most ``m·eps·g²·max_j G_jj`` is constant to rounding: passed as 0, NaN.
+    that :func:`icctab.anova._correlation` closes.
+
+    A group's ``w'Gw`` adds g² Gram entries, each off by up to about
+    ``m·eps·max_j G_jj``.  The centring adds an error that grows with the
+    raw values: with ``peak`` the largest ``|x_ij|`` of the table, each
+    centred value is off by up to about ``4·eps·peak`` (its own rounding and
+    the mean's), so each of the group's m centred sums by g times that and
+    ``w'Gw`` by ``16·m·g²·eps²·peak²``.  A ``w'Gw`` at most
+    ``m·g²·eps·(max_j G_jj + 16·eps·peak²)``, the sum of the two bounds, is
+    constant to rounding: passed as 0, NaN.
 
     One GEMM gives ``G W`` for the whole block, 16n bytes a draw, and the
     three column sums are taken from it without a product temporary.  The
@@ -269,7 +282,8 @@ def _gram_correlations(gram: np.ndarray, block: np.ndarray, m: int, g: int) -> n
     product = gram @ block
     in_a, in_b = block[:, :size], block[:, size:]
     gram_a, gram_b = product[:, :size], product[:, size:]
-    floor = m * np.finfo(float).eps * g * g * gram.diagonal().max()
+    eps = np.finfo(float).eps
+    floor = m * g * g * eps * (gram.diagonal().max() + 16 * eps * peak * peak)
     saa = np.einsum("ij,ij->j", in_a, gram_a)
     sbb = np.einsum("ij,ij->j", in_b, gram_b)
     saa[saa <= floor] = 0.0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .anova import IccReport, _correlation, _pearson, icc_report
+from .anova import IccReport, _centred, _correlation, _pearson, icc_report
 from .ecvt import _checked_group_sizes, _chunk_draws, _group_indicator_chunks
 from .errors import NumericError, PreconditionError, StructuralError
 from .rand import as_generator
@@ -87,7 +87,9 @@ def fit_predictors(
     StructuralError
         Predictor rows do not match the table's rows.
     NumericError
-        A predictor column is constant.
+        A predictor column is constant to rounding
+        (:func:`icctab.table._constant_to_rounding`, as :func:`icctab.anova._pearson`
+        tests it), so its r2 would be undefined.
     """
     pred = np.asarray(predictors, dtype=float)
     if pred.ndim == 1:
@@ -96,7 +98,7 @@ def fit_predictors(
         raise StructuralError(
             f"predictors must have {table.rows} rows, got shape {pred.shape}"
         )
-    constant = np.flatnonzero(pred.std(axis=0) == 0)
+    constant = np.flatnonzero(_centred(pred.T)[2])
     if constant.size:
         raise NumericError(f"constant predictor column(s): {(constant + 1).tolist()}")
     report = icc_report(table, conf_probs)

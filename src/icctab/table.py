@@ -403,24 +403,25 @@ def save_csv(table: DataTable, path, missing_code: str | float | None = None) ->
                                     f"equals the missing token {token.strip()!r}")
     if any(char in token for char in ',"\r\n'):
         token = '"' + token.replace('"', '""') + '"'
-    values, missing = table.values, table.missing
+    values = table.values
     with open(path, "w", newline="", encoding="utf-8") as handle:
         if _forks(values.nbytes):
-            _write_halves(handle, values, missing, token)
+            _write_halves(handle, values, token)
         else:
-            _write_rows(handle, values, missing, token)
+            _write_rows(handle, values, token)
 
 
-def _write_rows(handle, values, missing, token: str) -> None:
-    """Write each row as ``repr`` cells, ``token`` in its masked slots, CRLF-ended."""
-    for row, row_missing in zip(values, missing):
-        cells = list(map(repr, row.tolist()))
-        for j in np.flatnonzero(row_missing).tolist():
-            cells[j] = token
-        handle.write(",".join(cells) + "\r\n")
+def _write_rows(handle, values, token: str) -> None:
+    """Write each row as ``repr`` cells, ``token`` in its masked slots, CRLF-ended.
+
+    Masked cells hold NaN and valid ones are finite, and no finite float's
+    ``repr`` holds ``nan``, so the token replaces each ``nan`` of the row.
+    """
+    for row in values:
+        handle.write(",".join(map(repr, row.tolist())).replace("nan", token) + "\r\n")
 
 
-def _write_halves(handle, values, missing, token: str) -> None:
+def _write_halves(handle, values, token: str) -> None:
     """Write the first half of the rows here while a forked child formats
     the second half into an unnamed temp file, then append that file.
 
@@ -433,10 +434,10 @@ def _write_halves(handle, values, missing, token: str) -> None:
 
         def child():
             with open(spill.fileno(), "w", newline="", encoding="utf-8", closefd=False) as out:
-                _write_rows(out, values[half:], missing[half:], token)
+                _write_rows(out, values[half:], token)
 
         def parent():
-            _write_rows(handle, values[:half], missing[:half], token)
+            _write_rows(handle, values[:half], token)
 
         _, ok = _with_child(child, parent)
         if ok:
@@ -444,7 +445,7 @@ def _write_halves(handle, values, missing, token: str) -> None:
             spill.seek(0)
             shutil.copyfileobj(spill, handle.buffer)
         else:
-            _write_rows(handle, values[half:], missing[half:], token)
+            _write_rows(handle, values[half:], token)
 
 
 def _with_child(child, parent):
@@ -497,7 +498,8 @@ def zscore(table: DataTable) -> DataTable:
     StructuralError
         A column has fewer than 2 valid entries.
     NumericError
-        A column's valid entries have zero variance.
+        A column's valid entries have zero variance: their centred sum of
+        squares is constant to rounding (:func:`_constant_to_rounding`).
     """
     valid = table.valid
     counts = valid.sum(axis=0)
@@ -507,17 +509,32 @@ def zscore(table: DataTable) -> DataTable:
             f"column(s) {(thin + 1).tolist()} have fewer than 2 valid entries"
         )
     centered = np.where(valid, table.values, 0.0)
+    raw = np.einsum("ij,ij->j", centered, centered)
     means = centered.sum(axis=0) / counts
     np.subtract(table.values, means, out=centered)
     np.copyto(centered, 0.0, where=table.missing)
-    variances = np.square(centered).sum(axis=0) / (counts - 1)
-    degenerate = np.flatnonzero(variances <= 0)
+    sums = np.square(centered).sum(axis=0)
+    degenerate = np.flatnonzero(_constant_to_rounding(sums, raw, counts))
     if degenerate.size:
         raise NumericError(
             f"column(s) {(degenerate + 1).tolist()} have zero variance"
         )
     # the table sets NaN at the masked cells
-    return DataTable(np.divide(centered, np.sqrt(variances), out=centered), table.missing)
+    return DataTable(np.divide(centered, np.sqrt(sums / (counts - 1)), out=centered),
+                     table.missing)
+
+
+def _constant_to_rounding(centred, raw, n):
+    """Where a two-pass centred sum of squares of ``n`` values is zero to rounding.
+
+    The package's one spread test for two-pass sums.  Computed with the mean
+    removed first, the sum ``S`` of ``n`` values ``x`` is off by up to about
+    ``n·eps·S + (n·eps)²·Σx²`` (Chan, Golub & LeVeque 1983), so an ``S`` of
+    at most ``(n·eps)²`` times the raw sum of squares ``raw = Σx²`` may be
+    rounding alone: the values are constant to working precision.  The
+    arguments broadcast; the result is a boolean array.
+    """
+    return centred <= (n * np.finfo(float).eps) ** 2 * raw
 
 
 def mix_rows(table: DataTable, rng=None) -> DataTable:

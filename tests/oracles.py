@@ -21,7 +21,9 @@ The allocating kernels are ``anova``, ``zscore``, the donor kernels and
 ``crari_impute`` as they were before their table-sized temporaries were
 reused in place, kept verbatim (the names of the copies they call aside,
 and CRARI's reachable range and root rule, which follow the code under
-test) so that the two can be compared bit for bit.
+test) so that the two can be compared bit for bit.  The ``zscore`` copy and
+the ECVT loop test a spread by the package's two-pass rule
+(``table._constant_to_rounding``), as the code under test does.
 The CSV oracles are the per-cell reader and writer that the row-streaming
 kernels replaced: the reader holds every cell string of the file before
 parsing, the writer runs ``csv.writer`` over one ``repr`` per cell.  The
@@ -50,7 +52,7 @@ from icctab.errors import (
 from icctab.impute import ImputationOutcome, _column_donor_fills, adjust_fills
 from icctab.rand import as_generator
 from icctab.special import chi2_upper_tail
-from icctab.table import DataTable
+from icctab.table import DataTable, _constant_to_rounding
 
 
 def beta_cdf(x: float, a: float, b: float) -> float:
@@ -166,7 +168,7 @@ def ecvt_loop(table, group_sizes=None, resamples=200, rng=None) -> dict:
         mean_r.append(center)
         sd_r.append(spread)
         target = expected_icc(q, g)
-        if rs.std(ddof=1) == 0.0:
+        if _constant_to_rounding(spread**2 * (resamples - 1), rs @ rs, resamples):
             continue
         chi2 += ((center - target) / (spread / math.sqrt(resamples))) ** 2
         df += 1
@@ -392,13 +394,13 @@ def zscore_allocating(table: DataTable) -> DataTable:
     filled = np.where(valid, table.values, 0.0)
     means = filled.sum(axis=0) / counts
     centered = np.where(valid, table.values - means, 0.0)
-    variances = (centered**2).sum(axis=0) / (counts - 1)
-    degenerate = np.flatnonzero(variances <= 0)
+    sums = (centered**2).sum(axis=0)
+    degenerate = np.flatnonzero(_constant_to_rounding(sums, (filled**2).sum(axis=0), counts))
     if degenerate.size:
         raise NumericError(
             f"column(s) {(degenerate + 1).tolist()} have zero variance"
         )
-    scaled = np.where(valid, centered / np.sqrt(variances), np.nan)
+    scaled = np.where(valid, centered / np.sqrt(sums / (counts - 1)), np.nan)
     return DataTable(scaled, table.missing)
 
 

@@ -13,8 +13,8 @@ import pytest
 
 import icctab
 import icctab.table as table_module
-from icctab import (SynthSpec, degrade_random, ecvt, generate, load_csv, mix_rows, save_csv,
-                    virtualize, zscore)
+from icctab import (DataTable, SynthSpec, degrade_random, ecvt, generate, load_csv, mix_rows,
+                    save_csv, virtualize, zscore)
 from icctab.cli import EXIT_CODES, _build_parser, _exit_code, entrypoint, main
 from icctab.errors import (
     IccTabError,
@@ -247,6 +247,43 @@ class TestFitCommand:
         for field in ("q:", "icc:", "conf", "pmiss:", "iccCor:",
                       "r2:", "r2onICC:", "r2Cor:"):
             assert field in out, f"missing {field} in fit report"
+
+
+class TestConstantToRounding:
+    """Spreads that are rounding alone reach the documented outcome."""
+
+    def test_zscore_of_a_constant_column_exits_4(self, capsys, tmp_path):
+        # 0.1 * 3 / 3 != 0.1, so the centred column is not exactly 0
+        table_csv = tmp_path / "table.csv"
+        table_csv.write_text("1,0.1\n2,0.1\n3,0.1\n")
+        code, out, err = run(capsys, "icc", "--input", str(table_csv), "--zscore")
+        assert code == 4 and out == ""
+        assert err == "error[4] NumericError: column(s) [2] have zero variance\n"
+
+    def test_fit_with_a_one_ulp_predictor_exits_4(self, capsys, tmp_path):
+        table_csv, predictors = tmp_path / "table.csv", tmp_path / "predictors.csv"
+        save_csv(generate(SynthSpec(rows=40, cols=6, seed=95))[0], table_csv)
+        predictors.write_text("".join(f"{v!r}\n" for v in
+                                      np.resize([0.1, np.nextafter(0.1, 1.0)], 40).tolist()))
+        code, out, err = run(capsys, "fit", "--input", str(table_csv),
+                             "--predictors", str(predictors))
+        assert code == 4 and out == ""
+        assert err == "error[4] NumericError: constant predictor column(s): [1]\n"
+
+    def test_ecvt_of_a_noise_free_table_is_compatible(self, capsys, tmp_path):
+        # every split-group correlation is 1 up to rounding, so each group
+        # size is dropped as constant instead of giving chi2 = 50019 and p = 0
+        gen = np.random.default_rng(1)
+        items = gen.normal(size=60)
+        table_csv = tmp_path / "table.csv"
+        save_csv(DataTable(items[:, None] + 3 * gen.normal(size=12)), table_csv)
+        code, out, _ = run(capsys, "ecvt", "--input", str(table_csv),
+                           "--resamples", "50", "--seed", "3")
+        assert code == 0
+        assert "verdict: compatible (alpha=0.01)" in out
+        assert "chi2: 0.0000 (df=0)" in out
+        for g in (1, 2, 4, 6):
+            assert f"warning: group size {g}: constant correlations, dropped" in out
 
 
 class TestSynthCommand:

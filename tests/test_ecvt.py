@@ -188,13 +188,22 @@ class TestEcvtClassification:
         assert (report.observed_sd_r >= 0).all()
 
 
-def rounding_constant_pair(seed: int) -> DataTable:
+def rounding_constant_pair(seed: int, shift: float = 0.0) -> DataTable:
     """30 x 4 table whose participants 0 and 1 sum to 0.7 on every item, so
-    the item means of the group {0, 1} are constant up to one ulp."""
+    the item means of the group {0, 1} are constant up to one ulp (of the
+    shifted values, once ``shift`` is added to every cell)."""
     v = np.random.default_rng(seed).normal(size=(30, 4))
     v[:, 0] = v[:, 0] * 0.37 + 0.1
     v[:, 1] = 0.7 - v[:, 0]
-    return DataTable(v)
+    return DataTable(v + shift)
+
+
+def noise_free_table(seed: int) -> DataTable:
+    """60 x 12 additive table without noise: item values plus column offsets."""
+    gen = np.random.default_rng(seed)
+    items = gen.normal(size=60)
+    offsets = gen.normal(size=12) * 3
+    return DataTable(items[:, None] + offsets[None, :])
 
 
 class TestEcvtDegenerate:
@@ -217,15 +226,41 @@ class TestEcvtDegenerate:
 
     def test_a_group_constant_to_rounding_gives_nan(self):
         block = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        for seed in range(200):
-            values = rounding_constant_pair(seed).values
-            centered = values - values.mean(axis=0)
-            assert np.isnan(_gram_correlations(centered.T @ centered, block, 30, 2)).all()
+        for shift in (0.0, 1e10, 1e12):
+            for seed in range(200):
+                values = rounding_constant_pair(seed, shift).values
+                centered = values - values.mean(axis=0)
+                peak = np.abs(values).max()
+                rs = _gram_correlations(centered.T @ centered, block, 30, 2, peak)
+                assert np.isnan(rs).all(), (shift, seed)
 
     def test_item_means_constant_to_rounding_raise(self):
+        item_means = "item means of a drawn group are constant"
+        # shifted, some tables are refused first by the one-pass ANOVA, whose
+        # interaction sum loses the digits the offset takes (ROADMAP item 1)
+        either = f"{item_means}|negative interaction variance"
+        for shift, match in ((0.0, item_means), (1e10, either), (1e12, either)):
+            for seed in range(40):
+                with pytest.raises(NumericError, match=match):
+                    ecvt(rounding_constant_pair(seed, shift), group_sizes=(2,), resamples=50,
+                         rng=seed)
+
+    def test_noise_free_tables_are_compatible(self):
+        # every correlation is 1 up to rounding, so every group size is dropped
+        # as constant; the tables the one-pass ANOVA refuses are ROADMAP item 1
+        accepted = 0
         for seed in range(40):
-            with pytest.raises(NumericError, match="item means of a drawn group are constant"):
-                ecvt(rounding_constant_pair(seed), group_sizes=(2,), resamples=50, rng=seed)
+            table = noise_free_table(100 + seed)
+            try:
+                anova(table)
+            except NumericError:
+                continue
+            accepted += 1
+            report = ecvt(table, resamples=50, rng=seed)
+            assert report.compatible, seed
+            assert report.df == 0
+            assert report.observed_sd_r == pytest.approx(0.0, abs=1e-15)
+        assert accepted >= 20
 
 
 class TestEcvtReproducibility:
@@ -306,11 +341,12 @@ class TestEcvtPowerShape:
         centered = z_table_1400x80.values - z_table_1400x80.values.mean(axis=0)
         gram = centered.T @ centered
         n = z_table_1400x80.cols
+        largest = np.abs(z_table_1400x80.values).max()
         gen = as_generator(74)
         tracemalloc.start()
         try:
             for block in _group_indicator_chunks(gen, n, g, 1000, 48 * n):
-                _gram_correlations(gram, block, z_table_1400x80.rows, g)
+                _gram_correlations(gram, block, z_table_1400x80.rows, g, largest)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

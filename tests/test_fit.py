@@ -92,6 +92,30 @@ class TestFitPredictors:
         table, _ = table_and_predictor
         with pytest.raises(NumericError, match="constant"):
             fit_predictors(table, np.ones(table.rows))
+        # constant to rounding: 0.1 and the next float up
+        one_ulp = np.resize([0.1, np.nextafter(0.1, 1.0)], table.rows)
+        with pytest.raises(NumericError, match=r"constant predictor column\(s\): \[2\]"):
+            fit_predictors(table, np.column_stack([np.arange(table.rows), one_ulp]))
+
+    def test_accepted_predictor_never_gives_nan(self, table_and_predictor):
+        # near-constant predictors either raise or give a defined r2: the
+        # item means vary, so a NaN r2 could only come from the predictor
+        table, _ = table_and_predictor
+        gen = np.random.default_rng(49)
+        outcomes = set()
+        for _ in range(300):
+            value = 10.0 ** gen.uniform(-8, 8)
+            spread = 10.0 ** gen.uniform(-17, -11)
+            predictor = value * (1.0 + spread * gen.normal(size=table.rows))
+            try:
+                fit = fit_predictors(table, predictor, conf_probs=())
+            except NumericError as exc:
+                assert "constant predictor" in str(exc)
+                outcomes.add("raised")
+            else:
+                assert np.isfinite(fit.r2).all(), (value, spread)
+                outcomes.add("fitted")
+        assert outcomes == {"raised", "fitted"}
 
     def test_shape_mismatch_rejected(self, table_and_predictor):
         table, _ = table_and_predictor

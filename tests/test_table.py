@@ -544,6 +544,22 @@ class TestZscore:
         t = DataTable(np.array([[3.0, 1.0], [3.0, 5.0]]))
         with pytest.raises(NumericError, match=r"\[1\]"):
             zscore(t)
+        # a constant column whose mean does not round back exactly used to be
+        # scaled into one arbitrary z-score per cell; a 1e-9 relative spread
+        # is far above rounding and is kept
+        gen = np.random.default_rng(11)
+        for _ in range(400):
+            rows = int(gen.integers(2, 3001))
+            value = 10.0 ** gen.uniform(-8, 8) * gen.choice([-1.0, 1.0])
+            t = DataTable(np.column_stack([gen.normal(size=rows), np.full(rows, value)]))
+            with pytest.raises(NumericError, match=r"column\(s\) \[2\] have zero variance"):
+                zscore(t)
+        for _ in range(200):
+            rows = int(gen.integers(2, 3001))
+            value = 10.0 ** gen.uniform(-8, 8)
+            column = value * (1.0 + 1e-9 * gen.normal(size=rows))
+            z = zscore(DataTable(np.column_stack([gen.normal(size=rows), column])))
+            assert z.values[:, 1].std(ddof=1) == pytest.approx(1.0, rel=1e-6)
 
     def test_thin_column_is_structural_error(self):
         t = DataTable(np.array([[3.0, 1.0], [np.nan, 5.0], [np.nan, 2.0]]))
