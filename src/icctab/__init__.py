@@ -27,7 +27,7 @@ _EXPORTS = {
               "UnreachableTargetError",
     "fit": "PredictorFit R2BiasPoint RatioCurvePoint corrected_r2 fit_predictors "
            "r2cor_bias_demo r2_icc_curve",
-    "impute": "AriBiasPoint ImputationOutcome RecoveryPoint adjust_fills ari_bias_demo "
+    "impute": "AriBiasPoint ImputationOutcome RecoveryPoint ari_bias_demo "
               "ari_impute crari_impute crari_recovery_study",
     "rand": "as_generator split_seed",
     "special": "beta_quantile chi2_upper_tail f_quantile reg_inc_beta",

@@ -181,13 +181,6 @@ def icc_report(
             "are equal (zero item mean square); request no bounds for the point estimates"
         )
     pmiss = table.pmiss
-    conf = []
-    for prob in conf_probs:
-        level = 1.0 - (1.0 - prob) / 2.0
-        q1 = f_quantile(level, dec.dfi, dec.dfij)
-        q2 = f_quantile(level, dec.dfij, dec.dfi)
-        # at f_obs = inf both bounds are exactly 1
-        conf.append((prob, 1.0 - q1 / f_obs, 1.0 - 1.0 / (q2 * f_obs)))
     warnings = ()
     if dec.vj > min(dec.vij, dec.vi) and pmiss > 0.05:
         warnings = ("non-negligible column effect: corrected statistics unreliable",)
@@ -197,10 +190,23 @@ def icc_report(
         f_obs=f_obs,
         pmiss=pmiss,
         icc_cor=corrected_icc(icc, pmiss),
-        conf=tuple(conf),
+        conf=_conf_bounds(f_obs, dec.dfi, dec.dfij, conf_probs),
         warnings=warnings,
         item_means=dec.item_means(),
     )
+
+
+def _conf_bounds(f_obs: float, dfi: int, dfij: int, probs) -> tuple:
+    """``(prob, lower, upper)`` ICC confidence bounds at each two-sided
+    probability, from the observed F ratio and its degrees of freedom."""
+    conf = []
+    for prob in probs:
+        level = 1.0 - (1.0 - prob) / 2.0
+        q1 = f_quantile(level, dfi, dfij)
+        q2 = f_quantile(level, dfij, dfi)
+        # at f_obs = inf both bounds are exactly 1
+        conf.append((prob, 1.0 - q1 / f_obs, 1.0 - 1.0 / (q2 * f_obs)))
+    return tuple(conf)
 
 
 def _icc(msi: float, vij: float, cols: int) -> float:

@@ -137,8 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _table_flags(p, "--output", "path of the imputed CSV", transforms=("zscore",))
     p.add_argument("--target", type=_target, default="corrected",
                    help="'low', 'corrected' or an explicit ICC value")
-    p.add_argument("--c-max", type=float, default=10.0,
-                   help="largest fill scale; bounds the reachable ICC range")
     p.set_defaults(handler=_run_impute)
 
     p = sub.add_parser("ecvt", help="additive-model validity test")
@@ -273,7 +271,7 @@ def _run_impute(args):
     from .table import save_csv
 
     table, rng = _load_table(args)
-    outcome = crari_impute(table, target=args.target, rng=rng, c_max=args.c_max)
+    outcome = crari_impute(table, target=args.target, rng=rng)
     save_csv(outcome.imputed, args.output)
     return [
         ("icc", _fmt(outcome.icc_before)),

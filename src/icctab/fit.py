@@ -85,7 +85,8 @@ def fit_predictors(
     Raises
     ------
     StructuralError
-        Predictor rows do not match the table's rows.
+        Predictor rows do not match the table's rows, or a predictor value
+        is not finite.
     NumericError
         A predictor column is constant to rounding
         (:func:`icctab.table._constant_to_rounding`, as :func:`icctab.anova._pearson`
@@ -98,6 +99,7 @@ def fit_predictors(
         raise StructuralError(
             f"predictors must have {table.rows} rows, got shape {pred.shape}"
         )
+    _check_finite(pred)
     constant = np.flatnonzero(_centred(pred.T)[2])
     if constant.size:
         raise NumericError(f"constant predictor column(s): {(constant + 1).tolist()}")
@@ -167,12 +169,16 @@ def r2_icc_curve(
     on the grand valid mean and the predictor on its mean: a group's means
     then sit near 0 whatever the table's offset, and a shift of the data
     costs no precision.
+
+    Raises ``StructuralError`` when the predictor does not have one value
+    per row or holds a non-finite value.
     """
     pred = np.asarray(predictor, dtype=float).ravel()
     if pred.size != table.rows:
         raise StructuralError(
             f"predictor must have {table.rows} values, got {pred.size}"
         )
+    _check_finite(pred[:, None])
     m, n = table.shape
     sizes = _checked_group_sizes(group_sizes, n)
     if resamples < 1:
@@ -257,6 +263,14 @@ def r2cor_bias_demo(
     rows = _degradation_study(table, p_grid, replications, rng, measure)
     r2_exact = float(fit_predictors(table, pred, conf_probs=()).r2[0])
     return [R2BiasPoint(*row, r2_exact) for row in rows]
+
+
+def _check_finite(pred: np.ndarray) -> None:
+    """Refuse an m x k predictor array that holds a NaN or an infinity,
+    naming its columns (1-based), as :class:`DataTable` refuses such cells."""
+    bad = np.flatnonzero(~np.isfinite(pred).all(axis=0))
+    if bad.size:
+        raise StructuralError(f"non-finite predictor value(s) in column(s): {(bad + 1).tolist()}")
 
 
 def _moment_correlation(sums: np.ndarray) -> np.ndarray:

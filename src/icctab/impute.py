@@ -16,12 +16,11 @@ fill is scaled by a coefficient ``c`` before the row's valid mean is added
 back.  The fills are centered per row, so the row sums do not depend on
 ``c`` and the interaction sum of squares of the completed table is an exact
 quadratic in ``c``: the ICC peaks at one ``c`` (0 unless a column effect
-moves it) and falls away from it, so some ``c`` in ``[0, c_max]`` drives the
-imputed table to any target ICC between the least and the greatest on that
-interval, such as the observed ("low") ICC or the missing-data-corrected
-estimate.  The coefficient is a root of the quadratic; past the peak it is
-the limit of the paper's dichotomic search on ``c``, computed exactly, not a
-different method.
+moves it) and falls to 0 as ``c`` grows past it, so some ``c`` at or past the
+peak drives the imputed table to any target ICC between 0 and the peak, such
+as the observed ("low") ICC or the missing-data-corrected estimate.  The
+coefficient is the larger root of the quadratic: the limit of the paper's
+dichotomic search on ``c``, computed exactly, not a different method.
 
 Both methods draw their donors with one ``integers`` call in cell order,
 row-major for ARI and column-major for CRARI, which matches a per-row or
@@ -94,17 +93,6 @@ class RecoveryPoint:
     icc_exact: float
 
 
-def adjust_fills(draws: np.ndarray, valid_mean: float) -> np.ndarray:
-    """Center donor draws by their own mean and shift to the valid mean.
-
-    This is the adjustment rule of both imputation methods, stated for one
-    row (the donor kernel applies it to every row at once); with a single
-    draw it returns exactly ``valid_mean``.
-    """
-    draws = np.asarray(draws, dtype=float)
-    return draws - draws.mean() + valid_mean
-
-
 def ari_impute(table: DataTable, rng=None) -> DataTable:
     """Row-wise adjusted random imputation.
 
@@ -122,7 +110,6 @@ def crari_impute(
     table: DataTable,
     target: str | float = "corrected",
     rng=None,
-    c_max: float = 10.0,
 ) -> ImputationOutcome:
     """Column-and-row adjusted random imputation with ICC targeting.
 
@@ -137,9 +124,6 @@ def crari_impute(
         missing-data-corrected ICC) or an explicit float.
     rng
         Seed or generator for the donor draws.
-    c_max
-        Largest admissible scaling coefficient; the reachable ICC range is
-        ``[min(ICC at 0, ICC at c_max), ICC at c_top]`` (see Notes).
 
     Notes
     -----
@@ -151,28 +135,24 @@ def crari_impute(
     ``a1 = -2 * sum_j colsum(B)_j * colsum(F)_j / m`` and
     ``a2 = sum(F**2) - sum_j colsum(F)_j**2 / m >= 0``.  The ICC of a
     complete table is ``1 - vij/msi``, so it peaks where ``ssij`` is least,
-    at ``c_top``: the vertex ``-a1 / (2*a2)`` clipped to ``[0, c_max]`` (a
-    column effect can make ``a1 < 0``), or 0 when ``a2 = 0``.  The ICC rises
-    on ``[0, c_top]`` and falls on ``[c_top, c_max]``, so the reachable range
-    is ``[min(ICC(0), ICC(c_max)), ICC(c_top)]``; a target outside it raises
-    :class:`UnreachableTargetError`.  A target at or above ``ICC(c_max)`` is
-    attained at the larger root of ``ssij(c) = (1 - target) * msi * dfij``,
-    on the falling branch, where the paper's dichotomic search on ``c``
-    converges; a lower one, on the rising branch, at the smaller root.  A
-    target equal to ``ICC(0)`` (the zero-ICC plateau included) or a zero
-    ``F`` (each row missing at most one cell, so the range is one point)
+    at ``c_top = max(0, -a1 / (2*a2))`` (a column effect can make
+    ``a1 < 0``), and falls to 0 as ``c`` grows past it.  The reachable range
+    is therefore ``[0, ICC(c_top)]``, or the one point ``ICC(0)`` when ``F``
+    is zero (each row missing at most one cell, so ``a2 = 0``); a target
+    outside it raises :class:`UnreachableTargetError`.  A target is attained
+    at the larger root of ``ssij(c) = (1 - target) * msi * dfij``, past the
+    peak, where the paper's dichotomic search on ``c`` converges.  A target
+    equal to ``ICC(0)`` (the zero-ICC plateau included) or a zero ``F``
     gives ``c = 0``, one equal to ``ICC(c_top)`` gives ``c_top``; the
     attained ICC is measured on the output.
 
     Raises
     ------
     PreconditionError
-        Malformed explicit target, or ``c_max`` not positive (NaN included).
+        Malformed explicit target.
     UnreachableTargetError
         Target outside the reachable ICC range.
     """
-    if not c_max > 0:
-        raise PreconditionError(f"c_max must be positive, got {c_max}")
     report = icc_report(table, ())
     warnings: list[str] = []
     if isinstance(target, str):
@@ -202,9 +182,9 @@ def crari_impute(
     def icc_at(c: float) -> float:
         return _icc(dec.msi, (dec.ssij + c * (a1 + c * a2)) / dec.dfij, table.cols)
 
-    c_top = min(max(0.0, -a1 / (2.0 * a2)), c_max) if a2 > 0.0 else 0.0
-    icc_zero, icc_high, icc_end = icc_at(0.0), icc_at(c_top), icc_at(c_max)
-    icc_low = min(icc_zero, icc_end)
+    c_top = max(0.0, -a1 / (2.0 * a2)) if a2 > 0.0 else 0.0
+    icc_zero, icc_high = icc_at(0.0), icc_at(c_top)
+    icc_low = 0.0 if a2 > 0.0 else icc_zero
     if not icc_low <= target_icc <= icc_high:
         raise UnreachableTargetError(
             f"target ICC {target_icc:.4f} outside the reachable range "
@@ -212,19 +192,17 @@ def crari_impute(
             reachable=(icc_low, icc_high),
         )
 
-    if a2 == 0.0 or target_icc == icc_zero:
+    if target_icc == icc_zero:  # zero fills included: their range is this one point
         c = 0.0
     elif target_icc == icc_high:
         c = c_top
     else:
-        # a2*c**2 + a1*c + k = 0 has the roots q/a2 and k/q, free of cancellation.
-        # The larger (k/q when a1 > 0) lies on the falling branch [c_top, c_max];
-        # a target below ICC(c_max) is met only on the rising branch [0, c_top]
-        # (so a1 < 0), at the smaller root k/q.
+        # a2*c**2 + a1*c + k = 0 has the roots q/a2 and k/q, free of cancellation;
+        # the larger (k/q when a1 > 0) lies past the peak
         k = dec.ssij - (1.0 - target_icc) * dec.msi * dec.dfij
         root = math.sqrt(max(a1 * a1 - 4.0 * a2 * k, 0.0))
         q = -0.5 * (a1 + root) if a1 > 0 else 0.5 * (root - a1)
-        c = k / q if a1 > 0 or (a1 < 0 and target_icc < icc_end) else q / a2
+        c = k / q if a1 > 0 else q / a2
 
     # base + c*F, formed in the fills buffer; both are let go before the last anova
     imputed = DataTable(np.add(base.values, np.multiply(c, centered, out=centered), out=centered),
@@ -244,9 +222,11 @@ def _donor_fills(values: np.ndarray, missing: np.ndarray, gen: np.random.Generat
     """Adjusted donor fills of the missing cells, in row-major order.
 
     Each missing cell draws one of its row's valid values (in column order)
-    with replacement; each row's draws are then adjusted by the rule of
-    :func:`adjust_fills`.  One ``gen.integers`` call with one bound per cell
-    matches one ``integers(0, k, size=s)`` call per row, ``gen`` state included.
+    with replacement; each row's draws are then centered by their own mean
+    and shifted to the row's valid mean, the adjustment rule of both
+    imputation methods (a single draw becomes the valid mean).  One
+    ``gen.integers`` call with one bound per cell matches one
+    ``integers(0, k, size=s)`` call per row, ``gen`` state included.
     """
     m, k = values.shape
     miss = np.count_nonzero(missing, axis=1)

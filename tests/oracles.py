@@ -11,7 +11,9 @@ generator with it.  The ``virtualize`` oracle is the per-row loop of
 ``permutation(width)`` calls that the one-call kernel replaced.  The
 CRARI oracle is the dichotomic search on the fill scale that the closed
 form replaced; it shares only the donor draws with the code under test,
-and finds where the ICC peaks from three ``anova`` sums of squares.
+finds where the ICC peaks from three ``anova`` sums of squares, and
+doubles the upper end of its bracket until the ICC there is at most the
+target.
 The donor oracles are the per-row and per-column loops that the one-call
 donor kernel replaced: one ``integers(0, k, size=s)`` call per line; the
 masked-index kernels are the one-call kernel before it took each row's
@@ -49,7 +51,7 @@ from icctab.errors import (
     TableFormatError,
     UnreachableTargetError,
 )
-from icctab.impute import ImputationOutcome, _column_donor_fills, adjust_fills
+from icctab.impute import ImputationOutcome, _column_donor_fills
 from icctab.rand import as_generator
 from icctab.special import chi2_upper_tail
 from icctab.table import DataTable, _constant_to_rounding
@@ -224,16 +226,18 @@ def _fill_with_row_means(table) -> np.ndarray:
     return np.where(table.missing, table.row_means()[:, None], table.values)
 
 
-def crari_bisect(table, target_icc, rng=None, c_max=10.0, c_tol=1e-4):
+def crari_bisect(table, target_icc, rng=None, c_tol=1e-4):
     """(c, attained ICC, completed values) by dichotomic search on ``c``.
 
     CRARI with the paper's search: the same donor draws as
-    ``crari_impute``, halving ``[c_top, c_max]``, where the ICC falls, or
-    ``[0, c_top]``, where it rises, for a target below the ICC at ``c_max``,
-    until the interval is narrower than ``c_tol``.  ``c_top`` is where the
-    ICC peaks, clipped to ``[0, c_max]``; it is the vertex of the parabola
-    through the interaction sums of squares at ``c`` = 0, 1 and 2.  Raises
-    the same ``UnreachableTargetError`` as the code under test.
+    ``crari_impute``, halving ``[c_top, c_hi]``, where the ICC falls, until
+    the interval is narrower than ``c_tol``.  ``c_top`` is where the ICC
+    peaks: the vertex of the parabola through the interaction sums of
+    squares at ``c`` = 0, 1 and 2, or 0 when it lies below 0 or the fills
+    are zero.  ``c_hi`` doubles from ``max(1, c_top)`` until the ICC there
+    is at most the target.  The reachable range is ``[0, ICC(c_top)]``, or
+    the point ``ICC(0)`` for zero fills.  Raises the same
+    ``UnreachableTargetError`` as the code under test.
     """
     gen = as_generator(rng)
     centered = _column_donor_fills(table, gen)
@@ -244,22 +248,23 @@ def crari_bisect(table, target_icc, rng=None, c_max=10.0, c_tol=1e-4):
 
     s0, s1, s2 = (anova(DataTable(candidate(c))).ssij for c in (0.0, 1.0, 2.0))
     curvature = s2 - 2.0 * s1 + s0
-    c_top = min(max(0.0, (s0 - s1) / curvature + 0.5), c_max) if curvature > 0 else 0.0
-    icc_zero, icc_high, icc_end = (_complete_icc(candidate(c)) for c in (0.0, c_top, c_max))
-    icc_low = min(icc_zero, icc_end)
+    c_top = max(0.0, (s0 - s1) / curvature + 0.5) if curvature > 0 else 0.0
+    icc_zero, icc_high = (_complete_icc(candidate(c)) for c in (0.0, c_top))
+    icc_low = 0.0 if curvature > 0 else icc_zero
     if not icc_low <= target_icc <= icc_high:
         raise UnreachableTargetError(
             f"target ICC {target_icc:.4f} outside the reachable range "
             f"[{icc_low:.4f}, {icc_high:.4f}]",
             reachable=(icc_low, icc_high),
         )
-    rising = target_icc < icc_end
-    c_lo, c_hi = (0.0, c_top) if rising else (c_top, c_max)
+    c_lo, c_hi = c_top, max(1.0, c_top)
+    while _complete_icc(candidate(c_hi)) > target_icc:
+        c_hi *= 2.0
     c = 0.5 * (c_lo + c_hi)
     values = candidate(c)
     icc_after = _complete_icc(values)
     while True:
-        if (icc_after > target_icc) != rising:
+        if icc_after > target_icc:
             c_lo = c
         else:
             c_hi = c
@@ -281,7 +286,7 @@ def ari_impute_loop(table, rng=None) -> np.ndarray:
             continue
         valid_values = table.values[i, table.valid[i]]
         draws = valid_values[gen.integers(0, valid_values.size, size=missing.size)]
-        values[i, missing] = adjust_fills(draws, valid_values.mean())
+        values[i, missing] = draws - draws.mean() + valid_values.mean()
     return values
 
 
@@ -294,7 +299,7 @@ def column_donor_fills_loop(table, gen) -> np.ndarray:
             continue
         valid_values = table.values[table.valid[:, j], j]
         draws = valid_values[gen.integers(0, valid_values.size, size=missing.size)]
-        fills[missing, j] = adjust_fills(draws, valid_values.mean())
+        fills[missing, j] = draws - draws.mean() + valid_values.mean()
     for i in range(table.rows):
         missing = np.flatnonzero(table.missing[i])
         if missing.size:
@@ -437,11 +442,9 @@ def ari_impute_allocating(table, rng=None) -> DataTable:
     return DataTable(values, np.zeros(table.shape, dtype=bool))
 
 
-def crari_impute_allocating(table, target="corrected", rng=None, c_max=10.0) -> ImputationOutcome:
+def crari_impute_allocating(table, target="corrected", rng=None) -> ImputationOutcome:
     """``crari_impute`` with a row-mean base copied into its ``DataTable`` and
     the table at ``c`` formed in two fresh arrays."""
-    if not c_max > 0:
-        raise PreconditionError(f"c_max must be positive, got {c_max}")
     report = icc_report(table, ())
     warnings: list[str] = []
     if isinstance(target, str):
@@ -472,9 +475,9 @@ def crari_impute_allocating(table, target="corrected", rng=None, c_max=10.0) -> 
     def icc_at(c: float) -> float:
         return _icc(dec.msi, (dec.ssij + c * (a1 + c * a2)) / dec.dfij, table.cols)
 
-    c_top = min(max(0.0, -a1 / (2.0 * a2)), c_max) if a2 > 0.0 else 0.0
-    icc_zero, icc_high, icc_end = icc_at(0.0), icc_at(c_top), icc_at(c_max)
-    icc_low = min(icc_zero, icc_end)
+    c_top = max(0.0, -a1 / (2.0 * a2)) if a2 > 0.0 else 0.0
+    icc_zero, icc_high = icc_at(0.0), icc_at(c_top)
+    icc_low = 0.0 if a2 > 0.0 else icc_zero
     if not icc_low <= target_icc <= icc_high:
         raise UnreachableTargetError(
             f"target ICC {target_icc:.4f} outside the reachable range "
@@ -482,7 +485,7 @@ def crari_impute_allocating(table, target="corrected", rng=None, c_max=10.0) -> 
             reachable=(icc_low, icc_high),
         )
 
-    if a2 == 0.0 or target_icc == icc_zero:
+    if target_icc == icc_zero:
         c = 0.0
     elif target_icc == icc_high:
         c = c_top
@@ -490,7 +493,7 @@ def crari_impute_allocating(table, target="corrected", rng=None, c_max=10.0) -> 
         k = dec.ssij - (1.0 - target_icc) * dec.msi * dec.dfij
         root = math.sqrt(max(a1 * a1 - 4.0 * a2 * k, 0.0))
         q = -0.5 * (a1 + root) if a1 > 0 else 0.5 * (root - a1)
-        c = k / q if a1 > 0 or (a1 < 0 and target_icc < icc_end) else q / a2
+        c = k / q if a1 > 0 else q / a2
 
     imputed = DataTable(base + c * centered, np.zeros(table.shape, dtype=bool))
     after = anova_allocating(imputed)

@@ -14,8 +14,8 @@ import pytest
 from icctab import (
     DataTable,
     SynthSpec,
-    adjust_fills,
     alpha_cdf,
+    ari_impute,
     ari_bias_demo,
     beta_quantile,
     chi2_upper_tail,
@@ -33,6 +33,7 @@ from icctab import (
     r2cor_bias_demo,
     zscore,
 )
+from icctab.anova import _conf_bounds
 from icctab.rand import as_generator
 
 import oracles
@@ -89,12 +90,12 @@ def test_criterion_4_corrected_intervals():
 @criterion(5, "row-imputation worked example with donors 620 and 500")
 def test_criterion_5_ari_worked_example():
     row = np.array([500.0, 570.0, np.nan, 630.0, 520.0, np.nan, 620.0])
-    valid_mean = np.nanmean(row)
-    assert valid_mean == 568.0
-    fills = adjust_fills([620.0, 500.0], valid_mean)
-    assert fills.tolist() == [628.0, 508.0]
-    completed = row.copy()
-    completed[[2, 5]] = fills
+    valid = row[~np.isnan(row)]
+    assert valid.mean() == 568.0
+    # seed 3 draws the donors 620 and 500 for the two missing cells
+    assert valid[as_generator(3).integers(0, valid.size, size=2)].tolist() == [620.0, 500.0]
+    completed = ari_impute(DataTable(np.array([row, np.arange(7.0)])), rng=3).values[0]
+    assert completed[[2, 5]].tolist() == [628.0, 508.0]
     assert completed.mean() == 568.0
 
 
@@ -239,3 +240,13 @@ def test_criterion_12_exponent_distribution():
         truth.participant_exponents, lambda a: alpha_cdf(a, severity)
     )
     assert distance < 0.05
+
+
+@criterion(13, "the published DLP intervals follow from the ICC and the DLP's shape")
+def test_criterion_13_dlp_intervals():
+    # 14 089 words by 39 participants, 15.68% missing: dfi = m - 1 and
+    # dfij = valid cells - m - n + 1; the ICC 0.8626 is 1 - 1/F
+    conf = _conf_bounds(1.0 / (1.0 - 0.8626), 14_088, 449_187, (0.95, 0.99, 0.999))
+    published = [(0.859, 0.866), (0.858, 0.867), (0.857, 0.868)]
+    for (_, lower, upper), (lo, hi) in zip(conf, published, strict=True):
+        assert (round(lower, 3), round(upper, 3)) == (lo, hi)

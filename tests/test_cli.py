@@ -130,13 +130,6 @@ class TestImputeCommand:
                        f"reachable range [{icc:.4f}, {icc:.4f}]\n")
         assert not (tmp_path / "x.csv").exists()
 
-    def test_nan_c_max_precondition_exit(self, capsys, degraded_csv, tmp_path):
-        code, out, err = run(capsys, "impute", "--input", str(degraded_csv),
-                             "--output", str(tmp_path / "x.csv"), "--c-max", "nan")
-        assert code == 6 and out == ""
-        assert err.startswith("error[6] PreconditionError: c_max must be positive")
-        assert not (tmp_path / "x.csv").exists()
-
     def test_one_missing_cell_per_row_exit_code(self, capsys, tmp_path):
         table_csv = tmp_path / "one_per_row.csv"
         table_csv.write_text("1,2,,3\n4,,5,6\n7,8,9,1\n2,6,4,5\n")
@@ -150,16 +143,27 @@ class TestImputeCommand:
 
     def test_target_on_the_rising_branch_attained(self, capsys, tmp_path):
         # a raw table with column offsets: the ICC rises from 0.7296 at c = 0
-        # to 0.7813 and falls to 0.7668 at c = 1, so 0.74 takes the smaller root
+        # to 0.7813 and then falls, so 0.74 is met past the peak
         raw, _ = generate(SynthSpec(rows=30, cols=6, seed=8))
         offsets = np.random.default_rng(8).normal(0, 3.0, size=6)
         table_csv = tmp_path / "offsets.csv"
         save_csv(degrade_random(icctab.DataTable(raw.values + offsets), 0.3, rng=9), table_csv)
         code, out, _ = run(capsys, "impute", "--input", str(table_csv), "--output",
-                           str(tmp_path / "x.csv"), "--target", "0.74", "--c-max", "1",
-                           "--seed", "8")
+                           str(tmp_path / "x.csv"), "--target", "0.74", "--seed", "8")
         assert code == 0
         assert "\niccImputed: 0.740000\n" in out
+
+    def test_small_zscored_table_reaches_its_default_target(self, capsys, tmp_path):
+        # the corrected target is met at c = 41.4: the centred donor draws are
+        # small, yet the largest fill is 4.03 z-units
+        table_csv, out_csv = tmp_path / "table.csv", tmp_path / "imputed.csv"
+        code, _, _ = run(capsys, "synth", "--rows", "40", "--cols", "8", "--degrade", "0.05",
+                         "--seed", "2", "--output", str(table_csv))
+        assert code == 0
+        code, out, err = run(capsys, "impute", "--input", str(table_csv), "--zscore",
+                             "--seed", "2", "--output", str(out_csv))
+        assert code == 0 and err == ""
+        assert "\ntarget: 0.592215\n" in out and "\niccImputed: 0.592215\n" in out
 
 
 class TestEcvtCommand:
@@ -556,6 +560,16 @@ class TestFitPredictorFile:
                            "--predictors", self.write(tmp_path, "freq\n" + rows + "\n"))
         assert code == 0
         assert re.search(r"^r2: \S+$", out, re.MULTILINE)
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_cell_is_a_structural_error(self, capsys, tmp_path, table_csv, token):
+        rows = [f"{0.1 * i!r},{0.2 * i!r}" for i in range(40)]
+        rows[3] = f"0.3,{token}"
+        path = self.write(tmp_path, "\n".join(rows) + "\n")
+        code, out, err = run(capsys, "fit", "--input", table_csv, "--predictors", path)
+        assert code == 3 and out == ""
+        assert err == ("error[3] StructuralError: non-finite predictor value(s) "
+                       "in column(s): [2]\n")
 
     def test_empty_cell_is_a_format_error(self, capsys, tmp_path, table_csv):
         path = self.write(tmp_path, "a,b\n1,2\n3,\n")

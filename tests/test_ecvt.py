@@ -140,6 +140,10 @@ class TestEcvtPreconditions:
         with pytest.raises(PreconditionError, match="positive"):
             ecvt(complete_table, group_sizes=[])
 
+    def test_one_resample_rejected(self, complete_table):
+        with pytest.raises(PreconditionError, match="at least 2 resamples"):
+            ecvt(complete_table, resamples=1, rng=1)
+
     # 7 was always incompatible, a negative alpha always compatible and NaN
     # always incompatible
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 7.0, -0.1, math.nan])

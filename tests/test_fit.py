@@ -121,6 +121,20 @@ class TestFitPredictors:
         table, _ = table_and_predictor
         with pytest.raises(StructuralError, match="rows"):
             fit_predictors(table, np.arange(10.0))
+        with pytest.raises(StructuralError, match="predictor must have 400 values, got 10"):
+            r2_icc_curve(table, np.arange(10.0), [2], rng=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_predictor_rejected(self, table_and_predictor, bad):
+        table, predictor = table_and_predictor
+        predictors = np.column_stack([predictor, predictor, predictor])
+        predictors[3, 1] = predictors[7, 2] = bad
+        with pytest.raises(StructuralError,
+                           match=r"non-finite predictor value\(s\) in column\(s\): \[2, 3\]"):
+            fit_predictors(table, predictors)
+        with pytest.raises(StructuralError,
+                           match=r"non-finite predictor value\(s\) in column\(s\): \[1\]"):
+            r2_icc_curve(table, predictors[:, 1], [2], rng=1)
 
     def test_column_effect_warning_propagates(self):
         raw, truth = generate(SynthSpec(rows=200, cols=12, item_sd=0.2, seed=46))

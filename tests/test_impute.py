@@ -30,7 +30,6 @@ from icctab import (
     PreconditionError,
     SynthSpec,
     UnreachableTargetError,
-    adjust_fills,
     ari_bias_demo,
     ari_impute,
     crari_impute,
@@ -60,13 +59,19 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestAdjustFills:
+    """The adjustment rule of both imputation methods, as the donor kernel
+    applies it: a row's draws, centered by their own mean, shifted to the
+    row's valid mean."""
+
     def test_worked_example(self):
-        # donors 620 and 500 for a row whose valid mean is 568
-        fills = adjust_fills([620.0, 500.0], 568.0)
+        # seed 3 draws the donors 620 and 500 for a row whose valid mean is 568
+        row = np.array([[500.0, 570.0, np.nan, 630.0, 520.0, np.nan, 620.0]])
+        fills = _donor_fills(row, np.isnan(row), as_generator(3))
         assert fills.tolist() == [628.0, 508.0]
 
     def test_single_draw_collapses_to_valid_mean(self):
-        assert adjust_fills([777.0], 42.0).tolist() == [42.0]
+        row = np.array([[40.0, np.nan, 777.0, -691.0]])
+        assert _donor_fills(row, np.isnan(row), as_generator(0)).tolist() == [42.0]
 
 
 class TestAriImpute:
@@ -273,10 +278,7 @@ class TestCrariRandomCase:
         with pytest.raises(UnreachableTargetError) as info:
             crari_impute(degraded, target=0.9999, rng=36)
         low, high = info.value.reachable
-        assert low < high < 0.9999
-        # with a short search interval the attainable range shrinks from below
-        with pytest.raises(UnreachableTargetError):
-            crari_impute(degraded, target=0.01, rng=36, c_max=0.5)
+        assert low == 0.0 < high < 0.9999
 
     def test_icc_monotone_in_scaling_coefficient(self, degraded):
         gen = as_generator(37)
@@ -289,12 +291,9 @@ class TestCrariRandomCase:
     def test_target_and_search_parameters_validated(self, degraded):
         with pytest.raises(PreconditionError):
             crari_impute(degraded, target="exact", rng=1)
-        with pytest.raises(PreconditionError):
-            crari_impute(degraded, target=1.5, rng=1)
-        # NaN is not an unreachable target "outside the reachable range [nan, ...]"
-        for c_max in (0.0, float("nan")):
-            with pytest.raises(PreconditionError, match="c_max must be positive"):
-                crari_impute(degraded, c_max=c_max, rng=1)
+        for target in (1.5, float("nan")):
+            with pytest.raises(PreconditionError, match="explicit target must lie in"):
+                crari_impute(degraded, target=target, rng=1)
 
     def test_column_effect_warning_for_corrected_target(self):
         raw, _ = generate(SynthSpec(rows=200, cols=12, item_sd=0.2, seed=71))
@@ -316,41 +315,42 @@ def _degraded_table(rows, cols, seed, p, zscored=True, column_sd=0.0, item_sd=0.
 class TestClosedFormMatchesBisection:
     """The quadratic solve against the dichotomic search it replaced."""
 
-    @pytest.mark.parametrize("rows, cols, seed, p, zscored, column_sd, target, c_max, kind", [
-        (30, 6, 1, 0.3, True, 0.0, "corrected", 10.0, "ok"),
-        (60, 12, 2, 0.1, False, 0.0, "low", 10.0, "ok"),
-        (200, 20, 3, 0.6, True, 0.0, 0.3, 10.0, "ok"),
-        (200, 20, 4, 0.3, False, 0.0, 0.05, 10.0, "ok"),
+    @pytest.mark.parametrize("rows, cols, seed, p, zscored, column_sd, target, kind", [
+        (30, 6, 1, 0.3, True, 0.0, "corrected", "ok"),
+        (60, 12, 2, 0.1, False, 0.0, "low", "ok"),
+        (200, 20, 3, 0.6, True, 0.0, 0.3, "ok"),
+        (200, 20, 4, 0.3, False, 0.0, 0.05, "ok"),
         # column offsets: the ICC first rises with c (negative linear term)
-        (30, 6, 5, 0.3, False, 3.0, 0.5, 10.0, "ok"),
-        (60, 12, 6, 0.3, True, 0.0, 0.9999, 10.0, "outside"),
-        (60, 12, 7, 0.3, True, 0.0, 0.01, 0.5, "outside"),
-        # the vertex c* lies inside (0, 1): the range runs from ICC(0) = 0.7296
-        # up to ICC(c*), and a target below ICC(1) = 0.7668 takes the smaller root
-        (30, 6, 8, 0.3, False, 3.0, "low", 1.0, "outside"),
-        (30, 6, 8, 0.3, False, 3.0, 0.74, 1.0, "ok"),
-        # ... and beyond c_max = 0.5: the ICC only rises on [0, c_max]
-        (30, 6, 8, 0.3, False, 3.0, "low", 0.5, "outside"),
-        (30, 6, 8, 0.3, False, 3.0, 0.75, 0.5, "ok"),
+        (30, 6, 5, 0.3, False, 3.0, 0.5, "ok"),
+        (60, 12, 6, 0.3, True, 0.0, 0.9999, "outside"),
+        (60, 12, 7, 0.3, True, 0.0, 0.01, "ok"),
+        # the vertex c* lies inside (0, 1): the ICC rises from ICC(0) = 0.7296
+        # to ICC(c*) = 0.7813, below the observed ICC, and falls past it
+        (30, 6, 8, 0.3, False, 3.0, "low", "outside"),
+        (30, 6, 8, 0.3, False, 3.0, 0.74, "ok"),
+        (30, 6, 8, 0.3, False, 3.0, 0.75, "ok"),
         # a target between ICC(0) = 0.6917 and ICC(c*) = 0.7642
-        (30, 6, 5, 0.3, False, 3.0, 0.75, 10.0, "ok"),
+        (30, 6, 5, 0.3, False, 3.0, 0.75, "ok"),
+        # a small Z-scored table whose target takes c = 17.4: the search
+        # doubles its upper end until the ICC there is below the target
+        (40, 8, 5, 0.05, True, 0.0, "corrected", "ok"),
     ])
     def test_same_coefficient_and_errors(self, rows, cols, seed, p, zscored, column_sd,
-                                         target, c_max, kind):
+                                         target, kind):
         table = _degraded_table(rows, cols, seed, p, zscored, column_sd)
         report = icc_report(table)
         target_icc = {"low": report.icc, "corrected": report.icc_cor}.get(target, target)
         try:
-            c_bisect, _, _ = crari_bisect(table, target_icc, rng=seed, c_max=c_max)
+            c_bisect, _, _ = crari_bisect(table, target_icc, rng=seed)
         except UnreachableTargetError as exc:
             with pytest.raises(UnreachableTargetError) as info:
-                crari_impute(table, target=target, rng=seed, c_max=c_max)
+                crari_impute(table, target=target, rng=seed)
             assert str(info.value) == str(exc)
             assert info.value.reachable == pytest.approx(exc.reachable, rel=0, abs=1e-12)
             assert kind in str(exc)
             return
         assert kind == "ok"
-        outcome = crari_impute(table, target=target, rng=seed, c_max=c_max)
+        outcome = crari_impute(table, target=target, rng=seed)
         assert outcome.c > 0.0
         assert abs(outcome.c - c_bisect) <= 1e-4
         assert abs(outcome.icc_after - target_icc) <= 1e-12
@@ -361,7 +361,7 @@ class TestClosedFormMatchesBisection:
             crari_impute(table, target=1.0, rng=5)
         icc_top = info.value.reachable[1]
         assert icc_top > _complete_icc(_fill_with_row_means(table))
-        # the search keeps the lower end of [c*, c_max] when the target is ICC(c*)
+        # the search keeps the lower end of [c*, c_hi] when the target is ICC(c*)
         c_bisect, _, _ = crari_bisect(table, icc_top, rng=5)
         outcome = crari_impute(table, target=icc_top, rng=5)
         assert outcome.c > 0.0
@@ -569,26 +569,25 @@ class TestCrariProperties:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**16), rows=st.integers(8, 40), cols=st.integers(4, 12),
            p=st.floats(0.1, 0.5), zscored=st.booleans(), column_sd=st.sampled_from([0.0, 3.0]),
-           c_max=st.sampled_from([10.0, 1.0]), share=st.floats(0.01, 0.99))
-    @example(seed=8, rows=8, cols=4, p=0.46875, zscored=False, column_sd=0.0, c_max=10.0,
-             share=0.5)
-    # the ICC rises from 0.7296 at c = 0 to 0.7813 at c* and falls to 0.7668 at
-    # c = 1: the target 0.7399 lies on the rising branch only
-    @example(seed=8, rows=30, cols=6, p=0.3, zscored=False, column_sd=3.0, c_max=1.0,
-             share=0.2)
+           share=st.floats(0.01, 0.99))
+    @example(seed=8, rows=8, cols=4, p=0.46875, zscored=False, column_sd=0.0, share=0.5)
+    # the ICC rises from 0.7296 at c = 0 to 0.7813 at c* and then falls: the
+    # target 0.7422 lies above ICC(0) and is met past the peak
+    @example(seed=8, rows=30, cols=6, p=0.3, zscored=False, column_sd=3.0, share=0.95)
     def test_reachable_target_attained_exactly(self, seed, rows, cols, p, zscored, column_sd,
-                                               c_max, share):
+                                               share):
         table = _degraded_table(rows, cols, seed, p, zscored, column_sd)
         # tables that anova cannot decompose fail before any target matters
         # (TestCrariUndecomposableTable)
         assume(_decomposes(table))
         try:
-            crari_bisect(table, 2.0, rng=seed, c_max=c_max)
+            crari_bisect(table, 2.0, rng=seed)
         except UnreachableTargetError as exc:
             low, high = exc.reachable
         assume(low < high)
-        target = low + share * (high - low)
-        outcome = crari_impute(table, target=target, rng=seed, c_max=c_max)
+        assert low == 0.0 and high <= 1.0
+        target = share * high
+        outcome = crari_impute(table, target=target, rng=seed)
         assert abs(outcome.icc_after - target) <= 1e-12
         drift = np.abs(outcome.imputed.row_means() - table.row_means()).max()
         assert drift <= 1e-9

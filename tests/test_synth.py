@@ -134,6 +134,10 @@ class TestDegradeRandom:
         t = DataTable(np.arange(4.0).reshape(2, 2) + 1)
         with pytest.raises(StructuralError, match="without emptying"):
             degrade_random(t, 0.75, rng=1)
+        # round(0.95 * 4) = 4 cells asked of a table with 3 valid ones
+        t = DataTable(np.array([[1.0, 2.0], [3.0, np.nan]]))
+        with pytest.raises(StructuralError, match="cannot mask 4 cells: only 3 valid cells remain"):
+            degrade_random(t, 0.95, rng=1)
 
     def test_proportion_domain(self, complete_table):
         with pytest.raises(PreconditionError):

@@ -55,6 +55,10 @@ class TestDataTable:
     def test_rejects_degenerate_shape(self):
         with pytest.raises(StructuralError, match="2x2"):
             DataTable(np.array([[1.0, 2.0]]))
+        with pytest.raises(StructuralError, match="expected a 2-D table, got 1 dimensions"):
+            DataTable(np.array([1.0, 2.0]))
+        with pytest.raises(StructuralError, match=r"mask shape \(2, 3\) does not match"):
+            DataTable(np.ones((2, 2)), np.zeros((2, 3), bool))
 
     def test_rejects_nonfinite_valid_entry(self):
         with pytest.raises(StructuralError, match="finite"):
