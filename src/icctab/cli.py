@@ -44,7 +44,6 @@ would never be freed.
 import argparse
 import csv
 import gc
-import math
 import sys
 
 from . import __version__
@@ -386,10 +385,11 @@ def _run_experiment(args):
         gen = as_generator(run_seed)
         predictor = truth.item_effects + gen.normal(0, 0.25, size=args.rows)
         points = r2cor_bias_demo(table, predictor, p_grid, args.replications, gen)
-        undefined = [f"{pt.p:g}" for pt in points if math.isnan(pt.r2_cor)]
-        if undefined:
-            results.append(("warning", "mean r2_cor undefined (ICC 0 in a replication) "
-                            "at p = " + ", ".join(undefined)))
+        dropped = [f"{pt.dropped} of {args.replications} at p = {pt.p:g}"
+                   for pt in points if pt.dropped]
+        if dropped:
+            results.append(("warning", "r2_cor averages the replications with ICC > 0 "
+                            "(nan if none); ICC 0 in " + ", ".join(dropped)))
     elif args.name == "ari-bias":
         points = ari_bias_demo(table, p_grid, args.replications, run_seed)
     else:

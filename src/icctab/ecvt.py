@@ -16,7 +16,19 @@ so with the participant Gram matrix ``G = Vc' Vc`` (n x n, formed once)
 
     r = w_A' G w_B / sqrt(w_A' G w_A * w_B' G w_B)
 
-and the ``1/g`` factors cancel.  The draws are processed in chunks of B.
+and the ``1/g`` factors cancel.
+
+The test forms no ANOVA: ``G`` gives the variance ratio too.  On a complete
+m x n table ``ΣG = n·ssi`` and ``tr G = ssi + ssij``, so ``vi/vij`` is
+
+    q = (ΣG - tr G) / (n·tr G - ΣG)
+
+and ``q*g / (q*g + 1)`` is exactly the ratio of the split means of
+``w_A' G w_B`` and ``w_A' G w_A``.  The numerator is floored at 0, as ``vi``
+is; the denominator, ``n·ssij >= 0``, only against rounding (``q = inf`` at
+0).  ``G`` comes from centred columns, so an added constant costs it no digits.
+
+The draws are processed in chunks of B.
 A chunk is one C-contiguous n x 2B indicator block, group A in its first B
 columns and group B in the next B, so a chunk costs one ``G @ W`` product
 over the whole block.  B is the number of draws whose whole footprint fits
@@ -39,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .anova import _correlation, anova, expected_icc
+from .anova import _correlation, expected_icc
 from .errors import NumericError, PreconditionError
 from .rand import as_generator
 from .special import chi2_upper_tail
@@ -142,11 +154,13 @@ def ecvt(
         raise PreconditionError("at least 2 resamples are required")
     if not 0.0 < alpha < 1.0:
         raise PreconditionError(f"alpha must lie in (0, 1), got {alpha}")
-    q = anova(table).q
     gen = as_generator(rng)
     centered = table.values - table.values.mean(axis=0)
     gram = centered.T @ centered
     del centered
+    total, trace = gram.sum(), gram.trace()
+    noise = max(0.0, n * trace - total)
+    q = math.inf if noise == 0.0 else max(0.0, total - trace) / noise
     peak = max(table.values.max(), -table.values.min())
 
     observed_mean = np.empty(len(sizes))

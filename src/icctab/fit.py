@@ -54,12 +54,17 @@ class RatioCurvePoint:
 
 @dataclass(frozen=True)
 class R2BiasPoint:
-    """Observed and corrected r2 at one degradation level."""
+    """Observed and corrected r2 at one degradation level.
+
+    ``r2_cor`` averages the replications with an ICC above 0 (NaN if none);
+    ``dropped`` counts the others.
+    """
 
     p: float
     r2_observed: float
     r2_cor: float
     r2_exact: float
+    dropped: int
 
 
 def corrected_r2(r2, icc: float, icc_cor: float):
@@ -251,8 +256,9 @@ def r2cor_bias_demo(
     """Track observed and corrected r2 while cells are masked at random.
 
     ``r2_exact`` is the predictor's r2 on the complete input table; each
-    degradation level reports the mean observed r2 and mean corrected r2
-    over ``replications``.  Requires a complete input table.
+    degradation level reports the mean observed and corrected r2 over
+    ``replications`` (see :class:`R2BiasPoint`).  Requires a complete input
+    table.
     """
     pred = np.asarray(predictor, dtype=float).ravel()
 
@@ -260,9 +266,15 @@ def r2cor_bias_demo(
         fit = fit_predictors(degraded, pred, conf_probs=())
         return fit.r2[0], fit.r2_cor[0]
 
-    rows = _degradation_study(table, p_grid, replications, rng, measure)
+    levels = _degradation_study(table, p_grid, replications, rng, measure)
     r2_exact = float(fit_predictors(table, pred, conf_probs=()).r2[0])
-    return [R2BiasPoint(*row, r2_exact) for row in rows]
+    points = []
+    for p, (r2, r2_cor) in levels:
+        defined = r2_cor[~np.isnan(r2_cor)]
+        points.append(R2BiasPoint(p, float(r2.mean()),
+                                  float(defined.mean()) if defined.size else np.nan,
+                                  r2_exact, r2_cor.size - defined.size))
+    return points
 
 
 def _check_finite(pred: np.ndarray) -> None:

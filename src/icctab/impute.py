@@ -282,8 +282,8 @@ def ari_bias_demo(
         report = icc_report(degraded, ())
         return report.icc, icc_report(ari_impute(degraded, gen), ()).icc, report.icc_cor
 
-    rows = _degradation_study(table, p_grid, replications, rng, measure)
-    return [AriBiasPoint(*row) for row in rows]
+    return [AriBiasPoint(p, *(float(column.mean()) for column in columns))
+            for p, columns in _degradation_study(table, p_grid, replications, rng, measure)]
 
 
 def crari_recovery_study(
@@ -306,6 +306,7 @@ def crari_recovery_study(
         return (outcome.icc_before, outcome.icc_cor, outcome.icc_after,
                 _pearson(exact_means, degraded.row_means()))
 
-    rows = _degradation_study(table, p_grid, replications, rng, measure)
+    levels = _degradation_study(table, p_grid, replications, rng, measure)
     icc_exact = icc_report(table).icc
-    return [RecoveryPoint(*row, icc_exact) for row in rows]
+    return [RecoveryPoint(p, *(float(column.mean()) for column in columns), icc_exact)
+            for p, columns in levels]

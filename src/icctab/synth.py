@@ -162,21 +162,20 @@ def degrade_random(table: DataTable, p: float, rng=None) -> DataTable:
     return DataTable(table.values, mask)
 
 
-def _degradation_study(table: DataTable, p_grid, replications: int, rng, measure) -> list[tuple]:
-    """``(p, *means)`` per missing proportion ``p`` in ``p_grid``.
+def _degradation_study(table: DataTable, p_grid, replications: int, rng,
+                       measure) -> list[tuple[float, np.ndarray]]:
+    """``(p, columns)`` per missing proportion ``p`` in ``p_grid``.
 
-    Each level degrades the complete ``table`` ``replications`` times and
-    averages the statistics ``measure(degraded, gen)`` returns; every draw
-    comes from the one stream ``gen``, in order.
+    Each level degrades the complete ``table`` ``replications`` times;
+    ``columns`` holds one row per statistic ``measure(degraded, gen)``
+    returns, with its value in each replication, for the caller to average.
+    Every draw comes from the one stream ``gen``, in order.
     """
     if table.missing.any():
         raise PreconditionError("the reference table must have no missing cells")
     if replications < 1:
         raise PreconditionError(f"at least 1 replication is required, got {replications}")
     gen = as_generator(rng)
-    points = []
-    for p in p_grid:
-        stats = np.array([measure(degrade_random(table, p, gen), gen)
-                          for _ in range(replications)])
-        points.append((float(p), *(float(column.mean()) for column in stats.T)))
-    return points
+    return [(float(p), np.array([measure(degrade_random(table, p, gen), gen)
+                                 for _ in range(replications)]).T)
+            for p in p_grid]

@@ -218,6 +218,18 @@ class TestEcvtCommand:
         assert err.startswith("error[4] NumericError: group size ")
         assert "item means of a drawn group are constant" in err
 
+    def test_an_added_constant_keeps_the_report(self, capsys, tmp_path):
+        table = zscore(generate(SynthSpec(200, 20, item_sd=0.7, seed=1))[0])
+        bodies = []
+        for shift in (0.0, 1e7, 1e8):
+            table_csv = tmp_path / f"table_{shift:g}.csv"
+            save_csv(DataTable(table.values + shift), table_csv)
+            code, out, err = run(capsys, "ecvt", "--input", str(table_csv), "--seed", "3")
+            assert code == 0 and err == ""
+            bodies.append(out.split("\nconfig: ", 1)[1].split("\n", 1)[1])
+        assert "verdict: compatible" in bodies[0]
+        assert bodies[1] == bodies[0] and bodies[2] == bodies[0]
+
     def test_missing_cells_precondition_exit(self, capsys, degraded_csv):
         code, _, err = run(capsys, "ecvt", "--input", str(degraded_csv))
         assert code == 6
@@ -386,18 +398,36 @@ class TestExperimentCommand:
         assert err.startswith("error[6] PreconditionError: at least 1 replication")
         assert not curve.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_undefined_corrected_r2_is_named(self, capsys, tmp_path):
-        # this small table has an ICC of 0 at four of the five default levels
+        # this small table has an ICC of 0 at four of the five default levels,
+        # so with one replication those levels have no r2_cor to average
         curve = tmp_path / "r2cor.csv"
         code, out, err = run(capsys, "experiment", "--name", "r2cor-bias", "--rows", "20",
                              "--cols", "6", "--replications", "1", "--seed", "0",
                              "--output", str(curve))
         assert code == 0 and err == ""
         warnings = [line for line in out.splitlines() if line.startswith("warning:")]
-        assert warnings == ["warning: mean r2_cor undefined (ICC 0 in a replication) "
-                            "at p = 0, 0.15, 0.3, 0.6"]
-        rows = list(csv.DictReader(curve.open()))
+        assert warnings == ["warning: r2_cor averages the replications with ICC > 0 (nan if "
+                            "none); ICC 0 in 1 of 1 at p = 0, 1 of 1 at p = 0.15, "
+                            "1 of 1 at p = 0.3, 1 of 1 at p = 0.6"]
+        rows = list(csv.DictReader(curve.read_text().splitlines()))
         assert [row["r2_cor"] == "nan" for row in rows] == [True, True, True, False, True]
+        assert [row["dropped"] for row in rows] == ["1", "1", "1", "0", "1"]
+
+    def test_corrected_r2_averages_the_defined_replications(self, capsys, tmp_path):
+        # 6, 9, 10 and 11 of the 20 replications have ICC 0 at the last four levels
+        curve = tmp_path / "r2cor.csv"
+        code, out, err = run(capsys, "experiment", "--name", "r2cor-bias", "--rows", "20",
+                             "--cols", "4", "--replications", "20", "--seed", "1",
+                             "--output", str(curve))
+        assert code == 0 and err == ""
+        assert ("warning: r2_cor averages the replications with ICC > 0 (nan if none); "
+                "ICC 0 in 6 of 20 at p = 0.15, 9 of 20 at p = 0.3, 10 of 20 at p = 0.45, "
+                "11 of 20 at p = 0.6\n") in out
+        rows = list(csv.DictReader(curve.read_text().splitlines()))
+        assert [row["dropped"] for row in rows] == ["0", "6", "9", "10", "11"]
+        assert all(np.isfinite(float(row["r2_cor"])) for row in rows)
 
 
 EXPERIMENT_ARGS = ("--rows", "60", "--cols", "12", "--p-grid", "0.1,0.3",

@@ -239,32 +239,52 @@ class TestEcvtDegenerate:
                 assert np.isnan(rs).all(), (shift, seed)
 
     def test_item_means_constant_to_rounding_raise(self):
-        item_means = "item means of a drawn group are constant"
-        # shifted, some tables are refused first by the one-pass ANOVA, whose
-        # interaction sum loses the digits the offset takes (ROADMAP item 1)
-        either = f"{item_means}|negative interaction variance"
-        for shift, match in ((0.0, item_means), (1e10, either), (1e12, either)):
+        for shift in (0.0, 1e8, 1e10, 1e12):
             for seed in range(40):
-                with pytest.raises(NumericError, match=match):
+                with pytest.raises(NumericError, match="item means of a drawn group are constant"):
                     ecvt(rounding_constant_pair(seed, shift), group_sizes=(2,), resamples=50,
                          rng=seed)
 
     def test_noise_free_tables_are_compatible(self):
         # every correlation is 1 up to rounding, so every group size is dropped
-        # as constant; the tables the one-pass ANOVA refuses are ROADMAP item 1
-        accepted = 0
+        # as constant
         for seed in range(40):
-            table = noise_free_table(100 + seed)
-            try:
-                anova(table)
-            except NumericError:
-                continue
-            accepted += 1
-            report = ecvt(table, resamples=50, rng=seed)
+            report = ecvt(noise_free_table(100 + seed), resamples=50, rng=seed)
             assert report.compatible, seed
             assert report.df == 0
             assert report.observed_sd_r == pytest.approx(0.0, abs=1e-15)
-        assert accepted >= 20
+
+
+class TestPredictionFromGram:
+    """The prediction comes from the moments of the participant Gram matrix."""
+
+    @pytest.mark.parametrize("rows, cols, seeds", [(30, 4, 10), (60, 12, 10), (200, 20, 5),
+                                                   (1400, 80, 5)])
+    def test_equals_the_anova_variance_ratio(self, rows, cols, seeds):
+        # raw tables with column offsets and their z-scored copies
+        for seed in range(seeds):
+            raw, _ = generate(SynthSpec(rows, cols, item_sd=0.7, seed=seed))
+            offsets = np.random.default_rng(seed).normal(size=cols) * 5
+            raw = DataTable(raw.values + offsets)
+            for table in (raw, zscore(raw)):
+                report = ecvt(table, resamples=2, rng=seed)
+                q = anova(table).q
+                expected = [expected_icc(q, g) for g in report.group_sizes]
+                assert report.predicted_r == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("shift", [1e7, 1e8])
+    def test_an_added_constant_keeps_the_report(self, shift):
+        # ``ΣG`` and ``tr G`` come from column-centred values, so the offset
+        # costs no digits of ``q̂``
+        table = zscore(generate(SynthSpec(200, 20, item_sd=0.7, seed=1))[0])
+        base = ecvt(table, resamples=200, rng=3)
+        shifted = ecvt(DataTable(table.values + shift), resamples=200, rng=3)
+        assert shifted.verdict == base.verdict == "compatible"
+        assert shifted.df == base.df
+        assert shifted.chi2 == pytest.approx(base.chi2, rel=1e-7)
+        assert shifted.p_value == pytest.approx(base.p_value, rel=1e-7)
+        for field in ("predicted_r", "observed_mean_r", "observed_sd_r"):
+            assert getattr(shifted, field) == pytest.approx(getattr(base, field), rel=1e-8)
 
 
 class TestEcvtReproducibility:

@@ -362,11 +362,11 @@ class TestR2CorBiasDemo:
         assert r2cor_bias_demo(zscore(raw), predictor, [0.0, 0.2, 0.5], replications=10,
                                rng=94) == [
             R2BiasPoint(p=0.0, r2_observed=0.4788077661539856, r2_cor=0.4788077661539856,
-                        r2_exact=exact),
+                        r2_exact=exact, dropped=0),
             R2BiasPoint(p=0.2, r2_observed=0.45133960938365936, r2_cor=0.49270415057438166,
-                        r2_exact=exact),
+                        r2_exact=exact, dropped=0),
             R2BiasPoint(p=0.5, r2_observed=0.31314187318008513, r2_cor=0.4250001844569091,
-                        r2_exact=exact),
+                        r2_exact=exact, dropped=0),
         ]
 
     def test_correction_beats_observed_under_degradation(self):
