@@ -138,10 +138,10 @@ class IccReport:
     """ICC statistics of one table.
 
     ``conf`` holds ``(probability, lower, upper)`` triples bracketing
-    ``icc`` (not ``icc_cor``).  ``warnings`` holds the column-effect
-    warning when the column-effect variance exceeds both the row effect and
-    the interaction while more than 5% of cells are missing; the corrected
-    statistics are then unreliable.
+    ``icc`` (not ``icc_cor``), with bounds below 0 taken as 0.
+    ``warnings`` holds the column-effect warning when the column-effect
+    variance exceeds both the row effect and the interaction while more than
+    5% of cells are missing; the corrected statistics are then unreliable.
     """
 
     q: float
@@ -198,14 +198,18 @@ def icc_report(
 
 def _conf_bounds(f_obs: float, dfi: int, dfij: int, probs) -> tuple:
     """``(prob, lower, upper)`` ICC confidence bounds at each two-sided
-    probability, from the observed F ratio and its degrees of freedom."""
+    probability, from the observed F ratio and its degrees of freedom.
+
+    A bound the F ratio puts below 0 (a small table, or one with little item
+    variance) is 0, as the ICC estimate itself is (:func:`_icc`).
+    """
     conf = []
     for prob in probs:
         level = 1.0 - (1.0 - prob) / 2.0
         q1 = f_quantile(level, dfi, dfij)
         q2 = f_quantile(level, dfij, dfi)
         # at f_obs = inf both bounds are exactly 1
-        conf.append((prob, 1.0 - q1 / f_obs, 1.0 - 1.0 / (q2 * f_obs)))
+        conf.append((prob, max(0.0, 1.0 - q1 / f_obs), max(0.0, 1.0 - 1.0 / (q2 * f_obs))))
     return tuple(conf)
 
 
@@ -237,9 +241,9 @@ def corrected_interval(
     """Apply the missing-data correction to a confidence triple's bounds.
 
     This reproduces, without imputation, the interval one would obtain on a
-    table imputed to the corrected ICC.  An F-based bound below 0 (a small
-    table, or one with little item variance) is taken as 0 before the
-    correction, since an ICC is never below 0.
+    table imputed to the corrected ICC.  A bound below 0 is taken as 0
+    before the correction, since an ICC is never below 0; :func:`icc_report`
+    clips its own bounds already, and a triple from elsewhere may not.
     """
     prob, lower, upper = triple
     return (prob, corrected_icc(max(lower, 0.0), p), corrected_icc(max(upper, 0.0), p))

@@ -2,12 +2,19 @@
 beta and F quantiles built on it, and the chi-square upper tail.
 
 The incomplete beta is evaluated by a standard continued fraction (modified
-Lentz) to ~1e-14 relative accuracy, so the 1e-6 bisection tolerance of the
-quantile searches dominates the overall error.  The chi-square tail of an
-integer df is a closed-form finite sum.  All functions are pure; no state
-is kept between calls.
+Lentz) to ~1e-14 relative accuracy.  The beta quantile inverts it by
+safeguarded Newton steps from a closed-form start until a step moves ``x``
+by at most ``4e-16·x``, so the quantiles are as accurate as ``I_x`` itself:
+within 1.2e-11 relative of ``scipy.stats.f.ppf`` at the report levels, up
+to the DLP's degrees of freedom.  The chi-square tail of an integer df is a
+closed-form finite sum.  Every function is pure.  :func:`f_quantile`
+remembers its last ``_F_QUANTILE_MEMO`` distinct arguments (a bounded
+``functools.lru_cache``), because degradation studies ask for the same
+degrees of freedom in every replication; a remembered value is the computed
+one, bit for bit.
 """
 
+import functools
 import math
 
 from . import _EXPORTS
@@ -18,8 +25,9 @@ __all__ = _EXPORTS["special"].split()
 _CF_MAX_ITER = 500
 _CF_EPS = 1e-15
 _TINY = 1e-300
-_MAX_BISECT = 200
-_QUANTILE_TOL = 1e-6  # bisection tolerance of the quantiles, in probability
+_MAX_NEWTON = 200
+_NEWTON_TOL = 4e-16  # a step of at most this share of x ends the Newton search
+_F_QUANTILE_MEMO = 256  # distinct (p, d1, d2) arguments f_quantile remembers
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
@@ -30,14 +38,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x >= 1.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
+    front = math.exp(_ln_front(x, a, b))
     # Symmetry switch keeps the continued fraction in its fast-converging region.
     lower = x < (a + 1.0) / (a + b + 2.0)
     if front == 0.0:
@@ -47,6 +48,18 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     if lower:
         return front * _beta_cf(a, b, x) / a
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
+
+
+def _ln_front(x: float, a: float, b: float) -> float:
+    """``log(x**a (1-x)**b / B(a, b))`` for ``0 < x < 1``: the factor of the
+    continued fraction, and ``x(1-x)`` times the Beta(a, b) density."""
+    return (
+        math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
+        + a * math.log(x)
+        + b * math.log1p(-x)
+    )
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -90,34 +103,99 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 def beta_quantile(p: float, a: float, b: float) -> float:
     """Quantile of the Beta(a, b) distribution.
 
-    Bisects on [0, 1] until ``|I_x(a, b) - p| <= _QUANTILE_TOL`` (the
-    tolerance is in probability space, not in x).
+    Safeguarded Newton on ``I_x(a, b) = p`` (the scheme of Cran, Martin &
+    Thomas 1977, AS 109): a closed-form start (:func:`_beta_start`), then
+    steps ``(I_x - p) / density`` inside a bracket kept from the sign of
+    ``I_x - p``, bisecting whenever a step would leave it, until a step moves
+    ``x`` by at most ``4e-16·x``.  A quantile whose start lies above 1/2 is
+    solved as ``1 - x`` on the complementary problem, so ``1 - x`` keeps its
+    relative precision (see :func:`f_quantile`).  The median of a symmetric
+    beta is exactly 1/2, where the rounding noise of ``I_x`` would leave
+    the search a few ulps away.
     """
+    return _beta_quantile_pair(p, a, b)[0]
+
+
+@functools.lru_cache(maxsize=_F_QUANTILE_MEMO)
+def f_quantile(p: float, d1: float, d2: float) -> float:
+    """Quantile of the F(d1, d2) distribution via the beta quantile.
+
+    Memoized on ``(p, d1, d2)`` for the last ``_F_QUANTILE_MEMO`` distinct
+    arguments; the uncached function is ``f_quantile.__wrapped__``.
+    """
+    x, one_minus_x = _beta_quantile_pair(p, d1 / 2.0, d2 / 2.0)
+    return x * d2 / (one_minus_x * d1)
+
+
+def _beta_quantile_pair(p: float, a: float, b: float) -> tuple[float, float]:
+    """``x`` and ``1 - x``, each to full relative precision, where
+    ``I_x(a, b) = p``."""
     if not 0.0 < p < 1.0:
         raise PreconditionError(f"beta_quantile requires p in (0, 1), got {p}")
+    if p == 0.5 and a == b:  # the median of a symmetric beta
+        return 0.5, 0.5
+    x = _beta_start(p, a, b)
+    if x > 0.5:  # I_x(a, b) = p is I_{1-x}(b, a) = 1 - p
+        y = _beta_newton(1.0 - p, b, a, _beta_start(1.0 - p, b, a))
+        return 1.0 - y, y
+    x = _beta_newton(p, a, b, x)
+    return x, 1.0 - x
+
+
+def _beta_start(p: float, a: float, b: float) -> float:
+    """Closed-form approximation to the Beta(a, b) quantile at ``p``.
+
+    The start of AS 109: the normal deviate of A&S 26.2.22, then A&S 26.5.22
+    when ``a, b > 1``, else a Wilson-Hilferty chi-square quantile choosing
+    between the two tail expansions of ``I_x``.  It may be poor in places;
+    the Newton search only takes longer there.
+    """
+    r = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+    y = r - (2.30753 + 0.27061 * r) / (1.0 + (0.99229 + 0.04481 * r) * r)
+    if p > 0.5:
+        y = -y  # the upper deviate: I_x rises as y falls
+    if a > 1.0 and b > 1.0:
+        lam = (y * y - 3.0) / 6.0
+        s = 1.0 / (2.0 * a - 1.0)
+        t = 1.0 / (2.0 * b - 1.0)
+        h = 2.0 / (s + t)
+        w = y * math.sqrt(h + lam) / h - (t - s) * (lam + 5.0 / 6.0 - 2.0 / (3.0 * h))
+        return a / (a + b * math.exp(min(2.0 * w, 700.0)))
+    ln_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    t = 1.0 / (9.0 * b)
+    chi2 = 2.0 * b * (1.0 - t + y * math.sqrt(t)) ** 3
+    if chi2 <= 0.0:
+        return -math.expm1((math.log((1.0 - p) * b) + ln_beta) / b)
+    t = (4.0 * a + 2.0 * b - 2.0) / chi2
+    if t <= 1.0:
+        return math.exp((math.log(p * a) + ln_beta) / a)
+    return 1.0 - 2.0 / (t + 1.0)
+
+
+def _beta_newton(p: float, a: float, b: float, x: float) -> float:
+    """Root of ``I_x(a, b) = p`` by Newton steps from ``x``, bisecting the
+    bracket ``[lo, hi]`` whenever a step would leave it."""
     lo, hi = 0.0, 1.0
-    x = 0.5
-    dp = reg_inc_beta(x, a, b) - p
-    iterations = 0
-    while abs(dp) > _QUANTILE_TOL:
-        if dp <= 0.0:
-            lo = x
-        if dp >= 0.0:
-            hi = x
-        x = 0.5 * (lo + hi)
+    if not lo < x < hi:
+        x = 0.5
+    for _ in range(_MAX_NEWTON):
         dp = reg_inc_beta(x, a, b) - p
-        iterations += 1
-        if iterations > _MAX_BISECT:
-            raise NumericError(
-                f"beta_quantile did not converge (p={p}, a={a}, b={b})"
-            )
-    return x
-
-
-def f_quantile(p: float, d1: float, d2: float) -> float:
-    """Quantile of the F(d1, d2) distribution via the beta quantile."""
-    x = beta_quantile(p, d1 / 2.0, d2 / 2.0)
-    return x * d2 / ((1.0 - x) * d1)
+        if dp == 0.0:
+            return x
+        if dp < 0.0:
+            lo = x
+        else:
+            hi = x
+        density = math.exp(_ln_front(x, a, b)) / (x * (1.0 - x))
+        step = dp / density if density > 0.0 else math.inf
+        if abs(step) <= _NEWTON_TOL * x:
+            return x - step
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if hi - lo <= _NEWTON_TOL * x:
+                return x
+    raise NumericError(f"beta_quantile did not converge (p={p}, a={a}, b={b})")
 
 
 def chi2_upper_tail(x: float, df: int) -> float:

@@ -14,6 +14,7 @@ from icctab import (
     corrected_interval,
     degrade_random,
     expected_icc,
+    f_quantile,
     generate,
     icc_report,
     save_csv,
@@ -138,6 +139,22 @@ class TestIccReport:
         # Fobs = inf puts both bounds at exactly 1
         assert rep.conf == ((0.95, 1.0, 1.0), (0.99, 1.0, 1.0), (0.999, 1.0, 1.0))
 
+    def test_bounds_below_zero_are_zero(self):
+        # a Latin square with item offsets far below its noise: Fobs is so
+        # small that both F-based bounds fall below 0, where the ICC estimate
+        # is floored
+        square = np.array([[1.0, 2.0, 3.0, 4.0], [4.0, 1.0, 2.0, 3.0],
+                           [3.0, 4.0, 1.0, 2.0], [2.0, 3.0, 4.0, 1.0]])
+        table = DataTable(square + np.array([[0.0], [0.01], [0.02], [0.03]]))
+        dec = anova(table)
+        rep = icc_report(table)
+        assert rep.icc == 0.0
+        for prob, lower, upper in rep.conf:
+            level = 1.0 - (1.0 - prob) / 2.0
+            assert 1.0 - f_quantile(level, dec.dfi, dec.dfij) / rep.f_obs < 0.0
+            assert 1.0 - 1.0 / (f_quantile(level, dec.dfij, dec.dfi) * rep.f_obs) < 0.0
+            assert lower == upper == 0.0
+
     def test_column_effect_warning_rule(self):
         raw, _ = generate(SynthSpec(rows=200, cols=12, item_sd=0.2, seed=7))
         offsets = np.random.default_rng(8).normal(0, 3, size=12)
@@ -222,15 +239,21 @@ class TestCorrectedInterval:
 
     def test_bound_below_zero_is_corrected_from_zero(self):
         # a 10x4 table with little item variance and 20% missing: every F-based
-        # lower bound is below 0, where no ICC lies
+        # lower bound is below 0, where no ICC lies; the report gives it as 0,
+        # and a triple that carries it unclipped is corrected from 0 too
         raw, _ = generate(SynthSpec(rows=10, cols=4, item_sd=0.2, seed=2))
-        report = icc_report(degrade_random(raw, 0.2, rng=2))
+        table = degrade_random(raw, 0.2, rng=2)
+        report = icc_report(table)
+        dec = anova(table)
         assert report.pmiss > 0
         for triple in report.conf:
-            prob, lower, upper = corrected_interval(triple, report.pmiss)
-            assert triple[1] < 0.0 <= triple[2]
-            assert prob == triple[0] and lower == 0.0
-            assert upper == corrected_icc(triple[2], report.pmiss)
+            level = 1.0 - (1.0 - triple[0]) / 2.0
+            f_lower = 1.0 - f_quantile(level, dec.dfi, dec.dfij) / report.f_obs
+            assert f_lower < 0.0 and triple[1] == 0.0 < triple[2]
+            for given in (triple, (triple[0], f_lower, triple[2])):
+                prob, lower, upper = corrected_interval(given, report.pmiss)
+                assert prob == triple[0] and lower == 0.0
+                assert upper == corrected_icc(triple[2], report.pmiss)
 
     def test_negative_upper_bound_maps_to_zero(self):
         assert corrected_interval((0.95, -1.79, -0.2), 0.2) == (0.95, 0.0, 0.0)

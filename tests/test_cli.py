@@ -434,6 +434,43 @@ EXPERIMENT_ARGS = ("--rows", "60", "--cols", "12", "--p-grid", "0.1,0.3",
                    "--replications", "2", "--seed", "6")
 
 
+GOLDEN_CASES = [
+    ("synth", ["synth", "--rows", "40", "--cols", "10", "--seed", "4",
+               "--degrade", "0.2", "--output", "synth_table.csv"],
+     [], ["synth_table.csv"]),
+    ("icc", ["icc", "--input", "synth_table.csv", "--zscore", "--seed", "3"],
+     ["synth_table.csv"], []),
+    ("fit", ["fit", "--input", "synth_table.csv", "--predictors", "fit_predictors.csv",
+             "--zscore", "--mix", "--seed", "5"],
+     ["synth_table.csv", "fit_predictors.csv"], []),
+    ("impute", ["impute", "--input", "synth_table.csv", "--zscore", "--seed", "7",
+                "--output", "imputed.csv"],
+     ["synth_table.csv"], []),
+    ("ari-bias", ["experiment", "--name", "ari-bias", *EXPERIMENT_ARGS,
+                  "--output", "ari-bias.csv"],
+     [], ["ari-bias.csv"]),
+    ("r2cor-bias", ["experiment", "--name", "r2cor-bias", *EXPERIMENT_ARGS,
+                    "--output", "r2cor-bias.csv"],
+     [], ["r2cor-bias.csv"]),
+    # the warning, curve and ground-truth lines, recorded before the
+    # handlers stopped printing their own reports
+    ("ecvt-identical", ["ecvt", "--input", "ecvt_identical.csv", "--groups", "1,2,4",
+                        "--resamples", "5", "--seed", "3",
+                        "--curve", "ecvt_identical_curve.csv"],
+     ["ecvt_identical.csv"], ["ecvt_identical_curve.csv"]),
+    ("synth-truth", ["synth", "--rows", "12", "--cols", "5", "--severity", "0.5",
+                     "--seed", "8", "--degrade", "0.1", "--output", "synth_truth_table.csv",
+                     "--ground-truth", "synth_truth.csv"],
+     [], ["synth_truth_table.csv", "synth_truth.csv"]),
+    ("fit-coleffect", ["fit", "--input", "coleffect_table.csv",
+                       "--predictors", "coleffect_predictors.csv", "--seed", "2"],
+     ["coleffect_table.csv", "coleffect_predictors.csv"], []),
+    ("impute-coleffect", ["impute", "--input", "coleffect_table.csv",
+                          "--output", "coleffect_imputed.csv", "--seed", "7"],
+     ["coleffect_table.csv"], []),
+]
+
+
 class TestGoldenReports:
     """Reports and files byte for byte against golden copies.
 
@@ -443,41 +480,7 @@ class TestGoldenReports:
     because reports embed their paths.
     """
 
-    @pytest.mark.parametrize("name, argv, inputs, outputs", [
-        ("synth", ["synth", "--rows", "40", "--cols", "10", "--seed", "4",
-                   "--degrade", "0.2", "--output", "synth_table.csv"],
-         [], ["synth_table.csv"]),
-        ("icc", ["icc", "--input", "synth_table.csv", "--zscore", "--seed", "3"],
-         ["synth_table.csv"], []),
-        ("fit", ["fit", "--input", "synth_table.csv", "--predictors", "fit_predictors.csv",
-                 "--zscore", "--mix", "--seed", "5"],
-         ["synth_table.csv", "fit_predictors.csv"], []),
-        ("impute", ["impute", "--input", "synth_table.csv", "--zscore", "--seed", "7",
-                    "--output", "imputed.csv"],
-         ["synth_table.csv"], []),
-        ("ari-bias", ["experiment", "--name", "ari-bias", *EXPERIMENT_ARGS,
-                      "--output", "ari-bias.csv"],
-         [], ["ari-bias.csv"]),
-        ("r2cor-bias", ["experiment", "--name", "r2cor-bias", *EXPERIMENT_ARGS,
-                        "--output", "r2cor-bias.csv"],
-         [], ["r2cor-bias.csv"]),
-        # the warning, curve and ground-truth lines, recorded before the
-        # handlers stopped printing their own reports
-        ("ecvt-identical", ["ecvt", "--input", "ecvt_identical.csv", "--groups", "1,2,4",
-                            "--resamples", "5", "--seed", "3",
-                            "--curve", "ecvt_identical_curve.csv"],
-         ["ecvt_identical.csv"], ["ecvt_identical_curve.csv"]),
-        ("synth-truth", ["synth", "--rows", "12", "--cols", "5", "--severity", "0.5",
-                         "--seed", "8", "--degrade", "0.1", "--output", "synth_truth_table.csv",
-                         "--ground-truth", "synth_truth.csv"],
-         [], ["synth_truth_table.csv", "synth_truth.csv"]),
-        ("fit-coleffect", ["fit", "--input", "coleffect_table.csv",
-                           "--predictors", "coleffect_predictors.csv", "--seed", "2"],
-         ["coleffect_table.csv", "coleffect_predictors.csv"], []),
-        ("impute-coleffect", ["impute", "--input", "coleffect_table.csv",
-                              "--output", "coleffect_imputed.csv", "--seed", "7"],
-         ["coleffect_table.csv"], []),
-    ])
+    @pytest.mark.parametrize("name, argv, inputs, outputs", GOLDEN_CASES)
     def test_same_bytes(self, capsys, tmp_path, monkeypatch, name, argv, inputs, outputs):
         for path in inputs:
             shutil.copy(GOLDEN / path, tmp_path)
@@ -487,6 +490,21 @@ class TestGoldenReports:
         assert out.encode() == (GOLDEN / f"{name}_report.txt").read_bytes()
         for path in outputs:
             assert (tmp_path / path).read_bytes() == (GOLDEN / path).read_bytes()
+
+    @pytest.mark.parametrize("name", ["icc", "fit", "fit-coleffect"])
+    def test_printed_bounds_are_the_scipy_bounds(self, capsys, tmp_path, monkeypatch, name):
+        from scipy.stats import f as f_distribution
+
+        _, argv, inputs, _ = next(case for case in GOLDEN_CASES if case[0] == name)
+        for path in inputs:
+            shutil.copy(GOLDEN / path, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        # the module, not the function the package binds to its name
+        monkeypatch.setattr(sys.modules["icctab.anova"], "f_quantile", f_distribution.ppf)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "conf 0.999: " in out
+        assert out.encode() == (GOLDEN / f"{name}_report.txt").read_bytes()
 
     @pytest.mark.parametrize("name", ["degradation-curve"])
     def test_recovery_curves_move_only_in_the_imputed_icc(self, capsys, tmp_path,

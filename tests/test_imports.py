@@ -38,6 +38,23 @@ def test_front_end_alone_leaves_numpy_out(argv):
     assert not [name for name in loaded if name.split(".")[0] == "numpy"]
 
 
+def test_icc_command_leaves_statistics_fractions_and_scipy_out(tmp_path):
+    # the F quantiles' start is closed form in math: computing the confidence
+    # bounds costs no import
+    from icctab import SynthSpec, degrade_random, generate, save_csv
+
+    path = tmp_path / "synth.csv"
+    table, _ = generate(SynthSpec(rows=30, cols=6, seed=1))
+    save_csv(degrade_random(table, 0.1, rng=1), path)
+    done = python("-X", "importtime", "-m", "icctab", "icc", "--input", str(path), "--zscore")
+    assert done.returncode == 0, done.stderr
+    assert "conf 0.999: " in done.stdout
+    loaded = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+              if line.startswith("import time:")]
+    assert "icctab.special" in loaded
+    assert not {name.split(".")[0] for name in loaded} & {"statistics", "fractions", "scipy"}
+
+
 def test_ecvt_command_loads_only_its_kernels(tmp_path):
     path = tmp_path / "complete.csv"
     path.write_text("".join(f"{i},{i + 2},{2 * i},{i + 1},{i - 3},{3 * i}\n" for i in range(8)))

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import f as f_distribution
 
 from icctab import PreconditionError, beta_quantile, chi2_upper_tail, f_quantile
 from icctab import special
@@ -77,12 +78,16 @@ class TestFQuantile:
 class TestFQuantileUnderflow:
     # the icc_report levels of the CLI's default --conf 0.95,0.99,0.999, a
     # median and a 90% level; both df orders of the paper's 1400 x 80 table
-    # and of 4200 x 240, and small tables
+    # and of 4200 x 240, and small tables.  The two-row table's dfi = 1
+    # against a large dfij is where the Newton search bisects into the range
+    # where the fraction's factor underflows.
     LEVELS = (0.5, 0.9, 0.975, 0.995, 0.9995)
     DFS = ((1399, 110521), (110521, 1399), (4199, 1003561), (1003561, 4199),
-           (79, 110521), (9, 27), (2, 3))
+           (79, 110521), (9, 27), (2, 3), (1, 1003561))
 
     def test_bit_identical_to_full_evaluation(self, monkeypatch):
+        # each pass computes every quantile, none comes from the memo
+        f_quantile.cache_clear()
         skipped = [f_quantile(p, d1, d2) for p in self.LEVELS for d1, d2 in self.DFS]
         underflows = []
 
@@ -101,9 +106,50 @@ class TestFQuantileUnderflow:
             return 1.0 - front * special._beta_cf(b, a, 1.0 - x) / b
 
         monkeypatch.setattr(special, "reg_inc_beta", always_cf)
+        f_quantile.cache_clear()
         full = [f_quantile(p, d1, d2) for p in self.LEVELS for d1, d2 in self.DFS]
+        f_quantile.cache_clear()
         assert skipped == full
         assert any(underflows)
+
+
+class TestFQuantileMemo:
+    def test_cached_values_are_the_computed_ones(self):
+        # the quantiles of a degradation study: each replication masks the
+        # same number of cells, so the same df pairs come back
+        args = [(level, d1, d2) for _ in range(3) for level in (0.975, 0.995, 0.9995)
+                for d1, d2 in ((79, 8791), (8791, 79))]
+        f_quantile.cache_clear()
+        cached = [f_quantile(*arg) for arg in args]
+        computed = [f_quantile.__wrapped__(*arg) for arg in args]
+        assert [value.hex() for value in cached] == [value.hex() for value in computed]
+        assert f_quantile.cache_info().misses == 6
+        assert f_quantile.cache_info().hits == len(args) - 6
+
+    def test_memo_is_bounded(self):
+        f_quantile.cache_clear()
+        maxsize = f_quantile.cache_info().maxsize
+        assert maxsize is not None
+        for d2 in range(10, 10 + maxsize + 20):
+            f_quantile(0.975, 5, d2)
+        assert f_quantile.cache_info().currsize == maxsize
+        f_quantile.cache_clear()
+
+
+class TestFQuantileAccuracy:
+    # the icc_report levels; both df orders of small tables, of the paper's
+    # 1400 x 80 table and its transpose, of 4200 x 240 and of the DLP
+    # (14 089 x 39, 15.68% missing)
+    LEVELS = (0.5, 0.9, 0.975, 0.995, 0.9995)
+    DFS = ((1, 1), (2, 3), (9, 27), (79, 110521), (1399, 110521), (4199, 1003561),
+           (14088, 449187))
+
+    @pytest.mark.parametrize("d1, d2", [*DFS, *((d2, d1) for d1, d2 in DFS if d1 != d2)])
+    def test_matches_scipy(self, d1, d2):
+        for p in self.LEVELS:
+            assert f_quantile(p, d1, d2) == pytest.approx(
+                f_distribution.ppf(p, d1, d2), rel=1e-10, abs=0
+            ), p
 
 
 class TestChi2UpperTail:
