@@ -128,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("icc", help="ICC report for a table")
     _table_flags(p)
-    p.add_argument("--conf", type=_float_list, default="0.95,0.99,0.999",
+    p.add_argument("--conf", type=_comma_list(float, "numbers"), default="0.95,0.99,0.999",
                    help="comma-separated confidence probabilities")
     p.set_defaults(handler=_run_icc)
 
@@ -140,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ecvt", help="additive-model validity test")
     _table_flags(p)
-    p.add_argument("--groups", type=_parse_ints, default=None,
+    p.add_argument("--groups", type=_comma_list(int, "integers"), default=None,
                    help="comma-separated group sizes (default: doubling up to n/2)")
     p.add_argument("--resamples", type=int, default=200)
     p.add_argument("--alpha", type=float, default=0.01)
@@ -150,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="predictor goodness of fit")
     _table_flags(p, "--predictors", "CSV of predictor columns aligned with the table rows")
-    p.add_argument("--conf", type=_float_list, default="0.95,0.99,0.999")
+    p.add_argument("--conf", type=_comma_list(float, "numbers"), default="0.95,0.99,0.999")
     p.set_defaults(handler=_run_fit)
 
     p = sub.add_parser("synth", help="generate an artificial table")
@@ -175,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="path of the curve CSV")
     p.add_argument("--rows", type=int, default=1400)
     p.add_argument("--cols", type=int, default=80)
-    p.add_argument("--p-grid", type=_float_list, default=None,
+    p.add_argument("--p-grid", type=_comma_list(float, "numbers"), default=None,
                    help="comma-separated missing proportions")
     p.add_argument("--replications", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -209,12 +209,18 @@ def _load_table(args):
     return table, rng
 
 
-def _float_list(raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {raw!r}") from None
+def _comma_list(kind, noun: str):
+    """Argument type of a comma-separated list of ``kind`` (blank items
+    skipped), whose usage error names the elements ``noun``."""
+
+    def parse(raw: str) -> tuple:
+        try:
+            return tuple(kind(tok) for tok in raw.split(",") if tok.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {noun}, got {raw!r}") from None
+
+    return parse
 
 
 def _target(raw: str) -> str | float:
@@ -226,14 +232,6 @@ def _target(raw: str) -> str | float:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected 'low', 'corrected' or a number, got {raw!r}") from None
-
-
-def _parse_ints(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {raw!r}") from None
 
 
 def _fmt(x: float) -> str:

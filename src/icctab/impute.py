@@ -307,6 +307,6 @@ def crari_recovery_study(
                 _pearson(exact_means, degraded.row_means()))
 
     levels = _degradation_study(table, p_grid, replications, rng, measure)
-    icc_exact = icc_report(table).icc
+    icc_exact = icc_report(table, ()).icc
     return [RecoveryPoint(p, *(float(column.mean()) for column in columns), icc_exact)
             for p, columns in levels]

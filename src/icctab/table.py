@@ -20,16 +20,17 @@ Reads and writes of at least ``_SPLIT_BYTES`` (512 KiB of file or of
 values) use two processes when the host gives this one more than one CPU
 and this process runs a single thread (a forked child could inherit a lock
 another thread holds): a forked child parses the rows after the first
-``\\n`` at or past the file's midpoint, or formats the second half of the
-rows into an unnamed temp file, while the caller does the first half.  A
-file is read in one process when its first half holds a ``"`` (a quoted
-field could span the split), when no ``\\n`` follows the midpoint, or when
-the first half holds no data row.  Values, bytes and errors are the same
-either way: faults are raised in file order, and bytes that are not UTF-8
-raise ``TableFormatError`` naming their line of the file.  The child runs
-no BLAS and leaves through ``os._exit``; if something else reaps it
-(``SIGCHLD`` ignored, or a handler that waits for any child), its half is
-redone in the caller.
+``\\n`` at or past the midpoint of the file the caller opened, or formats
+the second half of the rows, while the caller does the first half.  The
+child writes its half to an unnamed temp file, which the caller reads once
+the child has exited cleanly; if it failed, or something else reaped it
+(``SIGCHLD`` ignored, or a handler that waits for any child), the caller
+does that half itself.  A file is read in one process when its first half
+holds a ``"`` (a quoted field could span the split), when no ``\\n``
+follows the midpoint, or when the first half holds no data row.  Values,
+bytes and errors are the same either way: faults are raised in file order,
+and bytes that are not UTF-8 raise ``TableFormatError`` naming their line
+of the file.  The child runs no BLAS and leaves through ``os._exit``.
 On Python 3.12 and later ``os.fork`` still warns (``DeprecationWarning``)
 when OpenBLAS has started threads.
 
@@ -180,8 +181,8 @@ def _read_cells(path, missing_code: str | float | None = None) -> tuple[np.ndarr
     Shared by :func:`load_csv` and the predictor reader of the command line.
     """
     token = _token_text(missing_code).strip()
-    try:
-        with open(path, "rb") as handle:
+    with open(path, "rb") as handle:
+        try:
             split = _split_point(handle)
             first, rows, header = _first_data_row(handle, path, split, token)
             if first is None and split is not None:  # the head holds no data row
@@ -196,8 +197,8 @@ def _read_cells(path, missing_code: str | float | None = None) -> tuple[np.ndarr
                 value_rows, mask_rows = _parse_rows(head, path, width, 1, token)
             else:
                 value_rows, mask_rows = _read_halves(path, handle, split, head, width, token)
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+        except UnicodeDecodeError:
+            raise _not_utf8(path, handle) from None
     values, mask = np.vstack(value_rows), np.vstack(mask_rows)
     try:
         sentinel = values == float(token)
@@ -215,17 +216,17 @@ def _token_text(missing_code: str | float | None) -> str:
     return "" if missing_code is None else str(missing_code)
 
 
-def _not_utf8(path) -> TableFormatError:
+def _not_utf8(path, handle) -> TableFormatError:
     """The error for a file that is not UTF-8, naming its first such line."""
-    with open(path, "rb") as handle:
-        lines = itertools.chain.from_iterable(raw.splitlines() for raw in handle)
-        for k, line in enumerate(lines, 1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return TableFormatError(
-                    f"{path}: line {k}: not UTF-8 ({exc.reason} at byte {exc.start + 1})"
-                )
+    handle.seek(0)
+    lines = itertools.chain.from_iterable(raw.splitlines() for raw in handle)
+    for k, line in enumerate(lines, 1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return TableFormatError(
+                f"{path}: line {k}: not UTF-8 ({exc.reason} at byte {exc.start + 1})"
+            )
     return TableFormatError(f"{path}: not UTF-8")
 
 
@@ -331,34 +332,30 @@ def _parse_rows(rows, path, width: int, start: int, token: str) -> tuple[list, l
 def _read_halves(path, handle, split: int, head, width: int, token: str) -> tuple[list, list]:
     """Parse ``head`` here while a forked child parses the rows from byte ``split`` on.
 
-    The child sends its row count, values and mask through a pipe.  If it
-    fails in any way, the tail is parsed again here with its true row
-    numbers, which raises the same fault a one-process read raises.  A
-    fault in the head is raised first.
+    The child reopens the caller's descriptor, so it reads the file that
+    ``handle`` holds even if ``path`` has since been replaced, and writes
+    its values and mask to an unnamed temp file, read here once it exits.
+    If it fails in any way, the tail is parsed again here with its true
+    row numbers, which raises the same fault a one-process read raises.
+    A fault in the head is raised first.
     """
-    read_end, write_end = os.pipe()
-    with open(read_end, "rb") as pipe, open(write_end, "wb") as sink:
+    with tempfile.TemporaryFile() as spill:
 
-        def send():
-            with open(path, "rb") as tail:
+        def child():
+            with open(f"/proc/self/fd/{handle.fileno()}", "rb") as tail:
                 tail.seek(split)
                 value_rows, mask_rows = _parse_rows(_rows(tail), path, width, 1, token)
-            values = np.array(value_rows, float).reshape(-1, width)
-            sink.write(len(values).to_bytes(8, "little"))
-            sink.write(values)
-            sink.write(np.array(mask_rows, bool).reshape(-1, width))
-            sink.flush()
+            spill.write(np.array(value_rows, float).reshape(-1, width))
+            spill.write(np.array(mask_rows, bool).reshape(-1, width))
+            spill.flush()  # os._exit skips Python's buffers
 
-        def receive():
-            sink.close()
-            head_rows = _parse_rows(head, path, width, 1, token)
-            count = int.from_bytes(pipe.read(8), "little")
-            values, mask = np.empty((count, width)), np.empty((count, width), bool)
-            pipe.readinto(values)
-            pipe.readinto(mask)
-            return head_rows, ([values], [mask])
-
-        ((value_rows, mask_rows), tail), ok = _with_child(send, receive)
+        (value_rows, mask_rows), ok = _with_child(
+            child, lambda: _parse_rows(head, path, width, 1, token))
+        if ok:
+            cells = os.fstat(spill.fileno()).st_size // 9  # 8 bytes of value, 1 of mask
+            spill.seek(0)
+            tail = ([np.fromfile(spill, float, cells).reshape(-1, width)],
+                    [np.fromfile(spill, bool, cells).reshape(-1, width)])
     if not ok:
         handle.seek(split)
         tail = _parse_rows(_rows(handle), path, width, len(value_rows) + 1, token)

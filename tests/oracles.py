@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: distribution functions
 are evaluated by adaptive quadrature over the densities (scipy.integrate),
 quantiles by root-finding on those quadrature CDFs, and the balanced ANOVA
-by the textbook cell-mean formulas.  The split-group resampling oracles are
+by the textbook cell-mean formulas.  The exact decomposition forms the
+unbalanced sums of squares and the ICC over ``fractions.Fraction``, with
+no rounding at all.  The split-group resampling oracles are
 the draw-by-draw loops that the batched kernels replaced: each draw is its
 own ``permutation(n)`` call (``disjoint_groups``), where the code under
 test makes one ``permuted`` call per chunk of draws, so they share only the
@@ -36,6 +38,7 @@ token, and a first row of such cells and numbers is data.
 
 import csv
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -121,6 +124,35 @@ def balanced_anova(x: np.ndarray) -> tuple[float, float, float, float]:
     residual = x - row_means[:, None] - col_means[None, :] + grand
     ss_inter = float((residual**2).sum())
     return ss_total, ss_rows, ss_cols, ss_inter
+
+
+def exact_decomposition(table: DataTable) -> dict[str, Fraction]:
+    """``ss``, ``ssi``, ``ssj``, ``ssij`` and the ICC of a table's valid
+    cells in exact rational arithmetic.
+
+    Each valid value is taken exactly as a ``Fraction``, and the unbalanced
+    sums of :func:`icctab.anova.anova` (per-row and per-column valid counts)
+    are formed with no rounding.  The ICC is ICC(C,k) with the row-effect
+    variance floored at 0; ``None`` when it is undefined.
+    """
+    m, n = table.shape
+    cells = [[Fraction(float(x)) if ok else None for x, ok in zip(row, valid)]
+             for row, valid in zip(table.values, table.valid)]
+    rows = [[x for x in row if x is not None] for row in cells]
+    cols = [[row[j] for row in cells if row[j] is not None] for j in range(n)]
+    n_valid = sum(map(len, rows))
+    correction = sum(map(sum, rows)) ** 2 / n_valid
+    ss = sum(x * x for row in rows for x in row) - correction
+    ssi = sum(sum(row) ** 2 / len(row) for row in rows) - correction
+    ssj = sum(sum(col) ** 2 / len(col) for col in cols) - correction
+    ssij = ss - ssi - ssj
+    vij = ssij / (n_valid - m - n + 1)
+    vi = max(Fraction(0), (ssi / (m - 1) - vij) / n)
+    if vij == 0:
+        icc = Fraction(1) if vi > 0 else None
+    else:
+        icc = vi / (vi + vij / n)
+    return {"ss": ss, "ssi": ssi, "ssj": ssj, "ssij": ssij, "icc": icc}
 
 
 def ks_distance(sample: np.ndarray, cdf) -> float:

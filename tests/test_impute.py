@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 import warnings
 from functools import partial
@@ -673,6 +674,21 @@ class TestCrariRecoveryStudy:
     def test_needs_a_replication(self, complete_table, replications):
         with pytest.raises(PreconditionError, match="replication"):
             crari_recovery_study(complete_table, [0.1], replications=replications, rng=1)
+
+    def test_solves_no_f_quantile(self, monkeypatch):
+        """The study reads only point estimates, so it asks for no bounds."""
+        anova_module = sys.modules["icctab.anova"]
+        calls, quantile = [], anova_module.f_quantile
+        monkeypatch.setattr(anova_module, "f_quantile",
+                            lambda *args: calls.append(args) or quantile(*args))
+        crari_recovery_study(STUDY_TABLE, STUDY_GRID, replications=2, rng=95)
+        assert calls == []
+
+    def test_equal_item_means(self):
+        """A Latin square's item means are equal, so it has point estimates
+        but no F bounds; the study needs only the former."""
+        square = DataTable(np.array([np.roll(np.arange(8.0), i) for i in range(8)]))
+        assert crari_recovery_study(square, [0.2], replications=2, rng=1)[0].icc_exact == 0.0
 
     def test_pinned_points(self):
         # recorded before the three studies shared one degradation loop

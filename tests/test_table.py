@@ -431,6 +431,34 @@ class TestSplitHygiene:
         with leaves_nothing(spill):
             assert read_outcome(_read_cells, path, -99.0) == expected
 
+    @pytest.mark.parametrize("undecodable", [False, True],
+                             ids=["tail-lines-reversed", "undecodable-tail"])
+    def test_path_replaced_before_the_fork(self, tmp_path, monkeypatch, spill, undecodable):
+        """Both processes read the file the caller opened, and a fault is
+        located in it, though ``path`` names another file once the child
+        starts: one with the same head and the tail's lines reversed."""
+        text = b"".join(b"%d,%d.5\n" % (i, 2 * i) for i in range(1, 9))
+        if undecodable:
+            text = text[:-2] + b"\xff\n"
+        split = text.index(b"\n", len(text) // 2) + 1
+        other = text[:split] + b"".join(reversed(text[split:].splitlines(True)))
+        path, replacement = tmp_path / "t.csv", tmp_path / "other.csv"
+        path.write_bytes(text)
+        replacement.write_bytes(other.replace(b"\xff", b"9"))
+        expected = read_outcome(_read_cells, path)
+        assert expected[0] is TableFormatError if undecodable else expected[0] == (8, 2)
+        monkeypatch.setattr(table_module, "_SPLIT_BYTES", 0)
+        fork = os.fork
+
+        def replace_then_fork():
+            os.replace(replacement, path)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", replace_then_fork)
+        with leaves_nothing(spill):
+            assert read_outcome(_read_cells, path) == expected
+        assert not replacement.exists()
+
     @pytest.mark.parametrize("in_parent", [True, False], ids=["parent", "child"])
     def test_write_errors(self, tmp_path, monkeypatch, spill, table, in_parent):
         table = DataTable(table.values[:60, :10])
