@@ -26,8 +26,10 @@ Both methods draw their donors with one ``integers`` call in cell order,
 row-major for ARI and column-major for CRARI, which matches a per-row or
 per-column loop of draws draw for draw (see :func:`_donor_fills`).  Their
 index arrays are sized by the missing cells, and a transposed view is read
-without a copy; besides those, temporaries reused in place keep ARI at two
-float tables at most and CRARI at three (``B + c*F`` forms in ``F``'s buffer).
+without a copy.  Besides those, ARI holds one float table, its output, and
+CRARI two at most: it decomposes the row-mean table ``B`` and lets it go
+before it draws the fills ``F``, then forms ``B + c*F`` in ``F``'s buffer,
+which its output keeps.
 
 Two degradation studies run on :func:`icctab.synth._degradation_study`:
 :func:`ari_bias_demo` (the ICC bias of row-wise imputation) and
@@ -44,7 +46,7 @@ from .anova import _icc, _pearson, anova, icc_report
 from .errors import PreconditionError, UnreachableTargetError
 from .rand import as_generator
 from .synth import _degradation_study
-from .table import DataTable
+from .table import DataTable, _handed_over
 
 __all__ = _EXPORTS["impute"].split()
 
@@ -102,8 +104,7 @@ def ari_impute(table: DataTable, rng=None) -> DataTable:
     fills = _donor_fills(table.values, table.missing, as_generator(rng))
     values = np.array(table.values, order="C")  # so the flat view writes in place
     values.reshape(-1)[np.flatnonzero(table.missing)] = fills
-    del fills  # not held while the table copies ``values``
-    return DataTable(values, np.zeros(table.shape, dtype=bool))
+    return DataTable(_handed_over(values), _handed_over(np.zeros(table.shape, dtype=bool)))
 
 
 def crari_impute(
@@ -171,10 +172,12 @@ def crari_impute(
         if not 0.0 <= target_icc <= 1.0:
             raise PreconditionError(f"explicit target must lie in [0, 1], got {target}")
 
+    def base():  # the table filled with its row means
+        return np.where(table.missing, report.item_means[:, None], table.values)
+
+    complete = _handed_over(np.zeros(table.shape, dtype=bool))
+    dec = anova(DataTable(_handed_over(base()), complete))  # let go before the fills are drawn
     centered = _column_donor_fills(table, as_generator(rng))
-    base = DataTable(np.where(table.missing, report.item_means[:, None], table.values),
-                     np.zeros(table.shape, dtype=bool))
-    dec = anova(base)
     fill_col_sums = centered.sum(axis=0)
     a1 = -2.0 * float(dec.col_sums @ fill_col_sums) / table.rows
     a2 = float((centered * centered).sum() - fill_col_sums @ fill_col_sums / table.rows)
@@ -204,10 +207,9 @@ def crari_impute(
         q = -0.5 * (a1 + root) if a1 > 0 else 0.5 * (root - a1)
         c = k / q if a1 > 0 else q / a2
 
-    # base + c*F, formed in the fills buffer; both are let go before the last anova
-    imputed = DataTable(np.add(base.values, np.multiply(c, centered, out=centered), out=centered),
-                        base.missing)
-    del base, centered
+    # base + c*F, formed in the fills buffer
+    np.multiply(c, centered, out=centered)
+    imputed = DataTable(_handed_over(np.add(base(), centered, out=centered)), complete)
     after = anova(imputed)
     drift = float(np.abs(after.item_means() - report.item_means).max())
     if drift > 1e-9:

@@ -30,7 +30,7 @@ from . import _EXPORTS
 from .anova import expected_icc
 from .errors import PreconditionError, StructuralError
 from .rand import as_generator
-from .table import DataTable
+from .table import DataTable, _handed_over
 
 __all__ = _EXPORTS["synth"].split()
 
@@ -82,7 +82,9 @@ class SynthTruth:
 
 def _signed_power(base: float | np.ndarray, exponent: float | np.ndarray):
     """sign(base) * |base| ** exponent, with sign(0) defined as 0."""
-    return np.sign(base) * np.abs(base) ** exponent
+    power = np.abs(base) ** exponent
+    power *= np.sign(base)
+    return power
 
 
 def generate(spec: SynthSpec) -> tuple[DataTable, SynthTruth]:
@@ -96,17 +98,17 @@ def generate(spec: SynthSpec) -> tuple[DataTable, SynthTruth]:
     uniforms = gen.random(spec.cols)
     exponents = 1.0 - spec.severity * np.log1p(-uniforms)
     noise = gen.normal(0.0, spec.noise_sd, size=(spec.rows, spec.cols))
-    cells = (
-        spec.mean
-        + _signed_power(item_effects[:, None], exponents[None, :])
-        + noise
-    )
+    # mean + signed power + noise, summed in that order in the power's buffer
+    cells = _signed_power(item_effects[:, None], exponents[None, :])
+    cells += spec.mean
+    cells += noise
+    del noise  # not held while the table checks the cells
     truth = SynthTruth(
         item_effects=item_effects,
         participant_exponents=exponents,
         expected_icc=expected_icc(spec.q, spec.cols),
     )
-    return DataTable(cells), truth
+    return DataTable(_handed_over(cells)), truth
 
 
 def alpha_cdf(alpha: float, severity: float) -> float:
@@ -141,11 +143,11 @@ def degrade_random(table: DataTable, p: float, rng=None) -> DataTable:
     gen = as_generator(rng)
     for _ in range(_MAX_RETRIES):
         chosen = gen.choice(candidates, size=count, replace=False)
-        mask = np.array(table.missing)
-        mask.ravel()[chosen] = True
+        mask = np.array(table.missing, order="C")  # so the flat view writes in place
+        mask.reshape(-1)[chosen] = True
         valid = ~mask
         if valid.any(axis=1).all() and valid.any(axis=0).all():
-            return DataTable(table.values, mask)
+            return _masked(table, mask, chosen)
     valid = table.valid
     kept, covered = np.zeros_like(valid), np.zeros(n, bool)
     for i in gen.permutation(m):
@@ -157,9 +159,18 @@ def degrade_random(table: DataTable, p: float, rng=None) -> DataTable:
     rest = np.flatnonzero((valid & ~kept).ravel())
     if count > rest.size:
         raise StructuralError(f"cannot mask {count} cells without emptying a row or column")
-    mask = np.array(table.missing)
-    mask.ravel()[gen.choice(rest, size=count, replace=False)] = True
-    return DataTable(table.values, mask)
+    chosen = gen.choice(rest, size=count, replace=False)
+    mask = np.array(table.missing, order="C")
+    mask.reshape(-1)[chosen] = True
+    return _masked(table, mask, chosen)
+
+
+def _masked(table: DataTable, mask: np.ndarray, chosen: np.ndarray) -> DataTable:
+    """``table`` under its C-ordered new ``mask``, which adds the cells at
+    the flat indices ``chosen``: NaN goes to those cells alone."""
+    values = np.array(table.values, order="C")
+    values.reshape(-1)[chosen] = np.nan
+    return DataTable(_handed_over(values), _handed_over(mask))
 
 
 def _degradation_study(table: DataTable, p_grid, replications: int, rng,

@@ -554,7 +554,8 @@ def virtualize_loop(table, rng=None) -> DataTable:
 
 def read_cells_loop(path, missing_code=None) -> tuple[np.ndarray, np.ndarray]:
     """A cell is missing when it is blank, when its stripped text is the
-    token's (``repr`` of a number), or when it equals a numeric token."""
+    token's (``repr`` of a number), or when it equals a numeric token; a
+    missing cell holds NaN."""
     if missing_code is None or isinstance(missing_code, str):
         token = (missing_code or "").strip()
     else:
@@ -572,7 +573,7 @@ def read_cells_loop(path, missing_code=None) -> tuple[np.ndarray, np.ndarray]:
     if not raw:
         raise StructuralError(f"{path}: file contains no data rows")
     width = len(raw[0])
-    values = np.zeros((len(raw), width))
+    values = np.full((len(raw), width), np.nan)
     mask = np.zeros((len(raw), width), dtype=bool)
     for i, row in enumerate(raw):
         if len(row) != width:

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -469,6 +470,50 @@ GOLDEN_CASES = [
                           "--output", "coleffect_imputed.csv", "--seed", "7"],
      ["coleffect_table.csv"], []),
 ]
+
+
+class TestCommandTracedPeaks:
+    """Traced peak of each pipeline command on a 1400 x 80 table with half
+    its cells missing (fewer cells to parse under the trace), in tables of
+    896 000 bytes.
+
+    Measured (numpy 2.4, Python 3.11): ``synth`` 4.35, ``icc --zscore
+    --virtualize`` 2.70, ``impute --zscore`` 3.60, ``ecvt`` 2.26 and ``fit
+    --zscore --mix`` 2.69.  Each bound is that plus half a table, so a
+    handler that keeps a superseded table alive, a whole table more, fails.
+    """
+
+    BOUNDS = {"synth": 4.85, "icc": 3.20, "impute": 4.10, "ecvt": 2.76, "fit": 3.19}
+
+    def test_each_command_holds_its_tables_only(self, tmp_path, capsys):
+        import icctab.ecvt  # noqa: F401 - each handler's imports load before the trace
+        import icctab.fit
+        import icctab.impute
+        import icctab.synth
+
+        table, truth, imputed, predictors = (str(tmp_path / name) for name in (
+            "table.csv", "truth.csv", "imputed.csv", "predictors.csv"))
+        commands = {
+            "synth": ["--rows", "1400", "--cols", "80", "--degrade", "0.5", "--output", table,
+                      "--ground-truth", truth],
+            "icc": ["--input", table, "--zscore", "--virtualize"],
+            "impute": ["--input", table, "--zscore", "--output", imputed],
+            "ecvt": ["--input", imputed, "--resamples", "50"],
+            "fit": ["--input", table, "--zscore", "--mix", "--predictors", predictors],
+        }
+        peaks = {}
+        for name, argv in commands.items():
+            if name == "fit":
+                effects = np.loadtxt(truth, delimiter=",", skiprows=1, usecols=0)
+                np.savetxt(predictors, np.column_stack([effects, effects[::-1]]), delimiter=",")
+            tracemalloc.start()
+            try:
+                assert main([name, *argv, "--seed", "5"]) == 0
+                peaks[name] = tracemalloc.get_traced_memory()[1] / (1400 * 80 * 8)
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+        assert all(peaks[name] <= bound for name, bound in self.BOUNDS.items()), peaks
 
 
 class TestGoldenReports:

@@ -25,6 +25,7 @@ from oracles import (
     zscore_allocating,
 )
 
+import icctab.table as table_module
 from icctab import (
     DataTable,
     NumericError,
@@ -39,7 +40,9 @@ from icctab import (
     generate,
     icc_report,
     load_csv,
+    mix_rows,
     save_csv,
+    virtualize,
     zscore,
 )
 from icctab.cli import main
@@ -530,40 +533,67 @@ class TestInPlaceKernelsMatchAllocatingKernels:
 
 
 class TestKernelTracedPeaks:
-    """Traced peaks of the kernels of one degradation replication on the
-    Z-scored 1400 x 80 table (896 000 bytes), in tables.
+    """Traced peaks of the table kernels on the Z-scored 1400 x 80 table
+    (896 000 bytes), in tables.
 
-    Measured peaks (numpy 2.4) and those of the allocating forms they
-    replaced, at p = 0.1 / 0.5 / 0.9: ``anova`` 1.23 (was 2.15), ``zscore``
-    2.63 (was 4.63), ``ari_impute`` 2.63 / 2.63 / 2.84 (was 3.27 / 4.07 /
-    5.67), ``crari_impute`` 3.67 (was 5.32) and its donor kernel
-    ``_column_donor_fills`` 2.16 / 2.16 / 2.80 (was 3.21 / 4.01 / 4.81).
-    Each bound is the largest peak plus 0.25 of a table (224 kB): room for
-    three ufunc iterator buffers of 8192 float64 (numpy traces one in a
-    masked subtract), so less than one table-sized temporary more.
+    Measured peaks (numpy 2.4) at p = 0.1 / 0.5 / 0.9, and those before a
+    table kept the arrays its kernels hand it: ``anova`` 1.23, ``zscore``
+    1.51 (was 2.63), ``ari_impute`` 1.60 / 2.04 / 2.84 (was 2.63 / 2.63 /
+    2.84), ``crari_impute`` 2.39 / 2.39 / 2.97 (was 3.67), its donor kernel
+    ``_column_donor_fills`` 2.16 / 2.16 / 2.80, ``mix_rows`` 1.50 (was
+    2.63), ``virtualize`` 1.74 / 1.35 / 0.67 (was 4.66 / 3.13 / 0.96), a
+    table built from another table's arrays 0.38 (was 1.50), ``load_csv``
+    2.90 in one process and 2.05 split (was 2.89 and 2.63), and
+    ``generate`` 2.18 (was 3.52).  Each bound is the largest peak plus 0.25
+    of a table (224 kB): room for three ufunc iterator buffers of 8192
+    float64 (numpy traces one in a masked subtract), so less than one
+    table-sized temporary more.
     """
 
-    BOUNDS = {"anova": 1.48, "zscore": 2.88, "ari_impute": 3.09, "crari_impute": 3.92,
-              "column_donor_fills": 3.06}
+    BOUNDS = {"anova": 1.48, "zscore": 1.76, "ari_impute": 3.09, "crari_impute": 3.22,
+              "column_donor_fills": 3.06, "mix_rows": 1.76, "virtualize": 1.99,
+              "table_from_arrays": 0.63}
     KERNELS = {
         "anova": anova,
         "zscore": zscore,
         "ari_impute": partial(ari_impute, rng=95),
         "crari_impute": partial(crari_impute, rng=95),
         "column_donor_fills": lambda table: _column_donor_fills(table, as_generator(95)),
+        "mix_rows": partial(mix_rows, rng=95),
+        "virtualize": partial(virtualize, rng=95),
+        "table_from_arrays": lambda table: DataTable(table.values, table.missing),
     }
+    LOAD_BOUNDS = {"one-process": 3.16, "split": 2.30}
+
+    @staticmethod
+    def peak(kernel, *args) -> int:
+        tracemalloc.start()
+        try:
+            kernel(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("name", list(BOUNDS))
     def test_traced_peak(self, z_table_1400x80, name, p):
         table = degrade_random(z_table_1400x80, p, rng=96)
-        tracemalloc.start()
-        try:
-            self.KERNELS[name](table)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= self.BOUNDS[name] * table.values.nbytes
+        assert self.peak(self.KERNELS[name], table) <= self.BOUNDS[name] * table.values.nbytes
+
+    @pytest.mark.parametrize("how", list(LOAD_BOUNDS))
+    def test_load_csv_traced_peak(self, tmp_path, monkeypatch, z_table_1400x80, how):
+        # the peaks in tables do not move with p; the smallest file reads fastest
+        table = degrade_random(z_table_1400x80, 0.9, rng=96)
+        path = tmp_path / "t.csv"
+        save_csv(table, path)
+        monkeypatch.setattr(table_module, "_SPLIT_BYTES", 0 if how == "split" else 1 << 62)
+        if how == "split" and not table_module._forks(0):
+            pytest.skip("this host reads in one process (one CPU, or threads running)")
+        assert self.peak(load_csv, path) <= self.LOAD_BOUNDS[how] * table.values.nbytes
+
+    def test_generate_traced_peak(self):
+        nbytes = 1400 * 80 * 8
+        assert self.peak(generate, SynthSpec(rows=1400, cols=80, seed=4242)) <= 2.43 * nbytes
 
 
 class TestCrariProperties:

@@ -110,6 +110,18 @@ class TestDegradeRandom:
         valid = degraded.valid
         assert np.array_equal(degraded.values[valid], complete_table.values[valid])
 
+    def test_transposed_table_masks_the_same_cells(self):
+        # a table keeps a transposed (Fortran-ordered) array and mask; the
+        # flat indices of the draw still address its cells in C order
+        raw, _ = generate(SynthSpec(rows=25, cols=80, seed=7))
+        transposed = DataTable(raw.values.T)
+        assert transposed.missing.flags.f_contiguous
+        degraded = degrade_random(transposed, 0.3, rng=8)
+        expected = degrade_random(DataTable(np.ascontiguousarray(raw.values.T)), 0.3, rng=8)
+        assert degraded.missing.sum() == round(0.3 * 80 * 25)
+        assert np.array_equal(degraded.missing, expected.missing)
+        assert np.array_equal(degraded.values, expected.values, equal_nan=True)
+
     def test_reproducible(self, complete_table):
         a = degrade_random(complete_table, 0.25, rng=9)
         b = degrade_random(complete_table, 0.25, rng=9)

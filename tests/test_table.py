@@ -74,6 +74,44 @@ class TestDataTable:
         with pytest.raises(ValueError):
             small_table.missing[0, 0] = True
 
+    def test_writeable_caller_array_is_copied(self):
+        values = np.array([[1.0, np.nan], [3.0, 4.0]])
+        table = DataTable(values)
+        values[0, 0] = 99.0
+        assert table.values[0, 0] == 1.0
+        assert not np.shares_memory(table.values, values)
+
+    def test_given_up_array_is_kept(self):
+        values = np.array([[1.0, np.nan], [3.0, 4.0]])
+        mask = np.isnan(values)
+        values.flags.writeable = mask.flags.writeable = False
+        table = DataTable(values, mask)
+        assert table.values is values and table.missing is mask
+
+    def test_read_only_view_of_writeable_base_is_copied(self):
+        base = np.array([[1.0, 2.0], [3.0, 4.0]])
+        view = base[:]
+        view.flags.writeable = False
+        table = DataTable(view, np.zeros((2, 2), bool))
+        base[0, 0] = 99.0
+        assert table.values[0, 0] == 1.0
+        assert not np.shares_memory(table.values, base)
+
+    def test_read_only_array_with_a_number_in_a_masked_cell_is_copied(self):
+        values = np.array([[1.0, 2.0], [3.0, 4.0]])
+        values.flags.writeable = False
+        table = DataTable(values, [[False, True], [False, False]])
+        assert np.isnan(table.values[0, 1])
+        assert values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert not np.shares_memory(table.values, values)
+
+    def test_table_from_another_tables_arrays_shares_them(self, small_table):
+        table = DataTable(small_table.values, small_table.missing)
+        assert np.shares_memory(table.values, small_table.values)
+        assert np.shares_memory(table.missing, small_table.missing)
+        transposed = DataTable(small_table.values.T, small_table.missing.T)
+        assert np.shares_memory(transposed.values, small_table.values)
+
     def test_row_and_col_means_skip_missing(self, small_table):
         assert small_table.row_means()[1] == pytest.approx(5.0)
         assert small_table.col_means()[1] == pytest.approx((2 + 8 + 5) / 3)
@@ -304,8 +342,7 @@ class TestStreamingMatchesLoop:
         assert path.read_bytes() == loop_path.read_bytes()
         back = read_outcome(_read_cells, path, token)
         assert back == read_outcome(read_cells_loop, path, token)
-        assert back == (table.shape, np.where(table.missing, 0.0, table.values).tobytes(),
-                        table.missing.tobytes())
+        assert back == (table.shape, table.values.tobytes(), table.missing.tobytes())
 
 
 finite = st.one_of(
@@ -673,6 +710,18 @@ class TestVirtualize:
         table = degrade_random(raw, p, rng=cols)
         gen, gen_loop = np.random.default_rng(17), np.random.default_rng(17)
         out, loop = virtualize(table, gen), virtualize_loop(table, gen_loop)
+        assert np.array_equal(out.values, loop.values, equal_nan=True)
+        assert np.array_equal(out.missing, loop.missing)
+        assert gen.bit_generator.state == gen_loop.bit_generator.state
+
+    @pytest.mark.parametrize("cols", [240, 300])
+    def test_wide_tables_match_per_row_loop(self, cols):
+        # an int16 index block, and row blocks of the draws, keep the int64 stream
+        raw = DataTable(np.random.default_rng(cols).normal(size=(300, cols)))
+        table = degrade_random(raw, 0.1, rng=cols)
+        gen, gen_loop = np.random.default_rng(23), np.random.default_rng(23)
+        out, loop = virtualize(table, gen), virtualize_loop(table, gen_loop)
+        assert out.cols > 128
         assert np.array_equal(out.values, loop.values, equal_nan=True)
         assert np.array_equal(out.missing, loop.missing)
         assert gen.bit_generator.state == gen_loop.bit_generator.state
