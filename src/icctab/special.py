@@ -4,14 +4,14 @@ beta and F quantiles built on it, and the chi-square upper tail.
 The incomplete beta is evaluated by a standard continued fraction (modified
 Lentz) to ~1e-14 relative accuracy.  The beta quantile inverts it by
 safeguarded Newton steps from a closed-form start until a step moves ``x``
-by at most ``4e-16·x``, so the quantiles are as accurate as ``I_x`` itself:
-within 1.2e-11 relative of ``scipy.stats.f.ppf`` at the report levels, up
-to the DLP's degrees of freedom.  The chi-square tail of an integer df is a
-closed-form finite sum.  Every function is pure.  :func:`f_quantile`
-remembers its last ``_F_QUANTILE_MEMO`` distinct arguments (a bounded
-``functools.lru_cache``), because degradation studies ask for the same
-degrees of freedom in every replication; a remembered value is the computed
-one, bit for bit.
+by at most ``4e-16·x`` or meets the rounding noise of ``I_x``, so the
+quantiles are as accurate as ``I_x`` itself: within 1.2e-11 relative of
+``scipy.stats.f.ppf`` at the report levels, up to the DLP's degrees of
+freedom.  The chi-square tail of an integer df is a closed-form finite sum.
+Every function is pure.  :func:`f_quantile` remembers its last
+``_F_QUANTILE_MEMO`` distinct arguments (a bounded ``functools.lru_cache``),
+because degradation studies ask for the same degrees of freedom in every
+replication; a remembered value is the computed one, bit for bit.
 """
 
 import functools
@@ -68,28 +68,23 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
+    d = _TINY if abs(d) < _TINY else d
     d = 1.0 / d
     h = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
         coeff = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + coeff * d
-        if abs(d) < _TINY:
-            d = _TINY
+        d = _TINY if abs(d) < _TINY else d
         c = 1.0 + coeff / c
-        if abs(c) < _TINY:
-            c = _TINY
+        c = _TINY if abs(c) < _TINY else c
         d = 1.0 / d
         h *= d * c
         coeff = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + coeff * d
-        if abs(d) < _TINY:
-            d = _TINY
+        d = _TINY if abs(d) < _TINY else d
         c = 1.0 + coeff / c
-        if abs(c) < _TINY:
-            c = _TINY
+        c = _TINY if abs(c) < _TINY else c
         d = 1.0 / d
         delta = d * c
         h *= delta
@@ -107,11 +102,11 @@ def beta_quantile(p: float, a: float, b: float) -> float:
     Thomas 1977, AS 109): a closed-form start (:func:`_beta_start`), then
     steps ``(I_x - p) / density`` inside a bracket kept from the sign of
     ``I_x - p``, bisecting whenever a step would leave it, until a step moves
-    ``x`` by at most ``4e-16·x``.  A quantile whose start lies above 1/2 is
-    solved as ``1 - x`` on the complementary problem, so ``1 - x`` keeps its
-    relative precision (see :func:`f_quantile`).  The median of a symmetric
-    beta is exactly 1/2, where the rounding noise of ``I_x`` would leave
-    the search a few ulps away.
+    ``x`` by at most ``4e-16·x`` or meets the noise of ``I_x``.  A quantile
+    whose start lies above 1/2 is solved as ``1 - x`` on the complementary
+    problem, so ``1 - x`` keeps its relative precision (see
+    :func:`f_quantile`).  The median of a symmetric beta is exactly 1/2,
+    where the rounding noise of ``I_x`` would leave the search a few ulps away.
     """
     return _beta_quantile_pair(p, a, b)[0]
 
@@ -174,14 +169,20 @@ def _beta_start(p: float, a: float, b: float) -> float:
 
 def _beta_newton(p: float, a: float, b: float, x: float) -> float:
     """Root of ``I_x(a, b) = p`` by Newton steps from ``x``, bisecting the
-    bracket ``[lo, hi]`` whenever a step would leave it."""
+    bracket ``[lo, hi]`` whenever a step would leave it.  A Newton step that
+    stays on its side of the root but does not lower ``|I_x - p|`` shows the
+    rounding noise of ``I_x``: the ``x`` of least ``|I_x - p|`` is returned."""
     lo, hi = 0.0, 1.0
     if not lo < x < hi:
         x = 0.5
+    best, newton_dp = (math.inf, x), math.nan  # I_x - p where a Newton step began, else NaN
     for _ in range(_MAX_NEWTON):
         dp = reg_inc_beta(x, a, b) - p
         if dp == 0.0:
             return x
+        if (dp < 0.0) == (newton_dp < 0.0) and abs(dp) >= abs(newton_dp):
+            return best[1]
+        best = min(best, (abs(dp), x))
         if dp < 0.0:
             lo = x
         else:
@@ -191,6 +192,7 @@ def _beta_newton(p: float, a: float, b: float, x: float) -> float:
         if abs(step) <= _NEWTON_TOL * x:
             return x - step
         x -= step
+        newton_dp = dp if lo < x < hi else math.nan
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
             if hi - lo <= _NEWTON_TOL * x:

@@ -14,7 +14,8 @@ when its stripped text is the stripped token, or when it equals a numeric
 token; a save refuses a numeric token that a valid value equals.  Blank
 lines are skipped, a first non-blank row with a cell neither missing nor
 numeric is a header, and error messages count rows after it.
-Rows stream, so memory stays O(table), not one Python string per cell.
+Rows stream into one flat buffer of numbers and one of empty flags, so
+memory stays O(table), with no Python object or array per row or cell.
 
 Reads and writes of at least ``_SPLIT_BYTES`` (512 KiB of file or of
 values) use two processes when the host gives this one more than one CPU
@@ -47,8 +48,8 @@ Kernels also reuse their table-sized temporaries in place (ufunc ``out=``,
 ``np.copyto(where=)``), as each fresh one costs page faults.  Traced peaks
 on a 1400 x 80 table, in tables and besides the input: :func:`zscore` 1.5,
 :func:`mix_rows` 1.5, :func:`virtualize` at most 1.75 (its draws run in row
-blocks of ``_BLOCK_CELLS`` cells), and :func:`load_csv` 2.05 split, 2.9 in
-one process.
+blocks of ``_BLOCK_CELLS`` cells), and :func:`load_csv` 1.73 split, 1.6 to
+2.3 in one process (its number buffer holds the valid cells).
 """
 
 import csv
@@ -58,6 +59,7 @@ import os
 import shutil
 import tempfile
 import threading
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,7 +239,7 @@ def _read_cells(path, missing_code: str | float | None = None) -> tuple[np.ndarr
             width = len(first)
             head = itertools.chain([first], rows)
             if split is None:
-                values, mask = map(np.stack, _parse_rows(head, path, width, 1, token))
+                values, mask = _parse_rows(head, path, width, 1, token)
             else:
                 values, mask = _read_halves(path, handle, split, head, width, token)
         except UnicodeDecodeError:
@@ -343,10 +345,10 @@ def _first_data_row(handle, path, stop: int | None, token: str):
     return first, rows, header
 
 
-def _parse_rows(rows, path, width: int, start: int, token: str) -> tuple[list, list]:
-    """Value and mask arrays, one pair per row, of CSV rows numbered from
-    ``start``; an empty cell holds NaN."""
-    value_rows, mask_rows = [], []
+def _parse_rows(rows, path, width: int, start: int, token: str) -> tuple[np.ndarray, np.ndarray]:
+    """Values and mask, each one ``(rows, width)`` array, of CSV rows numbered
+    from ``start``; an empty cell holds NaN."""
+    numbers, empty = array("d"), bytearray()
     i = start - 1
     try:
         for i, row in enumerate(rows, start):
@@ -355,21 +357,20 @@ def _parse_rows(rows, path, width: int, start: int, token: str) -> tuple[list, l
             texts = list(map(str.strip, row))
             if token:
                 texts = ["" if text == token else text for text in texts]
-            empty = np.fromiter(map(operator.not_, texts), bool, width)
+            empty.extend(map(operator.not_, texts))
             try:
-                parsed = np.fromiter(map(float, filter(None, texts)), float)
+                numbers.extend(map(float, filter(None, texts)))
             except ValueError:
                 j = _first_non_number(texts)
                 raise TableFormatError(
                     f"{path}: row {i}, column {j + 1}: cannot parse {texts[j]!r}"
                 ) from None
-            row_values = np.full(width, np.nan)
-            row_values[~empty] = parsed
-            value_rows.append(row_values)
-            mask_rows.append(empty)
     except csv.Error as exc:  # a cell longer than csv.field_size_limit()
         raise TableFormatError(f"{path}: row {i + 1}: {exc}") from None
-    return value_rows, mask_rows
+    mask = np.frombuffer(empty, bool).reshape(-1, width)
+    values = np.full(mask.shape, np.nan)
+    np.place(values, ~mask, numbers)
+    return values, mask
 
 
 def _read_halves(path, handle, split: int, head, width: int,
@@ -390,26 +391,23 @@ def _read_halves(path, handle, split: int, head, width: int,
         def child():
             with open(f"/proc/self/fd/{handle.fileno()}", "rb") as tail:
                 tail.seek(split)
-                value_rows, mask_rows = _parse_rows(_rows(tail), path, width, 1, token)
-            spill.write(np.array(value_rows, float).reshape(-1, width))
-            spill.write(np.array(mask_rows, bool).reshape(-1, width))
+                spill.writelines(_parse_rows(_rows(tail), path, width, 1, token))
             spill.flush()  # os._exit skips Python's buffers
 
-        (value_rows, mask_rows), ok = _with_child(
+        (head_values, head_mask), ok = _with_child(
             child, lambda: _parse_rows(head, path, width, 1, token))
         if ok:
-            h = len(value_rows)
+            h = len(head_values)
             rows = h + os.fstat(spill.fileno()).st_size // (9 * width)  # 8 bytes of value, 1 of mask
             values, mask = np.empty((rows, width)), np.empty((rows, width), bool)
-            np.stack(value_rows, out=values[:h])
-            np.stack(mask_rows, out=mask[:h])
+            values[:h], mask[:h] = head_values, head_mask
             spill.seek(0)
             spill.readinto(values[h:])
             spill.readinto(mask[h:])
             return values, mask
     handle.seek(split)
-    tail = _parse_rows(_rows(handle), path, width, len(value_rows) + 1, token)
-    return np.stack(value_rows + tail[0]), np.stack(mask_rows + tail[1])
+    tail_values, tail_mask = _parse_rows(_rows(handle), path, width, len(head_values) + 1, token)
+    return np.concatenate((head_values, tail_values)), np.concatenate((head_mask, tail_mask))
 
 
 def _first_non_number(cells, token: str = "") -> int | None:

@@ -152,6 +152,26 @@ class TestFQuantileAccuracy:
             ), p
 
 
+class TestBetaNewtonNoise:
+    def test_search_ends_at_the_rounding_noise(self, monkeypatch):
+        # cli-large's icc/fit df, F(4199, 1003561) at 0.9: I_x is noisy at
+        # about 1e-13 there, and the search dithered for 17 evaluations
+        calls, evaluate = [], special.reg_inc_beta
+        monkeypatch.setattr(special, "reg_inc_beta", lambda *args: calls.append(args)
+                            or evaluate(*args))
+        x, _ = special._beta_quantile_pair(0.9, 2099.5, 501780.5)
+        assert len(calls) <= 8
+        assert x * 1003561 / ((1 - x) * 4199) == pytest.approx(
+            f_distribution.ppf(0.9, 4199, 1003561), rel=1e-10, abs=0)
+
+    def test_a_step_across_the_root_does_not_end_it(self):
+        # the first Newton step overshoots the root and raises |I_x - p|:
+        # ending the search there returns 6.9e-6
+        assert beta_quantile(0.530388133801664, 0.1204491491876117,
+                             1313.4436145980885) == pytest.approx(2.434914807303927e-06,
+                                                                  rel=1e-10, abs=0)
+
+
 class TestChi2UpperTail:
     def test_at_zero(self):
         assert chi2_upper_tail(0.0, 5) == 1.0

@@ -255,6 +255,9 @@ READ_CASES = {
     "sentinel-in-both-halves": (b"1,-99\n3,4\n5,6\n-99,8\n", -99.0),
     "token-in-both-halves": (b"1,NA\n3,4\n5,6\nNA,8\n", "NA"),
     "two-rows": (b"1,2\n3,4", None),
+    # a half with no number in it
+    "empty-cells-tail": (b"1,2\n3,4\n,\n,\n", None),
+    "empty-cells-head": (b",\n,\n,\n,\n,\n5,6\n7,8\n", None),
     # read in one process at any size
     "quoted-head": (b'"1",2\n3,4\n5,6\n7,8\n', None),
     "cr-only": (b"1,2\r3,4\r5,6\r7,8\r", None),
@@ -263,7 +266,7 @@ READ_CASES = {
 }
 SPLIT_READS = {"ragged-in-tail", "unparseable-in-tail", "faults-in-both-halves", "quote-in-tail",
                "blank-tail", "header-then-split", "cr-lines-in-head", "sentinel-in-both-halves",
-               "token-in-both-halves", "two-rows"}
+               "token-in-both-halves", "two-rows", "empty-cells-tail", "empty-cells-head"}
 ONE_PROCESS_READS = {"quoted-head", "cr-only", "midpoint-in-header", "two-rows-lf", "empty-file"}
 
 # Bytes that are not UTF-8 raise at their row, in file order, and name
@@ -461,12 +464,14 @@ class TestSplitHygiene:
     def test_failed_child_read_is_redone_here(self, tmp_path, monkeypatch, spill):
         monkeypatch.setattr(table_module, "_SPLIT_BYTES", 0)
         path = tmp_path / "t.csv"
-        path.write_bytes(READ_CASES["sentinel-in-both-halves"][0])
-        expected = read_outcome(_read_cells, path, -99.0)
         monkeypatch.setattr(table_module, "_parse_rows", fail_in(os.getpid(), False,
                                                                table_module._parse_rows))
-        with leaves_nothing(spill):
-            assert read_outcome(_read_cells, path, -99.0) == expected
+        for name in ("sentinel-in-both-halves", "empty-cells-tail", "empty-cells-head"):
+            text, missing_code = READ_CASES[name]
+            path.write_bytes(text)
+            with leaves_nothing(spill):
+                assert read_outcome(_read_cells, path, missing_code) == read_outcome(
+                    read_cells_loop, path, missing_code)
 
     @pytest.mark.parametrize("undecodable", [False, True],
                              ids=["tail-lines-reversed", "undecodable-tail"])
