@@ -4,8 +4,12 @@ Rows (items) and columns (participants) are both treated as random
 effects; the consistency-of-averages intraclass correlation ICC(C,k) is
 estimated from the variance components.  An empty cell simply drops out of
 every sum, so the same code path serves complete and incomplete tables.
-Besides its input, :func:`anova` holds one float table, the zero-filled
-values, squared in place (ufunc ``out=``) for the total sum of squares.
+Besides its input, :func:`anova` holds one float table, the values less a
+shift (0 at empty cells), squared in place (ufunc ``out=``): column 0's valid
+mean rounded to a multiple of the power of two above its sd (the mean at sd 0),
+so a Z-scored table has shift 0 and an offset costs no precision (the shifted
+sums of Chan, Golub & LeVeque 1983).  An ``ssij`` within ``N·eps·ss`` of 0 is
+0; a spread of rounding alone (``_constant_to_rounding``) is a ``NumericError``.
 
 The corrected coefficient compensates for randomly missing data: a
 proportion ``p`` of missing cells reduces the mean number of averaged
@@ -50,6 +54,7 @@ class AnovaDecomposition:
     row_counts: np.ndarray
     col_sums: np.ndarray
     col_counts: np.ndarray
+    shift: float  # the row and column sums are of the values less it
     n_valid: int
     ss: float
     ssi: float
@@ -70,7 +75,7 @@ class AnovaDecomposition:
         return math.inf if self.vij == 0.0 else self.vi / self.vij
 
     def item_means(self) -> np.ndarray:
-        return self.row_sums / self.row_counts
+        return self.row_sums / self.row_counts + self.shift
 
 
 def anova(table: DataTable) -> AnovaDecomposition:
@@ -81,7 +86,12 @@ def anova(table: DataTable) -> AnovaDecomposition:
     """
     m, n = table.shape
     valid = table.valid
-    x = np.where(valid, table.values, 0.0)
+    column = table.values[valid[:, 0], 0]
+    mean, sd = float(column.mean()), float(column.std())
+    step = math.ldexp(1.0, math.frexp(sd)[1])  # the power of two above sd
+    shift = round(mean / step) * step if sd else mean
+    x = np.where(valid, table.values, shift)
+    np.subtract(x, shift, out=x)  # exactly 0 at the empty cells
     row_sums = x.sum(axis=1)
     row_counts = valid.sum(axis=1)
     col_sums = x.sum(axis=0)
@@ -97,19 +107,22 @@ def anova(table: DataTable) -> AnovaDecomposition:
         )
     total = row_sums.sum()
     correction = total * total / n_valid
-    ss = float(np.square(x, out=x).sum() - correction)
+    sq = np.square(x, out=x).sum()
+    ss = float(sq - correction)
+    if ss != 0.0 and _constant_to_rounding(ss, sq + shift * (2 * total + n_valid * shift), n_valid):
+        raise NumericError(f"the table is constant to rounding (sum of squares {ss:.3e})")
     ssi = float((row_sums**2 / row_counts).sum() - correction)
     ssj = float((col_sums**2 / col_counts).sum() - correction)
     ssij = ss - ssi - ssj
+    ssij = 0.0 if abs(ssij) <= n_valid * np.finfo(float).eps * ss else ssij  # as _correlation
     msi = ssi / dfi
     msj = ssj / dfj
     vij = ssij / dfij
     if vij < 0:
         raise NumericError(
-            f"negative interaction variance ({vij:.3e}): the table is too unbalanced "
-            "for this decomposition, as happens when a raw table with missing cells "
-            "has a column (participant) effect; standardize its columns first (--zscore)"
-        )
+            f"negative interaction variance ({vij:.3e}): the table is too unbalanced for this "
+            "decomposition, as happens when a raw table with missing cells has a column "
+            "(participant) effect; standardize its columns first (--zscore)")
     vi = max(0.0, (msi - vij) / n)
     vj = max(0.0, (msj - vij) / m)
     return AnovaDecomposition(
@@ -117,6 +130,7 @@ def anova(table: DataTable) -> AnovaDecomposition:
         row_counts=row_counts,
         col_sums=col_sums,
         col_counts=col_counts,
+        shift=shift,
         n_valid=n_valid,
         ss=ss,
         ssi=ssi,
@@ -163,9 +177,9 @@ def icc_report(
     Raises
     ------
     NumericError
-        Both the row-effect and interaction variances are zero, so the ICC
-        is undefined (e.g. a constant table); or confidence bounds are
-        requested while ``f_obs`` is not positive (all item means equal).
+        Zero row-effect and interaction variances (a constant table), or a
+        spread of rounding alone (:func:`anova`), leave the ICC undefined; or
+        bounds are requested while ``f_obs`` is not positive (all item means equal).
     """
     for prob in conf_probs:
         if not 0.0 < prob < 1.0:

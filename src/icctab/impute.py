@@ -60,7 +60,8 @@ class ImputationOutcome:
     table comes back as an equal copy).  It is diagnostic output: it
     depends on the random donor draws, so only the attained ICC
     ``icc_after``, measured on ``imputed``, is reproducible across streams.
-    ``row_mean_drift`` is the largest change of an item mean, warned above 1e-9.
+    ``row_mean_drift`` is the largest change of an item mean, warned above
+    1e-9 or their rounding (``n·eps`` times the largest), if larger.
     """
 
     imputed: DataTable
@@ -212,7 +213,7 @@ def crari_impute(
     imputed = DataTable(_handed_over(np.add(base(), centered, out=centered)), complete)
     after = anova(imputed)
     drift = float(np.abs(after.item_means() - report.item_means).max())
-    if drift > 1e-9:
+    if drift > max(1e-9, table.cols * np.finfo(float).eps * np.abs(report.item_means).max()):
         warnings.append(f"item mean inaccuracy: {drift:.3e}")
     icc_after = _icc(after.msi, after.vij, table.cols)
     return ImputationOutcome(imputed=imputed, c=c, icc_before=report.icc, icc_cor=report.icc_cor,

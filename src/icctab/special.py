@@ -22,7 +22,7 @@ from .errors import NumericError, PreconditionError
 
 __all__ = _EXPORTS["special"].split()
 
-_CF_MAX_ITER = 500
+_CF_MAX_ITER = 500  # plus sqrt(max(a, b)): near the mean, the fraction needs about half that
 _CF_EPS = 1e-15
 _TINY = 1e-300
 _MAX_NEWTON = 200
@@ -71,7 +71,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     d = _TINY if abs(d) < _TINY else d
     d = 1.0 / d
     h = d
-    for m in range(1, _CF_MAX_ITER + 1):
+    for m in range(1, _CF_MAX_ITER + int(math.sqrt(max(a, b))) + 1):
         m2 = 2 * m
         coeff = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + coeff * d

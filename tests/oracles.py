@@ -24,8 +24,9 @@ bit.
 The allocating kernels are ``anova``, ``zscore``, the donor kernels and
 ``crari_impute`` as they were before their table-sized temporaries were
 reused in place, kept verbatim (the names of the copies they call aside,
-and CRARI's reachable range and root rule, which follow the code under
-test) so that the two can be compared bit for bit.  The ``zscore`` copy and
+and ``anova``'s shift and rounding floors and CRARI's reachable range, root
+rule and drift threshold, which follow the code under test) so that the two
+can be compared bit for bit.  The ``zscore`` copy and
 the ECVT loop test a spread by the package's two-pass rule
 (``table._constant_to_rounding``), as the code under test does.
 The CSV oracles are the per-cell reader and writer that the row-streaming
@@ -364,10 +365,15 @@ def column_donor_fills_masked(table, gen) -> np.ndarray:
 
 
 def anova_allocating(table: DataTable) -> AnovaDecomposition:
-    """``anova`` with a fresh product table for the total sum of squares."""
+    """``anova`` with a fresh shifted table and a fresh product table for
+    the total sum of squares."""
     m, n = table.shape
     valid = table.valid
-    x = np.where(valid, table.values, 0.0)
+    column = table.values[valid[:, 0], 0]
+    mean, sd = float(column.mean()), float(column.std())
+    step = math.ldexp(1.0, math.frexp(sd)[1])
+    shift = round(mean / step) * step if sd else mean
+    x = np.where(valid, table.values - shift, 0.0)
     row_sums = x.sum(axis=1)
     row_counts = valid.sum(axis=1)
     col_sums = x.sum(axis=0)
@@ -383,19 +389,22 @@ def anova_allocating(table: DataTable) -> AnovaDecomposition:
         )
     total = row_sums.sum()
     correction = total * total / n_valid
-    ss = float((x * x).sum() - correction)
+    sq = (x * x).sum()
+    ss = float(sq - correction)
+    if ss != 0.0 and _constant_to_rounding(ss, sq + shift * (2 * total + n_valid * shift), n_valid):
+        raise NumericError(f"the table is constant to rounding (sum of squares {ss:.3e})")
     ssi = float((row_sums**2 / row_counts).sum() - correction)
     ssj = float((col_sums**2 / col_counts).sum() - correction)
     ssij = ss - ssi - ssj
+    ssij = 0.0 if abs(ssij) <= n_valid * np.finfo(float).eps * ss else ssij
     msi = ssi / dfi
     msj = ssj / dfj
     vij = ssij / dfij
     if vij < 0:
         raise NumericError(
-            f"negative interaction variance ({vij:.3e}): the table is too unbalanced "
-            "for this decomposition, as happens when a raw table with missing cells "
-            "has a column (participant) effect; standardize its columns first (--zscore)"
-        )
+            f"negative interaction variance ({vij:.3e}): the table is too unbalanced for this "
+            "decomposition, as happens when a raw table with missing cells has a column "
+            "(participant) effect; standardize its columns first (--zscore)")
     vi = max(0.0, (msi - vij) / n)
     vj = max(0.0, (msj - vij) / m)
     return AnovaDecomposition(
@@ -403,6 +412,7 @@ def anova_allocating(table: DataTable) -> AnovaDecomposition:
         row_counts=row_counts,
         col_sums=col_sums,
         col_counts=col_counts,
+        shift=shift,
         n_valid=n_valid,
         ss=ss,
         ssi=ssi,
@@ -530,7 +540,7 @@ def crari_impute_allocating(table, target="corrected", rng=None) -> ImputationOu
     imputed = DataTable(base + c * centered, np.zeros(table.shape, dtype=bool))
     after = anova_allocating(imputed)
     drift = float(np.abs(after.item_means() - report.item_means).max())
-    if drift > 1e-9:
+    if drift > max(1e-9, table.cols * np.finfo(float).eps * np.abs(report.item_means).max()):
         warnings.append(f"item mean inaccuracy: {drift:.3e}")
     icc_after = _icc(after.msi, after.vij, table.cols)
     return outcome(imputed=imputed, c=c, icc_after=icc_after, row_mean_drift=drift,

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icctab import (
     DataTable,
@@ -17,6 +19,7 @@ from icctab import (
     degrade_random,
     expected_icc,
     f_quantile,
+    fit_predictors,
     generate,
     icc_report,
     save_csv,
@@ -26,6 +29,7 @@ from icctab.anova import _pearson
 from icctab.cli import main
 
 import oracles
+from test_ecvt import noise_free_table, rounding_constant_pair
 
 
 class TestAnova:
@@ -73,7 +77,8 @@ class TestAnova:
 
 class TestExactArithmetic:
     """The sums of squares, the ICC and CRARI's attained ICC against rational
-    arithmetic, on 15 small tables of each kind (offset 0)."""
+    arithmetic, on 15 small tables of each kind, each with a constant added
+    to its (raw or Z-scored) values."""
 
     @pytest.mark.parametrize("p", [0.0, 0.3], ids=["complete", "missing"])
     @pytest.mark.parametrize("standardize", [False, True], ids=["raw", "zscored"])
@@ -86,15 +91,121 @@ class TestExactArithmetic:
                 table = degrade_random(table, p, rng=seed)
             if standardize:
                 table = zscore(table)
-            exact = oracles.exact_decomposition(table)
-            dec = anova(table)
-            for name in ("ss", "ssi", "ssj", "ssij"):
-                assert abs(Fraction(getattr(dec, name)) - exact[name]) <= 1e-12 * exact["ss"]
-            assert abs(Fraction(icc_report(table, ()).icc) - exact["icc"]) <= 1e-12
-            if p:
-                outcome = crari_impute(table, "low", rng=seed)
-                attained = oracles.exact_decomposition(outcome.imputed)["icc"]
-                assert abs(Fraction(outcome.icc_after) - attained) <= 1e-12
+            for offset in (0.0, 1e4, 1e8):
+                self.check(DataTable(table.values + offset), seed if p else None)
+
+    @staticmethod
+    def check(table, seed):
+        exact = oracles.exact_decomposition(table)
+        dec = anova(table)
+        for name in ("ss", "ssi", "ssj", "ssij"):
+            assert abs(Fraction(getattr(dec, name)) - exact[name]) <= 1e-12 * exact["ss"], name
+        assert abs(Fraction(icc_report(table, ()).icc) - exact["icc"]) <= 1e-12
+        if seed is not None:
+            outcome = crari_impute(table, "low", rng=seed)
+            attained = oracles.exact_decomposition(outcome.imputed)["icc"]
+            assert abs(Fraction(outcome.icc_after) - attained) <= 1e-12
+
+
+class TestShift:
+    """The sums are formed about a shift near column 0's valid mean."""
+
+    def test_a_centred_table_takes_shift_0(self, z_table_1400x80):
+        assert anova(z_table_1400x80).shift == 0.0
+        assert anova(DataTable(z_table_1400x80.values + 1e8)).shift == 1e8
+
+    def test_column_0_with_one_valid_value_or_constant(self):
+        # its standard deviation is 0, so the shift is the mean itself
+        values = np.random.default_rng(3).normal(size=(6, 4)) + 1e8
+        values[1:, 0] = np.nan
+        assert anova(DataTable(values)).shift == values[0, 0]
+        values[:, 0] = 1e8 + 0.25
+        dec = anova(DataTable(values))
+        assert dec.shift == 1e8 + 0.25
+        assert dec.item_means() == pytest.approx(np.nanmean(values, axis=1), rel=1e-15)
+
+    def test_item_means_add_the_shift_back(self, small_table):
+        dec = anova(DataTable(small_table.values + 1e8))
+        assert dec.shift != 0.0
+        assert dec.item_means() - 1e8 == pytest.approx(small_table.row_means(), abs=1e-7)
+
+
+class TestNoiseFreeAndOffsetTables:
+    """A complete table has no imbalance: the interaction sum of a noise-free
+    table is rounding, taken as 0, at any offset."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e8, 1e10, 1e12])
+    def test_no_complete_table_is_refused(self, offset):
+        for seed in range(40):
+            noise_free = anova(DataTable(noise_free_table(100 + seed).values + offset))
+            if offset == 0.0:
+                assert noise_free.ssij == 0.0 and math.isinf(noise_free.q), seed
+            anova(rounding_constant_pair(seed, offset))
+
+    def test_a_spread_of_rounding_alone_raises(self):
+        # one ulp of 1e8 is 1.5e-8: the spread is in the last bit of the values
+        values = 1e8 + np.random.default_rng(4).integers(0, 2, size=(20, 5)) * 1.5e-8
+        with pytest.raises(NumericError, match="constant to rounding"):
+            anova(DataTable(values))
+        with pytest.raises(NumericError, match="constant to rounding"):
+            icc_report(DataTable(values), ())
+
+
+class TestOffsetPaperShapeTable:
+    """The table of the shift-stability measurements: 1400 x 80, 20% missing,
+    Z-scored, then a constant up to 1e8 added to every cell.  The ICC, its
+    bounds, CRARI's attained ICC and the r2 of the true item effects keep
+    their values to 1e-9, with no drift warning."""
+
+    def test_statistics_keep_their_values(self):
+        raw, truth = generate(SynthSpec(1400, 80, seed=3))
+        table = zscore(degrade_random(raw, 0.2, 4))
+        report = icc_report(table)
+        r2 = fit_predictors(table, truth.item_effects).r2
+        for offset in (1e6, 1e7, 1e8):
+            moved = DataTable(table.values + offset)
+            moved_report = icc_report(moved)
+            assert moved_report.icc == pytest.approx(report.icc, rel=1e-9, abs=0)
+            assert np.ravel(moved_report.conf) == pytest.approx(np.ravel(report.conf),
+                                                                rel=1e-9, abs=0)
+            outcome = crari_impute(moved, 0.9, rng=1)
+            assert abs(outcome.icc_after - 0.9) <= 1e-9 and outcome.warnings == ()
+            assert fit_predictors(moved, truth.item_effects).r2 == pytest.approx(r2, rel=1e-9,
+                                                                                abs=0)
+
+
+class TestInvariance:
+    """The ICC, ``icc_cor``, CRARI's attained ICC and the fit r2 under an
+    added constant up to 1e8, a positive scale and a row or column
+    permutation.  The values are multiples of 2**-12, the constant an
+    integer and the scale a power of two, so every moved table holds the
+    same numbers exactly moved.  The ICC and ``icc_cor`` then agree to 1e-9
+    relative.  CRARI's attained ICC and the r2 are measured on outputs that
+    hold the constant (the imputed cells, the item means), each rounded to
+    ``eps`` times the constant, so their bound adds that rounding: up to
+    2.2e-8 at 1e8, where 30 x 8 tables reach 2e-9.  An item effect of sd 1
+    keeps the ICC near 0.9, away from 0, where no relative bound holds."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**16), offset=st.integers(0, 10**8),
+           exponent=st.integers(-8, 8), axis=st.sampled_from([0, 1]))
+    def test_statistics_unchanged(self, seed, offset, exponent, axis):
+        raw, truth = generate(SynthSpec(rows=30, cols=8, item_sd=1.0, seed=seed))
+        table = degrade_random(DataTable(np.round(raw.values * 4096) / 4096), 0.2, rng=seed)
+        predictor = truth.item_effects
+        order = np.random.default_rng(seed).permutation(table.shape[axis])
+        moved = DataTable((np.take(table.values, order, axis=axis) + offset) * 2.0**exponent)
+        before = self.statistics(table, predictor, seed)
+        after = self.statistics(moved, predictor[order] if axis == 0 else predictor, seed)
+        assert after[:2] == pytest.approx(before[:2], rel=1e-9, abs=0)
+        output_rounding = np.finfo(float).eps * offset
+        assert after[2:] == pytest.approx(before[2:], rel=1e-9 + output_rounding, abs=0)
+
+    @staticmethod
+    def statistics(table, predictor, seed):
+        report = icc_report(table, ())
+        return [report.icc, report.icc_cor, crari_impute(table, "low", rng=seed).icc_after,
+                *fit_predictors(table, predictor).r2]
 
 
 class TestNegativeInteraction:

@@ -266,6 +266,46 @@ class TestFitCommand:
             assert field in out, f"missing {field} in fit report"
 
 
+class TestAnAddedConstant:
+    """A constant added to every cell of a Z-scored table with 20% missing
+    keeps the icc, fit and impute reports, as it keeps the ecvt report: the
+    ANOVA sums are formed about a shift near the data."""
+
+    @staticmethod
+    def bodies(capsys, tmp_path, command, *argv):
+        raw, _ = generate(SynthSpec(200, 20, item_sd=0.7, seed=1))
+        table = degrade_random(zscore(raw), 0.2, rng=2)
+        bodies = []
+        for shift in (0.0, 1e7, 1e8):
+            table_csv = tmp_path / f"table_{shift:g}.csv"
+            save_csv(DataTable(table.values + shift), table_csv)
+            code, out, err = run(capsys, command, "--input", str(table_csv), *argv)
+            assert code == 0 and err == ""
+            bodies.append(out.split("\nconfig: ", 1)[1].split("\n", 1)[1])
+        return bodies
+
+    def test_icc(self, capsys, tmp_path):
+        bodies = self.bodies(capsys, tmp_path, "icc")
+        assert bodies[1] == bodies[0] and bodies[2] == bodies[0]
+
+    def test_fit(self, capsys, tmp_path):
+        predictors = tmp_path / "predictors.csv"
+        gen = np.random.default_rng(3)
+        effects = generate(SynthSpec(200, 20, item_sd=0.7, seed=1))[1].item_effects
+        np.savetxt(predictors, np.column_stack([effects, gen.normal(size=200)]), delimiter=",")
+        bodies = self.bodies(capsys, tmp_path, "fit", "--predictors", str(predictors))
+        assert "\nr2: " in bodies[0]
+        assert bodies[1] == bodies[0] and bodies[2] == bodies[0]
+
+    def test_impute(self, capsys, tmp_path):
+        # the drift is the rounding of item means that hold the constant
+        bodies = self.bodies(capsys, tmp_path, "impute", "--seed", "3",
+                             "--output", str(tmp_path / "imputed.csv"))
+        bodies = [re.sub(r"\nrow-mean-drift: \S+\n", "\n", body) for body in bodies]
+        assert "\nwarnings: none\n" in bodies[0]
+        assert bodies[1] == bodies[0] and bodies[2] == bodies[0]
+
+
 class TestConstantToRounding:
     """Spreads that are rounding alone reach the documented outcome."""
 
@@ -286,6 +326,15 @@ class TestConstantToRounding:
                              "--predictors", str(predictors))
         assert code == 4 and out == ""
         assert err == "error[4] NumericError: constant predictor column(s): [1]\n"
+
+    def test_icc_of_a_table_constant_to_rounding_exits_4(self, capsys, tmp_path):
+        # every cell is 1e8 or the next double up: no spread but rounding
+        table_csv = tmp_path / "table.csv"
+        cells = 1e8 + np.random.default_rng(4).integers(0, 2, size=(20, 5)) * 1.5e-8
+        save_csv(DataTable(cells), table_csv)
+        code, out, err = run(capsys, "icc", "--input", str(table_csv))
+        assert code == 4 and out == ""
+        assert err.startswith("error[4] NumericError: the table is constant to rounding")
 
     def test_ecvt_of_a_noise_free_table_is_compatible(self, capsys, tmp_path):
         # every split-group correlation is 1 up to rounding, so each group

@@ -309,6 +309,33 @@ class TestCrariRandomCase:
         assert not any("column effect" in w for w in outcome_low.warnings)
 
 
+class TestDriftWarning:
+    """CRARI warns of an item-mean drift above 1e-9 or above the rounding of
+    item means that hold a constant, whichever is larger."""
+
+    @staticmethod
+    def table(offset):
+        raw, _ = generate(SynthSpec(rows=200, cols=20, seed=36))
+        return DataTable(degrade_random(zscore(raw), 0.2, rng=37).values + offset)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e7, 1e8])
+    def test_rounding_does_not_warn(self, offset):
+        outcome = crari_impute(self.table(offset), "corrected", rng=38)
+        assert outcome.warnings == ()
+        if offset == 1e8:
+            assert outcome.row_mean_drift > 1e-9  # an ulp of 1e8 is 1.5e-8
+
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    def test_fills_that_are_not_row_centred_warn(self, monkeypatch, offset):
+        impute_module = sys.modules["icctab.impute"]
+        fills = impute_module._column_donor_fills
+        monkeypatch.setattr(impute_module, "_column_donor_fills",
+                            lambda table, gen: fills(table, gen) + 1e-3 * table.missing)
+        outcome = crari_impute(self.table(offset), "corrected", rng=38)
+        assert outcome.row_mean_drift > 1e-5
+        assert outcome.warnings == (f"item mean inaccuracy: {outcome.row_mean_drift:.3e}",)
+
+
 def _degraded_table(rows, cols, seed, p, zscored=True, column_sd=0.0, item_sd=0.4):
     raw, _ = generate(SynthSpec(rows=rows, cols=cols, item_sd=item_sd, seed=seed))
     offsets = np.random.default_rng(seed).normal(0, column_sd, size=cols)
@@ -365,8 +392,11 @@ class TestClosedFormMatchesBisection:
             crari_impute(table, target=1.0, rng=5)
         icc_top = info.value.reachable[1]
         assert icc_top > _complete_icc(_fill_with_row_means(table))
-        # the search keeps the lower end of [c*, c_hi] when the target is ICC(c*)
-        c_bisect, _, _ = crari_bisect(table, icc_top, rng=5)
+        # the search keeps the lower end of [c*, c_hi] when the target is ICC(c*);
+        # its own top, which can sit an ulp from the closed form's
+        with pytest.raises(UnreachableTargetError) as oracle_info:
+            crari_bisect(table, 1.0, rng=5)
+        c_bisect, _, _ = crari_bisect(table, oracle_info.value.reachable[1], rng=5)
         outcome = crari_impute(table, target=icc_top, rng=5)
         assert outcome.c > 0.0
         assert abs(outcome.c - c_bisect) <= 1e-4

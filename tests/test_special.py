@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import beta as beta_distribution
 from scipy.stats import f as f_distribution
 
 from icctab import PreconditionError, beta_quantile, chi2_upper_tail, f_quantile
@@ -170,6 +171,19 @@ class TestBetaNewtonNoise:
         assert beta_quantile(0.530388133801664, 0.1204491491876117,
                              1313.4436145980885) == pytest.approx(2.434914807303927e-06,
                                                                   rel=1e-10, abs=0)
+
+
+class TestContinuedFractionAtLargeShapes:
+    # near the mean of Beta(a, b) the fraction needs about sqrt(max(a, b))/2
+    # iterations (504 at a = 800 000, b = 900 000), so its cap grows with them
+    def test_f_median_at_a_million_df(self):
+        assert f_quantile(0.5, 1600000, 1800000) == pytest.approx(
+            f_distribution.ppf(0.5, 1600000, 1800000), rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("p", [0.485, 0.49, 0.495, 0.5, 0.505, 0.51])
+    def test_beta_quantile_near_the_mean(self, p):
+        assert beta_quantile(p, 800504.6, 893161.7) == pytest.approx(
+            beta_distribution.ppf(p, 800504.6, 893161.7), rel=1e-10, abs=0)
 
 
 class TestChi2UpperTail:
