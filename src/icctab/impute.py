@@ -26,10 +26,10 @@ Both methods draw their donors with one ``integers`` call in cell order,
 row-major for ARI and column-major for CRARI, which matches a per-row or
 per-column loop of draws draw for draw (see :func:`_donor_fills`).  Their
 index arrays are sized by the missing cells, and a transposed view is read
-without a copy.  Besides those, ARI holds one float table, its output, and
-CRARI two at most: it decomposes the row-mean table ``B`` and lets it go
-before it draws the fills ``F``, then forms ``B + c*F`` in ``F``'s buffer,
-which its output keeps.
+without a copy.  Besides those, each holds one float table, its output, and
+row blocks: CRARI decomposes the row-mean table ``B`` from the input's blocks,
+never building it, and forms ``B + c*F`` block by block in the fills ``F``,
+which its output keeps (traced peak 1.8-2.85 tables at 1400 x 80, was 2.4-3.0).
 
 Two degradation studies run on :func:`icctab.synth._degradation_study`:
 :func:`ari_bias_demo` (the ICC bias of row-wise imputation) and
@@ -42,11 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .anova import _icc, _pearson, anova, icc_report
+from .anova import _anova, _icc, _moments, _pearson, anova, icc_report
 from .errors import PreconditionError, UnreachableTargetError
 from .rand import as_generator
 from .synth import _degradation_study
-from .table import DataTable, _handed_over
+from .table import DataTable, _handed_over, _row_blocks
 
 __all__ = _EXPORTS["impute"].split()
 
@@ -173,15 +173,14 @@ def crari_impute(
         if not 0.0 <= target_icc <= 1.0:
             raise PreconditionError(f"explicit target must lie in [0, 1], got {target}")
 
-    def base():  # the table filled with its row means
-        return np.where(table.missing, report.item_means[:, None], table.values)
-
-    complete = _handed_over(np.zeros(table.shape, dtype=bool))
-    dec = anova(DataTable(_handed_over(base()), complete))  # let go before the fills are drawn
+    (m, n), values, missing = table.shape, table.values, table.missing
+    means = report.item_means[:, None]  # the base B: the table filled with its row means
+    dec = _anova(values, missing, means, np.where(missing[:, 0], means[:, 0], values[:, 0]),
+                 np.full(m, n), np.full(n, m))
     centered = _column_donor_fills(table, as_generator(rng))
-    fill_col_sums = centered.sum(axis=0)
-    a1 = -2.0 * float(dec.col_sums @ fill_col_sums) / table.rows
-    a2 = float((centered * centered).sum() - fill_col_sums @ fill_col_sums / table.rows)
+    _, fill_col_sums, fill_sq = _moments(m, n, lambda rows, out: np.copyto(out, centered[rows]))
+    a1 = -2.0 * float(dec.col_sums @ fill_col_sums) / m
+    a2 = float(fill_sq - fill_col_sums @ fill_col_sums / m)
 
     def icc_at(c: float) -> float:
         return _icc(dec.msi, (dec.ssij + c * (a1 + c * a2)) / dec.dfij, table.cols)
@@ -208,9 +207,11 @@ def crari_impute(
         q = -0.5 * (a1 + root) if a1 > 0 else 0.5 * (root - a1)
         c = k / q if a1 > 0 else q / a2
 
-    # base + c*F, formed in the fills buffer
-    np.multiply(c, centered, out=centered)
-    imputed = DataTable(_handed_over(np.add(base(), centered, out=centered)), complete)
+    for rows in _row_blocks(m, n):  # B + c*F, formed in the fills buffer
+        block = centered[rows]
+        np.multiply(c, block, out=block)
+        np.add(np.where(missing[rows], means[rows], values[rows]), block, out=block)
+    imputed = DataTable(_handed_over(centered), _handed_over(np.zeros(table.shape, dtype=bool)))
     after = anova(imputed)
     drift = float(np.abs(after.item_means() - report.item_means).max())
     if drift > max(1e-9, table.cols * np.finfo(float).eps * np.abs(report.item_means).max()):
@@ -262,9 +263,9 @@ def _column_donor_fills(table: DataTable, gen: np.random.Generator) -> np.ndarra
     draws = _donor_fills(table.values.T, missing.T, gen)
     fills = np.zeros(table.shape)
     fills.T[missing.T] = draws
-    del draws  # not held beside the product below
-    shift = fills.sum(axis=1) / np.maximum(np.count_nonzero(missing, axis=1), 1)
-    fills -= shift[:, None] * missing  # a masked subtract (where=) branches per cell: slower
+    shift = fills.sum(axis=1) / np.maximum(missing.sum(axis=1, dtype=np.int32), 1)
+    for rows in _row_blocks(*table.shape):  # a masked subtract (where=) branches per cell: slower
+        fills[rows] -= shift[rows, None] * missing[rows]
     return fills
 
 

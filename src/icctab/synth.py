@@ -19,6 +19,8 @@ generator's oracle.
 Degradation masks uniformly random cells of a complete table to simulate
 missing data; :func:`_degradation_study` repeats it over a grid of missing
 proportions and averages what a study measures on each degraded table.
+Traced peaks at 1400 x 80, in tables: :func:`generate` 1.31 (it draws its noise
+a row block at a time), :func:`degrade_random` 1.3-2.1 besides its input.
 """
 
 import math
@@ -30,7 +32,7 @@ from . import _EXPORTS
 from .anova import expected_icc
 from .errors import PreconditionError, StructuralError
 from .rand import as_generator
-from .table import DataTable, _handed_over
+from .table import DataTable, _handed_over, _row_blocks
 
 __all__ = _EXPORTS["synth"].split()
 
@@ -97,12 +99,11 @@ def generate(spec: SynthSpec) -> tuple[DataTable, SynthTruth]:
     item_effects = gen.normal(0.0, spec.item_sd, size=spec.rows)
     uniforms = gen.random(spec.cols)
     exponents = 1.0 - spec.severity * np.log1p(-uniforms)
-    noise = gen.normal(0.0, spec.noise_sd, size=(spec.rows, spec.cols))
     # mean + signed power + noise, summed in that order in the power's buffer
     cells = _signed_power(item_effects[:, None], exponents[None, :])
     cells += spec.mean
-    cells += noise
-    del noise  # not held while the table checks the cells
+    for rows in _row_blocks(spec.rows, spec.cols):  # the stream of one whole-table draw
+        cells[rows] += gen.normal(0.0, spec.noise_sd, size=cells[rows].shape)
     truth = SynthTruth(
         item_effects=item_effects,
         participant_exponents=exponents,
@@ -135,18 +136,18 @@ def degrade_random(table: DataTable, p: float, rng=None) -> DataTable:
     count = round(p * m * n)
     if count == 0:
         return table
-    candidates = np.flatnonzero(table.valid.ravel())
-    if count > candidates.size:
-        raise StructuralError(
-            f"cannot mask {count} cells: only {candidates.size} valid cells remain"
-        )
+    n_valid = table.n_valid
+    if count > n_valid:
+        raise StructuralError(f"cannot mask {count} cells: only {n_valid} valid cells remain")
+    # choice by count draws what choice over the valid cells' flat indices draws
+    cells = np.flatnonzero(table.valid.ravel()) if n_valid < m * n else None
     gen = as_generator(rng)
     for _ in range(_MAX_RETRIES):
-        chosen = gen.choice(candidates, size=count, replace=False)
+        chosen = gen.choice(n_valid, size=count, replace=False)
+        chosen = chosen if cells is None else cells[chosen]
         mask = np.array(table.missing, order="C")  # so the flat view writes in place
         mask.reshape(-1)[chosen] = True
-        valid = ~mask
-        if valid.any(axis=1).all() and valid.any(axis=0).all():
+        if not (mask.all(axis=1).any() or mask.all(axis=0).any()):
             return _masked(table, mask, chosen)
     valid = table.valid
     kept, covered = np.zeros_like(valid), np.zeros(n, bool)

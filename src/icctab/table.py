@@ -45,11 +45,11 @@ Each kernel here and in the imputation module marks the fresh table-sized
 array it built read-only and hands it to its output table, so no table is
 copied on the way out; tables built from one another's arrays share them.
 Kernels also reuse their table-sized temporaries in place (ufunc ``out=``,
-``np.copyto(where=)``), as each fresh one costs page faults.  Traced peaks
-on a 1400 x 80 table, in tables and besides the input: :func:`zscore` 1.5,
-:func:`mix_rows` 1.5, :func:`virtualize` at most 1.75 (its draws run in row
-blocks of ``_BLOCK_CELLS`` cells), and :func:`load_csv` 1.73 split, 1.6 to
-2.3 in one process (its number buffer holds the valid cells).
+``np.copyto(where=)``), as each fresh one costs page faults; a table's checks
+run in row blocks of ``_BLOCK_CELLS`` cells.  Traced peaks at 1400 x 80, in
+tables and besides the input: :func:`zscore` and :func:`mix_rows` 1.2,
+:func:`virtualize` at most 1.7, and :func:`load_csv` 1.73 split, 1.4 to 2.3
+in one process (its number buffer holds the valid cells).
 """
 
 import csv
@@ -80,8 +80,9 @@ __all__ = _EXPORTS["table"].split()
 # 1.3 MB read, so such a caller reads files of 0.5-1.3 MB up to 15% slower.
 _SPLIT_BYTES = 512 * 1024
 
-# Cells per row block of virtualize's draws: their temporaries stay this
-# size however large the table is.
+# Cells per row block of the kernels that work a table block by block
+# (:func:`_row_blocks`): their temporaries stay this size however large the
+# table is.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -116,16 +117,21 @@ class DataTable:
         m, n = values.shape
         if m < 2 or n < 2:
             raise StructuralError(f"table must be at least 2x2, got {m}x{n}")
-        valid = ~missing
-        if not (np.isfinite(values) | missing).all():
-            raise StructuralError("valid entries must be finite")
-        empty_rows = np.flatnonzero(~valid.any(axis=1))
+        nan_at_mask = True  # whether NaN is where the mask is, in a kept array
+        for rows in _row_blocks(m, n):  # one block-sized flag buffer, reused in place
+            flags = np.isfinite(values[rows])
+            if not np.logical_or(flags, missing[rows], out=flags).all():
+                raise StructuralError("valid entries must be finite")
+            if not values.flags.writeable and nan_at_mask:
+                np.isnan(values[rows], out=flags)
+                nan_at_mask = not np.not_equal(flags, missing[rows], out=flags).any()
+        empty_rows = np.flatnonzero(missing.all(axis=1))
         if empty_rows.size:
             raise StructuralError(f"empty row(s): {(empty_rows + 1).tolist()}")
-        empty_cols = np.flatnonzero(~valid.any(axis=0))
+        empty_cols = np.flatnonzero(missing.all(axis=0))
         if empty_cols.size:
             raise StructuralError(f"empty column(s): {(empty_cols + 1).tolist()}")
-        if not values.flags.writeable and not np.array_equal(np.isnan(values), missing):
+        if not nan_at_mask:
             values = np.array(values)  # kept, but a masked cell holds a number
         if values.flags.writeable:  # a copy
             np.put(values, np.flatnonzero(missing), np.nan)
@@ -153,7 +159,7 @@ class DataTable:
 
     @property
     def n_valid(self) -> int:
-        return int(self.valid.sum())
+        return self.missing.size - int(np.count_nonzero(self.missing))
 
     @property
     def pmiss(self) -> float:
@@ -187,6 +193,12 @@ def _kept(array, dtype) -> np.ndarray:
                  or isinstance(array.base, np.ndarray) and not array.base.flags.writeable)):
         return array
     return np.array(array, dtype=dtype)
+
+
+def _row_blocks(m: int, n: int) -> list[slice]:
+    """Successive row blocks of an m x n table, ``_BLOCK_CELLS`` cells (a row at least) each."""
+    step = max(1, _BLOCK_CELLS // n)
+    return [slice(start, min(start + step, m)) for start in range(0, m, step)]
 
 
 def _handed_over(array: np.ndarray) -> np.ndarray:
@@ -249,8 +261,7 @@ def _read_cells(path, missing_code: str | float | None = None) -> tuple[np.ndarr
     except ValueError:  # no token, or a token that is not a number
         return values, mask
     values[sentinel] = np.nan
-    mask |= sentinel
-    return values, mask
+    return values, mask | sentinel
 
 
 def _token_text(missing_code: str | float | None) -> str:
@@ -367,7 +378,7 @@ def _parse_rows(rows, path, width: int, start: int, token: str) -> tuple[np.ndar
                 ) from None
     except csv.Error as exc:  # a cell longer than csv.field_size_limit()
         raise TableFormatError(f"{path}: row {i + 1}: {exc}") from None
-    mask = np.frombuffer(empty, bool).reshape(-1, width)
+    mask = _handed_over(np.frombuffer(empty, bool)).reshape(-1, width)  # so a table keeps it
     values = np.full(mask.shape, np.nan)
     np.place(values, ~mask, numbers)
     return values, mask
@@ -617,9 +628,7 @@ def virtualize(table: DataTable, rng=None) -> DataTable:
     m, width = table.rows, int(counts.max())
     values = np.full((m, width), np.nan)
     slots = np.arange(width, dtype=np.min_scalar_type(-width))
-    step = max(1, _BLOCK_CELLS // width)
-    for start in range(0, m, step):
-        rows = slice(start, start + step)
+    for rows in _row_blocks(m, width):
         row_counts = counts[rows]
         block = np.tile(slots, (row_counts.size, 1))
         gen.permuted(block, axis=1, out=block)

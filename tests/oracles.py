@@ -58,7 +58,7 @@ from icctab.errors import (
 from icctab.impute import ImputationOutcome, _column_donor_fills
 from icctab.rand import as_generator
 from icctab.special import chi2_upper_tail
-from icctab.table import DataTable, _constant_to_rounding
+from icctab.table import DataTable, _constant_to_rounding, _row_blocks
 
 
 def beta_cdf(x: float, a: float, b: float) -> float:
@@ -364,20 +364,30 @@ def column_donor_fills_masked(table, gen) -> np.ndarray:
     return fills
 
 
+def blocked_square_sum(x: np.ndarray) -> float:
+    """The sum of squares of the C-ordered ``x`` in the kernels' order: the
+    pairwise sums of its row blocks, added block by block."""
+    total = 0.0
+    for rows in _row_blocks(*x.shape):
+        total += (x[rows] * x[rows]).sum()
+    return total
+
+
 def anova_allocating(table: DataTable) -> AnovaDecomposition:
-    """``anova`` with a fresh shifted table and a fresh product table for
-    the total sum of squares."""
+    """``anova`` with a fresh C-ordered shifted table, summed whole (its row
+    and column sums are those the kernel adds block by block), and a fresh
+    product per row block for the total sum of squares."""
     m, n = table.shape
     valid = table.valid
     column = table.values[valid[:, 0], 0]
     mean, sd = float(column.mean()), float(column.std())
     step = math.ldexp(1.0, math.frexp(sd)[1])
     shift = round(mean / step) * step if sd else mean
-    x = np.where(valid, table.values - shift, 0.0)
+    x = np.ascontiguousarray(np.where(valid, table.values - shift, 0.0))
     row_sums = x.sum(axis=1)
-    row_counts = valid.sum(axis=1)
+    row_counts = valid.sum(axis=1, dtype=np.int32)
     col_sums = x.sum(axis=0)
-    col_counts = valid.sum(axis=0)
+    col_counts = valid.sum(axis=0, dtype=np.int32)
     n_valid = int(row_counts.sum())
     dfi = m - 1
     dfj = n - 1
@@ -389,7 +399,7 @@ def anova_allocating(table: DataTable) -> AnovaDecomposition:
         )
     total = row_sums.sum()
     correction = total * total / n_valid
-    sq = (x * x).sum()
+    sq = blocked_square_sum(x)
     ss = float(sq - correction)
     if ss != 0.0 and _constant_to_rounding(ss, sq + shift * (2 * total + n_valid * shift), n_valid):
         raise NumericError(f"the table is constant to rounding (sum of squares {ss:.3e})")
@@ -485,8 +495,9 @@ def ari_impute_allocating(table, rng=None) -> DataTable:
 
 
 def crari_impute_allocating(table, target="corrected", rng=None) -> ImputationOutcome:
-    """``crari_impute`` with a row-mean base copied into its ``DataTable`` and
-    the table at ``c`` formed in two fresh arrays."""
+    """``crari_impute`` with a row-mean base copied into its ``DataTable``,
+    the sums of squares of :func:`blocked_square_sum`, and the table at ``c``
+    formed in two fresh arrays."""
     report = icc_report(table, ())
     warnings: list[str] = []
     if isinstance(target, str):
@@ -512,7 +523,7 @@ def crari_impute_allocating(table, target="corrected", rng=None) -> ImputationOu
     dec = anova_allocating(DataTable(base, np.zeros(table.shape, dtype=bool)))
     fill_col_sums = centered.sum(axis=0)
     a1 = -2.0 * float(dec.col_sums @ fill_col_sums) / table.rows
-    a2 = float((centered * centered).sum() - fill_col_sums @ fill_col_sums / table.rows)
+    a2 = float(blocked_square_sum(centered) - fill_col_sums @ fill_col_sums / table.rows)
 
     def icc_at(c: float) -> float:
         return _icc(dec.msi, (dec.ssij + c * (a1 + c * a2)) / dec.dfij, table.cols)

@@ -564,26 +564,30 @@ class TestInPlaceKernelsMatchAllocatingKernels:
 
 class TestKernelTracedPeaks:
     """Traced peaks of the table kernels on the Z-scored 1400 x 80 table
-    (896 000 bytes), in tables.
+    (896 000 bytes), in tables and besides the input.
 
-    Measured peaks (numpy 2.4) at p = 0.1 / 0.5 / 0.9, and those before a
-    table kept the arrays its kernels hand it: ``anova`` 1.23, ``zscore``
-    1.51 (was 2.63), ``ari_impute`` 1.60 / 2.04 / 2.84 (was 2.63 / 2.63 /
-    2.84), ``crari_impute`` 2.39 / 2.39 / 2.97 (was 3.67), its donor kernel
-    ``_column_donor_fills`` 2.16 / 2.16 / 2.80, ``mix_rows`` 1.50 (was
-    2.63), ``virtualize`` 1.74 / 1.35 / 0.67 (was 4.66 / 3.13 / 0.96), a
-    table built from another table's arrays 0.38 (was 1.50), ``load_csv``
-    at p = 0 / 0.1 / 0.5 / 0.9 2.33 / 2.21 / 1.82 / 1.64 in one process and
-    1.73 split (was 2.90 and 2.05 with a pair of arrays per row, and 2.89
-    and 2.63 before that), and ``generate`` 2.18 (was 3.52).  Each bound is
-    the largest peak plus 0.25 of a table (224 kB): room for three ufunc
-    iterator buffers of 8192 float64 (numpy traces one in a masked
-    subtract), so less than one table-sized temporary more.
+    Measured peaks (numpy 2.4) at p = 0.1 / 0.5 / 0.9, with those before
+    the kernels worked in row blocks and the table checks ran block by
+    block: ``anova`` 0.62 (was 1.23), ``zscore`` 1.20 (was 1.51),
+    ``ari_impute`` 1.30 / 2.04 / 2.84 (was 1.60 / 2.04 / 2.84),
+    ``crari_impute`` 1.80 / 2.05 / 2.85 (was 2.41 / 2.41 / 2.97), its donor
+    kernel ``_column_donor_fills`` 1.55 / 2.00 / 2.80 (was 2.16 / 2.16 /
+    2.80), ``mix_rows`` 1.20 (was 1.50), ``virtualize`` 1.70 / 1.31 / 0.67
+    (was 1.74 / 1.35 / 0.67), a table built from another table's arrays
+    0.07 (was 0.38), ``degrade_random`` of the complete table 1.30 / 1.70 /
+    2.10 (was 2.73 / 3.13 / 3.53; ``choice`` builds an index of every cell)
+    and of the degraded one, 5% more, 2.15 / 1.75 / 1.69 (was 2.58 / 2.18 /
+    1.99), ``generate`` 1.31 (was 2.18), and ``load_csv`` at p = 0 / 0.9
+    2.33 / 1.39 in one process (was 2.33 / 1.64; the table now keeps the
+    reader's mask) and 1.73 split.  Each bound is the largest peak plus 0.25
+    of a table (224 kB): room for three ufunc iterator buffers of 8192
+    float64 (numpy traces one in a masked subtract), so less than one
+    table-sized temporary more.
     """
 
-    BOUNDS = {"anova": 1.48, "zscore": 1.76, "ari_impute": 3.09, "crari_impute": 3.22,
-              "column_donor_fills": 3.06, "mix_rows": 1.76, "virtualize": 1.99,
-              "table_from_arrays": 0.63}
+    BOUNDS = {"anova": 0.87, "zscore": 1.46, "ari_impute": 3.09, "crari_impute": 3.10,
+              "column_donor_fills": 3.06, "mix_rows": 1.46, "virtualize": 1.96,
+              "table_from_arrays": 0.33, "degrade_random": 2.41, "generate": 1.56}
     KERNELS = {
         "anova": anova,
         "zscore": zscore,
@@ -606,7 +610,7 @@ class TestKernelTracedPeaks:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
-    @pytest.mark.parametrize("name", list(BOUNDS))
+    @pytest.mark.parametrize("name", list(KERNELS))
     def test_traced_peak(self, z_table_1400x80, name, p):
         table = degrade_random(z_table_1400x80, p, rng=96)
         assert self.peak(self.KERNELS[name], table) <= self.BOUNDS[name] * table.values.nbytes
@@ -624,9 +628,19 @@ class TestKernelTracedPeaks:
             pytest.skip("this host reads in one process (one CPU, or threads running)")
         assert self.peak(load_csv, path) <= self.LOAD_BOUNDS[how] * table.values.nbytes
 
+    # the complete table, as synth and the studies degrade it, then 5% more
+    # of the degraded one, whose valid cells the draw's positions index
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_degrade_random_traced_peak(self, z_table_1400x80, p):
+        bound = self.BOUNDS["degrade_random"] * z_table_1400x80.values.nbytes
+        assert self.peak(degrade_random, z_table_1400x80, p, 96) <= bound
+        degraded = degrade_random(z_table_1400x80, p, rng=96)
+        assert self.peak(degrade_random, degraded, 0.05, 95) <= bound
+
     def test_generate_traced_peak(self):
         nbytes = 1400 * 80 * 8
-        assert self.peak(generate, SynthSpec(rows=1400, cols=80, seed=4242)) <= 2.43 * nbytes
+        assert self.peak(generate, SynthSpec(rows=1400, cols=80, seed=4242)) <= (
+            self.BOUNDS["generate"] * nbytes)
 
 
 class TestCrariProperties:

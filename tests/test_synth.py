@@ -14,6 +14,7 @@ from icctab import (
     icc_report,
 )
 from icctab.synth import _signed_power
+from icctab.table import _row_blocks
 
 
 class TestGenerate:
@@ -89,6 +90,32 @@ class TestAlphaCdf:
             alpha_cdf(0.5, 2.0)
         with pytest.raises(PreconditionError):
             alpha_cdf(1.5, 0.0)
+
+
+class TestNumpyStreamIdentity:
+    """The numpy identities that ``generate`` and ``degrade_random`` rely on
+    to draw what one whole-table call draws, generator state included."""
+
+    @pytest.mark.parametrize("shape", [(4200, 240), (1400, 80), (30, 6)])
+    def test_row_blocked_normal_draws_are_one_draw(self, shape):
+        one, blocked = np.random.default_rng(21), np.random.default_rng(21)
+        whole = one.normal(0.0, 1.5, size=shape)
+        blocks = [blocked.normal(0.0, 1.5, size=(rows.stop - rows.start, shape[1]))
+                  for rows in _row_blocks(*shape)]
+        assert len(blocks) > 1 or shape == (30, 6)
+        assert np.array_equal(np.concatenate(blocks), whole)
+        assert one.bit_generator.state == blocked.bit_generator.state
+
+    # the draw of 22 400 of 112 000 cells shuffles a tail, that of 100 of
+    # 112 000 (under 1/50 of them) runs Floyd's algorithm
+    @pytest.mark.parametrize("size, count", [(112000, 22400), (112000, 100), (40, 39), (7, 0)])
+    def test_choice_by_count_indexes_choice_over_an_array(self, size, count):
+        candidates = np.flatnonzero(np.random.default_rng(22).random(2 * size) < 0.75)[:size]
+        assert candidates.size == size
+        by_count, over_array = np.random.default_rng(23), np.random.default_rng(23)
+        chosen = candidates[by_count.choice(candidates.size, size=count, replace=False)]
+        assert np.array_equal(chosen, over_array.choice(candidates, size=count, replace=False))
+        assert by_count.bit_generator.state == over_array.bit_generator.state
 
 
 class TestDegradeRandom:
