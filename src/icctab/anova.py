@@ -4,12 +4,13 @@ Rows (items) and columns (participants) are both treated as random
 effects; the consistency-of-averages intraclass correlation ICC(C,k) is
 estimated from the variance components.  An empty cell simply drops out of
 every sum, so the same code path serves complete and incomplete tables.
-Besides its input, :func:`anova` holds one row block (traced peak 0.62 of a
-1400 x 80 table, was 1.23), the values less a shift (0 at empty cells): column
-0's valid mean rounded to a multiple of the power of two above its sd (the mean
-at sd 0), so a Z-scored table has shift 0 and an offset costs no precision (the
-shifted sums of Chan, Golub & LeVeque 1983).  An ``ssij`` within ``N·eps·ss`` of
-0 is 0; a spread of rounding alone (``_constant_to_rounding``) is a ``NumericError``.
+The first :func:`anova` of a table runs its moment pass (the valid counts, and
+the sums of the values less a shift near column 0's mean, see
+:func:`icctab.table._moments`), holding one row block besides its input (traced
+peak 0.62 of a 1400 x 80 table), and the table keeps the moments; every call
+runs the O(m + n) decomposition.  An ``ssij`` within ``N·eps·ss`` of 0 is 0; a
+spread within the values' own rounding, ``ss <= eps²·Σx²`` (``_constant_to_rounding``
+with n = 1), is a ``NumericError``.
 
 The corrected coefficient compensates for randomly missing data: a
 proportion ``p`` of missing cells reduces the mean number of averaged
@@ -36,7 +37,7 @@ import numpy as np
 from . import _EXPORTS
 from .errors import NumericError, PreconditionError, StructuralError
 from .special import f_quantile
-from .table import DataTable, _constant_to_rounding, _row_blocks
+from .table import DataTable, _constant_to_rounding
 
 __all__ = _EXPORTS["anova"].split()
 
@@ -82,31 +83,17 @@ def anova(table: DataTable) -> AnovaDecomposition:
     """Decompose a table into row, column and interaction components.
 
     Uses the unbalanced-data sums of squares with per-row/per-column valid
-    counts and ``dfij = N - 1 - dfi - dfj``.
+    counts and ``dfij = N - 1 - dfi - dfj``, from the moments the table keeps.
+    The decomposition runs on every call, so a table that fails it raises each time.
     """
-    (m, n), values, missing = table.shape, table.values, table.missing
-    # counts as int32 sums of the mask, in about half the time of count_nonzero(axis=)
-    return _anova(values, missing, None, values[~missing[:, 0], 0],
-                  n - missing.sum(axis=1, dtype=np.int32), m - missing.sum(axis=0, dtype=np.int32))
+    return _decompose(table._sums, *table.shape)
 
 
-def _anova(values, missing, fill, column, row_counts, col_counts) -> AnovaDecomposition:
-    """:func:`anova` of ``values`` with ``fill`` (an m x 1 column, or None for
-    empty cells) at the ``missing`` cells, whose rows and columns count
-    ``row_counts`` and ``col_counts`` cells, summed less the shift of ``column``."""
-    m, n = values.shape
-    mean, sd = float(column.mean()), float(column.std())
-    step = math.ldexp(1.0, math.frexp(sd)[1])  # the power of two above sd
-    shift = round(mean / step) * step if sd else mean
-
-    def block(rows, out):  # a select, then the shift taken off in the block buffer
-        chosen = shift if fill is None else fill[rows]  # a number selects faster
-        np.subtract(np.where(missing[rows], chosen, values[rows]), shift, out=out)
-
-    row_sums, col_sums, sq = _moments(m, n, block)
+def _decompose(sums, m: int, n: int) -> AnovaDecomposition:
+    """:func:`anova` of an m x n table from its moments (:func:`icctab.table._moments`)."""
+    shift, row_counts, col_counts, row_sums, col_sums, sq = sums
     n_valid = int(row_counts.sum())
-    dfi = m - 1
-    dfj = n - 1
+    dfi, dfj = m - 1, n - 1
     dfij = n_valid - 1 - dfi - dfj
     if dfij < 1:
         raise StructuralError(
@@ -116,59 +103,22 @@ def _anova(values, missing, fill, column, row_counts, col_counts) -> AnovaDecomp
     total = row_sums.sum()
     correction = total * total / n_valid
     ss = float(sq - correction)
-    if ss != 0.0 and _constant_to_rounding(ss, sq + shift * (2 * total + n_valid * shift), n_valid):
+    # sums about a shift near the data carry the values' own rounding, with no factor of N
+    if ss != 0.0 and _constant_to_rounding(ss, sq + shift * (2 * total + n_valid * shift), 1):
         raise NumericError(f"the table is constant to rounding (sum of squares {ss:.3e})")
     ssi = float((row_sums**2 / row_counts).sum() - correction)
     ssj = float((col_sums**2 / col_counts).sum() - correction)
     ssij = ss - ssi - ssj
     ssij = 0.0 if abs(ssij) <= n_valid * np.finfo(float).eps * ss else ssij  # as _correlation
-    msi = ssi / dfi
-    msj = ssj / dfj
-    vij = ssij / dfij
+    msi, msj, vij = ssi / dfi, ssj / dfj, ssij / dfij
     if vij < 0:
         raise NumericError(
             f"negative interaction variance ({vij:.3e}): the table is too unbalanced for this "
             "decomposition, as happens when a raw table with missing cells has a column "
             "(participant) effect; standardize its columns first (--zscore)")
-    vi = max(0.0, (msi - vij) / n)
-    vj = max(0.0, (msj - vij) / m)
-    return AnovaDecomposition(
-        row_sums=row_sums,
-        row_counts=row_counts,
-        col_sums=col_sums,
-        col_counts=col_counts,
-        shift=shift,
-        n_valid=n_valid,
-        ss=ss,
-        ssi=ssi,
-        ssj=ssj,
-        ssij=ssij,
-        dfi=dfi,
-        dfj=dfj,
-        dfij=dfij,
-        msi=msi,
-        msj=msj,
-        vij=vij,
-        vi=vi,
-        vj=vj,
-    )
-
-
-def _moments(m: int, n: int, block) -> tuple[np.ndarray, np.ndarray, float]:
-    """Row sums, column sums and sum of squares of an m x n table whose row
-    blocks ``block(rows, out)`` writes into the C-ordered ``out``: the row and
-    column sums of the whole table (the running column sums lead each block
-    as its first row), and the blocks' pairwise sums of squares added."""
-    blocks = _row_blocks(m, n)
-    buffer = np.empty((blocks[0].stop + 1, n))
-    row_sums, sq = np.empty(m), 0.0
-    for rows in blocks:
-        x = buffer[:rows.stop - rows.start + 1]
-        block(rows, x[1:])
-        row_sums[rows] = x[1:].sum(axis=1)
-        buffer[0] = col_sums = (x if rows.start else x[1:]).sum(axis=0)
-        sq += np.square(x[1:], out=x[1:]).sum()
-    return row_sums, col_sums, sq
+    vi, vj = max(0.0, (msi - vij) / n), max(0.0, (msj - vij) / m)
+    return AnovaDecomposition(row_sums, row_counts, col_sums, col_counts, shift, n_valid, ss, ssi,
+                              ssj, ssij, dfi, dfj, dfij, msi, msj, vij, vi, vj)
 
 
 @dataclass(frozen=True)
@@ -223,7 +173,7 @@ def _icc_report(table: DataTable, conf_probs) -> tuple[IccReport, AnovaDecomposi
             f"undefined confidence bounds: Fobs = {f_obs:.3g} because all item means "
             "are equal (zero item mean square); request no bounds for the point estimates"
         )
-    pmiss = table.pmiss
+    pmiss = (table.values.size - dec.n_valid) / table.values.size
     warnings = ()
     if dec.vj > min(dec.vij, dec.vi) and pmiss > 0.05:
         warnings = ("non-negligible column effect: corrected statistics unreliable",)

@@ -24,12 +24,14 @@ dichotomic search on ``c``, computed exactly, not a different method.
 
 Both methods draw their donors with one ``integers`` call in cell order,
 row-major for ARI and column-major for CRARI, which matches a per-row or
-per-column loop of draws draw for draw (see :func:`_donor_fills`).  Their
-index arrays are sized by the missing cells, and a transposed view is read
-without a copy.  Besides those, each holds one float table, its output, and
-row blocks: CRARI decomposes the row-mean table ``B`` from the input's blocks,
-never building it, and forms ``B + c*F`` block by block in the fills ``F``,
-which its output keeps (traced peak 1.8-2.85 tables at 1400 x 80, was 2.4-3.0).
+per-column loop of draws draw for draw (see :func:`_donor_fills`), and take
+the valid counts and means from the table's kept moments (a mean is the shifted
+sum over the count, plus the shift).  Their index arrays are sized by the
+missing cells, and a transposed view is read without a copy.  Besides those,
+each holds one float table, its output, and row blocks: CRARI decomposes the
+row-mean table ``B`` from the input's blocks, never building it, and forms
+``B + c*F`` block by block in the fills ``F``, which its output keeps (traced
+peak 1.8-2.85 tables at 1400 x 80).
 
 Two degradation studies run on :func:`icctab.synth._degradation_study`:
 :func:`ari_bias_demo` (the ICC bias of row-wise imputation) and
@@ -42,11 +44,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .anova import _anova, _icc, _moments, _pearson, anova, icc_report
+from .anova import _decompose, _icc, _pearson, anova, icc_report
 from .errors import PreconditionError, UnreachableTargetError
 from .rand import as_generator
 from .synth import _degradation_study
-from .table import DataTable, _handed_over, _row_blocks
+from .table import DataTable, _block_sums, _handed_over, _moments, _row_blocks
 
 __all__ = _EXPORTS["impute"].split()
 
@@ -102,7 +104,8 @@ def ari_impute(table: DataTable, rng=None) -> DataTable:
     Every missing cell is filled from its own row's valid values; row means
     are preserved exactly.  Rows without missing cells are untouched.
     """
-    fills = _donor_fills(table.values, table.missing, as_generator(rng))
+    fills = _donor_fills(table.values, table.missing, table._sums.row_counts, table.row_means(),
+                         as_generator(rng))
     values = np.array(table.values, order="C")  # so the flat view writes in place
     values.reshape(-1)[np.flatnonzero(table.missing)] = fills
     return DataTable(_handed_over(values), _handed_over(np.zeros(table.shape, dtype=bool)))
@@ -175,12 +178,8 @@ def crari_impute(
 
     (m, n), values, missing = table.shape, table.values, table.missing
     means = report.item_means[:, None]  # the base B: the table filled with its row means
-    dec = _anova(values, missing, means, np.where(missing[:, 0], means[:, 0], values[:, 0]),
-                 np.full(m, n), np.full(n, m))
     centered = _column_donor_fills(table, as_generator(rng))
-    _, fill_col_sums, fill_sq = _moments(m, n, lambda rows, out: np.copyto(out, centered[rows]))
-    a1 = -2.0 * float(dec.col_sums @ fill_col_sums) / m
-    a2 = float(fill_sq - fill_col_sums @ fill_col_sums / m)
+    dec, a1, a2 = _quadratic(table, means, centered)
 
     def icc_at(c: float) -> float:
         return _icc(dec.msi, (dec.ssij + c * (a1 + c * a2)) / dec.dfij, table.cols)
@@ -222,20 +221,31 @@ def crari_impute(
                              warnings=tuple(warnings))
 
 
-def _donor_fills(values: np.ndarray, missing: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+def _quadratic(table: DataTable, means: np.ndarray, centered: np.ndarray):
+    """The decomposition of ``B``, the table with the m x 1 ``means`` at its missing
+    cells (never built), and ``a1``, ``a2`` for the fills ``F`` (:func:`crari_impute`)."""
+    (m, n), values, missing = table.shape, table.values, table.missing
+    dec = _decompose(_moments(values, missing, means), m, n)
+    _, fill_col_sums, fill_sq = _block_sums(m, n, lambda rows, out: np.copyto(out, centered[rows]))
+    return (dec, -2.0 * float(dec.col_sums @ fill_col_sums) / m,
+            float(fill_sq - fill_col_sums @ fill_col_sums / m))
+
+
+def _donor_fills(values: np.ndarray, missing: np.ndarray, counts: np.ndarray,
+                 means: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Adjusted donor fills of the missing cells, in row-major order.
 
-    Each missing cell draws one of its row's valid values (in column order)
-    with replacement; each row's draws are then centered by their own mean
-    and shifted to the row's valid mean, the adjustment rule of both
-    imputation methods (a single draw becomes the valid mean).  One
+    Each missing cell draws one of its row's ``counts`` valid values (in
+    column order) with replacement; each row's draws are then centered by
+    their own mean and shifted to the row's valid mean in ``means`` (the
+    table's kept moments give both), the adjustment rule of both imputation
+    methods (a single draw becomes the valid mean).  One
     ``gen.integers`` call with one bound per cell matches one
     ``integers(0, k, size=s)`` call per row, ``gen`` state included.
     """
     m, k = values.shape
-    miss = np.count_nonzero(missing, axis=1)
-    counts = k - miss
-    valid_means = np.where(missing, 0.0, values).sum(axis=1) / counts
+    counts = counts.astype(np.int64)  # int64 bounds, as one integers call per row takes
+    miss = k - counts
     rows = np.repeat(np.arange(m), miss)
     # one name, rebound from donor positions to flat indices to values
     draws = gen.integers(0, counts[rows])
@@ -248,7 +258,7 @@ def _donor_fills(values: np.ndarray, missing: np.ndarray, gen: np.random.Generat
         values = values.T
     draws = np.take(values, draws)
     draws -= (np.bincount(rows, draws, m) / np.maximum(miss, 1))[rows]
-    return np.add(draws, valid_means[rows], out=draws)
+    return np.add(draws, means[rows], out=draws)
 
 
 def _column_donor_fills(table: DataTable, gen: np.random.Generator) -> np.ndarray:
@@ -259,11 +269,11 @@ def _column_donor_fills(table: DataTable, gen: np.random.Generator) -> np.ndarra
     at missing cells (the mask keeps each row's shift off its valid cells);
     scaled by ``c`` and added to the row-mean base, it is the table at ``c``.
     """
-    missing = table.missing
-    draws = _donor_fills(table.values.T, missing.T, gen)
+    missing, counts = table.missing, table._sums.col_counts
+    draws = _donor_fills(table.values.T, missing.T, counts, table.col_means(), gen)
     fills = np.zeros(table.shape)
     fills.T[missing.T] = draws
-    shift = fills.sum(axis=1) / np.maximum(missing.sum(axis=1, dtype=np.int32), 1)
+    shift = fills.sum(axis=1) / np.maximum(table.cols - table._sums.row_counts, 1)
     for rows in _row_blocks(*table.shape):  # a masked subtract (where=) branches per cell: slower
         fills[rows] -= shift[rows, None] * missing[rows]
     return fills

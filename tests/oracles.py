@@ -127,14 +127,20 @@ def balanced_anova(x: np.ndarray) -> tuple[float, float, float, float]:
     return ss_total, ss_rows, ss_cols, ss_inter
 
 
-def exact_decomposition(table: DataTable) -> dict[str, Fraction]:
+def exact_decomposition(table: DataTable, fills=None) -> dict[str, Fraction]:
     """``ss``, ``ssi``, ``ssj``, ``ssij`` and the ICC of a table's valid
-    cells in exact rational arithmetic.
+    cells in exact rational arithmetic, and with ``fills`` CRARI's ``a1``
+    and ``a2`` (with ``a0``).
 
     Each valid value is taken exactly as a ``Fraction``, and the unbalanced
     sums of :func:`icctab.anova.anova` (per-row and per-column valid counts)
     are formed with no rounding.  The ICC is ICC(C,k) with the row-effect
-    variance floored at 0; ``None`` when it is undefined.
+    variance floored at 0; ``None`` when it is undefined.  ``a0``, ``a1`` and
+    ``a2`` are the coefficients of 1, ``c`` and ``c**2`` in the interaction sum
+    of squares of ``B + c*F``: ``B`` is the table with each missing cell at its
+    row's exact valid mean, ``F`` the float ``fills`` taken exactly, and the
+    sum is that of the two-way residuals of the complete table, with no
+    assumption that the rows of ``F`` sum to 0.
     """
     m, n = table.shape
     cells = [[Fraction(float(x)) if ok else None for x, ok in zip(row, valid)]
@@ -153,7 +159,27 @@ def exact_decomposition(table: DataTable) -> dict[str, Fraction]:
         icc = Fraction(1) if vi > 0 else None
     else:
         icc = vi / (vi + vij / n)
-    return {"ss": ss, "ssi": ssi, "ssj": ssj, "ssij": ssij, "icc": icc}
+    exact = {"ss": ss, "ssi": ssi, "ssj": ssj, "ssij": ssij, "icc": icc}
+    if fills is not None:
+        base = [[sum(valid) / len(valid) if x is None else x for x in row]
+                for row, valid in zip(cells, rows)]
+        rb = _residuals(base)
+        rf = _residuals([[Fraction(float(x)) for x in row] for row in fills])
+        exact["a0"] = sum(b * b for row in rb for b in row)
+        exact["a1"] = 2 * sum(b * f for row_b, row_f in zip(rb, rf) for b, f in zip(row_b, row_f))
+        exact["a2"] = sum(f * f for row in rf for f in row)
+    return exact
+
+
+def _residuals(x: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Two-way residuals of a complete grid: each cell less its row and
+    column means, plus the grand mean."""
+    m, n = len(x), len(x[0])
+    row_means = [sum(row) / n for row in x]
+    col_means = [sum(row[j] for row in x) / m for j in range(n)]
+    grand = sum(row_means) / m
+    return [[v - row_means[i] - col_means[j] + grand for j, v in enumerate(row)]
+            for i, row in enumerate(x)]
 
 
 def ks_distance(sample: np.ndarray, cdf) -> float:
@@ -340,8 +366,9 @@ def column_donor_fills_loop(table, gen) -> np.ndarray:
     return fills
 
 
-def donor_fills_masked(values: np.ndarray, missing: np.ndarray, gen) -> np.ndarray:
-    """The donor kernel as it was before it counted each row's cells once."""
+def donor_fills_masked(values: np.ndarray, missing: np.ndarray, means, gen) -> np.ndarray:
+    """The donor kernel as it was before it counted each row's cells once,
+    shifting each row's draws to its valid mean in ``means``."""
     valid = ~missing
     rows = np.nonzero(missing)[0]
     counts = valid.sum(axis=1)
@@ -350,15 +377,14 @@ def donor_fills_masked(values: np.ndarray, missing: np.ndarray, gen) -> np.ndarr
     draws = donors[starts[rows] + gen.integers(0, counts[rows])]
     m = values.shape[0]
     draw_means = np.bincount(rows, draws, m)[rows] / np.bincount(rows, minlength=m)[rows]
-    valid_means = np.where(valid, values, 0.0).sum(axis=1) / counts
-    return draws - draw_means + valid_means[rows]
+    return draws - draw_means + means[rows]
 
 
 def column_donor_fills_masked(table, gen) -> np.ndarray:
     """CRARI's centered fills, re-centered through a masked gather and scatter."""
     missing = table.missing
     fills = np.zeros(table.shape)
-    fills.T[missing.T] = donor_fills_masked(table.values.T, missing.T, gen)
+    fills.T[missing.T] = donor_fills_masked(table.values.T, missing.T, valid_means(table)[1], gen)
     rows = np.nonzero(missing)[0]
     fills[missing] -= fills.sum(axis=1)[rows] / missing.sum(axis=1)[rows]
     return fills
@@ -373,21 +399,32 @@ def blocked_square_sum(x: np.ndarray) -> float:
     return total
 
 
-def anova_allocating(table: DataTable) -> AnovaDecomposition:
-    """``anova`` with a fresh C-ordered shifted table, summed whole (its row
-    and column sums are those the kernel adds block by block), and a fresh
-    product per row block for the total sum of squares."""
-    m, n = table.shape
+def shifted_allocating(table: DataTable):
+    """The shift, a fresh C-ordered table of the values less it (0 at empty
+    cells), and its row sums, row counts, column sums and column counts,
+    summed whole: the sums the kernel adds block by block."""
     valid = table.valid
     column = table.values[valid[:, 0], 0]
     mean, sd = float(column.mean()), float(column.std())
     step = math.ldexp(1.0, math.frexp(sd)[1])
     shift = round(mean / step) * step if sd else mean
     x = np.ascontiguousarray(np.where(valid, table.values - shift, 0.0))
-    row_sums = x.sum(axis=1)
-    row_counts = valid.sum(axis=1, dtype=np.int32)
-    col_sums = x.sum(axis=0)
-    col_counts = valid.sum(axis=0, dtype=np.int32)
+    return (shift, x, x.sum(axis=1), valid.sum(axis=1, dtype=np.int32), x.sum(axis=0),
+            valid.sum(axis=0, dtype=np.int32))
+
+
+def valid_means(table: DataTable) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column means of the valid cells as the kernels define them:
+    the shifted sums over the valid counts, plus the shift."""
+    shift, _, row_sums, row_counts, col_sums, col_counts = shifted_allocating(table)
+    return row_sums / row_counts + shift, col_sums / col_counts + shift
+
+
+def anova_allocating(table: DataTable) -> AnovaDecomposition:
+    """``anova`` from :func:`shifted_allocating`, with a fresh product per
+    row block for the total sum of squares."""
+    m, n = table.shape
+    shift, x, row_sums, row_counts, col_sums, col_counts = shifted_allocating(table)
     n_valid = int(row_counts.sum())
     dfi = m - 1
     dfj = n - 1
@@ -401,7 +438,7 @@ def anova_allocating(table: DataTable) -> AnovaDecomposition:
     correction = total * total / n_valid
     sq = blocked_square_sum(x)
     ss = float(sq - correction)
-    if ss != 0.0 and _constant_to_rounding(ss, sq + shift * (2 * total + n_valid * shift), n_valid):
+    if ss != 0.0 and _constant_to_rounding(ss, sq + shift * (2 * total + n_valid * shift), 1):
         raise NumericError(f"the table is constant to rounding (sum of squares {ss:.3e})")
     ssi = float((row_sums**2 / row_counts).sum() - correction)
     ssj = float((col_sums**2 / col_counts).sum() - correction)
@@ -461,9 +498,10 @@ def zscore_allocating(table: DataTable) -> DataTable:
     return DataTable(scaled, table.missing)
 
 
-def donor_fills_allocating(values: np.ndarray, missing: np.ndarray, gen) -> np.ndarray:
+def donor_fills_allocating(values: np.ndarray, missing: np.ndarray, means, gen) -> np.ndarray:
     """The donor kernel gathering through ``np.take`` on ``values`` (a copy
-    of a transposed view), with a fresh array per adjustment step."""
+    of a transposed view), with a fresh array per adjustment step, shifting
+    each row's draws to its valid mean in ``means``."""
     m, k = values.shape
     miss = np.count_nonzero(missing, axis=1)
     rows = np.repeat(np.arange(m), miss)
@@ -472,15 +510,15 @@ def donor_fills_allocating(values: np.ndarray, missing: np.ndarray, gen) -> np.n
     cells = np.flatnonzero(~missing)  # flat indices gather faster than a random boolean mask
     draws = np.take(values, cells[starts[rows] + gen.integers(0, counts[rows])])
     draw_means = np.bincount(rows, draws, m) / np.maximum(miss, 1)
-    valid_means = np.where(missing, 0.0, values).sum(axis=1) / counts
-    return draws - draw_means[rows] + valid_means[rows]
+    return draws - draw_means[rows] + means[rows]
 
 
 def column_donor_fills_allocating(table, gen) -> np.ndarray:
     """CRARI's centered fills, shifted through a fresh product table."""
     missing = table.missing
     fills = np.zeros(table.shape)
-    fills.T[missing.T] = donor_fills_allocating(table.values.T, missing.T, gen)
+    fills.T[missing.T] = donor_fills_allocating(table.values.T, missing.T, valid_means(table)[1],
+                                                gen)
     shift = fills.sum(axis=1) / np.maximum(np.count_nonzero(missing, axis=1), 1)
     fills -= shift[:, None] * missing
     return fills
@@ -490,7 +528,8 @@ def ari_impute_allocating(table, rng=None) -> DataTable:
     """``ari_impute`` scattering its fills through ``np.put``."""
     values = np.array(table.values)
     np.put(values, np.flatnonzero(table.missing),
-           donor_fills_allocating(table.values, table.missing, as_generator(rng)))
+           donor_fills_allocating(table.values, table.missing, valid_means(table)[0],
+                                  as_generator(rng)))
     return DataTable(values, np.zeros(table.shape, dtype=bool))
 
 

@@ -27,6 +27,8 @@ from icctab import (
 )
 from icctab.anova import _pearson
 from icctab.cli import main
+from icctab.impute import _column_donor_fills, _quadratic
+from icctab.rand import as_generator
 
 import oracles
 from test_ecvt import noise_free_table, rounding_constant_pair
@@ -76,9 +78,9 @@ class TestAnova:
 
 
 class TestExactArithmetic:
-    """The sums of squares, the ICC and CRARI's attained ICC against rational
-    arithmetic, on 15 small tables of each kind, each with a constant added
-    to its (raw or Z-scored) values."""
+    """The sums of squares, the ICC, CRARI's attained ICC and the coefficients
+    of its quadratic against rational arithmetic, on 15 small tables of each
+    kind, each with a constant added to its (raw or Z-scored) values."""
 
     @pytest.mark.parametrize("p", [0.0, 0.3], ids=["complete", "missing"])
     @pytest.mark.parametrize("standardize", [False, True], ids=["raw", "zscored"])
@@ -92,10 +94,10 @@ class TestExactArithmetic:
             if standardize:
                 table = zscore(table)
             for offset in (0.0, 1e4, 1e8):
-                self.check(DataTable(table.values + offset), seed if p else None)
+                self.check(DataTable(table.values + offset), seed if p else None, offset)
 
     @staticmethod
-    def check(table, seed):
+    def check(table, seed, offset):
         exact = oracles.exact_decomposition(table)
         dec = anova(table)
         for name in ("ss", "ssi", "ssj", "ssij"):
@@ -105,6 +107,16 @@ class TestExactArithmetic:
             outcome = crari_impute(table, "low", rng=seed)
             attained = oracles.exact_decomposition(outcome.imputed)["icc"]
             assert abs(Fraction(outcome.icc_after) - attained) <= 1e-12
+            # CRARI's quadratic: the fills' donor means come from the kept column
+            # sums; a0 and a1 also hold the base's item means, rounded at the offset
+            fills = _column_donor_fills(table, as_generator(seed))
+            base, a1, a2 = _quadratic(table, table.row_means()[:, None], fills)
+            exact = oracles.exact_decomposition(table, fills)
+            held = 1e-12 + np.finfo(float).eps * offset
+            assert abs(Fraction(a2) - exact["a2"]) <= 1e-12 * exact["a2"]
+            assert abs(Fraction(base.ssij) - exact["a0"]) <= held * exact["a0"]
+            bound = 2 * math.sqrt(exact["a0"] * exact["a2"])  # the largest |a1| can be
+            assert abs(Fraction(a1) - exact["a1"]) <= Fraction(held * bound)
 
 
 class TestShift:
@@ -150,6 +162,15 @@ class TestNoiseFreeAndOffsetTables:
         with pytest.raises(NumericError, match="constant to rounding"):
             icc_report(DataTable(values), ())
 
+    @pytest.mark.parametrize("ulps", [1, 2])
+    def test_spreads_of_one_and_two_ulps_raise(self, ulps):
+        # half the cells at each end of the spread: its largest sum of squares
+        values = 1e8 + np.random.default_rng(5).integers(0, 2, size=(20, 5)) * ulps * np.spacing(1e8)
+        table = DataTable(values)
+        for _ in range(2):  # a refused table is refused on every call
+            with pytest.raises(NumericError, match="constant to rounding"):
+                anova(table)
+
 
 class TestOffsetPaperShapeTable:
     """The table of the shift-stability measurements: 1400 x 80, 20% missing,
@@ -172,6 +193,15 @@ class TestOffsetPaperShapeTable:
             assert abs(outcome.icc_after - 0.9) <= 1e-9 and outcome.warnings == ()
             assert fit_predictors(moved, truth.item_effects).r2 == pytest.approx(r2, rel=1e-9,
                                                                                 abs=0)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-4])
+    def test_a_narrow_spread_at_1e8_decomposes(self, scale):
+        # sd 1e-4 at 1e8 is about 6700 ulps: far above the values' own
+        # rounding, though within N ulps (N = 89 600 cells)
+        raw, _ = generate(SynthSpec(1400, 80, seed=3))
+        table = zscore(degrade_random(raw, 0.2, 4))
+        icc = icc_report(DataTable(table.values * scale + 1e8), ()).icc
+        assert icc == pytest.approx(icc_report(table, ()).icc, rel=1e-6, abs=0)
 
 
 class TestInvariance:

@@ -22,6 +22,7 @@ from oracles import (
     crari_impute_allocating,
     donor_fills_allocating,
     donor_fills_masked,
+    valid_means,
     zscore_allocating,
 )
 
@@ -70,12 +71,13 @@ class TestAdjustFills:
     def test_worked_example(self):
         # seed 3 draws the donors 620 and 500 for a row whose valid mean is 568
         row = np.array([[500.0, 570.0, np.nan, 630.0, 520.0, np.nan, 620.0]])
-        fills = _donor_fills(row, np.isnan(row), as_generator(3))
+        fills = _donor_fills(row, np.isnan(row), np.array([5]), np.array([568.0]), as_generator(3))
         assert fills.tolist() == [628.0, 508.0]
 
     def test_single_draw_collapses_to_valid_mean(self):
         row = np.array([[40.0, np.nan, 777.0, -691.0]])
-        assert _donor_fills(row, np.isnan(row), as_generator(0)).tolist() == [42.0]
+        fills = _donor_fills(row, np.isnan(row), np.array([3]), np.array([42.0]), as_generator(0))
+        assert fills.tolist() == [42.0]
 
 
 class TestAriImpute:
@@ -170,6 +172,40 @@ class TestDonorKernelMatchesLoops:
         valid = table.valid
         assert np.array_equal(filled.values[valid], table.values[valid])
         assert np.abs(filled.row_means() - table.row_means()).max() <= 1e-9
+
+
+class TestKeptMoments:
+    """Each table's moments are formed once, by the first kernel that asks,
+    and kept; the decomposition runs, and may raise, on every call."""
+
+    def test_one_moment_pass_per_table(self, monkeypatch, degraded):
+        table = DataTable(degraded.values, degraded.missing)  # none kept yet
+        passes = []
+        moments = table_module._moments
+
+        def counted(values, missing, fill=None):
+            if fill is None:
+                passes.append(values)
+            return moments(values, missing, fill)
+
+        monkeypatch.setattr(table_module, "_moments", counted)
+        icc_report(table)
+        ari = ari_impute(table, rng=1)
+        icc_report(ari)
+        outcome = crari_impute(table, rng=2)
+        table.row_means()
+        outcome.imputed.row_means()
+        assert [id(values) for values in passes] == [
+            id(table.values), id(ari.values), id(outcome.imputed.values)]
+
+    def test_a_table_that_fails_the_decomposition_still_imputes(self):
+        # criterion 5's raw worked example: too unbalanced to decompose
+        table = DataTable(np.array([[500.0, 570.0, np.nan, 630.0, 520.0, np.nan, 620.0],
+                                    np.arange(7.0)]))
+        for _ in range(2):
+            with pytest.raises(NumericError, match="too unbalanced"):
+                anova(table)
+        assert ari_impute(table, rng=3).values[0, [2, 5]].tolist() == [628.0, 508.0]
 
 
 class TestCrariDeterministicCases:
@@ -417,6 +453,15 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _donor_cases(table):
+    """The donor kernel's rows and columns of ``table``: values, mask, the
+    kernel's counts and item means (the table's kept moments), and the
+    oracle's item means, formed by its own allocating moment pass."""
+    sums, (row_means, col_means) = table._sums, valid_means(table)
+    return [(table.values, table.missing, (sums.row_counts, table.row_means()), row_means),
+            (table.values.T, table.missing.T, (sums.col_counts, table.col_means()), col_means)]
+
+
 # (rows, cols, seed, p, zscored, column_sd): low p leaves rows with no or one
 # missing cell, p = 0.95 leaves about one valid cell in twenty
 KERNEL_TABLES = [
@@ -442,9 +487,10 @@ class TestDonorKernelsMatchMaskedIndexKernels:
         missing = table.missing
         counts = missing.sum(axis=1)
         assert counts.max() > 1
-        for values, mask in ((table.values, missing), (table.values.T, missing.T)):
+        for values, mask, kernel_args, means in _donor_cases(table):
             gen, gen_old = as_generator(45), as_generator(45)
-            assert _same_bits(_donor_fills(values, mask, gen), donor_fills_masked(values, mask, gen_old))
+            assert _same_bits(_donor_fills(values, mask, *kernel_args, gen),
+                              donor_fills_masked(values, mask, means, gen_old))
             assert gen.bit_generator.state == gen_old.bit_generator.state
         gen, gen_old = as_generator(46), as_generator(46)
         assert _same_bits(_column_donor_fills(table, gen), column_donor_fills_masked(table, gen_old))
@@ -545,11 +591,10 @@ class TestInPlaceKernelsMatchAllocatingKernels:
     def check(table):
         assert _outcome_bits(anova, table) == _outcome_bits(anova_allocating, table)
         assert _outcome_bits(zscore, table) == _outcome_bits(zscore_allocating, table)
-        missing = table.missing
-        for values, mask in ((table.values, missing), (table.values.T, missing.T)):
+        for values, mask, kernel_args, means in _donor_cases(table):
             gen, gen_old = as_generator(93), as_generator(93)
-            assert _bits(_donor_fills(values, mask, gen)) == _bits(
-                donor_fills_allocating(values, mask, gen_old))
+            assert _bits(_donor_fills(values, mask, *kernel_args, gen)) == _bits(
+                donor_fills_allocating(values, mask, means, gen_old))
             assert gen.bit_generator.state == gen_old.bit_generator.state
         pairs = [(_column_donor_fills, column_donor_fills_allocating),
                  (ari_impute, ari_impute_allocating)]

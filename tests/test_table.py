@@ -116,6 +116,29 @@ class TestDataTable:
         assert small_table.row_means()[1] == pytest.approx(5.0)
         assert small_table.col_means()[1] == pytest.approx((2 + 8 + 5) / 3)
 
+    def test_means_read_the_kept_moments(self, z_table_1400x80):
+        # shift 0: the where form, bit for bit; offset by 1e8: the shifted sums
+        # over the counts plus the shift, within 1e-15 of the unshifted means
+        table = degrade_random(z_table_1400x80, 0.2, rng=12)
+        filled = np.where(table.valid, table.values, 0.0)
+        assert table.row_means().tobytes() == (
+            filled.sum(axis=1) / table.valid.sum(axis=1)).tobytes()
+        assert table.col_means().tobytes() == (
+            filled.sum(axis=0) / table.valid.sum(axis=0)).tobytes()
+        moved = DataTable(table.values + 1e8)
+        assert moved._sums.shift == 1e8
+        for means, exact in ((moved.row_means(), table.row_means()),
+                             (moved.col_means(), table.col_means())):
+            assert means == pytest.approx(exact + 1e8, rel=1e-15, abs=0)
+        assert moved.row_means() is not moved.row_means()  # a fresh array per call
+
+    def test_kept_moments_are_read_only(self, small_table):
+        sums = small_table._sums
+        assert small_table._sums is sums
+        for array in (sums.row_counts, sums.col_counts, sums.row_sums, sums.col_sums):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
 
 class TestLoadCsv:
     def test_no_sentinel_present(self, tmp_path):
