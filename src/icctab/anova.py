@@ -155,11 +155,6 @@ def icc_report(
         spread of rounding alone (:func:`anova`), leave the ICC undefined; or
         bounds are requested while ``f_obs`` is not positive (all item means equal).
     """
-    return _icc_report(table, conf_probs)[0]
-
-
-def _icc_report(table: DataTable, conf_probs) -> tuple[IccReport, AnovaDecomposition]:
-    """:func:`icc_report`, and the decomposition it is taken from."""
     for prob in conf_probs:
         if not 0.0 < prob < 1.0:
             raise PreconditionError(f"confidence probability {prob} not in (0, 1)")
@@ -186,7 +181,7 @@ def _icc_report(table: DataTable, conf_probs) -> tuple[IccReport, AnovaDecomposi
         conf=_conf_bounds(f_obs, dec.dfi, dec.dfij, conf_probs),
         warnings=warnings,
         item_means=dec.item_means(),
-    ), dec
+    )
 
 
 def _conf_bounds(f_obs: float, dfi: int, dfij: int, probs) -> tuple:

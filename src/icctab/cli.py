@@ -22,10 +22,11 @@ place.  The ``config:`` header holds every option of the subcommand as
 ``key=value`` in the order the parser defines them, ``seed`` last: ``None``
 prints as ``<empty>``, a tuple comma-joined, anything else as ``str``.
 Values are not quoted, so a path with a space in it makes a header that
-does not split back into its options.  Exit codes: 0 ok, 2 format or usage
-error, 3 structural error, 4 numeric error, 5 unreachable imputation
-target, 6 precondition violation.  Each handler imports the kernels it
-runs, so ``--version``, ``--help`` and usage errors never load numpy.
+does not split back into its options.  Exit codes: 0 ok, 1 stdout closed
+by its reader (nothing on stderr), 2 format or usage error, 3 structural
+error, 4 numeric error, 5 unreachable imputation target, 6 precondition
+violation.  Each handler imports the kernels it runs, so ``--version``,
+``--help`` and usage errors never load numpy.
 
 A table command draws from one generator seeded by ``--seed``: first
 ``--mix``, then ``--virtualize``, then its kernel (``impute``'s donors,
@@ -35,15 +36,16 @@ A table command draws from one generator seeded by ``--seed``: first
 :func:`entrypoint` is the process (the console script and ``python -m
 icctab``), and it ends it: once :func:`main` returns or raises, it freezes
 the collector (``gc.freeze``), so the interpreter's final collections skip
-the objects the imports and the command leave alive.  Only the process's
-last function may freeze: :func:`main` also runs inside long-lived
-processes (tests, the benchmark's traced replay), where frozen garbage
-would never be freed.
+the objects the imports and the command leave alive; if stdout's reader has
+gone, it points stdout at devnull and exits 1.  Only the process's last
+function may freeze or redirect stdout: :func:`main` also runs inside
+long-lived processes (tests, the benchmark's traced replay).
 """
 
 import argparse
 import csv
 import gc
+import os
 import sys
 
 from . import __version__
@@ -95,6 +97,8 @@ def main(argv=None) -> int:
         code = _exit_code(exc)
         print(f"error[{code}] {type(exc).__name__}: {exc}", file=sys.stderr)
         return code
+    except BrokenPipeError:
+        raise  # stdout's reader has gone: no file error, and only entrypoint may redirect stdout
     except OSError as exc:
         print(f"error[2] {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -102,9 +106,14 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     try:
-        sys.exit(main())
-    finally:
-        gc.freeze()
+        try:
+            sys.exit(main())
+        finally:
+            gc.freeze()
+            sys.stdout.flush()  # a reader that has gone shows here, not in the exit flush
+    except BrokenPipeError:  # devnull as stdout, so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 def _header_value(value) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .anova import IccReport, _centred, _correlation, _icc_report, _pearson
+from .anova import IccReport, _centred, _correlation, _pearson, icc_report
 from .ecvt import _checked_group_sizes, _chunk_draws, _group_indicator_chunks
 from .errors import NumericError, PreconditionError, StructuralError
 from .rand import as_generator
@@ -108,9 +108,9 @@ def fit_predictors(
     constant = np.flatnonzero(_centred(pred.T)[2])
     if constant.size:
         raise NumericError(f"constant predictor column(s): {(constant + 1).tolist()}")
-    report, dec = _icc_report(table, conf_probs)
+    report = icc_report(table, conf_probs)
     # the item means less the table's shift, free of its rounding: r is shift-invariant
-    r2 = _pearson(pred.T, dec.row_sums / dec.row_counts) ** 2
+    r2 = _pearson(pred.T, table._sums.row_sums / table._sums.row_counts) ** 2
     ratio, r2_cor = corrected_r2(r2, report.icc, report.icc_cor)
     warnings = report.warnings
     if report.icc == 0.0:

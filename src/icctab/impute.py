@@ -28,10 +28,10 @@ per-column loop of draws draw for draw (see :func:`_donor_fills`), and take
 the valid counts and means from the table's kept moments (a mean is the shifted
 sum over the count, plus the shift).  Their index arrays are sized by the
 missing cells, and a transposed view is read without a copy.  Besides those,
-each holds one float table, its output, and row blocks: CRARI decomposes the
-row-mean table ``B`` from the input's blocks, never building it, and forms
-``B + c*F`` block by block in the fills ``F``, which its output keeps (traced
-peak 1.8-2.85 tables at 1400 x 80).
+each holds one float table, its output, and row blocks: CRARI takes the
+moments of the row-mean table ``B`` from the input's kept ones, never summing
+it, and forms ``B + c*F`` block by block in the fills ``F``, which its output
+keeps (traced peak 1.8-2.85 tables at 1400 x 80).
 
 Two degradation studies run on :func:`icctab.synth._degradation_study`:
 :func:`ari_bias_demo` (the ICC bias of row-wise imputation) and
@@ -48,7 +48,7 @@ from .anova import _decompose, _icc, _pearson, anova, icc_report
 from .errors import PreconditionError, UnreachableTargetError
 from .rand import as_generator
 from .synth import _degradation_study
-from .table import DataTable, _block_sums, _handed_over, _moments, _row_blocks
+from .table import DataTable, _block_sums, _handed_over, _Moments, _row_blocks
 
 __all__ = _EXPORTS["impute"].split()
 
@@ -179,7 +179,7 @@ def crari_impute(
     (m, n), values, missing = table.shape, table.values, table.missing
     means = report.item_means[:, None]  # the base B: the table filled with its row means
     centered = _column_donor_fills(table, as_generator(rng))
-    dec, a1, a2 = _quadratic(table, means, centered)
+    dec, a1, a2 = _quadratic(table, centered)
 
     def icc_at(c: float) -> float:
         return _icc(dec.msi, (dec.ssij + c * (a1 + c * a2)) / dec.dfij, table.cols)
@@ -221,11 +221,17 @@ def crari_impute(
                              warnings=tuple(warnings))
 
 
-def _quadratic(table: DataTable, means: np.ndarray, centered: np.ndarray):
-    """The decomposition of ``B``, the table with the m x 1 ``means`` at its missing
-    cells (never built), and ``a1``, ``a2`` for the fills ``F`` (:func:`crari_impute`)."""
-    (m, n), values, missing = table.shape, table.values, table.missing
-    dec = _decompose(_moments(values, missing, means), m, n)
+def _quadratic(table: DataTable, centered: np.ndarray):
+    """The decomposition of ``B`` from the table's kept moments plus, at each missing
+    cell, its row's shift-free mean ``d`` (``B`` is never built or summed), and
+    ``a1``, ``a2`` for the fills ``F`` (:func:`crari_impute`)."""
+    (m, n), missing = table.shape, table.missing
+    shift, row_counts, _, row_sums, col_sums, sq = table._sums
+    d = row_sums / row_counts  # less the shift, so not rounded at an offset
+    added = (n - row_counts) * d
+    col_sums = sum((d[rows] @ missing[rows] for rows in _row_blocks(m, n)), col_sums)
+    dec = _decompose(_Moments(shift, np.full(m, n), np.full(n, m), row_sums + added, col_sums,
+                              sq + added @ d), m, n)
     _, fill_col_sums, fill_sq = _block_sums(m, n, lambda rows, out: np.copyto(out, centered[rows]))
     return (dec, -2.0 * float(dec.col_sums @ fill_col_sums) / m,
             float(fill_sq - fill_col_sums @ fill_col_sums / m))

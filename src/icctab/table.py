@@ -193,25 +193,21 @@ class DataTable:
 _Moments = namedtuple("_Moments", "shift row_counts col_counts row_sums col_sums sq")
 
 
-def _moments(values, missing, fill=None) -> _Moments:
-    """The ANOVA's moment pass over ``values`` with the m x 1 ``fill`` at the
-    ``missing`` cells (counted as valid), or without them if ``fill`` is None,
-    in row blocks (:func:`_block_sums`) less a shift: column 0's mean rounded to
-    a multiple of the power of two above its sd (the mean at sd 0), so a
-    Z-scored table has shift 0 and an offset costs no precision (the shifted
-    sums of Chan, Golub & LeVeque 1983)."""
-    (m, n), full = values.shape, fill is not None
-    column = np.where(missing[:, 0], fill[:, 0], values[:, 0]) if full else values[~missing[:, 0], 0]
+def _moments(values, missing) -> _Moments:
+    """The ANOVA's moment pass over the cells of ``values`` not ``missing``, in row
+    blocks (:func:`_block_sums`) less a shift: column 0's mean rounded to a multiple
+    of the power of two above its sd (the mean at sd 0), so a Z-scored table has shift
+    0 and an offset costs no precision (the shifted sums of Chan, Golub & LeVeque 1983)."""
+    m, n = values.shape
+    column = values[~missing[:, 0], 0]
     # counts as int32 sums of the mask, in about half the time of count_nonzero(axis=)
-    counts = ((np.full(m, n), np.full(n, m)) if full else
-              (n - missing.sum(axis=1, dtype=np.int32), m - missing.sum(axis=0, dtype=np.int32)))
+    counts = n - missing.sum(axis=1, dtype=np.int32), m - missing.sum(axis=0, dtype=np.int32)
     mean, sd = float(column.mean()), float(column.std())
     step = math.ldexp(1.0, math.frexp(sd)[1])  # the power of two above sd
     shift = round(mean / step) * step if sd else mean
 
     def block(rows, out):  # a select, then the shift taken off in the block buffer
-        chosen = shift if fill is None else fill[rows]  # a number selects faster
-        np.subtract(np.where(missing[rows], chosen, values[rows]), shift, out=out)
+        np.subtract(np.where(missing[rows], shift, values[rows]), shift, out=out)
 
     row_sums, col_sums, sq = _block_sums(m, n, block)
     for array in (*counts, row_sums, col_sums):  # read-only, as the table's arrays

@@ -423,8 +423,16 @@ def valid_means(table: DataTable) -> tuple[np.ndarray, np.ndarray]:
 def anova_allocating(table: DataTable) -> AnovaDecomposition:
     """``anova`` from :func:`shifted_allocating`, with a fresh product per
     row block for the total sum of squares."""
-    m, n = table.shape
     shift, x, row_sums, row_counts, col_sums, col_counts = shifted_allocating(table)
+    return decompose_allocating(table.shape, shift, row_sums, row_counts, col_sums, col_counts,
+                                blocked_square_sum(x))
+
+
+def decompose_allocating(shape, shift, row_sums, row_counts, col_sums, col_counts,
+                         sq) -> AnovaDecomposition:
+    """The decomposition of an m x n table from its sums less ``shift``, its
+    valid counts and its sum of squares less the shift."""
+    m, n = shape
     n_valid = int(row_counts.sum())
     dfi = m - 1
     dfj = n - 1
@@ -436,7 +444,6 @@ def anova_allocating(table: DataTable) -> AnovaDecomposition:
         )
     total = row_sums.sum()
     correction = total * total / n_valid
-    sq = blocked_square_sum(x)
     ss = float(sq - correction)
     if ss != 0.0 and _constant_to_rounding(ss, sq + shift * (2 * total + n_valid * shift), 1):
         raise NumericError(f"the table is constant to rounding (sum of squares {ss:.3e})")
@@ -534,9 +541,11 @@ def ari_impute_allocating(table, rng=None) -> DataTable:
 
 
 def crari_impute_allocating(table, target="corrected", rng=None) -> ImputationOutcome:
-    """``crari_impute`` with a row-mean base copied into its ``DataTable``,
-    the sums of squares of :func:`blocked_square_sum`, and the table at ``c``
-    formed in two fresh arrays."""
+    """``crari_impute`` with the base's moments from a fresh
+    :func:`shifted_allocating` pass (the table's, plus each row's missing cells
+    at its shift-free valid mean, through a float copy of the mask), the sums
+    of squares of :func:`blocked_square_sum`, and the table at ``c`` formed in
+    two fresh arrays."""
     report = icc_report(table, ())
     warnings: list[str] = []
     if isinstance(target, str):
@@ -558,8 +567,13 @@ def crari_impute_allocating(table, target="corrected", rng=None) -> ImputationOu
     outcome = partial(ImputationOutcome, icc_before=report.icc, icc_cor=report.icc_cor,
                       target=target_icc)
     centered = column_donor_fills_allocating(table, as_generator(rng))
-    base = np.where(table.missing, report.item_means[:, None], table.values)
-    dec = anova_allocating(DataTable(base, np.zeros(table.shape, dtype=bool)))
+    (m, n), mask = table.shape, table.missing.astype(float)
+    shift, x, row_sums, row_counts, col_sums, _ = shifted_allocating(table)
+    means = row_sums / row_counts
+    added = (n - row_counts) * means
+    col_sums = sum((means[rows] @ mask[rows] for rows in _row_blocks(m, n)), col_sums)
+    dec = decompose_allocating(table.shape, shift, row_sums + added, np.full(m, n), col_sums,
+                               np.full(n, m), blocked_square_sum(x) + added @ means)
     fill_col_sums = centered.sum(axis=0)
     a1 = -2.0 * float(dec.col_sums @ fill_col_sums) / table.rows
     a2 = float(blocked_square_sum(centered) - fill_col_sums @ fill_col_sums / table.rows)
@@ -587,6 +601,7 @@ def crari_impute_allocating(table, target="corrected", rng=None) -> ImputationOu
         q = -0.5 * (a1 + root) if a1 > 0 else 0.5 * (root - a1)
         c = k / q if a1 > 0 else q / a2
 
+    base = np.where(table.missing, report.item_means[:, None], table.values)
     imputed = DataTable(base + c * centered, np.zeros(table.shape, dtype=bool))
     after = anova_allocating(imputed)
     drift = float(np.abs(after.item_means() - report.item_means).max())

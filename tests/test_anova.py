@@ -108,13 +108,15 @@ class TestExactArithmetic:
             attained = oracles.exact_decomposition(outcome.imputed)["icc"]
             assert abs(Fraction(outcome.icc_after) - attained) <= 1e-12
             # CRARI's quadratic: the fills' donor means come from the kept column
-            # sums; a0 and a1 also hold the base's item means, rounded at the offset
+            # sums.  a0 is the base's, whose moments are the table's kept ones plus
+            # its shift-free item means: none is rounded at the offset.  a1 also
+            # holds the fills F, which are drawn at the offset.
             fills = _column_donor_fills(table, as_generator(seed))
-            base, a1, a2 = _quadratic(table, table.row_means()[:, None], fills)
+            base, a1, a2 = _quadratic(table, fills)
             exact = oracles.exact_decomposition(table, fills)
             held = 1e-12 + np.finfo(float).eps * offset
             assert abs(Fraction(a2) - exact["a2"]) <= 1e-12 * exact["a2"]
-            assert abs(Fraction(base.ssij) - exact["a0"]) <= held * exact["a0"]
+            assert abs(Fraction(base.ssij) - exact["a0"]) <= 1e-12 * exact["a0"]
             bound = 2 * math.sqrt(exact["a0"] * exact["a2"])  # the largest |a1| can be
             assert abs(Fraction(a1) - exact["a1"]) <= Fraction(held * bound)
 

@@ -806,7 +806,9 @@ class TestErrorExitCodes:
         assert err.endswith(f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
-    def test_broken_pipe_exits_2(self, capsys, monkeypatch, complete_csv):
+    def test_broken_pipe_leaves_main(self, capsys, monkeypatch, complete_csv):
+        # stdout's reader has gone: no file error, and main (which also runs in
+        # long-lived processes) leaves stdout to entrypoint, which exits 1
         class ClosedPipe:
             def write(self, text):
                 raise BrokenPipeError(32, "Broken pipe")
@@ -815,9 +817,9 @@ class TestErrorExitCodes:
                 pass
 
         monkeypatch.setattr("sys.stdout", ClosedPipe())
-        code = main(["icc", "--input", str(complete_csv)])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error[2] BrokenPipeError: ")
+        with pytest.raises(BrokenPipeError):
+            main(["icc", "--input", str(complete_csv)])
+        assert capsys.readouterr().err == ""
 
     def test_structural_error(self, capsys, tmp_path):
         bad = tmp_path / "empty_col.csv"
@@ -869,13 +871,15 @@ class TestErrorExitCodes:
         assert _exit_code(IccTabError("unclassified")) == 1
 
 
-def icctab_process(*argv: str) -> subprocess.CompletedProcess:
-    """``python -m icctab`` on the package these tests import."""
+def icctab_process(*argv: str, stdout=subprocess.PIPE, **env) -> subprocess.CompletedProcess:
+    """``python -m icctab`` on the package these tests import, with ``env``
+    over this process's environment (a None value unsets a variable)."""
     src = str(Path(icctab.__file__).parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    return subprocess.run([sys.executable, "-m", "icctab", *argv], capture_output=True,
-                          env=env, timeout=60)
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""), **env}
+    return subprocess.run([sys.executable, "-m", "icctab", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=60,
+                          env={name: value for name, value in env.items() if value is not None})
 
 
 class TestProcessEntry:
@@ -899,6 +903,26 @@ class TestProcessEntry:
         structural = icctab_process("icc", "--input", str(bad))
         assert structural.returncode == 3 and structural.stdout == b""
         assert structural.stderr.startswith(b"error[3] StructuralError: ")
+
+    # a pipe's stdout is block-buffered unless PYTHONUNBUFFERED is set (argparse
+    # drops the failed write of an unbuffered --version, and exits 0)
+    @pytest.mark.parametrize("command, unbuffered", [("synth", None), ("synth", "1"),
+                                                     ("--version", None)])
+    def test_a_reader_gone_before_the_report_exits_1_quietly(self, tmp_path, command, unbuffered):
+        # as `icctab ... | grep -q` when grep exits first: the read end is closed
+        # before the child writes, so its first write or flush fails with EPIPE
+        argv = {"synth": ("synth", "--rows", "40", "--cols", "8", "--degrade", "0.2",
+                          "--output", str(tmp_path / "table.csv")),
+                "--version": ("--version",)}[command]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = icctab_process(*argv, stdout=write, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+        if command == "synth":
+            assert load_csv(tmp_path / "table.csv").shape == (40, 8)
 
     def test_main_never_freezes(self, capsys, complete_csv):
         before = gc.get_freeze_count()

@@ -183,10 +183,9 @@ class TestKeptMoments:
         passes = []
         moments = table_module._moments
 
-        def counted(values, missing, fill=None):
-            if fill is None:
-                passes.append(values)
-            return moments(values, missing, fill)
+        def counted(values, missing):
+            passes.append(values)
+            return moments(values, missing)
 
         monkeypatch.setattr(table_module, "_moments", counted)
         icc_report(table)
@@ -195,6 +194,7 @@ class TestKeptMoments:
         outcome = crari_impute(table, rng=2)
         table.row_means()
         outcome.imputed.row_means()
+        # CRARI's base takes its moments from the input's: no pass of its own
         assert [id(values) for values in passes] == [
             id(table.values), id(ari.values), id(outcome.imputed.values)]
 
@@ -819,7 +819,7 @@ class TestCrariRecoveryStudy:
             RecoveryPoint(p=0.0, icc_missing=exact, icc_cor=exact, icc_imputed=exact,
                           r_item_means=1.0, icc_exact=exact),
             RecoveryPoint(p=0.2, icc_missing=0.5750181662731143, icc_cor=0.6283399741363129,
-                          icc_imputed=0.6283399741363129, r_item_means=0.9568833019866778,
+                          icc_imputed=0.628339974136313, r_item_means=0.9568833019866778,
                           icc_exact=exact),
             RecoveryPoint(p=0.5, icc_missing=0.45316406245908514, icc_cor=0.6198556828422,
                           icc_imputed=0.6198556828422, r_item_means=0.843012543175821,
