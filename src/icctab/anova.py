@@ -6,11 +6,11 @@ estimated from the variance components.  An empty cell simply drops out of
 every sum, so the same code path serves complete and incomplete tables.
 The first :func:`anova` of a table runs its moment pass (the valid counts, and
 the sums of the values less a shift near column 0's mean, see
-:func:`icctab.table._moments`), holding one row block besides its input (traced
-peak 0.62 of a 1400 x 80 table), and the table keeps the moments; every call
-runs the O(m + n) decomposition.  An ``ssij`` within ``N·eps·ss`` of 0 is 0; a
-spread within the values' own rounding, ``ss <= eps²·Σx²`` (``_constant_to_rounding``
-with n = 1), is a ``NumericError``.
+:func:`icctab.table._moments`), holding one row block besides its input; the
+table keeps the moments, and every call runs the O(m + n) decomposition.  An
+``ssij`` within ``N·eps·ss`` of 0 is 0; a spread within the values' own
+rounding, ``ss <= eps²·Σx²`` (``_constant_to_rounding`` with n = 1), is a
+``NumericError``.
 
 The corrected coefficient compensates for randomly missing data: a
 proportion ``p`` of missing cells reduces the mean number of averaged
@@ -44,18 +44,14 @@ __all__ = _EXPORTS["anova"].split()
 
 @dataclass(frozen=True)
 class AnovaDecomposition:
-    """Sums, degrees of freedom and variance components of one table.
+    """Sums of squares, degrees of freedom and variance components of one
+    table, derived from the moments the table keeps (``DataTable._sums``).
 
     ``vi`` is the row (item) effect variance, ``vj`` the column
     (participant) effect variance, and ``vij`` the interaction/noise
     variance; ``vi`` and ``vj`` are floored at zero.
     """
 
-    row_sums: np.ndarray
-    row_counts: np.ndarray
-    col_sums: np.ndarray
-    col_counts: np.ndarray
-    shift: float  # the row and column sums are of the values less it
     n_valid: int
     ss: float
     ssi: float
@@ -74,9 +70,6 @@ class AnovaDecomposition:
     def q(self) -> float:
         """Variance ratio ``vi / vij`` (item effect over noise); inf at ``vij = 0``."""
         return math.inf if self.vij == 0.0 else self.vi / self.vij
-
-    def item_means(self) -> np.ndarray:
-        return self.row_sums / self.row_counts + self.shift
 
 
 def anova(table: DataTable) -> AnovaDecomposition:
@@ -117,8 +110,7 @@ def _decompose(sums, m: int, n: int) -> AnovaDecomposition:
             "decomposition, as happens when a raw table with missing cells has a column "
             "(participant) effect; standardize its columns first (--zscore)")
     vi, vj = max(0.0, (msi - vij) / n), max(0.0, (msj - vij) / m)
-    return AnovaDecomposition(row_sums, row_counts, col_sums, col_counts, shift, n_valid, ss, ssi,
-                              ssj, ssij, dfi, dfj, dfij, msi, msj, vij, vi, vj)
+    return AnovaDecomposition(n_valid, ss, ssi, ssj, ssij, dfi, dfj, dfij, msi, msj, vij, vi, vj)
 
 
 @dataclass(frozen=True)
@@ -180,7 +172,7 @@ def icc_report(
         icc_cor=corrected_icc(icc, pmiss),
         conf=_conf_bounds(f_obs, dec.dfi, dec.dfij, conf_probs),
         warnings=warnings,
-        item_means=dec.item_means(),
+        item_means=table.row_means(),
     )
 
 

@@ -126,8 +126,15 @@ def _exit_code(exc: IccTabError) -> int:
     return next((code for klass, code in EXIT_CODES.items() if isinstance(exc, klass)), 1)
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse's own drops a failed write's OSError; raised, a reader gone from
+        # stdout before --version or --help reaches entrypoint (exit 1)
+        (file or sys.stderr).write(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="icctab",
         description="ICC statistics, corrected estimates and imputation "
         "for item-by-participant tables with missing data",

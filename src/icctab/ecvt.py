@@ -62,9 +62,8 @@ __all__ = _EXPORTS["ecvt"].split()
 # Bytes that the arrays of one chunk may take together: the indicator block
 # and permutation rows of ``_group_indicator_chunks`` and every buffer and
 # temporary of the caller's kernel.  Each caller states its bytes per draw,
-# and a chunk holds as many draws as fit.  At the paper's 1400 x 80 shape the
-# r2/ICC curve gets 16 draws a chunk at the traced peak it had when only one
-# 1400 x B block was budgeted (in 128 KiB, 11 draws).
+# and a chunk holds as many draws as fit: at the paper's 1400 x 80 shape the
+# r2/ICC curve gets 16 draws a chunk.
 _CHUNK_BYTES = 5 << 18
 
 

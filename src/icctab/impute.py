@@ -31,7 +31,7 @@ missing cells, and a transposed view is read without a copy.  Besides those,
 each holds one float table, its output, and row blocks: CRARI takes the
 moments of the row-mean table ``B`` from the input's kept ones, never summing
 it, and forms ``B + c*F`` block by block in the fills ``F``, which its output
-keeps (traced peak 1.8-2.85 tables at 1400 x 80).
+keeps.
 
 Two degradation studies run on :func:`icctab.synth._degradation_study`:
 :func:`ari_bias_demo` (the ICC bias of row-wise imputation) and
@@ -212,7 +212,7 @@ def crari_impute(
         np.add(np.where(missing[rows], means[rows], values[rows]), block, out=block)
     imputed = DataTable(_handed_over(centered), _handed_over(np.zeros(table.shape, dtype=bool)))
     after = anova(imputed)
-    drift = float(np.abs(after.item_means() - report.item_means).max())
+    drift = float(np.abs(imputed.row_means() - report.item_means).max())
     if drift > max(1e-9, table.cols * np.finfo(float).eps * np.abs(report.item_means).max()):
         warnings.append(f"item mean inaccuracy: {drift:.3e}")
     icc_after = _icc(after.msi, after.vij, table.cols)
@@ -233,7 +233,7 @@ def _quadratic(table: DataTable, centered: np.ndarray):
     dec = _decompose(_Moments(shift, np.full(m, n), np.full(n, m), row_sums + added, col_sums,
                               sq + added @ d), m, n)
     _, fill_col_sums, fill_sq = _block_sums(m, n, lambda rows, out: np.copyto(out, centered[rows]))
-    return (dec, -2.0 * float(dec.col_sums @ fill_col_sums) / m,
+    return (dec, -2.0 * float(col_sums @ fill_col_sums) / m,
             float(fill_sq - fill_col_sums @ fill_col_sums / m))
 
 

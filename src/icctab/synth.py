@@ -19,8 +19,7 @@ generator's oracle.
 Degradation masks uniformly random cells of a complete table to simulate
 missing data; :func:`_degradation_study` repeats it over a grid of missing
 proportions and averages what a study measures on each degraded table.
-Traced peaks at 1400 x 80, in tables: :func:`generate` 1.31 (it draws its noise
-a row block at a time), :func:`degrade_random` 1.3-2.1 besides its input.
+:func:`generate` draws its noise a row block at a time.
 """
 
 import math

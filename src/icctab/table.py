@@ -46,10 +46,7 @@ array it built read-only and hands it to its output table, so no table is
 copied on the way out; tables built from one another's arrays share them.
 Kernels also reuse their table-sized temporaries in place (ufunc ``out=``,
 ``np.copyto(where=)``), as each fresh one costs page faults; a table's checks
-run in row blocks of ``_BLOCK_CELLS`` cells.  Traced peaks at 1400 x 80, in
-tables and besides the input: :func:`zscore` and :func:`mix_rows` 1.2,
-:func:`virtualize` at most 1.7, and :func:`load_csv` 1.73 split, 1.4 to 2.3
-in one process (its number buffer holds the valid cells).
+run in row blocks of ``_BLOCK_CELLS`` cells.
 """
 
 import csv
@@ -133,12 +130,10 @@ class DataTable:
             if not values.flags.writeable and nan_at_mask:
                 np.isnan(values[rows], out=flags)
                 nan_at_mask = not np.not_equal(flags, missing[rows], out=flags).any()
-        empty_rows = np.flatnonzero(missing.all(axis=1))
-        if empty_rows.size:
-            raise StructuralError(f"empty row(s): {(empty_rows + 1).tolist()}")
-        empty_cols = np.flatnonzero(missing.all(axis=0))
-        if empty_cols.size:
-            raise StructuralError(f"empty column(s): {(empty_cols + 1).tolist()}")
+        for axis, name in ((1, "row"), (0, "column")):
+            empty = np.flatnonzero(missing.all(axis=axis))
+            if empty.size:
+                raise StructuralError(f"empty {name}(s): {(empty + 1).tolist()}")
         if not nan_at_mask:
             values = np.array(values)  # kept, but a masked cell holds a number
         if values.flags.writeable:  # a copy
@@ -172,8 +167,7 @@ class DataTable:
     @property
     def pmiss(self) -> float:
         """Proportion of missing cells."""
-        m, n = self.shape
-        return float(self.missing.sum()) / (m * n)
+        return (self.missing.size - self.n_valid) / self.missing.size
 
     @cached_property
     def _sums(self):

@@ -462,11 +462,6 @@ def decompose_allocating(shape, shift, row_sums, row_counts, col_sums, col_count
     vi = max(0.0, (msi - vij) / n)
     vj = max(0.0, (msj - vij) / m)
     return AnovaDecomposition(
-        row_sums=row_sums,
-        row_counts=row_counts,
-        col_sums=col_sums,
-        col_counts=col_counts,
-        shift=shift,
         n_valid=n_valid,
         ss=ss,
         ssi=ssi,
@@ -575,7 +570,7 @@ def crari_impute_allocating(table, target="corrected", rng=None) -> ImputationOu
     dec = decompose_allocating(table.shape, shift, row_sums + added, np.full(m, n), col_sums,
                                np.full(n, m), blocked_square_sum(x) + added @ means)
     fill_col_sums = centered.sum(axis=0)
-    a1 = -2.0 * float(dec.col_sums @ fill_col_sums) / table.rows
+    a1 = -2.0 * float(col_sums @ fill_col_sums) / table.rows
     a2 = float(blocked_square_sum(centered) - fill_col_sums @ fill_col_sums / table.rows)
 
     def icc_at(c: float) -> float:
@@ -604,7 +599,7 @@ def crari_impute_allocating(table, target="corrected", rng=None) -> ImputationOu
     base = np.where(table.missing, report.item_means[:, None], table.values)
     imputed = DataTable(base + c * centered, np.zeros(table.shape, dtype=bool))
     after = anova_allocating(imputed)
-    drift = float(np.abs(after.item_means() - report.item_means).max())
+    drift = float(np.abs(valid_means(imputed)[0] - report.item_means).max())
     if drift > max(1e-9, table.cols * np.finfo(float).eps * np.abs(report.item_means).max()):
         warnings.append(f"item mean inaccuracy: {drift:.3e}")
     icc_after = _icc(after.msi, after.vij, table.cols)

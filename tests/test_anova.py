@@ -55,10 +55,13 @@ class TestAnova:
         assert dec.ssi + dec.ssj + dec.ssij == pytest.approx(dec.ss, abs=1e-10)
 
     def test_counts_and_sums(self, small_table):
-        dec = anova(small_table)
-        assert dec.n_valid == 10
-        assert dec.row_counts.tolist() == [3, 2, 2, 3]
-        assert dec.col_counts.sum() == dec.row_counts.sum()
+        # the table keeps the moments; the decomposition keeps what it derives
+        sums = small_table._sums
+        assert anova(small_table).n_valid == 10
+        assert sums.row_counts.tolist() == [3, 2, 2, 3]
+        assert sums.col_counts.sum() == sums.row_counts.sum() == 10
+        means = sums.row_sums / sums.row_counts + sums.shift
+        assert means == pytest.approx(np.nanmean(small_table.values, axis=1), rel=1e-15)
 
     def test_insufficient_data(self):
         t = DataTable(np.array([[1.0, 2.0], [3.0, np.nan]]))
@@ -125,23 +128,23 @@ class TestShift:
     """The sums are formed about a shift near column 0's valid mean."""
 
     def test_a_centred_table_takes_shift_0(self, z_table_1400x80):
-        assert anova(z_table_1400x80).shift == 0.0
-        assert anova(DataTable(z_table_1400x80.values + 1e8)).shift == 1e8
+        assert z_table_1400x80._sums.shift == 0.0
+        assert DataTable(z_table_1400x80.values + 1e8)._sums.shift == 1e8
 
     def test_column_0_with_one_valid_value_or_constant(self):
         # its standard deviation is 0, so the shift is the mean itself
         values = np.random.default_rng(3).normal(size=(6, 4)) + 1e8
         values[1:, 0] = np.nan
-        assert anova(DataTable(values)).shift == values[0, 0]
+        assert DataTable(values)._sums.shift == values[0, 0]
         values[:, 0] = 1e8 + 0.25
-        dec = anova(DataTable(values))
-        assert dec.shift == 1e8 + 0.25
-        assert dec.item_means() == pytest.approx(np.nanmean(values, axis=1), rel=1e-15)
+        table = DataTable(values)
+        assert table._sums.shift == 1e8 + 0.25
+        assert table.row_means() == pytest.approx(np.nanmean(values, axis=1), rel=1e-15)
 
     def test_item_means_add_the_shift_back(self, small_table):
-        dec = anova(DataTable(small_table.values + 1e8))
-        assert dec.shift != 0.0
-        assert dec.item_means() - 1e8 == pytest.approx(small_table.row_means(), abs=1e-7)
+        table = DataTable(small_table.values + 1e8)
+        assert table._sums.shift != 0.0
+        assert table.row_means() - 1e8 == pytest.approx(small_table.row_means(), abs=1e-7)
 
 
 class TestNoiseFreeAndOffsetTables:

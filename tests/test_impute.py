@@ -15,6 +15,7 @@ from oracles import (
     anova_allocating,
     ari_impute_allocating,
     ari_impute_loop,
+    blocked_square_sum,
     column_donor_fills_allocating,
     column_donor_fills_loop,
     column_donor_fills_masked,
@@ -22,6 +23,7 @@ from oracles import (
     crari_impute_allocating,
     donor_fills_allocating,
     donor_fills_masked,
+    shifted_allocating,
     valid_means,
     zscore_allocating,
 )
@@ -589,6 +591,10 @@ class TestInPlaceKernelsMatchAllocatingKernels:
 
     @staticmethod
     def check(table):
+        # the moments the table keeps (the decomposition holds only what it derives)
+        shift, x, row_sums, row_counts, col_sums, col_counts = shifted_allocating(table)
+        assert _bits(table._sums) == _bits(
+            (shift, row_counts, col_counts, row_sums, col_sums, blocked_square_sum(x)))
         assert _outcome_bits(anova, table) == _outcome_bits(anova_allocating, table)
         assert _outcome_bits(zscore, table) == _outcome_bits(zscore_allocating, table)
         for values, mask, kernel_args, means in _donor_cases(table):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.stats import beta as beta_distribution
 from scipy.stats import f as f_distribution
 
-from icctab import PreconditionError, beta_quantile, chi2_upper_tail, f_quantile
+from icctab import NumericError, PreconditionError, beta_quantile, chi2_upper_tail, f_quantile
 from icctab import special
 from icctab.special import reg_inc_beta
 
@@ -184,6 +184,25 @@ class TestContinuedFractionAtLargeShapes:
     def test_beta_quantile_near_the_mean(self, p):
         assert beta_quantile(p, 800504.6, 893161.7) == pytest.approx(
             beta_distribution.ppf(p, 800504.6, 893161.7), rel=1e-10, abs=0)
+
+
+class TestNonConvergenceGuards:
+    # the searches converge well inside their iteration caps on every argument
+    # Tier-1 passes, so each cap is lowered here until its guard raises
+
+    def test_continued_fraction(self, monkeypatch):
+        # with no base iterations, Beta(2, 5) gets int(sqrt(5)) = 2 of them
+        monkeypatch.setattr(special, "_CF_MAX_ITER", 0)
+        with pytest.raises(NumericError, match=r"^incomplete beta continued fraction did not "
+                                               r"converge \(a=2, b=5, x=0\.2\)$"):
+            reg_inc_beta(0.2, 2, 5)
+
+    def test_newton_search(self, monkeypatch):
+        # one Newton step from the closed-form start does not meet the tolerance
+        monkeypatch.setattr(special, "_MAX_NEWTON", 1)
+        with pytest.raises(NumericError, match=r"^beta_quantile did not converge "
+                                               r"\(p=0\.3, a=2, b=5\)$"):
+            beta_quantile(0.3, 2, 5)
 
 
 class TestChi2UpperTail:
