@@ -28,10 +28,10 @@ per-column loop of draws draw for draw (see :func:`_donor_fills`), and take
 the valid counts and means from the table's kept moments (a mean is the shifted
 sum over the count, plus the shift).  Their index arrays are sized by the
 missing cells, and a transposed view is read without a copy.  Besides those,
-each holds one float table, its output, and row blocks: CRARI takes the
-moments of the row-mean table ``B`` from the input's kept ones, never summing
-it, and forms ``B + c*F`` block by block in the fills ``F``, which its output
-keeps.
+each holds one float table, its output, and row blocks: CRARI draws its fills
+``F`` less the table's shift and takes the moments of the row-mean table ``B``
+from the input's kept ones, never summing it, so all its sums share one shift,
+and forms ``B + c*F`` block by block in ``F``, which its output keeps.
 
 Two degradation studies run on :func:`icctab.synth._degradation_study`:
 :func:`ari_bias_demo` (the ICC bias of row-wise imputation) and
@@ -48,7 +48,7 @@ from .anova import _decompose, _icc, _pearson, anova, icc_report
 from .errors import PreconditionError, UnreachableTargetError
 from .rand import as_generator
 from .synth import _degradation_study
-from .table import DataTable, _block_sums, _handed_over, _Moments, _row_blocks
+from .table import DataTable, _handed_over, _Moments, _row_blocks
 
 __all__ = _EXPORTS["impute"].split()
 
@@ -105,7 +105,7 @@ def ari_impute(table: DataTable, rng=None) -> DataTable:
     are preserved exactly.  Rows without missing cells are untouched.
     """
     fills = _donor_fills(table.values, table.missing, table._sums.row_counts, table.row_means(),
-                         as_generator(rng))
+                         0.0, as_generator(rng))
     values = np.array(table.values, order="C")  # so the flat view writes in place
     values.reshape(-1)[np.flatnonzero(table.missing)] = fills
     return DataTable(_handed_over(values), _handed_over(np.zeros(table.shape, dtype=bool)))
@@ -225,29 +225,31 @@ def _quadratic(table: DataTable, centered: np.ndarray):
     """The decomposition of ``B`` from the table's kept moments plus, at each missing
     cell, its row's shift-free mean ``d`` (``B`` is never built or summed), and
     ``a1``, ``a2`` for the fills ``F`` (:func:`crari_impute`)."""
-    (m, n), missing = table.shape, table.missing
+    (m, n), missing, blocks = table.shape, table.missing, _row_blocks(*table.shape)
     shift, row_counts, _, row_sums, col_sums, sq = table._sums
     d = row_sums / row_counts  # less the shift, so not rounded at an offset
     added = (n - row_counts) * d
-    col_sums = sum((d[rows] @ missing[rows] for rows in _row_blocks(m, n)), col_sums)
+    col_sums = sum((d[rows] @ missing[rows] for rows in blocks), col_sums)
     dec = _decompose(_Moments(shift, np.full(m, n), np.full(n, m), row_sums + added, col_sums,
                               sq + added @ d), m, n)
-    _, fill_col_sums, fill_sq = _block_sums(m, n, lambda rows, out: np.copyto(out, centered[rows]))
+    fill_col_sums, buffer = centered.sum(axis=0), np.empty((blocks[0].stop, n))
+    # the fills' squares, one row block at a time in the block buffer
+    fill_sq = sum(np.square(centered[rows], out=buffer[:rows.stop - rows.start]).sum()
+                  for rows in blocks)
     return (dec, -2.0 * float(col_sums @ fill_col_sums) / m,
             float(fill_sq - fill_col_sums @ fill_col_sums / m))
 
 
 def _donor_fills(values: np.ndarray, missing: np.ndarray, counts: np.ndarray,
-                 means: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Adjusted donor fills of the missing cells, in row-major order.
+                 means: np.ndarray, shift: float, gen: np.random.Generator) -> np.ndarray:
+    """Adjusted donor fills of the missing cells less ``shift``, in row-major order.
 
-    Each missing cell draws one of its row's ``counts`` valid values (in
-    column order) with replacement; each row's draws are then centered by
-    their own mean and shifted to the row's valid mean in ``means`` (the
-    table's kept moments give both), the adjustment rule of both imputation
-    methods (a single draw becomes the valid mean).  One
-    ``gen.integers`` call with one bound per cell matches one
-    ``integers(0, k, size=s)`` call per row, ``gen`` state included.
+    Each missing cell draws one of its row's ``counts`` valid values (in column
+    order) with replacement; each row's draws, less the shift, are centered by
+    their own mean and moved to the row's valid mean less the shift in
+    ``means``, the adjustment rule of both imputation methods (a single draw
+    becomes the valid mean).  One ``gen.integers`` call with one bound per cell
+    matches one ``integers(0, k, size=s)`` call per row, ``gen`` state included.
     """
     m, k = values.shape
     counts = counts.astype(np.int64)  # int64 bounds, as one integers call per row takes
@@ -263,6 +265,7 @@ def _donor_fills(values: np.ndarray, missing: np.ndarray, counts: np.ndarray,
         draws += rows * (1 - k * m)
         values = values.T
     draws = np.take(values, draws)
+    draws -= shift
     draws -= (np.bincount(rows, draws, m) / np.maximum(miss, 1))[rows]
     return np.add(draws, means[rows], out=draws)
 
@@ -270,18 +273,19 @@ def _donor_fills(values: np.ndarray, missing: np.ndarray, counts: np.ndarray,
 def _column_donor_fills(table: DataTable, gen: np.random.Generator) -> np.ndarray:
     """Column-wise donor draws, adjusted per column then centered per row.
 
-    The donor kernel runs on the transpose, so cells draw in column-major
-    order.  The result is zero at valid cells and holds the centered fills
-    at missing cells (the mask keeps each row's shift off its valid cells);
-    scaled by ``c`` and added to the row-mean base, it is the table at ``c``.
+    The donor kernel runs on the transpose less the table's shift, so cells
+    draw in column-major order.  The result is 0 at valid cells (the mask keeps
+    each row's centre off them) and the centered fills at missing cells; scaled
+    by ``c`` and added to the row-mean base, it is the table at ``c``.
     """
-    missing, counts = table.missing, table._sums.col_counts
-    draws = _donor_fills(table.values.T, missing.T, counts, table.col_means(), gen)
+    missing, sums = table.missing, table._sums
+    draws = _donor_fills(table.values.T, missing.T, sums.col_counts,
+                         sums.col_sums / sums.col_counts, sums.shift, gen)
     fills = np.zeros(table.shape)
     fills.T[missing.T] = draws
-    shift = fills.sum(axis=1) / np.maximum(table.cols - table._sums.row_counts, 1)
+    centre = fills.sum(axis=1) / np.maximum(table.cols - sums.row_counts, 1)
     for rows in _row_blocks(*table.shape):  # a masked subtract (where=) branches per cell: slower
-        fills[rows] -= shift[rows, None] * missing[rows]
+        fills[rows] -= centre[rows, None] * missing[rows]
     return fills
 
 

@@ -71,13 +71,8 @@ from .rand import as_generator
 __all__ = _EXPORTS["table"].split()
 
 # A CSV read or write at least this large (file bytes read, value bytes
-# written) is split in two, and a forked child takes the second half.
-# Timed on 2 vCPUs with 80 columns: in a command-line process (36 MB, fork
-# and wait 4 ms) a split pays from about 300 KB read and 100 KB of values
-# written.  Forking costs more as the caller's Python heap grows (16 ms
-# with 260 MB of Python objects; large numpy arrays add little), and there
-# a split pays from about 300 KB of values written but only from about
-# 1.3 MB read, so such a caller reads files of 0.5-1.3 MB up to 15% slower.
+# written) is split in two, and a forked child takes the second half; the
+# timings that set it are in the Notes of README.md.
 _SPLIT_BYTES = 512 * 1024
 
 # Cells per row block of the kernels that work a table block by block
@@ -189,9 +184,9 @@ _Moments = namedtuple("_Moments", "shift row_counts col_counts row_sums col_sums
 
 def _moments(values, missing) -> _Moments:
     """The ANOVA's moment pass over the cells of ``values`` not ``missing``, in row
-    blocks (:func:`_block_sums`) less a shift: column 0's mean rounded to a multiple
-    of the power of two above its sd (the mean at sd 0), so a Z-scored table has shift
-    0 and an offset costs no precision (the shifted sums of Chan, Golub & LeVeque 1983)."""
+    blocks less a shift: column 0's mean rounded to a multiple of the power of two
+    above its sd (the mean at sd 0), so a Z-scored table has shift 0 and an offset
+    costs no precision (the shifted sums of Chan, Golub & LeVeque 1983)."""
     m, n = values.shape
     column = values[~missing[:, 0], 0]
     # counts as int32 sums of the mask, in about half the time of count_nonzero(axis=)
@@ -199,31 +194,18 @@ def _moments(values, missing) -> _Moments:
     mean, sd = float(column.mean()), float(column.std())
     step = math.ldexp(1.0, math.frexp(sd)[1])  # the power of two above sd
     shift = round(mean / step) * step if sd else mean
-
-    def block(rows, out):  # a select, then the shift taken off in the block buffer
-        np.subtract(np.where(missing[rows], shift, values[rows]), shift, out=out)
-
-    row_sums, col_sums, sq = _block_sums(m, n, block)
-    for array in (*counts, row_sums, col_sums):  # read-only, as the table's arrays
-        _handed_over(array)
-    return _Moments(shift, *counts, row_sums, col_sums, sq)
-
-
-def _block_sums(m: int, n: int, block) -> tuple[np.ndarray, np.ndarray, float]:
-    """Row sums, column sums and sum of squares of an m x n table whose row
-    blocks ``block(rows, out)`` writes into the C-ordered ``out``: the row and
-    column sums of the whole table (the running column sums lead each block
-    as its first row), and the blocks' pairwise sums of squares added."""
     blocks = _row_blocks(m, n)
-    buffer = np.empty((blocks[0].stop + 1, n))
+    buffer = np.empty((blocks[0].stop + 1, n))  # the running column sums lead each block
     row_sums, sq = np.empty(m), 0.0
-    for rows in blocks:
+    for rows in blocks:  # a select, then the shift taken off in the block buffer
         x = buffer[:rows.stop - rows.start + 1]
-        block(rows, x[1:])
+        np.subtract(np.where(missing[rows], shift, values[rows]), shift, out=x[1:])
         row_sums[rows] = x[1:].sum(axis=1)
         buffer[0] = col_sums = (x if rows.start else x[1:]).sum(axis=0)
         sq += np.square(x[1:], out=x[1:]).sum()
-    return row_sums, col_sums, sq
+    for array in (*counts, row_sums, col_sums):  # read-only, as the table's arrays
+        _handed_over(array)
+    return _Moments(shift, *counts, row_sums, col_sums, sq)
 
 
 def _kept(array, dtype) -> np.ndarray:

@@ -366,15 +366,17 @@ def column_donor_fills_loop(table, gen) -> np.ndarray:
     return fills
 
 
-def donor_fills_masked(values: np.ndarray, missing: np.ndarray, means, gen) -> np.ndarray:
+def donor_fills_masked(values: np.ndarray, missing: np.ndarray, means, shift,
+                       gen) -> np.ndarray:
     """The donor kernel as it was before it counted each row's cells once,
-    shifting each row's draws to its valid mean in ``means``."""
+    moving each row's draws less ``shift`` to its valid mean less the shift in
+    ``means``."""
     valid = ~missing
     rows = np.nonzero(missing)[0]
     counts = valid.sum(axis=1)
     donors = values[valid]
     starts = np.cumsum(counts) - counts
-    draws = donors[starts[rows] + gen.integers(0, counts[rows])]
+    draws = donors[starts[rows] + gen.integers(0, counts[rows])] - shift
     m = values.shape[0]
     draw_means = np.bincount(rows, draws, m)[rows] / np.bincount(rows, minlength=m)[rows]
     return draws - draw_means + means[rows]
@@ -384,7 +386,8 @@ def column_donor_fills_masked(table, gen) -> np.ndarray:
     """CRARI's centered fills, re-centered through a masked gather and scatter."""
     missing = table.missing
     fills = np.zeros(table.shape)
-    fills.T[missing.T] = donor_fills_masked(table.values.T, missing.T, valid_means(table)[1], gen)
+    fills.T[missing.T] = donor_fills_masked(table.values.T, missing.T, *shifted_col_means(table),
+                                            gen)
     rows = np.nonzero(missing)[0]
     fills[missing] -= fills.sum(axis=1)[rows] / missing.sum(axis=1)[rows]
     return fills
@@ -411,6 +414,13 @@ def shifted_allocating(table: DataTable):
     x = np.ascontiguousarray(np.where(valid, table.values - shift, 0.0))
     return (shift, x, x.sum(axis=1), valid.sum(axis=1, dtype=np.int32), x.sum(axis=0),
             valid.sum(axis=0, dtype=np.int32))
+
+
+def shifted_col_means(table: DataTable) -> tuple[np.ndarray, float]:
+    """The column means less the shift (the shifted sums over the valid
+    counts), and the shift: the donor means of CRARI's fills."""
+    shift, _, _, _, col_sums, col_counts = shifted_allocating(table)
+    return col_sums / col_counts, shift
 
 
 def valid_means(table: DataTable) -> tuple[np.ndarray, np.ndarray]:
@@ -500,17 +510,19 @@ def zscore_allocating(table: DataTable) -> DataTable:
     return DataTable(scaled, table.missing)
 
 
-def donor_fills_allocating(values: np.ndarray, missing: np.ndarray, means, gen) -> np.ndarray:
+def donor_fills_allocating(values: np.ndarray, missing: np.ndarray, means, shift,
+                           gen) -> np.ndarray:
     """The donor kernel gathering through ``np.take`` on ``values`` (a copy
-    of a transposed view), with a fresh array per adjustment step, shifting
-    each row's draws to its valid mean in ``means``."""
+    of a transposed view), with a fresh array per adjustment step, moving
+    each row's draws less ``shift`` to its valid mean less the shift in
+    ``means``."""
     m, k = values.shape
     miss = np.count_nonzero(missing, axis=1)
     rows = np.repeat(np.arange(m), miss)
     counts = k - miss
     starts = np.cumsum(counts) - counts
     cells = np.flatnonzero(~missing)  # flat indices gather faster than a random boolean mask
-    draws = np.take(values, cells[starts[rows] + gen.integers(0, counts[rows])])
+    draws = np.take(values, cells[starts[rows] + gen.integers(0, counts[rows])]) - shift
     draw_means = np.bincount(rows, draws, m) / np.maximum(miss, 1)
     return draws - draw_means[rows] + means[rows]
 
@@ -519,10 +531,10 @@ def column_donor_fills_allocating(table, gen) -> np.ndarray:
     """CRARI's centered fills, shifted through a fresh product table."""
     missing = table.missing
     fills = np.zeros(table.shape)
-    fills.T[missing.T] = donor_fills_allocating(table.values.T, missing.T, valid_means(table)[1],
-                                                gen)
-    shift = fills.sum(axis=1) / np.maximum(np.count_nonzero(missing, axis=1), 1)
-    fills -= shift[:, None] * missing
+    fills.T[missing.T] = donor_fills_allocating(table.values.T, missing.T,
+                                                *shifted_col_means(table), gen)
+    centre = fills.sum(axis=1) / np.maximum(np.count_nonzero(missing, axis=1), 1)
+    fills -= centre[:, None] * missing
     return fills
 
 
@@ -530,7 +542,7 @@ def ari_impute_allocating(table, rng=None) -> DataTable:
     """``ari_impute`` scattering its fills through ``np.put``."""
     values = np.array(table.values)
     np.put(values, np.flatnonzero(table.missing),
-           donor_fills_allocating(table.values, table.missing, valid_means(table)[0],
+           donor_fills_allocating(table.values, table.missing, valid_means(table)[0], 0.0,
                                   as_generator(rng)))
     return DataTable(values, np.zeros(table.shape, dtype=bool))
 
@@ -538,7 +550,7 @@ def ari_impute_allocating(table, rng=None) -> DataTable:
 def crari_impute_allocating(table, target="corrected", rng=None) -> ImputationOutcome:
     """``crari_impute`` with the base's moments from a fresh
     :func:`shifted_allocating` pass (the table's, plus each row's missing cells
-    at its shift-free valid mean, through a float copy of the mask), the sums
+    at its shift-free valid mean, through a C-ordered float copy of the mask), the sums
     of squares of :func:`blocked_square_sum`, and the table at ``c`` formed in
     two fresh arrays."""
     report = icc_report(table, ())
@@ -562,7 +574,7 @@ def crari_impute_allocating(table, target="corrected", rng=None) -> ImputationOu
     outcome = partial(ImputationOutcome, icc_before=report.icc, icc_cor=report.icc_cor,
                       target=target_icc)
     centered = column_donor_fills_allocating(table, as_generator(rng))
-    (m, n), mask = table.shape, table.missing.astype(float)
+    (m, n), mask = table.shape, table.missing.astype(float, order="C")
     shift, x, row_sums, row_counts, col_sums, _ = shifted_allocating(table)
     means = row_sums / row_counts
     added = (n - row_counts) * means

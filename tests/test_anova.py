@@ -97,10 +97,10 @@ class TestExactArithmetic:
             if standardize:
                 table = zscore(table)
             for offset in (0.0, 1e4, 1e8):
-                self.check(DataTable(table.values + offset), seed if p else None, offset)
+                self.check(DataTable(table.values + offset), seed if p else None)
 
     @staticmethod
-    def check(table, seed, offset):
+    def check(table, seed):
         exact = oracles.exact_decomposition(table)
         dec = anova(table)
         for name in ("ss", "ssi", "ssj", "ssij"):
@@ -110,18 +110,17 @@ class TestExactArithmetic:
             outcome = crari_impute(table, "low", rng=seed)
             attained = oracles.exact_decomposition(outcome.imputed)["icc"]
             assert abs(Fraction(outcome.icc_after) - attained) <= 1e-12
-            # CRARI's quadratic: the fills' donor means come from the kept column
-            # sums.  a0 is the base's, whose moments are the table's kept ones plus
-            # its shift-free item means: none is rounded at the offset.  a1 also
-            # holds the fills F, which are drawn at the offset.
+            # CRARI's quadratic, every sum taken about the table's shift: a0 is the
+            # base's, whose moments are the table's kept ones plus its shift-free
+            # item means, and the fills F are drawn less the shift and moved to
+            # the shift-free column means, so nothing is rounded at the offset
             fills = _column_donor_fills(table, as_generator(seed))
             base, a1, a2 = _quadratic(table, fills)
             exact = oracles.exact_decomposition(table, fills)
-            held = 1e-12 + np.finfo(float).eps * offset
             assert abs(Fraction(a2) - exact["a2"]) <= 1e-12 * exact["a2"]
             assert abs(Fraction(base.ssij) - exact["a0"]) <= 1e-12 * exact["a0"]
             bound = 2 * math.sqrt(exact["a0"] * exact["a2"])  # the largest |a1| can be
-            assert abs(Fraction(a1) - exact["a1"]) <= Fraction(held * bound)
+            assert abs(Fraction(a1) - exact["a1"]) <= Fraction(1e-12 * bound)
 
 
 class TestShift:

@@ -24,6 +24,7 @@ from oracles import (
     donor_fills_allocating,
     donor_fills_masked,
     shifted_allocating,
+    shifted_col_means,
     valid_means,
     zscore_allocating,
 )
@@ -55,6 +56,7 @@ from icctab.impute import (
     RecoveryPoint,
     _column_donor_fills,
     _donor_fills,
+    _quadratic,
     crari_recovery_study,
 )
 from icctab.rand import as_generator
@@ -73,12 +75,18 @@ class TestAdjustFills:
     def test_worked_example(self):
         # seed 3 draws the donors 620 and 500 for a row whose valid mean is 568
         row = np.array([[500.0, 570.0, np.nan, 630.0, 520.0, np.nan, 620.0]])
-        fills = _donor_fills(row, np.isnan(row), np.array([5]), np.array([568.0]), as_generator(3))
+        fills = _donor_fills(row, np.isnan(row), np.array([5]), np.array([568.0]), 0.0,
+                             as_generator(3))
         assert fills.tolist() == [628.0, 508.0]
+        # less a shift of 512, with the valid mean less it: the same draws, less 512
+        fills = _donor_fills(row, np.isnan(row), np.array([5]), np.array([56.0]), 512.0,
+                             as_generator(3))
+        assert fills.tolist() == [116.0, -4.0]
 
     def test_single_draw_collapses_to_valid_mean(self):
         row = np.array([[40.0, np.nan, 777.0, -691.0]])
-        fills = _donor_fills(row, np.isnan(row), np.array([3]), np.array([42.0]), as_generator(0))
+        fills = _donor_fills(row, np.isnan(row), np.array([3]), np.array([42.0]), 0.0,
+                             as_generator(0))
         assert fills.tolist() == [42.0]
 
 
@@ -352,16 +360,27 @@ class TestDriftWarning:
     item means that hold a constant, whichever is larger."""
 
     @staticmethod
-    def table(offset):
+    def table(offset, scale=1.0):
         raw, _ = generate(SynthSpec(rows=200, cols=20, seed=36))
-        return DataTable(degrade_random(zscore(raw), 0.2, rng=37).values + offset)
+        return DataTable(degrade_random(zscore(raw), 0.2, rng=37).values * scale + offset)
 
     @pytest.mark.parametrize("offset", [0.0, 1e7, 1e8])
     def test_rounding_does_not_warn(self, offset):
+        # the fills are drawn and centred less the table's shift, so an offset
+        # rounds no fill: the item means keep to 1e-9 (an ulp of 1e8 is 1.5e-8)
         outcome = crari_impute(self.table(offset), "corrected", rng=38)
         assert outcome.warnings == ()
-        if offset == 1e8:
-            assert outcome.row_mean_drift > 1e-9  # an ulp of 1e8 is 1.5e-8
+        assert outcome.row_mean_drift <= 1e-9
+
+    @pytest.mark.parametrize("scale", [1e7, 1e8])
+    def test_rounding_of_scaled_means_does_not_warn(self, scale):
+        # item means of up to 1.4e7 (1.4e8) are rounded to their ulps: the drift
+        # passes 1e-9 but stays under n·eps times the largest (6.2e-8, 6.2e-7)
+        table = self.table(0.0, scale)
+        outcome = crari_impute(table, "corrected", rng=38)
+        assert outcome.warnings == ()
+        rounding = table.cols * np.finfo(float).eps * np.abs(table.row_means()).max()
+        assert 1e-9 < outcome.row_mean_drift <= rounding
 
     @pytest.mark.parametrize("offset", [0.0, 1e8])
     def test_fills_that_are_not_row_centred_warn(self, monkeypatch, offset):
@@ -372,6 +391,27 @@ class TestDriftWarning:
         outcome = crari_impute(self.table(offset), "corrected", rng=38)
         assert outcome.row_mean_drift > 1e-5
         assert outcome.warnings == (f"item mean inaccuracy: {outcome.row_mean_drift:.3e}",)
+
+
+class TestTranslationEquivariance:
+    """Every sum of CRARI is taken about the table's shift, so an offset that
+    adds exactly (2**20 or 3 * 2**30 on multiples of 2**-10) moves the shift by
+    exactly the offset and leaves the fills, the quadratic and ``c`` as they
+    are on the unshifted table, bit for bit."""
+
+    @pytest.mark.parametrize("offset", [2.0**20, 3 * 2.0**30])
+    def test_crari_unmoved_by_an_exact_offset(self, offset):
+        for seed in range(20):
+            table = _degraded_table(60, 12, seed, 0.3)
+            table = DataTable(np.round(table.values * 1024) / 1024)
+            moved = DataTable(table.values + offset)
+            assert np.array_equal(moved.values - offset, table.values, equal_nan=True)
+            assert moved._sums.shift == table._sums.shift + offset
+            fills = _column_donor_fills(table, as_generator(seed))
+            assert _bits(_column_donor_fills(moved, as_generator(seed))) == _bits(fills)
+            assert _bits(_quadratic(moved, fills)) == _bits(_quadratic(table, fills))
+            assert (crari_impute(moved, "corrected", seed).c
+                    == crari_impute(table, "corrected", seed).c)
 
 
 def _degraded_table(rows, cols, seed, p, zscored=True, column_sd=0.0, item_sd=0.4):
@@ -456,12 +496,17 @@ def _same_bits(a, b) -> bool:
 
 
 def _donor_cases(table):
-    """The donor kernel's rows and columns of ``table``: values, mask, the
-    kernel's counts and item means (the table's kept moments), and the
-    oracle's item means, formed by its own allocating moment pass."""
-    sums, (row_means, col_means) = table._sums, valid_means(table)
-    return [(table.values, table.missing, (sums.row_counts, table.row_means()), row_means),
-            (table.values.T, table.missing.T, (sums.col_counts, table.col_means()), col_means)]
+    """The donor kernel's rows and columns of ``table`` as ARI and CRARI take
+    them: values, mask, the kernel's counts, means and shift (the table's kept
+    moments: the row means at shift 0, the column means less the table's
+    shift), and the oracle's means and shift, formed by its own allocating
+    moment pass."""
+    sums = table._sums
+    return [(table.values, table.missing, (sums.row_counts, table.row_means(), 0.0),
+             (valid_means(table)[0], 0.0)),
+            (table.values.T, table.missing.T,
+             (sums.col_counts, sums.col_sums / sums.col_counts, sums.shift),
+             shifted_col_means(table))]
 
 
 # (rows, cols, seed, p, zscored, column_sd): low p leaves rows with no or one
@@ -489,10 +534,10 @@ class TestDonorKernelsMatchMaskedIndexKernels:
         missing = table.missing
         counts = missing.sum(axis=1)
         assert counts.max() > 1
-        for values, mask, kernel_args, means in _donor_cases(table):
+        for values, mask, kernel_args, oracle_args in _donor_cases(table):
             gen, gen_old = as_generator(45), as_generator(45)
             assert _same_bits(_donor_fills(values, mask, *kernel_args, gen),
-                              donor_fills_masked(values, mask, means, gen_old))
+                              donor_fills_masked(values, mask, *oracle_args, gen_old))
             assert gen.bit_generator.state == gen_old.bit_generator.state
         gen, gen_old = as_generator(46), as_generator(46)
         assert _same_bits(_column_donor_fills(table, gen), column_donor_fills_masked(table, gen_old))
@@ -597,10 +642,10 @@ class TestInPlaceKernelsMatchAllocatingKernels:
             (shift, row_counts, col_counts, row_sums, col_sums, blocked_square_sum(x)))
         assert _outcome_bits(anova, table) == _outcome_bits(anova_allocating, table)
         assert _outcome_bits(zscore, table) == _outcome_bits(zscore_allocating, table)
-        for values, mask, kernel_args, means in _donor_cases(table):
+        for values, mask, kernel_args, oracle_args in _donor_cases(table):
             gen, gen_old = as_generator(93), as_generator(93)
             assert _bits(_donor_fills(values, mask, *kernel_args, gen)) == _bits(
-                donor_fills_allocating(values, mask, means, gen_old))
+                donor_fills_allocating(values, mask, *oracle_args, gen_old))
             assert gen.bit_generator.state == gen_old.bit_generator.state
         pairs = [(_column_donor_fills, column_donor_fills_allocating),
                  (ari_impute, ari_impute_allocating)]
