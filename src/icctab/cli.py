@@ -166,7 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="predictor goodness of fit")
     _table_flags(p, "--predictors", "CSV of predictor columns aligned with the table rows")
-    p.add_argument("--conf", type=_comma_list(float, "numbers"), default="0.95,0.99,0.999")
+    p.add_argument("--conf", type=_comma_list(float, "numbers"), default="0.95,0.99,0.999",
+                   help="comma-separated confidence probabilities")
     p.set_defaults(handler=_run_fit)
 
     p = sub.add_parser("synth", help="generate an artificial table")

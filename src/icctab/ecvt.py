@@ -162,33 +162,33 @@ def ecvt(
     q = math.inf if noise == 0.0 else max(0.0, total - trace) / noise
     peak = max(table.values.max(), -table.values.min())
 
-    observed_mean = np.empty(len(sizes))
-    observed_sd = np.empty(len(sizes))
-    predicted = np.empty(len(sizes))
-    chi2 = 0.0
-    df = 0
-    warnings = []
-    for k, g in enumerate(sizes):
-        rs = np.concatenate([
+    # the draws: one row of correlations per group size, in size order
+    rs = np.empty((len(sizes), resamples))
+    for row, g in zip(rs, sizes):
+        np.concatenate([
             _gram_correlations(gram, block, table.rows, g, peak)
             for block in _group_indicator_chunks(gen, n, g, resamples, 48 * n)
-        ])
-        if np.isnan(rs).any():
-            raise NumericError(
-                f"group size {g}: undefined correlation, because the item means "
-                "of a drawn group are constant"
-            )
-        observed_mean[k] = rs.mean()
-        observed_sd[k] = rs.std(ddof=1)
-        predicted[k] = expected_icc(q, g)
-        if _constant_to_rounding(observed_sd[k] ** 2 * (resamples - 1), rs @ rs, resamples):
-            warnings.append(
-                f"group size {g}: constant correlations, dropped from the statistic"
-            )
-            continue
-        chi2 += ((observed_mean[k] - predicted[k])
-                 / (observed_sd[k] / math.sqrt(resamples))) ** 2
-        df += 1
+        ], out=row)
+
+    # the statistic, from rs: the raw sums r @ r and the squared terms of the
+    # chi-square stay one size at a time, as an einsum or an array square rounds
+    # differently
+    undefined = np.isnan(rs).any(axis=1)
+    if undefined.any():
+        raise NumericError(f"group size {sizes[undefined.argmax()]}: undefined correlation, "
+                           "because the item means of a drawn group are constant")
+    observed_mean = rs.mean(axis=1)
+    observed_sd = rs.std(axis=1, ddof=1)
+    predicted = np.array([expected_icc(q, g) for g in sizes])
+    kept = ~_constant_to_rounding(observed_sd ** 2 * (resamples - 1),
+                                  np.array([r @ r for r in rs]), resamples)
+    warnings = [f"group size {g}: constant correlations, dropped from the statistic"
+                for g, keep in zip(sizes, kept) if not keep]
+    z = (observed_mean - predicted)[kept] / (observed_sd[kept] / math.sqrt(resamples))
+    chi2 = 0.0
+    for term in z:
+        chi2 += term ** 2
+    df = len(z)
 
     if df == 0:
         warnings.append("all group sizes degenerate; verdict defaults to compatible")

@@ -5,13 +5,13 @@ The incomplete beta is evaluated by a standard continued fraction (modified
 Lentz) to ~1e-14 relative accuracy.  The beta quantile inverts it by
 safeguarded Newton steps from a closed-form start until a step moves ``x``
 by at most ``4e-16·x`` or meets the rounding noise of ``I_x``, so the
-quantiles are as accurate as ``I_x`` itself: within 1.2e-11 relative of
-``scipy.stats.f.ppf`` at the report levels, up to the DLP's degrees of
-freedom.  The chi-square tail of an integer df is a closed-form finite sum.
-Every function is pure.  :func:`f_quantile` remembers its last
+quantiles are as accurate as ``I_x`` itself (the measured ranges are in
+README.md's Notes).  The chi-square tail of an integer df is a closed-form
+finite sum.  Every function is pure.  :func:`f_quantile` remembers its last
 ``_F_QUANTILE_MEMO`` distinct arguments (a bounded ``functools.lru_cache``),
-because degradation studies ask for the same degrees of freedom in every
-replication; a remembered value is the computed one, bit for bit.
+because repeated ICC reports with bounds on tables of one shape and missing
+count ask for the same degrees of freedom; a remembered value is the
+computed one, bit for bit.
 """
 
 import functools

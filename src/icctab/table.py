@@ -121,7 +121,9 @@ class DataTable:
         for rows in _row_blocks(m, n):  # one block-sized flag buffer, reused in place
             flags = np.isfinite(values[rows])
             if not np.logical_or(flags, missing[rows], out=flags).all():
-                raise StructuralError("valid entries must be finite")
+                i, j = divmod(int(flags.argmin()), n)  # the block's first such cell
+                raise StructuralError(f"row {rows.start + i + 1}, column {j + 1}: valid entries "
+                                      f"must be finite, got {float(values[rows.start + i, j])}")
             if not values.flags.writeable and nan_at_mask:
                 np.isnan(values[rows], out=flags)
                 nan_at_mask = not np.not_equal(flags, missing[rows], out=flags).any()

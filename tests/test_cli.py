@@ -654,6 +654,13 @@ class TestReportHeader:
             assert code == 0, err
             assert [key for key, _ in config_pairs(out)] == options, command
 
+    def test_conf_options_share_one_help(self):
+        subparsers, = (action for action in _build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+        helps = {command: action.help for command, parser in subparsers.choices.items()
+                 for action in parser._actions if "--conf" in action.option_strings}
+        assert helps == dict.fromkeys(("icc", "fit"), "comma-separated confidence probabilities")
+
     def test_synth_replays_from_its_header(self, capsys, tmp_path, monkeypatch):
         first, second = tmp_path / "first", tmp_path / "second"
         first.mkdir()

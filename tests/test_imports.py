@@ -67,7 +67,7 @@ def test_ecvt_command_loads_only_its_kernels(tmp_path):
     """)
     assert code == 0
     assert {"icctab.ecvt", "icctab.anova", "icctab.table"} <= set(loaded)
-    assert not {"icctab.fit", "icctab.impute", "icctab.synth", "icctab.experiments"} & set(loaded)
+    assert not {"icctab.fit", "icctab.impute", "icctab.synth"} & set(loaded)
 
 
 def test_impute_command_loads_neither_fit_nor_ecvt(tmp_path):

@@ -418,11 +418,19 @@ class TestRoundTripProperty:
             patch.setattr(table_module, "_SPLIT_BYTES", 0)
             check_round_trip(tmp_path_factory, table, sentinel)
 
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity", "1e999"])
     def test_literal_nonfinite_cell_is_structural_error(self, tmp_path, cell):
         path = write(tmp_path, f"1,{cell}\n3,4\n")
-        with pytest.raises(StructuralError, match="valid entries must be finite"):
+        with pytest.raises(StructuralError, match=f"^row 1, column 2: valid entries must be "
+                                                  f"finite, got {float(cell)}$"):
             load_csv(path)
+
+    def test_nonfinite_cell_is_named_past_the_first_row_block(self, monkeypatch):
+        monkeypatch.setattr(table_module, "_BLOCK_CELLS", 4)
+        values = np.ones((5, 3))
+        values[3, 2] = values[4, 0] = -np.inf
+        with pytest.raises(StructuralError, match="^row 4, column 3: .* got -inf$"):
+            DataTable(values)
 
 
 def count_forks(monkeypatch) -> list:
