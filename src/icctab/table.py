@@ -16,6 +16,12 @@ lines are skipped, a first non-blank row with a cell neither missing nor
 numeric is a header, and error messages count rows after it.
 Rows stream into one flat buffer of numbers and one of empty flags, so
 memory stays O(table), with no Python object or array per row or cell.
+A save also leaves a binary sidecar, ``<path>.icctab``: the table's values
+and a SHA-256 digest of them, of the missing token and of the CSV's bytes.
+A load whose file and token the digest still matches reads the values from
+it and parses nothing; any mismatch (the CSV edited, another token, a
+damaged or foreign sidecar, a file that is not a regular one) parses the
+CSV.  Deleting a sidecar is always safe.
 
 Reads and writes of at least ``_SPLIT_BYTES`` (512 KiB of file or of
 values) use two processes when the host gives this one more than one CPU
@@ -49,12 +55,13 @@ Kernels also reuse their table-sized temporaries in place (ufunc ``out=``,
 run in row blocks of ``_BLOCK_CELLS`` cells.
 """
 
+import contextlib
 import csv
 import itertools
 import math
 import operator
 import os
-import shutil
+import sys
 import tempfile
 import threading
 from array import array
@@ -79,6 +86,19 @@ _SPLIT_BYTES = 512 * 1024
 # (:func:`_row_blocks`): their temporaries stay this size however large the
 # table is.
 _BLOCK_CELLS = 1 << 15
+
+# The first bytes of a CSV's sidecar (:func:`_write_sidecar`): the layout's
+# version and its values' byte order, so that another host's sidecar is foreign.
+_SIDECAR_TAG = f"icctab sidecar 1 float64 {sys.byteorder}\n".encode()
+
+# The most characters in a field of a CSV with a sidecar: a float64's longest
+# ``repr`` (``-2.2250738585072014e-308``), and the longest token given one.  A
+# read parses the file whenever ``csv.field_size_limit()`` is below it, since
+# the parser may then refuse a field.
+_SIDECAR_FIELD = 24
+
+# Bytes per read of a file hashed, or of a forked writer's half copied, block by block.
+_HASH_BYTES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +265,9 @@ def load_csv(path, missing_code: str | float | None = None) -> DataTable:
     The file follows the CSV contract of the module docstring, its missing
     cells included, so ``load_csv(path, t)`` reads back ``save_csv(table,
     path, t)`` for any token ``t`` (``save_csv`` refuses a numeric token
-    that a valid value equals).
+    that a valid value equals).  It does so from the sidecar that save left
+    while that still matches the file's bytes and ``t``: the same table, bit
+    for bit, with nothing parsed.
 
     Raises
     ------
@@ -259,7 +281,11 @@ def load_csv(path, missing_code: str | float | None = None) -> DataTable:
         Fewer than 2 rows/columns of data, or a row/column with no valid
         entry after token conversion.
     """
-    values, mask = _read_cells(path, missing_code)
+    values = _sidecar_values(path, _token_text(missing_code).strip())
+    if values is None:
+        values, mask = _read_cells(path, missing_code)
+    else:
+        mask = np.isnan(values)
     return DataTable(_handed_over(values), _handed_over(mask))
 
 
@@ -470,7 +496,9 @@ def save_csv(table: DataTable, path, missing_code: str | float | None = None) ->
 
     Values are written with round-trip precision, so ``load_csv(path,
     missing_code)`` reproduces values exactly and the mask bit for bit.
-    The bytes, token quoting included, are those of ``csv.writer``.
+    The bytes, token quoting included, are those of ``csv.writer``.  Once
+    the CSV is closed, the sidecar ``<path>.icctab`` is written beside it
+    (:func:`_write_sidecar`); a failure to write it is silent.
 
     Raises
     ------
@@ -489,51 +517,168 @@ def save_csv(table: DataTable, path, missing_code: str | float | None = None) ->
             i, j = divmod(int(clash.argmax()), table.cols)
             raise PreconditionError(f"{path}: row {i + 1}, column {j + 1}: valid value "
                                     f"equals the missing token {token.strip()!r}")
-    if any(char in token for char in ',"\r\n'):
-        token = '"' + token.replace('"', '""') + '"'
-    values = table.values
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    cell = token
+    if any(char in cell for char in ',"\r\n'):
+        cell = '"' + cell.replace('"', '""') + '"'
+    values, digest = table.values, _sha256()
+    with open(path, "wb") as handle:
         if _forks(values.nbytes):
-            _write_halves(handle, values, token)
+            _write_halves(handle, values, cell, digest)
         else:
-            _write_rows(handle, values, token)
+            _write_rows(handle, values, cell, digest)
+    _write_sidecar(path, table, token, digest.digest())
 
 
-def _write_rows(handle, values, token: str) -> None:
-    """Write each row as ``repr`` cells, ``token`` in its masked slots, CRLF-ended.
+def _write_rows(handle, values, token: str, digest=None) -> None:
+    """Write each row as ``repr`` cells, ``token`` in its masked slots, CRLF-ended,
+    in UTF-8 to a binary ``handle``, adding the bytes to ``digest`` if given.
 
     Masked cells hold NaN and valid ones are finite, and no finite float's
     ``repr`` holds ``nan``, so the token replaces each ``nan`` of the row.
     """
     for row in values:
-        handle.write(",".join(map(repr, row.tolist())).replace("nan", token) + "\r\n")
+        line = (",".join(map(repr, row.tolist())).replace("nan", token) + "\r\n").encode()
+        if digest is not None:
+            digest.update(line)
+        handle.write(line)
 
 
-def _write_halves(handle, values, token: str) -> None:
+def _write_halves(handle, values, token: str, digest) -> None:
     """Write the first half of the rows here while a forked child formats
     the second half into an unnamed temp file, then append that file.
 
     The child streams its rows to disk rather than into memory: a forked
     child's resident set starts at its parent's.  If it fails, the second
-    half is written here.
+    half is written here.  Every byte written is added to ``digest``, in
+    file order.
     """
     half = len(values) // 2
     with tempfile.TemporaryFile() as spill:
 
         def child():
-            with open(spill.fileno(), "w", newline="", encoding="utf-8", closefd=False) as out:
-                _write_rows(out, values[half:], token)
+            _write_rows(spill, values[half:], token)
+            spill.flush()  # os._exit skips Python's buffers
 
-        def parent():
-            _write_rows(handle, values[:half], token)
-
-        _, ok = _with_child(child, parent)
+        _, ok = _with_child(child, lambda: _write_rows(handle, values[:half], token, digest))
         if ok:
-            handle.flush()
             spill.seek(0)
-            shutil.copyfileobj(spill, handle.buffer)
+            for block in iter(lambda: spill.read(_HASH_BYTES), b""):
+                digest.update(block)
+                handle.write(block)
         else:
-            _write_rows(handle, values[half:], token)
+            _write_rows(handle, values[half:], token, digest)
+
+
+def _sha256(data=b""):
+    """A SHA-256 hash object; ``hashlib`` loads only when a CSV is saved or
+    a sidecar is checked."""
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
+def _sidecar_path(path) -> str | None:
+    """The sidecar name ``<path>.icctab``, or None unless ``path`` names a regular file."""
+    if not isinstance(path, (str, bytes, os.PathLike)) or not os.path.isfile(path):
+        return None  # a descriptor, a pipe, a device
+    return os.fsdecode(path) + ".icctab"
+
+
+def _token_field(token: str) -> bytes:
+    """A sidecar's token field: the UTF-8 length of ``token``, then its text."""
+    text = token.encode("utf-8", "surrogatepass")
+    return len(text).to_bytes(8, "little") + text
+
+
+def _write_sidecar(path, table: DataTable, token: str, csv_digest: bytes) -> None:
+    """Leave ``<path>.icctab``, the table that ``load_csv(path, token)`` reads
+    from the CSV whose bytes hash to ``csv_digest``, ``token`` at its masked
+    cells.
+
+    Layout: ``_SIDECAR_TAG``, a SHA-256 digest, the token field
+    (:func:`_token_field`) of ``token`` stripped, as a read compares it, the
+    shape as two 8-byte integers and the values in C order, canonical NaN at
+    the masked cells as the parser leaves them.
+    The digest covers the tag, the two fields, the values and
+    ``csv_digest``.  The file is written under a unique temp name beside
+    ``path`` and renamed over the sidecar, so a reader sees a whole sidecar
+    or none.  No sidecar is left beside a file that is not a regular one,
+    nor for a token longer than ``_SIDECAR_FIELD`` characters, and any
+    ``OSError`` only leaves none: the CSV is the product.
+    """
+    name = _sidecar_path(path)
+    if name is None or len(token) > _SIDECAR_FIELD:
+        return
+    shape = b"".join(size.to_bytes(8, "little") for size in table.shape)
+    fields = _token_field(token.strip()) + shape
+    digest = _sha256(_SIDECAR_TAG + fields)
+    temp = None
+    try:
+        fd, temp = tempfile.mkstemp(prefix=os.path.basename(name) + ".",
+                                    dir=os.path.dirname(name) or os.curdir)
+        with open(fd, "wb") as out:
+            out.write(_SIDECAR_TAG + bytes(32) + fields)
+            blocks = _row_blocks(*table.shape)
+            buffer = np.empty((blocks[0].stop, table.cols))
+            for rows in blocks:  # block by block, in C order whatever the table's layout
+                x = buffer[:rows.stop - rows.start]
+                np.copyto(x, table.values[rows])
+                np.copyto(x, np.nan, where=table.missing[rows])
+                digest.update(x.reshape(-1))
+                out.write(x)
+            digest.update(csv_digest)
+            out.seek(len(_SIDECAR_TAG))
+            out.write(digest.digest())
+        os.replace(temp, name)
+        temp = None
+    except OSError:
+        pass
+    finally:
+        if temp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+
+
+def _sidecar_values(path, token: str) -> np.ndarray | None:
+    """The values of the sidecar of ``path`` (:func:`_write_sidecar`), if it
+    holds ``token`` and its digest matches its fields, its values and the
+    file's current bytes; else None.
+
+    The values are read straight into a fresh array, which the table keeps.
+    """
+    name = _sidecar_path(path)
+    if name is None or csv.field_size_limit() < _SIDECAR_FIELD or not os.path.isfile(name):
+        return None
+    token_field = _token_field(token)
+    try:
+        with open(name, "rb") as side:
+            if side.read(len(_SIDECAR_TAG)) != _SIDECAR_TAG:
+                return None
+            stored = side.read(32)
+            if side.read(len(token_field)) != token_field:
+                return None
+            shape_field = side.read(16)
+            m, n = (int.from_bytes(shape_field[k:k + 8], "little") for k in (0, 8))
+            if os.fstat(side.fileno()).st_size != side.tell() + 8 * m * n:
+                return None
+            values = np.empty((m, n))
+            if side.readinto(values) != values.nbytes:
+                return None
+        digest = _sha256(_SIDECAR_TAG + token_field + shape_field)
+        digest.update(values.reshape(-1))
+        digest.update(_file_digest(path))
+    except OSError:
+        return None
+    return values if digest.digest() == stored else None
+
+
+def _file_digest(path) -> bytes:
+    """SHA-256 of a file's bytes, read block by block into one buffer."""
+    digest, block = _sha256(), bytearray(_HASH_BYTES)
+    with open(path, "rb", buffering=0) as source, memoryview(block) as view:
+        while count := source.readinto(block):
+            digest.update(view[:count])
+    return digest.digest()
 
 
 def _with_child(child, parent):

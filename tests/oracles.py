@@ -35,10 +35,13 @@ parsing, the writer runs ``csv.writer`` over one ``repr`` per cell.  The
 reader states the missing-token rule on its own: a cell is missing when
 it is blank, when its text is the token's, or when it equals a numeric
 token, and a first row of such cells and numbers is data.
+``drop_sidecar`` removes the binary copy that ``save_csv`` leaves beside a
+CSV, so that a test which means the parser reads the file through it.
 """
 
 import csv
 import math
+import os
 from fractions import Fraction
 from functools import partial
 
@@ -704,3 +707,10 @@ def save_csv_loop(table, path, missing_code=None) -> None:
                 token if table.missing[i, j] else repr(float(table.values[i, j]))
                 for j in range(table.cols)
             )
+
+
+def drop_sidecar(path):
+    """Remove the sidecar ``save_csv`` left beside ``path`` (it must be there),
+    so that ``load_csv(path)`` parses the CSV; returns ``path``."""
+    os.remove(f"{path}.icctab")
+    return path

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import read_cells_loop, save_csv_loop, virtualize_loop
+from oracles import drop_sidecar, read_cells_loop, save_csv_loop, virtualize_loop
 
 import icctab.table as table_module
 from icctab import (
@@ -185,22 +185,34 @@ class TestLoadCsv:
             load_csv(path)
 
 
+def read_both_ways(path, missing_code=None) -> list:
+    """``load_csv`` of a file ``save_csv`` wrote, through its sidecar (checked
+    to hold the file's table), then through the parser (the sidecar removed):
+    the same table, bit for bit."""
+    token = table_module._token_text(missing_code).strip()
+    assert table_module._sidecar_values(path, token) is not None
+    via_sidecar = load_csv(path, missing_code)
+    via_parser = load_csv(drop_sidecar(path), missing_code)
+    assert table_bits(via_sidecar) == table_bits(via_parser)
+    return [via_sidecar, via_parser]
+
+
 class TestSaveCsv:
     def test_round_trip_values_and_mask(self, tmp_path, small_table):
         path = tmp_path / "out.csv"
         save_csv(small_table, path)
-        back = load_csv(path)
-        assert np.array_equal(back.missing, small_table.missing)
         valid = small_table.valid
-        assert np.abs(back.values[valid] - small_table.values[valid]).max() < 1e-12
+        for back in read_both_ways(path):
+            assert np.array_equal(back.missing, small_table.missing)
+            assert np.abs(back.values[valid] - small_table.values[valid]).max() < 1e-12
 
     def test_round_trip_under_token_change(self, tmp_path, small_table):
         path = tmp_path / "out.csv"
         save_csv(small_table, path, missing_code=0)
-        back = load_csv(path, missing_code=0)
-        assert np.array_equal(back.missing, small_table.missing)
         valid = small_table.valid
-        assert np.array_equal(back.values[valid], small_table.values[valid])
+        for back in read_both_ways(path, missing_code=0):
+            assert np.array_equal(back.missing, small_table.missing)
+            assert np.array_equal(back.values[valid], small_table.values[valid])
 
     def test_masked_cell_serialized_as_token(self, tmp_path, small_table):
         path = tmp_path / "out.csv"
@@ -389,7 +401,8 @@ def masked_tables(draw):
 
 
 def check_round_trip(tmp_path_factory, table, sentinel):
-    """Written bytes equal the per-cell writer's, and values and mask read back."""
+    """Written bytes equal the per-cell writer's, and values and mask read back
+    through the sidecar and through the parser."""
     assume(not (table.values[table.valid] == sentinel).any())
     path = tmp_path_factory.mktemp("rt") / "t.csv"
     loop_path = path.with_name("loop.csv")
@@ -398,9 +411,9 @@ def check_round_trip(tmp_path_factory, table, sentinel):
         save_csv(table, path, token)
         save_csv_loop(table, loop_path, token)
         assert path.read_bytes() == loop_path.read_bytes()
-        back = load_csv(path, missing_code=token)
-        assert np.array_equal(back.missing, table.missing)
-        assert back.values[valid].tobytes() == table.values[valid].tobytes()
+        for back in read_both_ways(path, missing_code=token):
+            assert np.array_equal(back.missing, table.missing)
+            assert back.values[valid].tobytes() == table.values[valid].tobytes()
 
 
 class TestRoundTripProperty:
@@ -478,7 +491,7 @@ class TestSplitHygiene:
         forks = count_forks(monkeypatch)
         with leaves_nothing(spill):
             save_csv(table, path)
-            back = load_csv(path)
+            back = load_csv(drop_sidecar(path))
         assert len(forks) == 2
         assert back.values[back.valid].tobytes() == table.values[table.valid].tobytes()
 
@@ -620,6 +633,199 @@ def fail_in(parent_pid: int, in_parent: bool, kernel):
         return kernel(*args)
 
     return kernel_or_fail
+
+
+def parses(monkeypatch) -> list:
+    """Patch the CSV parser to record each call; returns the record."""
+    calls, read = [], table_module._read_cells
+    monkeypatch.setattr(table_module, "_read_cells",
+                        lambda *args: calls.append(args) or read(*args))
+    return calls
+
+
+def table_bits(table):
+    return table.shape, table.values.tobytes(), table.missing.tobytes()
+
+
+def load_arrays(path, missing_code=None):
+    """``load_csv``'s values and mask, as :func:`read_outcome` takes a reader's."""
+    table = load_csv(path, missing_code)
+    return table.values, table.missing
+
+
+class TestSidecar:
+    """``save_csv`` leaves ``<path>.icctab``, and ``load_csv`` reads the table
+    from it while it describes the file's bytes under the reader's token; in
+    every other case the file is parsed, with the parser's result or error."""
+
+    TOKENS = ["", "NA", "a,b", 'say "no"', "a\nb", 0, -99.0, float("inf")]
+
+    @pytest.fixture
+    def table(self):
+        return DataTable(np.array([[1.5, np.nan, -0.0], [4.0, 5e-324, np.nan],
+                                   [np.nan, 8.25, 1e300], [2.0, 5.0, -1.0]]))
+
+    @pytest.mark.parametrize("token", TOKENS)
+    def test_hit_is_the_parsers_table_kept_as_read(self, tmp_path, monkeypatch, z_table_1400x80,
+                                                   token):
+        table = degrade_random(z_table_1400x80, 0.2, rng=3)
+        path = tmp_path / "t.csv"
+        save_csv(table, path, token)
+        assert sorted(os.listdir(tmp_path)) == ["t.csv", "t.csv.icctab"]
+        read, kept = table_module._sidecar_values, []
+        monkeypatch.setattr(table_module, "_sidecar_values",
+                            lambda *args: kept.append(read(*args)) or kept[-1])
+        calls = parses(monkeypatch)
+        back = load_csv(path, token)
+        assert calls == [] and back.values is kept[0]
+        assert back.values.flags.c_contiguous and not back.values.flags.writeable
+        assert not back.missing.flags.writeable
+        assert table_bits(back) == table_bits(load_csv(drop_sidecar(path), token))
+        assert len(calls) == 1
+
+    def test_payload_is_c_ordered_with_the_parsers_nan(self, tmp_path, monkeypatch, table):
+        # a kept Fortran-ordered array whose masked cell holds a negative NaN
+        values = np.asfortranarray(table.values)
+        values[0, 1] = -np.nan
+        values.flags.writeable = False
+        given = DataTable(values, table.missing)
+        assert given.values is values
+        path = tmp_path / "t.csv"
+        save_csv(given, path)
+        calls = parses(monkeypatch)
+        back = load_csv(path)
+        assert calls == [] and back.values.flags.c_contiguous
+        assert table_bits(back) == table_bits(load_csv(drop_sidecar(path)))
+
+    def test_csv_changed_in_place(self, tmp_path, monkeypatch, table):
+        path = tmp_path / "t.csv"
+        save_csv(table, path)
+        before = path.stat()
+        text = path.read_bytes()
+        path.write_bytes(text.replace(b"8.25", b"8.75"))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        calls = parses(monkeypatch)
+        back = load_csv(path)
+        assert len(calls) == 1 and back.values[2, 1] == 8.75
+        assert read_outcome(_read_cells, path) == read_outcome(read_cells_loop, path)
+
+    @pytest.mark.parametrize("saved, read", [("NA", None), ("NA", "-99"), (-99.0, "NA")])
+    def test_token_mismatch_is_parsed(self, tmp_path, monkeypatch, table, saved, read):
+        path = tmp_path / "t.csv"
+        save_csv(table, path, saved)
+        calls = parses(monkeypatch)
+        outcome = read_outcome(load_arrays, path, read)
+        assert len(calls) == 1
+        assert outcome == read_outcome(load_arrays, drop_sidecar(path), read)
+
+    def test_token_mismatch_error_and_exit_code(self, tmp_path, capsys, table):
+        from icctab.cli import main
+
+        path = tmp_path / "t.csv"
+        save_csv(table, path, "NA")
+        # the first row, holding NA, reads as a header
+        with pytest.raises(TableFormatError, match="row 1, column 3: cannot parse 'NA'"):
+            load_csv(path)
+        assert main(["icc", "--input", str(path)]) == 2
+        assert "cannot parse 'NA'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["truncated", "payload-byte", "foreign-tag"])
+    def test_damaged_sidecar_is_parsed(self, tmp_path, monkeypatch, table, damage):
+        path = tmp_path / "t.csv"
+        save_csv(table, path)
+        sidecar = tmp_path / "t.csv.icctab"
+        data = bytearray(sidecar.read_bytes())
+        if damage == "truncated":
+            del data[-8:]
+        elif damage == "payload-byte":
+            data[-2] ^= 0x01  # a valid value's exponent: 1.0 becomes another number
+        else:
+            data[:len(table_module._SIDECAR_TAG)] = b"icctab sidecar 1 float64 big\n"
+        sidecar.write_bytes(bytes(data))
+        calls = parses(monkeypatch)
+        back = load_csv(path)
+        assert len(calls) == 1
+        assert table_bits(back) == table_bits(load_csv(drop_sidecar(path)))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_input_not_a_regular_file_is_parsed(self, tmp_path, monkeypatch, table):
+        path, fifo = tmp_path / "t.csv", tmp_path / "fifo.csv"
+        save_csv(table, path)
+        os.mkfifo(fifo)
+        # a sidecar that holds the bytes the pipe will carry
+        os.replace(tmp_path / "t.csv.icctab", tmp_path / "fifo.csv.icctab")
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+        writer.start()
+        calls = parses(monkeypatch)
+        try:
+            back = load_csv(fifo)
+        finally:
+            writer.join()
+        assert len(calls) == 1
+        assert table_bits(back) == table_bits(load_csv(path))  # its sidecar moved: parsed
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_no_sidecar_beside_an_output_that_is_not_a_regular_file(self, tmp_path, table):
+        fifo, sink = tmp_path / "fifo.csv", []
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: sink.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            save_csv(table, fifo)
+        finally:
+            reader.join()
+        save_csv_loop(table, tmp_path / "loop.csv")
+        assert sink == [(tmp_path / "loop.csv").read_bytes()]
+        assert sorted(os.listdir(tmp_path)) == ["fifo.csv", "loop.csv"]
+
+    def test_sidecar_name_taken_by_a_directory(self, tmp_path, monkeypatch, table):
+        path = tmp_path / "t.csv"
+        (tmp_path / "t.csv.icctab").mkdir()
+        save_csv(table, path)
+        save_csv_loop(table, tmp_path / "loop.csv")
+        assert path.read_bytes() == (tmp_path / "loop.csv").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["loop.csv", "t.csv", "t.csv.icctab"]
+        assert os.listdir(tmp_path / "t.csv.icctab") == []
+        calls = parses(monkeypatch)
+        assert table_bits(load_csv(path)) == table_bits(table)
+        assert len(calls) == 1
+
+    def test_stale_sidecar_is_replaced_or_ignored(self, tmp_path, monkeypatch, table):
+        path, sidecar = tmp_path / "t.csv", tmp_path / "t.csv.icctab"
+        other = DataTable(table.values * 2)
+        save_csv(other, path)
+        stale = sidecar.read_bytes()
+        save_csv(table, path)
+        assert sorted(os.listdir(tmp_path)) == ["t.csv", "t.csv.icctab"]
+        calls = parses(monkeypatch)
+        assert table_bits(load_csv(path)) == table_bits(table) and calls == []
+        sidecar.write_bytes(stale)  # a save that left none would leave this one
+        assert table_bits(load_csv(path)) == table_bits(table) and len(calls) == 1
+
+    @pytest.mark.parametrize("token, kept", [("x" * 24, True), ("x" * 25, False),
+                                             (" " * 23 + "NA", False)])
+    def test_no_sidecar_for_a_token_longer_than_any_value(self, tmp_path, table, token, kept):
+        path = tmp_path / "t.csv"
+        save_csv(table, path, token)
+        assert (tmp_path / "t.csv.icctab").exists() == kept
+        assert table_bits(load_csv(path, token)) == table_bits(table)
+
+    @pytest.mark.parametrize("limit", [23, 24])
+    def test_field_limit_below_a_values_repr_is_parsed(self, tmp_path, monkeypatch, limit):
+        # a float64's longest repr, 24 characters, which the parser refuses under 23
+        table = DataTable(np.array([[-2.2250738585072014e-308, 1.0], [2.0, np.nan]]))
+        path = tmp_path / "t.csv"
+        save_csv(table, path)
+        calls, old = parses(monkeypatch), csv.field_size_limit(limit)
+        try:
+            outcome = read_outcome(load_arrays, path)
+            assert len(calls) == (limit < 24)
+            assert outcome == read_outcome(load_arrays, drop_sidecar(path))
+        finally:
+            csv.field_size_limit(old)
+        assert (outcome[0] is TableFormatError) == (limit < 24)
 
 
 class TestZscore:
