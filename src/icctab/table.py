@@ -21,25 +21,22 @@ and a SHA-256 digest of them, of the missing token and of the CSV's bytes.
 A load whose file and token the digest still matches reads the values from
 it and parses nothing; any mismatch (the CSV edited, another token, a
 damaged or foreign sidecar, a file that is not a regular one) parses the
-CSV.  Deleting a sidecar is always safe.
+CSV.  A sidecar takes its CSV's permission bits, and one owned by another
+account than the CSV is never read.  Deleting a sidecar is always safe.
 
-Reads and writes of at least ``_SPLIT_BYTES`` (512 KiB of file or of
-values) use two processes when the host gives this one more than one CPU
-and this process runs a single thread (a forked child could inherit a lock
-another thread holds): a forked child parses the rows after the first
-``\\n`` at or past the midpoint of the file the caller opened, or formats
-the second half of the rows, while the caller does the first half.  The
-child writes its half to an unnamed temp file, which the caller reads once
-the child has exited cleanly; if it failed, or something else reaped it
-(``SIGCHLD`` ignored, or a handler that waits for any child), the caller
-does that half itself.  A file is read in one process when its first half
-holds a ``"`` (a quoted field could span the split), when no ``\\n``
-follows the midpoint, or when the first half holds no data row.  Values,
-bytes and errors are the same either way: faults are raised in file order,
-and bytes that are not UTF-8 raise ``TableFormatError`` naming their line
-of the file.  The child runs no BLAS and leaves through ``os._exit``.
-On Python 3.12 and later ``os.fork`` still warns (``DeprecationWarning``)
-when OpenBLAS has started threads.
+Every read parses in one process: faults are raised in file order, and
+bytes that are not UTF-8 raise ``TableFormatError`` naming their line of
+the file.  Writes of at least ``_SPLIT_BYTES`` (512 KiB of values) use two
+processes when the host gives this one more than one CPU and this process
+runs a single thread (a forked child could inherit a lock another thread
+holds): a forked child formats the second half of the rows into an unnamed
+temp file while the caller writes the first half, and the caller appends
+that file once the child has exited cleanly; if it failed, or something
+else reaped it (``SIGCHLD`` ignored, or a handler that waits for any
+child), the caller writes that half itself.  The bytes are the same either
+way.  The child runs no BLAS and leaves through ``os._exit``.  On Python
+3.12 and later ``os.fork`` still warns (``DeprecationWarning``) when
+OpenBLAS has started threads.
 
 Tables are immutable: every operation returns a new table, so instances can
 be shared freely across threads.  A table holds one copy of its values, and
@@ -61,6 +58,7 @@ import itertools
 import math
 import operator
 import os
+import stat
 import sys
 import tempfile
 import threading
@@ -77,9 +75,9 @@ from .rand import as_generator
 
 __all__ = _EXPORTS["table"].split()
 
-# A CSV read or write at least this large (file bytes read, value bytes
-# written) is split in two, and a forked child takes the second half; the
-# timings that set it are in the Notes of README.md.
+# A CSV write of at least this many value bytes is split in two, and a forked
+# child takes the second half; the timings that set it are in the Notes of
+# README.md.
 _SPLIT_BYTES = 512 * 1024
 
 # Cells per row block of the kernels that work a table block by block
@@ -298,20 +296,10 @@ def _read_cells(path, missing_code: str | float | None = None) -> tuple[np.ndarr
     token = _token_text(missing_code).strip()
     with open(path, "rb") as handle:
         try:
-            split = _split_point(handle)
-            first, rows, header = _first_data_row(handle, path, split, token)
-            if first is None and split is not None:  # the head holds no data row
-                handle.seek(0)
-                split = None
-                first, rows, header = _first_data_row(handle, path, None, token)
+            first, rows, header = _first_data_row(handle, path, token)
             if first is None:
                 raise StructuralError(f"{path}: file contains no data{' rows' if header else ''}")
-            width = len(first)
-            head = itertools.chain([first], rows)
-            if split is None:
-                values, mask = _parse_rows(head, path, width, 1, token)
-            else:
-                values, mask = _read_halves(path, handle, split, head, width, token)
+            values, mask = _parse_rows(itertools.chain([first], rows), path, len(first), token)
         except UnicodeDecodeError:
             raise _not_utf8(path, handle) from None
     try:
@@ -344,7 +332,7 @@ def _not_utf8(path, handle) -> TableFormatError:
 
 
 def _forks(nbytes: int) -> bool:
-    """Whether an input of ``nbytes`` is split between two processes."""
+    """Whether a write of ``nbytes`` of values is split between two processes."""
     return (
         nbytes >= _SPLIT_BYTES
         and hasattr(os, "fork")
@@ -354,56 +342,23 @@ def _forks(nbytes: int) -> bool:
     )
 
 
-def _split_point(handle) -> int | None:
-    """Offset just past the first ``\\n`` at or after the file's midpoint.
-
-    None when the file is read in one process: it is small, it has no such
-    ``\\n`` before its last byte, or its head holds a ``"`` (a quoted
-    field could run across the split).  Leaves the handle at offset 0.
-    """
-    size = os.fstat(handle.fileno()).st_size
-    if not _forks(size):
-        return None
-    handle.seek(size // 2)
-    handle.readline()
-    split = handle.tell()
-    handle.seek(0)
-    step = 1 << 20
-    if split >= size or any(
-        b'"' in handle.read(min(step, split - at)) for at in range(0, split, step)
-    ):
-        split = None
-    handle.seek(0)
-    return split
-
-
-def _lines(handle, stop: int | None = None):
-    """Decoded lines of a binary file from its position up to byte ``stop``.
+def _lines(handle):
+    """Decoded lines of a binary file, each decoded on its own, so bytes that
+    are not UTF-8 raise at their row, after every fault in the rows before it.
 
     Lines end at ``\\r``, ``\\n`` or ``\\r\\n``, as in a text file opened with
-    ``newline=""``.  Each line is decoded on its own, so bytes that are not
-    UTF-8 raise at their row, whichever process reads it.
+    ``newline=""``.
     """
-    left = None if stop is None else stop - handle.tell()
     for raw in handle:
         for line in raw.splitlines(True):
             yield line.decode("utf-8")
-        if left is not None:
-            left -= len(raw)
-            if left <= 0:
-                return
 
 
-def _rows(handle, stop: int | None = None):
-    """Non-blank CSV rows of a binary file from its position up to byte ``stop``."""
-    return filter(None, csv.reader(_lines(handle, stop)))
-
-
-def _first_data_row(handle, path, stop: int | None, token: str):
-    """First data row up to byte ``stop``, the rows after it, and whether a
-    header row came before it.  A row that ``csv.reader`` rejects here is
-    named row 1, even a header."""
-    rows = _rows(handle, stop)
+def _first_data_row(handle, path, token: str):
+    """First non-blank CSV row of a binary file that is data, the rows after
+    it, and whether a header row came before it.  A row that ``csv.reader``
+    rejects here is named row 1, even a header."""
+    rows = filter(None, csv.reader(_lines(handle)))
     try:
         first = next(rows, None)
         header = first is not None and _first_non_number(first, token) is not None
@@ -414,13 +369,13 @@ def _first_data_row(handle, path, stop: int | None, token: str):
     return first, rows, header
 
 
-def _parse_rows(rows, path, width: int, start: int, token: str) -> tuple[np.ndarray, np.ndarray]:
+def _parse_rows(rows, path, width: int, token: str) -> tuple[np.ndarray, np.ndarray]:
     """Values and mask, each one ``(rows, width)`` array, of CSV rows numbered
-    from ``start``; an empty cell holds NaN."""
+    from 1; an empty cell holds NaN."""
     numbers, empty = array("d"), bytearray()
-    i = start - 1
+    i = 0
     try:
-        for i, row in enumerate(rows, start):
+        for i, row in enumerate(rows, 1):
             if len(row) != width:
                 raise TableFormatError(f"{path}: row {i} has {len(row)} columns, expected {width}")
             texts = list(map(str.strip, row))
@@ -440,43 +395,6 @@ def _parse_rows(rows, path, width: int, start: int, token: str) -> tuple[np.ndar
     values = np.full(mask.shape, np.nan)
     np.place(values, ~mask, numbers)
     return values, mask
-
-
-def _read_halves(path, handle, split: int, head, width: int,
-                 token: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse ``head`` here while a forked child parses the rows from byte ``split`` on.
-
-    The child reopens the caller's descriptor, so it reads the file that
-    ``handle`` holds even if ``path`` has since been replaced, and writes
-    its values and mask to an unnamed temp file.  Once it exits, the head
-    rows are copied into one values array and one mask, and the file is
-    read straight into their tail rows.  If the child fails in any way, the
-    tail is parsed again here with its true row numbers, which raises the
-    same fault a one-process read raises.  A fault in the head is raised
-    first.
-    """
-    with tempfile.TemporaryFile() as spill:
-
-        def child():
-            with open(f"/proc/self/fd/{handle.fileno()}", "rb") as tail:
-                tail.seek(split)
-                spill.writelines(_parse_rows(_rows(tail), path, width, 1, token))
-            spill.flush()  # os._exit skips Python's buffers
-
-        (head_values, head_mask), ok = _with_child(
-            child, lambda: _parse_rows(head, path, width, 1, token))
-        if ok:
-            h = len(head_values)
-            rows = h + os.fstat(spill.fileno()).st_size // (9 * width)  # 8 bytes of value, 1 of mask
-            values, mask = np.empty((rows, width)), np.empty((rows, width), bool)
-            values[:h], mask[:h] = head_values, head_mask
-            spill.seek(0)
-            spill.readinto(values[h:])
-            spill.readinto(mask[h:])
-            return values, mask
-    handle.seek(split)
-    tail_values, tail_mask = _parse_rows(_rows(handle), path, width, len(head_values) + 1, token)
-    return np.concatenate((head_values, tail_values)), np.concatenate((head_mask, tail_mask))
 
 
 def _first_non_number(cells, token: str = "") -> int | None:
@@ -601,8 +519,8 @@ def _write_sidecar(path, table: DataTable, token: str, csv_digest: bytes) -> Non
     the masked cells as the parser leaves them.
     The digest covers the tag, the two fields, the values and
     ``csv_digest``.  The file is written under a unique temp name beside
-    ``path`` and renamed over the sidecar, so a reader sees a whole sidecar
-    or none.  No sidecar is left beside a file that is not a regular one,
+    ``path``, given the CSV's permission bits and renamed over the sidecar,
+    so a reader sees a whole sidecar or none.  No sidecar is left beside a file that is not a regular one,
     nor for a token longer than ``_SIDECAR_FIELD`` characters, and any
     ``OSError`` only leaves none: the CSV is the product.
     """
@@ -629,6 +547,7 @@ def _write_sidecar(path, table: DataTable, token: str, csv_digest: bytes) -> Non
             digest.update(csv_digest)
             out.seek(len(_SIDECAR_TAG))
             out.write(digest.digest())
+        os.chmod(temp, stat.S_IMODE(os.stat(path).st_mode))  # mkstemp made it 0600
         os.replace(temp, name)
         temp = None
     except OSError:
@@ -640,10 +559,13 @@ def _write_sidecar(path, table: DataTable, token: str, csv_digest: bytes) -> Non
 
 
 def _sidecar_values(path, token: str) -> np.ndarray | None:
-    """The values of the sidecar of ``path`` (:func:`_write_sidecar`), if it
-    holds ``token`` and its digest matches its fields, its values and the
-    file's current bytes; else None.
+    """The values of the sidecar of ``path`` (:func:`_write_sidecar`), if the
+    CSV's owner owns it, it holds ``token`` and its digest matches its
+    fields, its values and the file's current bytes; else None.
 
+    The digest is unkeyed, and anyone who can read the CSV can form it, so
+    a sidecar another account left beside the CSV (a shared directory) is
+    never read.
     The values are read straight into a fresh array, which the table keeps.
     """
     name = _sidecar_path(path)
@@ -652,14 +574,15 @@ def _sidecar_values(path, token: str) -> np.ndarray | None:
     token_field = _token_field(token)
     try:
         with open(name, "rb") as side:
-            if side.read(len(_SIDECAR_TAG)) != _SIDECAR_TAG:
+            info = os.fstat(side.fileno())
+            if info.st_uid != os.stat(path).st_uid or side.read(len(_SIDECAR_TAG)) != _SIDECAR_TAG:
                 return None
             stored = side.read(32)
             if side.read(len(token_field)) != token_field:
                 return None
             shape_field = side.read(16)
             m, n = (int.from_bytes(shape_field[k:k + 8], "little") for k in (0, 8))
-            if os.fstat(side.fileno()).st_size != side.tell() + 8 * m * n:
+            if info.st_size != side.tell() + 8 * m * n:
                 return None
             values = np.empty((m, n))
             if side.readinto(values) != values.nbytes:

@@ -379,6 +379,7 @@ class TestMissingToken:
     """A text token written by ``synth --missing-code`` reads back in every
     command that takes ``--missing-code``."""
 
+    # a write split size of 0 splits the writes of synth and impute
     @pytest.mark.parametrize("split", [None, 0], ids=["one-process", "split"])
     def test_synth_output_reads_back(self, capsys, tmp_path, monkeypatch, split):
         if split is not None:
@@ -763,6 +764,7 @@ class TestErrorExitCodes:
         assert err == (f"error[2] TableFormatError: {bad}: line 2: not UTF-8 "
                        "(invalid start byte at byte 3)\n")
 
+    # at a write split size of 0 the predictor file is still read in one process
     @pytest.mark.parametrize("split", [None, 0], ids=["one-process", "split"])
     def test_undecodable_predictor_file_is_named(self, capsys, tmp_path, monkeypatch,
                                                  degraded_csv, split):

@@ -676,7 +676,7 @@ class TestKernelTracedPeaks:
     and of the degraded one, 5% more, 2.15 / 1.75 / 1.69 (was 2.58 / 2.18 /
     1.99), ``generate`` 1.31 (was 2.18), and ``load_csv`` at p = 0 / 0.9
     2.33 / 1.39 in one process (was 2.33 / 1.64; the table now keeps the
-    reader's mask), 1.73 split, and 1.20 from ``save_csv``'s sidecar (the
+    reader's mask) and 1.20 from ``save_csv``'s sidecar (the
     values read in place, their mask and one 64 KiB hash buffer).  Each bound
     is the largest peak plus 0.25 of a table (224 kB): room for three ufunc
     iterator buffers of 8192 float64 (numpy traces one in a masked
@@ -697,7 +697,7 @@ class TestKernelTracedPeaks:
         "virtualize": partial(virtualize, rng=95),
         "table_from_arrays": lambda table: DataTable(table.values, table.missing),
     }
-    LOAD_BOUNDS = {"one-process": 2.58, "split": 1.98, "sidecar": 1.3}
+    LOAD_BOUNDS = {"one-process": 2.58, "sidecar": 1.3}
 
     @staticmethod
     def peak(kernel, *args) -> int:
@@ -718,15 +718,12 @@ class TestKernelTracedPeaks:
     # valid cells); p = 0 is the imputed complete table that ecvt reads
     @pytest.mark.parametrize("p", [0.0, 0.9])
     @pytest.mark.parametrize("how", list(LOAD_BOUNDS))
-    def test_load_csv_traced_peak(self, tmp_path, monkeypatch, z_table_1400x80, how, p):
+    def test_load_csv_traced_peak(self, tmp_path, z_table_1400x80, how, p):
         table = degrade_random(z_table_1400x80, p, rng=96)
         path = tmp_path / "t.csv"
         save_csv(table, path)
         if how != "sidecar":
             drop_sidecar(path)
-        monkeypatch.setattr(table_module, "_SPLIT_BYTES", 0 if how == "split" else 1 << 62)
-        if how == "split" and not table_module._forks(0):
-            pytest.skip("this host reads in one process (one CPU, or threads running)")
         assert self.peak(load_csv, path) <= self.LOAD_BOUNDS[how] * table.values.nbytes
 
     # the complete table, as synth and the studies degrade it, then 5% more

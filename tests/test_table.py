@@ -2,6 +2,7 @@ import contextlib
 import csv
 import os
 import signal
+import stat
 import tempfile
 import threading
 
@@ -278,8 +279,7 @@ READ_CASES = {
     "blank-file": (b"\n\r\n\n", None),
     "header-only": (b"a,b\n\n", None),
     "one-column-predictor": (b"freq\n0.1\n0.2\n0.3\n", None),
-    # split at any size (_SPLIT_BYTES = 0): the tail starts after the first
-    # "\n" at or past the middle byte
+    # faults, tokens and blank or empty rows on either side of the middle byte
     "ragged-in-tail": (b"1,2\n3,4\n5,6\n7,8\n9,10,11\n", None),
     "unparseable-in-tail": (b"1,2\n3,4\n5,6\n7,8\n9,x\n", None),
     "faults-in-both-halves": (b"1,2\n3,x\n5,6\n7,8\n9,10,11\n", None),
@@ -290,19 +290,16 @@ READ_CASES = {
     "sentinel-in-both-halves": (b"1,-99\n3,4\n5,6\n-99,8\n", -99.0),
     "token-in-both-halves": (b"1,NA\n3,4\n5,6\nNA,8\n", "NA"),
     "two-rows": (b"1,2\n3,4", None),
-    # a half with no number in it
+    # rows with no number in them: half of the file, or all of it
     "empty-cells-tail": (b"1,2\n3,4\n,\n,\n", None),
     "empty-cells-head": (b",\n,\n,\n,\n,\n5,6\n7,8\n", None),
-    # read in one process at any size
+    "empty-cells-only": (b",\n,\n", None),
+    # a quote, CR-only line ends or a header across the middle byte
     "quoted-head": (b'"1",2\n3,4\n5,6\n7,8\n', None),
     "cr-only": (b"1,2\r3,4\r5,6\r7,8\r", None),
     "midpoint-in-header": (b"item,participant_one,participant_two\n1,2,3\n", None),
     "two-rows-lf": (b"1,2\n3,4\n", None),
 }
-SPLIT_READS = {"ragged-in-tail", "unparseable-in-tail", "faults-in-both-halves", "quote-in-tail",
-               "blank-tail", "header-then-split", "cr-lines-in-head", "sentinel-in-both-halves",
-               "token-in-both-halves", "two-rows", "empty-cells-tail", "empty-cells-head"}
-ONE_PROCESS_READS = {"quoted-head", "cr-only", "midpoint-in-header", "two-rows-lf", "empty-file"}
 
 # Bytes that are not UTF-8 raise at their row, in file order, and name
 # their line of the whole file; a cell longer than csv.field_size_limit()
@@ -330,8 +327,8 @@ FAULT_CASES = {
 }
 
 
-# each read fixture at the default split size (all of them are smaller, so
-# one process) and split at any size (_SPLIT_BYTES = 0)
+# each read fixture at the default write split size and at a split size of 0,
+# at which a read still forks nothing
 READ_FIXTURES = [pytest.param(name, None, id=name) for name in READ_CASES] + [
     pytest.param(name, 0, id=f"{name}-split") for name in READ_CASES
 ]
@@ -352,23 +349,25 @@ class TestStreamingMatchesLoop:
             assert read_outcome(_read_cells, path, missing_code) == read_outcome(
                 read_cells_loop, path, missing_code
             )
-        if split is None:
-            assert forks == []
-        elif name in SPLIT_READS | ONE_PROCESS_READS:
-            assert len(forks) == (name in SPLIT_READS)
+        assert forks == []
 
     @pytest.mark.parametrize("name", FAULT_CASES)
-    def test_first_fault_in_file_order(self, tmp_path, monkeypatch, name):
+    def test_first_fault_in_file_order(self, tmp_path, name):
         text, message = FAULT_CASES[name]
         path = tmp_path / "t.csv"
         path.write_bytes(text)
-        monkeypatch.setattr(table_module, "_SPLIT_BYTES", 0)
+        outcome = read_outcome(_read_cells, path)
+        assert outcome[0] is TableFormatError and outcome[1].startswith(f"{path}: {message}")
+
+    def test_large_read_forks_nothing(self, tmp_path, monkeypatch, z_table_1400x80):
+        # a file over the write split size with no sidecar, parsed in this process
+        table = degrade_random(z_table_1400x80, 0.2, rng=3)
+        path = tmp_path / "t.csv"
+        save_csv_loop(table, path)
+        assert path.stat().st_size >= table_module._SPLIT_BYTES
         forks = count_forks(monkeypatch)
-        split = read_outcome(_read_cells, path)
-        assert len(forks) == 1 and split[0] is TableFormatError
-        assert split[1].startswith(f"{path}: {message}")
-        monkeypatch.setattr(table_module, "_SPLIT_BYTES", 1 << 62)
-        assert read_outcome(_read_cells, path) == split
+        assert read_outcome(_read_cells, path) == read_outcome(read_cells_loop, path)
+        assert forks == []
 
     @pytest.mark.parametrize("token", ["", "NA", "a,b", 'say "no"', "a\nb", 0, -99.0,
                                        float("inf")])
@@ -422,8 +421,8 @@ class TestRoundTripProperty:
     def test_round_trip_is_bit_exact(self, tmp_path_factory, table, sentinel):
         check_round_trip(tmp_path_factory, table, sentinel)
 
-    # half the examples: each one forks six times, about 11 ms a fork in
-    # the test process
+    # half the examples: each one writes in two processes three times, about
+    # 11 ms a fork in the test process
     @settings(max_examples=30, deadline=None)
     @given(table=masked_tables(), sentinel=st.sampled_from([-99.0, 1e308, -7.25e-12]))
     def test_split_round_trip_is_bit_exact(self, tmp_path_factory, table, sentinel):
@@ -472,8 +471,9 @@ def leaves_nothing(spill=None):
 
 
 class TestSplitHygiene:
-    """Children are reaped and temp files removed on every path, and a host
-    that cannot fork gets the same results."""
+    """A split write's child is reaped and its temp file removed on every
+    path, and a host that cannot fork writes the same bytes; a read of a
+    file of any size runs in this process."""
 
     @pytest.fixture
     def spill(self, tmp_path, monkeypatch):
@@ -492,10 +492,11 @@ class TestSplitHygiene:
         with leaves_nothing(spill):
             save_csv(table, path)
             back = load_csv(drop_sidecar(path))
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert back.values[back.valid].tobytes() == table.values[table.valid].tobytes()
 
     def test_head_fault_stops_a_running_child(self, tmp_path, spill, table):
+        # a fault in the second row of a file over the split size
         path = tmp_path / "t.csv"
         save_csv(table, path)
         lines = path.read_bytes().split(b"\r\n")
@@ -504,46 +505,6 @@ class TestSplitHygiene:
         assert path.stat().st_size >= table_module._SPLIT_BYTES
         with leaves_nothing(spill), pytest.raises(TableFormatError, match="row 2, column 1"):
             load_csv(path)
-
-    def test_failed_child_read_is_redone_here(self, tmp_path, monkeypatch, spill):
-        monkeypatch.setattr(table_module, "_SPLIT_BYTES", 0)
-        path = tmp_path / "t.csv"
-        monkeypatch.setattr(table_module, "_parse_rows", fail_in(os.getpid(), False,
-                                                               table_module._parse_rows))
-        for name in ("sentinel-in-both-halves", "empty-cells-tail", "empty-cells-head"):
-            text, missing_code = READ_CASES[name]
-            path.write_bytes(text)
-            with leaves_nothing(spill):
-                assert read_outcome(_read_cells, path, missing_code) == read_outcome(
-                    read_cells_loop, path, missing_code)
-
-    @pytest.mark.parametrize("undecodable", [False, True],
-                             ids=["tail-lines-reversed", "undecodable-tail"])
-    def test_path_replaced_before_the_fork(self, tmp_path, monkeypatch, spill, undecodable):
-        """Both processes read the file the caller opened, and a fault is
-        located in it, though ``path`` names another file once the child
-        starts: one with the same head and the tail's lines reversed."""
-        text = b"".join(b"%d,%d.5\n" % (i, 2 * i) for i in range(1, 9))
-        if undecodable:
-            text = text[:-2] + b"\xff\n"
-        split = text.index(b"\n", len(text) // 2) + 1
-        other = text[:split] + b"".join(reversed(text[split:].splitlines(True)))
-        path, replacement = tmp_path / "t.csv", tmp_path / "other.csv"
-        path.write_bytes(text)
-        replacement.write_bytes(other.replace(b"\xff", b"9"))
-        expected = read_outcome(_read_cells, path)
-        assert expected[0] is TableFormatError if undecodable else expected[0] == (8, 2)
-        monkeypatch.setattr(table_module, "_SPLIT_BYTES", 0)
-        fork = os.fork
-
-        def replace_then_fork():
-            os.replace(replacement, path)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", replace_then_fork)
-        with leaves_nothing(spill):
-            assert read_outcome(_read_cells, path) == expected
-        assert not replacement.exists()
 
     @pytest.mark.parametrize("in_parent", [True, False], ids=["parent", "child"])
     def test_write_errors(self, tmp_path, monkeypatch, spill, table, in_parent):
@@ -567,17 +528,6 @@ class TestSplitHygiene:
         table = DataTable(table.values[:60, :10])
         monkeypatch.setattr(table_module, "_SPLIT_BYTES", 0)
         path = tmp_path / "t.csv"
-        cases = {name: READ_CASES[name] for name in SPLIT_READS}
-        cases.update((name, (text, None)) for name, (text, _) in FAULT_CASES.items())
-
-        def outcomes():
-            found = {}
-            for name, (text, missing_code) in cases.items():
-                path.write_bytes(text)
-                found[name] = read_outcome(_read_cells, path, missing_code)
-            return found
-
-        split = outcomes()
         save_csv(table, path, "NA")
         written = path.read_bytes()
         forks = count_forks(monkeypatch)
@@ -590,7 +540,6 @@ class TestSplitHygiene:
         if host == "second-thread":  # a forked child could inherit its held locks
             other.start()
         try:
-            assert outcomes() == split
             with leaves_nothing(spill):
                 save_csv(table, path, "NA")
         finally:
@@ -603,21 +552,17 @@ class TestSplitHygiene:
     @pytest.mark.skipif(not hasattr(signal, "SIGCHLD"), reason="no SIGCHLD")
     def test_child_reaped_elsewhere(self, tmp_path, monkeypatch, spill, table):
         """With SIGCHLD ignored the kernel reaps the child and its exit status
-        is lost, so the parent does the child's half itself."""
+        is lost, so the parent writes the child's half itself."""
         path, reference = tmp_path / "t.csv", tmp_path / "one.csv"
         save_csv(table, reference)
-        expected = read_outcome(_read_cells, reference)
-        monkeypatch.setattr(table_module, "_SPLIT_BYTES", 1 << 62)
-        one_process = read_outcome(_read_cells, reference)
         monkeypatch.setattr(table_module, "_SPLIT_BYTES", 0)
         forks = count_forks(monkeypatch)
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
             save_csv(table, path)
-            assert read_outcome(_read_cells, path) == expected == one_process
         finally:
             signal.signal(signal.SIGCHLD, previous)
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert path.read_bytes() == reference.read_bytes()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -803,6 +748,34 @@ class TestSidecar:
         assert table_bits(load_csv(path)) == table_bits(table) and calls == []
         sidecar.write_bytes(stale)  # a save that left none would leave this one
         assert table_bits(load_csv(path)) == table_bits(table) and len(calls) == 1
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_sidecar_takes_the_csvs_mode(self, tmp_path, table, umask):
+        path, sidecar = tmp_path / "t.csv", tmp_path / "t.csv.icctab"
+        old = os.umask(umask)
+        try:
+            save_csv(table, path)
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+            assert sidecar.stat().st_mode == path.stat().st_mode
+            path.chmod(0o640)
+            save_csv(table, path)  # the CSV, truncated and rewritten, keeps its mode
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(sidecar.stat().st_mode) == stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_sidecar_of_another_owner_is_not_read(self, tmp_path, monkeypatch, table):
+        path = tmp_path / "t.csv"
+        save_csv(table, path)
+        fstat = os.fstat
+
+        def other_owner(fd):  # only the sidecar is fstat-ed in a load
+            fields = fstat(fd)[:10]
+            return os.stat_result((*fields[:4], fields[4] + 1, *fields[5:]))
+
+        monkeypatch.setattr(os, "fstat", other_owner)
+        calls = parses(monkeypatch)
+        assert table_bits(load_csv(path)) == table_bits(table)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("token, kept", [("x" * 24, True), ("x" * 25, False),
                                              (" " * 23 + "NA", False)])
